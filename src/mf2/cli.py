@@ -209,6 +209,8 @@ def cmd_double(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.dmax < 1:
+        raise CliError("--dmax must be at least 1")
     mff = _load_mf(args.file)
     mf = UngradedMF(mff.w, mff.q)
     dims = cohomology_dims(mf, mf, args.dmax)

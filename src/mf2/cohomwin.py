@@ -17,6 +17,16 @@ and its stable value is a diagnostic for (not a proof of) the actual
 cohomology dimension.  Exact answers come from the witness solver and
 the point certification below.
 
+All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
+manner of persistence reduction (Zomorodian & Carlsson, "Computing
+Persistent Homology", 2005).  The radius of a monomial is the smallest d
+whose window holds it.  Domain columns enter in ascending radius, so
+every B_r is a prefix of the insertion order and the pivot count after
+it is the rank of d on B_r.  Output coordinates are numbered outermost
+first, so span B_{r-1} is a trailing block; with lowest-index pivots an
+echelon row has its pivot there exactly when it has no component
+outside, so the pivots in that block count dim(d(B_r) ∩ span B_{r-1}).
+
 Specializing at a field point collapses d to a finite operator; local
 reports carry kernel/image dimensions and deterministic coordinates of
 chosen classes in the local cohomology.
@@ -30,17 +40,7 @@ from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec
 from .mfcore import HomotopyWitness, Morphism, UngradedMF
-from .ringmat import (
-    FieldMatrix,
-    RingMatrix,
-    _generic_echelon,
-    gf2_rank,
-    gf2_solve_combination,
-    kernel_basis,
-    rank,
-    solve,
-    specialize,
-)
+from .ringmat import Echelon, FieldMatrix, RingMatrix, _column_echelon, specialize
 from .ringpoly import RingDescriptor, RingPoly
 
 __all__ = [
@@ -132,27 +132,28 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF, basis_in, out_index) -> lis
     """Sparse columns of d over the hom bases; raises if an image term
     falls outside the output window."""
     qs, qt = src.q, tgt.q
+    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic
+    terms = {
+        (i, j): [(r, j, s, c) for r in range(tgt.size) for s, c in qt.at(r, i).terms.items()]
+        + [(i, c_j, s, c) for c_j in range(src.size) for s, c in qs.at(j, c_j).terms.items()]
+        for i in range(tgt.size)
+        for j in range(src.size)
+    }
+    shifts = {s for cell in terms.values() for _, _, s, _ in cell}
+    shifted: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     cols = []
     for i, j, e in basis_in:
+        sh = shifted.get(e)
+        if sh is None:
+            sh = shifted[e] = {s: tuple(a + b for a, b in zip(e, s)) for s in shifts}
         acc: dict[tuple[int, int, tuple[int, ...]], int] = {}
-        for r in range(tgt.size):
-            for s_exp, c in qt.at(r, i).terms.items():
-                key = (r, j, tuple(a + b for a, b in zip(e, s_exp)))
-                prev = acc.get(key, 0) ^ c
-                if prev:
-                    acc[key] = prev
-                else:
-                    acc.pop(key, None)
-        for c_j in range(src.size):
-            for s_exp, c in qs.at(j, c_j).terms.items():
-                key = (i, c_j, tuple(a + b for a, b in zip(e, s_exp)))
-                prev = acc.get(key, 0) ^ c
-                if prev:
-                    acc[key] = prev
-                else:
-                    acc.pop(key, None)
+        for row, column, s, c in terms[i, j]:
+            key = (row, column, sh[s])
+            acc[key] = acc.get(key, 0) ^ c
         col: dict[int, int] = {}
         for key, coeff in acc.items():
+            if not coeff:
+                continue
             idx = out_index.get(key)
             if idx is None:
                 raise ValueError(
@@ -184,73 +185,42 @@ def delta_as_field_matrix(src: UngradedMF, tgt: UngradedMF,
     return FieldMatrix(src.ring.field, nrows, ncols, entries)
 
 
-def _window_quotient_dims(src: UngradedMF, tgt: UngradedMF, d: int,
-                          hull) -> tuple[int, int]:
-    """(dim ker(d | B_d), dim(d(B_{d+1}) ∩ span B_d)) for the hom complex.
-
-    Output coordinates are ordered outside-B_d first; with lowest-index
-    pivoting, image vectors whose pivot falls in the inside block have no
-    outside component, so counting those pivots measures the intersection.
-    """
-    ring = src.ring
-    win_d = Window.symmetric(ring, d)
-    dom = Window.symmetric(ring, d + 1)
-    basis_dom = _hom_basis(src, tgt, dom)
-    basis_out = _hom_basis(src, tgt, dom.expanded(hull))
-    outside = [k for k in basis_out if not win_d.contains(k[2])]
-    inside = [k for k in basis_out if win_d.contains(k[2])]
-    out_index = {k: n for n, k in enumerate(outside + inside)}
-    split = len(outside)
-    cols = _delta_columns(src, tgt, basis_dom, out_index)
-    spec = ring.field
-    n_d = tgt.size * src.size * win_d.size
-    if spec.k == 1:
-        packed = [sum(1 << idx for idx in col) for col in cols]
-        sub = [p for p, (_, _, e) in zip(packed, basis_dom) if win_d.contains(e)]
-        kernel_dim = n_d - gf2_rank(sub)
-        pivots: dict[int, int] = {}
-        inner = 0
-        for row in packed:
-            while row:
-                low = (row & -row).bit_length() - 1
-                if low in pivots:
-                    row ^= pivots[low]
-                else:
-                    pivots[low] = row
-                    if low >= split:
-                        inner += 1
-                    break
-        return kernel_dim, inner
-    width = len(out_index)
-
-    def as_rows(columns):
-        rows = []
-        for col in columns:
-            row = [0] * width
-            for idx, v in col.items():
-                row[idx] = v
-            rows.append(row)
-        return rows
-
-    sub = [c for c, (_, _, e) in zip(cols, basis_dom) if win_d.contains(e)]
-    _, sub_pivots = _generic_echelon(as_rows(sub), spec) if sub else ([], [])
-    kernel_dim = n_d - len(sub_pivots)
-    _, pivots_cols = _generic_echelon(as_rows(cols), spec) if cols else ([], [])
-    inner = sum(1 for c in pivots_cols if c >= split)
-    return kernel_dim, inner
+def _radius(exps: Sequence[int]) -> int:
+    """Smallest d with the monomial inside Window.symmetric(ring, d)."""
+    return max(map(abs, exps))
 
 
 def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, int]:
-    """{d: h_d} for d = 1..d_max over the hom complex Hom(src, tgt)."""
+    """{d: h_d} for d = 1..d_max over the hom complex Hom(src, tgt),
+    from one radius-filtered pass (see the module docstring)."""
     _check_pair(src, tgt)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    hull = _combined_hull(src.q, tgt.q)
-    dims = {}
-    for d in range(1, d_max + 1):
-        kernel_dim, boundary_dim = _window_quotient_dims(src, tgt, d, hull)
-        dims[d] = kernel_dim - boundary_dim
-    return dims
+    ring = src.ring
+    dom = Window.symmetric(ring, d_max + 1)
+    basis_dom = sorted(_hom_basis(src, tgt, dom), key=lambda b: _radius(b[2]))
+    basis_out = _hom_basis(src, tgt, dom.expanded(_combined_hull(src.q, tgt.q)))
+    basis_out.sort(key=lambda b: -_radius(b[2]))
+    out_index = {key: n for n, key in enumerate(basis_out)}
+    out_radius = [_radius(e) for _, _, e in basis_out]
+    ech = Echelon(ring.field)
+    cols = [ech.pack_items(col.items()) for col in _delta_columns(src, tgt, basis_dom, out_index)]
+    pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
+    ranks, inner = [], []
+    pos = 0
+    for r in range(d_max + 2):
+        while pos < len(cols) and _radius(basis_dom[pos][2]) == r:
+            pivot, _ = ech.insert(cols[pos])
+            if pivot is not None:
+                pivots_at[out_radius[pivot]] += 1
+            pos += 1
+        ranks.append(len(ech.rows))
+        inner.append(sum(pivots_at[:r]))
+    hom_rank = tgt.size * src.size
+    return {
+        d: hom_rank * Window.symmetric(ring, d).size - ranks[d] - inner[d + 1]
+        for d in range(1, d_max + 1)
+    }
 
 
 def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
@@ -267,41 +237,20 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     basis_out = _hom_basis(src, tgt, win_out)
     out_index = {key: n for n, key in enumerate(basis_out)}
     cols = _delta_columns(src, tgt, basis_in, out_index)
-    spec = src.ring.field
-    if spec.k == 1:
-        packed = [sum(1 << idx for idx in col) for col in cols]
-        target = 0
-        for i in range(tgt.size):
-            for j in range(src.size):
-                for e, c in f.f.at(i, j).terms.items():
-                    target |= 1 << out_index[(i, j, e)]
-        coeffs = gf2_solve_combination(packed, target, len(cols))
-    else:
-        nrows, ncols = len(basis_out), len(basis_in)
-        entries = [0] * (nrows * ncols)
-        for c_idx, col in enumerate(cols):
-            for r_idx, v in col.items():
-                entries[r_idx * ncols + c_idx] = v
-        m = FieldMatrix(spec, nrows, ncols, entries)
-        tvec = [0] * nrows
-        for i in range(tgt.size):
-            for j in range(src.size):
-                for e, c in f.f.at(i, j).terms.items():
-                    tvec[out_index[(i, j, e)]] = c
-        coeffs = solve(m, tvec)
-    if coeffs is None:
+    ech = Echelon(src.ring.field, track=True)
+    ech.insert_all(ech.pack_items(col.items()) for col in cols)
+    rest, comb = ech.reduce(ech.pack_items(
+        (out_index[(i, j, e)], c)
+        for i in range(tgt.size)
+        for j in range(src.size)
+        for e, c in f.f.at(i, j).terms.items()
+    ))
+    if rest:
         return None
     gterms: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-    for idx, c in enumerate(coeffs):
-        if not c:
-            continue
-        i, j, e = basis_in[idx]
-        cell = gterms.setdefault((i, j), {})
-        prev = cell.get(e, 0) ^ c
-        if prev:
-            cell[e] = prev
-        else:
-            cell.pop(e, None)
+    for (i, j, e), c in zip(basis_in, ech.unpack(comb, len(cols))):
+        if c:
+            gterms.setdefault((i, j), {})[e] = c
     ring = src.ring
     g_entries = [
         RingPoly(ring, gterms.get((i, j), {}))
@@ -329,39 +278,6 @@ def find_critical_points(w: RingPoly, spec: FieldSpec) -> list[tuple[FieldElem, 
         if all(not p.evaluate(point).value for p in partials):
             out.append(point)
     return out
-
-
-def _reduce_vec(vec: list[int], ech: list[tuple[int, list[int]]], spec: FieldSpec) -> list[int]:
-    mul = spec.mul
-    vec = list(vec)
-    for lead, row in ech:
-        c = vec[lead]
-        if c:
-            vec = [a ^ mul(c, b) for a, b in zip(vec, row)]
-    return vec
-
-
-def _ech_insert(vec: list[int], ech: list[tuple[int, list[int]]], spec: FieldSpec) -> bool:
-    """Reduce vec against the echelon and insert the remainder if nonzero.
-
-    The echelon is kept fully reduced (each row is zero at every other
-    row's leading index, leading coefficients are 1, rows sorted by
-    leading index), so a single reduction pass yields the canonical
-    representative modulo the row space."""
-    red = _reduce_vec(vec, ech, spec)
-    lead = next((i for i, v in enumerate(red) if v), None)
-    if lead is None:
-        return False
-    mul = spec.mul
-    s = spec.inv(red[lead])
-    newrow = [mul(s, v) for v in red]
-    for k, (l2, row2) in enumerate(ech):
-        c = row2[lead]
-        if c:
-            ech[k] = (l2, [a ^ mul(c, b) for a, b in zip(row2, newrow)])
-    ech.append((lead, newrow))
-    ech.sort(key=lambda lr: lr[0])
-    return True
 
 
 @dataclass(frozen=True)
@@ -410,16 +326,14 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
                     row = r * n + j
                     entries[row * ncols + col] ^= v
     dmat = FieldMatrix(spec, ncols, ncols, entries)
-    image_dim = rank(dmat)
-    kernel_dim = ncols - image_dim
-    im_ech: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
-        _ech_insert([dmat.at(r, col) for r in range(ncols)], im_ech, spec)
-    ext_ech: list[tuple[int, list[int]]] = []
-    for v in kernel_basis(dmat):
-        _ech_insert(_reduce_vec(v, im_ech, spec), ext_ech, spec)
+    image, relations = _column_echelon(dmat, track=True)
+    image_dim = len(image.rows)
+    # kernel vectors modulo the image span the local cohomology; a class's
+    # coordinates are its normal form read at that span's pivots
+    local = Echelon(spec)
+    local.insert_all(image.reduce(rel)[0] for rel in relations)
+    leads = sorted(local.rows)
     coords = []
-    mul = spec.mul
     for cls in classes:
         fp = specialize(cls, point)
         if (fp.rows, fp.cols) != (m, n):
@@ -427,14 +341,9 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
         vec = list(fp.entries)
         if any(dmat.apply(vec)):
             raise ValueError("class is not closed at the point")
-        red = _reduce_vec(vec, im_ech, spec)
-        cc = []
-        for lead, row in ext_ech:
-            c = red[lead]
-            cc.append(c)
-            if c:
-                red = [a ^ mul(c, b) for a, b in zip(red, row)]
-        if any(red):
+        red, _ = image.reduce(image.pack(vec))
+        if local.reduce(red)[0]:
             raise ValueError("class escapes the local kernel decomposition")
-        coords.append(tuple(cc))
-    return LocalCohomologyReport(tuple(point), kernel_dim, image_dim, tuple(coords))
+        values = image.unpack(red, ncols)
+        coords.append(tuple(values[p] for p in leads))
+    return LocalCohomologyReport(tuple(point), ncols - image_dim, image_dim, tuple(coords))

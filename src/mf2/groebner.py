@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2k import FieldSpec
-from .ringmat import FieldMatrix, solve
-from .ringpoly import RingDescriptor, RingPoly, grevlex_key
+from .ringmat import Echelon, FieldMatrix, solve
+from .ringpoly import RingDescriptor, RingPoly
 
 __all__ = [
     "TermOrder",
@@ -365,24 +364,14 @@ def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
     n = m.rows
     if n == 0:
         return RingPoly.one(uni)
-    # incremental elimination over vectorized powers, tracking combinations
+    # vectorized powers enter the echelon until one depends on the ones before
+    ech = Echelon(spec, track=True)
     power = FieldMatrix.identity(spec, n)
-    rows: list[tuple[list[int], list[int]]] = []  # (reduced vector, combination)
     degree = 0
     while True:
-        vec = list(power.entries)
-        comb = [0] * (n * n + 1)
-        comb[degree] = 1
-        for rvec, rcomb in rows:
-            lead = next((i for i, v in enumerate(rvec) if v), None)
-            if lead is not None and vec[lead]:
-                f = spec.mul(vec[lead], spec.inv(rvec[lead]))
-                vec = [a ^ spec.mul(f, b) for a, b in zip(vec, rvec)]
-                comb = [a ^ spec.mul(f, b) for a, b in zip(comb, rcomb)]
-        if not any(vec):
-            terms = {(d,): c for d, c in enumerate(comb[:degree + 1]) if c}
-            return RingPoly(uni, terms)
-        rows.append((vec, comb))
-        rows.sort(key=lambda rc: next(i for i, v in enumerate(rc[0]) if v))
+        pivot, comb = ech.insert(ech.pack(power.entries))
+        if pivot is None:
+            coeffs = ech.unpack(comb, degree + 1)
+            return RingPoly(uni, {(d,): c for d, c in enumerate(coeffs) if c})
         power = power * m
         degree += 1

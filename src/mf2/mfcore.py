@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .gf2k import FieldElem
-from .ringmat import RingMatrix, block2, blocks_of, commutator, matrix_partial, specialize
-from .ringpoly import RingDescriptor, RingPoly
+from .ringmat import RingMatrix, block2, matrix_partial, specialize
+from .ringpoly import RingPoly
 
 __all__ = [
     "VerifyReport",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .gf2k import FieldSpec, default_spec
 from .ringpoly import RingDescriptor, RingPoly, exact_divide, parse_poly
@@ -639,8 +639,7 @@ def closed_open_certify(spec: Optional[FieldSpec] = None, seed: int = 2718,
         return f"{samples} exact scalars decomposed into Jacobian cofactors"
 
     def co_window_dims() -> str:
-        window_ctx = ctx if spec.k == 1 else Rp2Context(default_spec(1))
-        dims = cohomology_dims(window_ctx.mf, window_ctx.mf, 6)
+        dims = cohomology_dims(ctx.mf, ctx.mf, 6)
         bad = [d for d in range(2, 7) if dims[d] != 3]
         if bad:
             raise ValueError(f"window dimensions off at {bad}: {dims}")

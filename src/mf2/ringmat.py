@@ -2,16 +2,16 @@
 
 RingMatrix holds RingPoly entries (row-major, immutable by convention)
 and supplies the block algebra the factorization layer is built on.
-FieldMatrix holds serialized field values; its elimination routines run
-on int bitsets when the field is GF(2) (one row = one int) and fall
-back to generic table arithmetic for extensions.
+FieldMatrix holds serialized field values.  Rank, kernels and solving
+run through Echelon, one elimination kernel for every GF(2^k) that packs
+a whole vector into one int (a bitset when k = 1).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .gf2k import FieldElem, FieldSpec
+from .gf2k import GF2, FieldElem, FieldSpec
 from .ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "matrix_partial",
     "specialize",
     "parse_matrix",
+    "Echelon",
     "rank",
     "kernel_basis",
     "solve",
@@ -320,137 +321,201 @@ class FieldMatrix:
 
 # -- elimination ---------------------------------------------------------------
 #
-# GF(2) rows are packed into ints, bit j = column j; extension fields use
-# plain lists.  Both paths do full forward elimination with column pivots
-# in ascending order, which keeps every derived convention deterministic.
+# Every rank, kernel, solve and normal form in the package runs through
+# Echelon.  A vector over GF(2^k) is one int holding coefficient j in bits
+# [k*j, k*j + k), the packing of M4RIE (Albrecht, Bard & Pernet, arXiv
+# 1111.6549): adding two vectors is one XOR, and for k = 1 a vector is a
+# plain bitset.  Pivots sit at the lowest nonzero index, so the pivot set,
+# and with it every normal form, depends on the span of the inserted
+# vectors alone.  Kernel bases and solutions fix each free variable (a
+# column that depends on the columns before it) at zero, which makes them
+# unique too: any correct elimination returns the same vectors.
 
 
-def _pack_rows(m: FieldMatrix) -> list[int]:
-    out = []
-    for i in range(m.rows):
-        acc = 0
-        for j, v in enumerate(m.row(i)):
-            if v:
-                acc |= 1 << j
-        out.append(acc)
-    return out
+class Echelon:
+    """Incremental lowest-index echelon form of packed GF(2^k) vectors.
+
+    `insert` reduces a vector by the pivot rows and keeps a nonzero
+    remainder, scaled to be monic, as the row of a new pivot.  With
+    `track` set, every row also carries the combination of inserted
+    vectors that equals it (packed the same way, slot i for the i-th
+    insert), so a vector that reduces to zero yields the relation that
+    cancels it, and `reduce` yields the coefficients of a solution.
+    """
+
+    __slots__ = ("spec", "k", "track", "rows", "combs", "count", "_mask", "_low", "_top", "_bits")
+
+    def __init__(self, spec: FieldSpec, track: bool = False):
+        self.spec = spec
+        self.k = spec.k
+        self.track = track
+        self.rows: dict[int, int] = {}  # pivot index -> monic row
+        self.combs: dict[int, int] = {}  # pivot index -> combination equal to its row
+        self.count = 0  # vectors inserted so far
+        self._mask = (1 << spec.k) - 1
+        self._low = spec.modulus ^ (1 << spec.k)  # t^k reduced by the modulus
+        self._top = 0  # top bit of every slot below bit _bits
+        self._bits = 0
+
+    def pack(self, values: Iterable[int]) -> int:
+        return self.pack_items(enumerate(values))
+
+    def pack_items(self, items: Iterable[tuple[int, int]]) -> int:
+        """Packs (index, value) pairs; indices left out are zero."""
+        k = self.k
+        return sum(v << (k * j) for j, v in items)
+
+    def unpack(self, v: int, n: int) -> list[int]:
+        k, mask = self.k, self._mask
+        return [(v >> (k * j)) & mask for j in range(n)]
+
+    def scale(self, v: int, c: int) -> int:
+        """c * v slot by slot: one masked shift (a product by t) per bit of c."""
+        if c == 1:
+            return v
+        k = self.k
+        if v.bit_length() > self._bits:
+            self._bits = k * (2 * v.bit_length() // k + 1)
+            self._top = ((1 << self._bits) - 1) // self._mask << (k - 1)
+        top, low, shift = self._top, self._low, k - 1
+        acc = v if c & 1 else 0
+        c >>= 1
+        while c:
+            hi = v & top
+            v = ((v ^ hi) << 1) ^ ((hi >> shift) * low)
+            if c & 1:
+                acc ^= v
+            c >>= 1
+        return acc
+
+    def _reduce(self, v: int, comb: int, full: bool) -> tuple[int, int]:
+        """Eliminate pivots from the bottom of v up; stop at the first
+        non-pivot slot unless `full`, which carries on past it."""
+        rows, combs, track, k = self.rows, self.combs, self.track, self.k
+        kept = 0
+        if k == 1:
+            while v:
+                bit = v & -v
+                p = bit.bit_length() - 1
+                row = rows.get(p)
+                if row is not None:
+                    v ^= row
+                    if track:
+                        comb ^= combs[p]
+                elif full:
+                    kept |= bit
+                    v ^= bit
+                else:
+                    break
+            return kept | v, comb
+        scale, mask = self.scale, self._mask
+        while v:
+            p = ((v & -v).bit_length() - 1) // k
+            row = rows.get(p)
+            if row is not None:
+                c = (v >> (k * p)) & mask
+                v ^= scale(row, c)
+                if track:
+                    comb ^= scale(combs[p], c)
+            elif full:
+                slot = v & (mask << (k * p))
+                kept |= slot
+                v ^= slot
+            else:
+                break
+        return kept | v, comb
+
+    def insert(self, v: int) -> tuple[Optional[int], int]:
+        """Reduce v and keep the remainder as a new pivot row.
+
+        Returns (pivot, comb): the new pivot index and the combination
+        equal to its row, or (None, relation) when v lies in the span.
+        comb is 0 unless tracking."""
+        comb = 1 << (self.k * self.count) if self.track else 0
+        self.count += 1
+        v, comb = self._reduce(v, comb, False)
+        if not v:
+            return None, comb
+        k = self.k
+        p = ((v & -v).bit_length() - 1) // k
+        c = (v >> (k * p)) & self._mask
+        if c != 1:
+            c = self.spec.inv(c)
+            v, comb = self.scale(v, c), self.scale(comb, c)
+        self.rows[p] = v
+        if self.track:
+            self.combs[p] = comb
+        return p, comb
+
+    def insert_all(self, vectors: Iterable[int]) -> list[int]:
+        """Insert in order; returns the relations of the dependent vectors."""
+        return [comb for p, comb in map(self.insert, vectors) if p is None]
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        """(r, comb): the normal form r of v, zero at every pivot, and the
+        combination of inserted vectors equal to v - r (0 unless tracking)."""
+        return self._reduce(v, 0, True)
+
+    def reduced_row(self, p: int) -> int:
+        """The row of pivot p in reduced echelon form (zero at the other pivots)."""
+        unit = 1 << (self.k * p)
+        return unit ^ self.reduce(self.rows[p] ^ unit)[0]
+
+
+def _column_echelon(m: FieldMatrix, track: bool = False) -> tuple[Echelon, list[int]]:
+    """Echelon of m's columns in order, with the relation of each column
+    that depends on the earlier ones."""
+    ech = Echelon(m.spec, track)
+    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    return ech, relations
+
+
+# Packed entry points kept for profilers that hook elimination by name.
 
 
 def gf2_rank(rows: list[int]) -> int:
-    """Rank of packed GF(2) row vectors (destroys nothing; copies internally)."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for row in rows:
-        while row:
-            low = (row & -row).bit_length() - 1
-            if low in pivots:
-                row ^= pivots[low]
-            else:
-                pivots[low] = row
-                r += 1
-                break
-    return r
+    """Rank of packed GF(2) row vectors."""
+    ech = Echelon(GF2)
+    ech.insert_all(rows)
+    return len(ech.rows)
 
 
 def gf2_solve_combination(rows: list[int], target: int, width: int) -> Optional[list[int]]:
-    """Coefficients c with xor of c_i * rows_i == target, or None.
-
-    Free coefficients are zero; among reduced echelon choices this picks the
-    combination produced by eliminating in ascending column order.
-    """
-    pivots: dict[int, tuple[int, int]] = {}  # low bit -> (row, combination bits)
-    for idx, row in enumerate(rows):
-        comb = 1 << idx
-        while row:
-            low = (row & -row).bit_length() - 1
-            if low in pivots:
-                prow, pcomb = pivots[low]
-                row ^= prow
-                comb ^= pcomb
-            else:
-                pivots[low] = (row, comb)
-                break
-    comb = 0
-    while target:
-        low = (target & -target).bit_length() - 1
-        if low not in pivots:
-            return None
-        prow, pcomb = pivots[low]
-        target ^= prow
-        comb ^= pcomb
-    return [(comb >> i) & 1 for i in range(width)]
+    """Coefficients c with xor of c_i * rows_i == target, or None; the
+    coefficient of every row that depends on earlier rows is zero."""
+    ech = Echelon(GF2, track=True)
+    ech.insert_all(rows)
+    rest, comb = ech.reduce(target)
+    return None if rest else ech.unpack(comb, width)
 
 
 def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form (in place on a copy); returns (rows, pivot column list)."""
-    mul, inv = spec.mul, spec.inv
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols = []
-    pr = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(pr, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        piv = rows[pr]
-        s = inv(piv[c])
-        if s != 1:
-            rows[pr] = piv = [mul(s, v) for v in piv]
-        for i in range(nrows):
-            if i != pr and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a ^ mul(f, b) for a, b in zip(rows[i], piv)]
-        pivot_cols.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivot_cols
+    """Reduced row echelon form of dense rows; returns (rows, pivot column list)."""
+    ech, width = Echelon(spec), len(rows[0]) if rows else 0
+    ech.insert_all(ech.pack(row) for row in rows)
+    pivots = sorted(ech.rows)
+    red = [ech.unpack(ech.reduced_row(p), width) for p in pivots]
+    return red + [[0] * width for _ in range(len(rows) - len(red))], pivots
 
 
 def rank(m: FieldMatrix) -> int:
-    if m.spec.k == 1:
-        return gf2_rank(_pack_rows(m))
-    _, pivots = _generic_echelon([list(m.row(i)) for i in range(m.rows)], m.spec)
-    return len(pivots)
+    return len(_column_echelon(m)[0].rows)
 
 
 def kernel_basis(m: FieldMatrix) -> list[list[int]]:
-    """Basis of {x : m x = 0}; one vector per free column, ascending."""
-    spec = m.spec
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    red, pivot_cols = _generic_echelon(rows, spec)
-    pivot_of_col = {c: i for i, c in enumerate(pivot_cols)}
-    free_cols = [c for c in range(m.cols) if c not in pivot_of_col]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * m.cols
-        vec[fc] = 1
-        for c, i in pivot_of_col.items():
-            vec[c] = red[i][fc]  # reduced echelon: pivot rows are unit there
-        basis.append(vec)
-    return basis
+    """Basis of {x : m x = 0}; one vector per free column, ascending.
+
+    A column is free when it depends on the columns before it; its vector
+    is the unique kernel element with a 1 there and 0 at the other free
+    columns."""
+    ech, relations = _column_echelon(m, track=True)
+    return [ech.unpack(rel, m.cols) for rel in relations]
 
 
 def solve(m: FieldMatrix, b: Sequence[int]) -> Optional[list[int]]:
     """One solution of m x = b with free variables set to zero, or None."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    spec = m.spec
-    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
-    red, pivot_cols = _generic_echelon(aug, spec)
-    x = [0] * m.cols
-    for i, c in enumerate(pivot_cols):
-        if c == m.cols:  # pivot in the augmented column: inconsistent
-            return None
-        x[c] = red[i][m.cols]
-    # rows below the pivots must have zero tail
-    for i in range(len(pivot_cols), m.rows):
-        if red[i][m.cols]:
-            return None
-    return x
+    ech, _ = _column_echelon(m, track=True)
+    rest, comb = ech.reduce(ech.pack(b))
+    return None if rest else ech.unpack(comb, m.cols)

@@ -24,7 +24,7 @@ largest term first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, embed
 

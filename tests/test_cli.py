@@ -114,6 +114,19 @@ def test_cohomology_records(capsys):
     assert out == "h[1]=3\nh[2]=3\nh[3]=3\n"
 
 
+def test_cohomology_nonpositive_dmax_is_usage_error(tmp_path, capsys):
+    lines = (FIXTURES / "rp2.mf").read_text().split("\n")
+    lines[4] = "1" + lines[4][1:]
+    bad = tmp_path / "bad.mf"
+    bad.write_text("\n".join(lines))
+    # rejected before the file is loaded or any window is built
+    for path, dmax in ((RP2, "0"), (RP2, "-3"), (str(bad), "0")):
+        code, out, err = run(capsys, ["cohomology", path, "--dmax", dmax])
+        assert code == 2
+        assert out == ""
+        assert "--dmax must be at least 1" in err
+
+
 def test_jacobian_from_file_and_potential(capsys):
     code, out, _ = run(capsys, ["jacobian", RP2])
     assert code == 0
