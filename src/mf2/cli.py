@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("search", help="brute-force factorizations over a support")
+    p = sub.add_parser("search",
+                       help="all factorizations over a support, by row/column backtracking")
     p.add_argument("--potential", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--support", required=True,

@@ -41,20 +41,34 @@ def _gf2_poly_mod(a: int, m: int) -> int:
     return a
 
 
+def _gf2_poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_poly_mod(a, b)
+    return a
+
+
 def _is_irreducible(m: int) -> bool:
-    """Trial division over GF(2)[t]; fine for the desk-scale degrees used here."""
+    """Rabin's test in its deterministic gcd form (Rabin, "Probabilistic
+    algorithms in finite fields", 1980): m of degree k is irreducible iff
+    t^(2^k) = t mod m and gcd(t^(2^(k/p)) - t, m) = 1 for every prime p | k.
+    It costs about k squarings mod m, where trial division costs 2^(k/2)."""
     k = m.bit_length() - 1
     if k < 1:
         return False
-    if k == 1:
-        return True
-    if not m & 1:  # divisible by t
+    t = _gf2_poly_mod(0b10, m)
+
+    def frobenius(n: int) -> int:
+        """t^(2^n) mod m.  Squaring in GF(2)[t] spreads the bits of a apart,
+        which reading its binary digits in base 4 does in one step."""
+        a = t
+        for _ in range(n):
+            a = _gf2_poly_mod(int(format(a, "b"), 4), m)
+        return a
+
+    primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % d for d in range(2, p))]
+    if any(_gf2_poly_gcd(frobenius(k // p) ^ t, m) != 1 for p in primes):
         return False
-    for deg in range(1, k // 2 + 1):
-        for d in range(1 << deg, 1 << (deg + 1)):
-            if _gf2_poly_mod(m, d) == 0:
-                return False
-    return True
+    return frobenius(k) == t
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ the unfold.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2k import FieldElem
 from .ringmat import RingMatrix, block2, matrix_partial, specialize
-from .ringpoly import RingPoly
+from .ringpoly import RingPoly, grevlex_key
 
 __all__ = [
     "VerifyReport",
@@ -397,7 +397,7 @@ class FieldHomotopy:
         raise AttributeError("FieldHomotopy is immutable")
 
 
-# -- exhaustive search ------------------------------------------------------------
+# -- factorization search ----------------------------------------------------------
 
 
 def search_factorizations(
@@ -408,37 +408,113 @@ def search_factorizations(
 ) -> list[RingMatrix]:
     """All size x size matrices over the given monomial support with Q^2 = W*Id.
 
-    Enumerates every coefficient assignment (field elements in serialized
-    order, entries row-major, support in descending canonical order), so the
-    result order is deterministic.  Refuses to run if the assignment space
-    exceeds 2^budget_bits.
-    """
-    ring = w.ring
-    from .ringpoly import grevlex_key
+    The result is ordered as if every coefficient assignment were
+    enumerated: entries row-major, each entry's coefficients over the
+    support in descending canonical order, field elements in serialized
+    order.  Refuses to run if the assignment space exceeds 2^budget_bits.
 
+    The search backtracks row and column together.  Step t = 0..size-1
+    assigns the entries (t, j) for j >= t, then (i, t) for i > t, and then
+    checks (Q^2)_ij against W (diagonal) or 0 (off-diagonal) for every pair
+    with max(i, j) = t.  Entry (a, b) is assigned at step min(a, b), so
+    both factors of every product Q_im * Q_mj in (Q^2)_ij with i, j <= t
+    are assigned by step t.  Each check is therefore final: a partial
+    assignment that fails it extends to no solution, so none is lost, and
+    a leaf that passes every check satisfies Q^2 = W*Id.  Every result is
+    still re-verified as a RingMatrix.
+    """
+    if size < 1:
+        raise ValueError("search size must be positive")
+    ring = w.ring
     supp = sorted({ring.check_exponents(s) for s in support}, key=grevlex_key, reverse=True)
     if not supp:
         raise ValueError("empty support")
-    k = ring.field.k
-    nslots = size * size * len(supp)
-    bits = nslots * k
+    field = ring.field
+    bits = size * size * len(supp) * field.k
     if bits > budget_bits:
         raise ValueError(
             f"search budget exceeded: needs {bits} bits, budget is {budget_bits}"
         )
-    values = list(range(ring.field.order))
-    out = []
+    k, mask, mul = field.k, field.order - 1, field.mul
+    width = len(supp)
+    nvalues = field.order ** width
+
+    # An entry value v in range(nvalues) is the entry's coefficient tuple
+    # over supp read as base-order digits, supp[0] most significant, so
+    # values ascend in the order itertools.product yields the tuples.
+    def digits(v: int) -> list[tuple[int, int]]:
+        """Nonzero coefficients (support index, value) of entry value v."""
+        return [(i, c) for i in range(width)
+                if (c := (v >> (k * (width - 1 - i))) & mask)]
+
+    # Entries of Q^2 lie in the span of the pairwise sums of support
+    # monomials.  There a polynomial is packed into one int, k bits per
+    # monomial, so adding two is one XOR.
+    place: dict[tuple[int, ...], int] = {}
+    shift = [[k * place.setdefault(tuple(x + y for x, y in zip(a, b)), len(place))
+              for b in supp] for a in supp]
+    w_packed = 0
+    for e, c in w.terms.items():
+        if e not in place:
+            w_packed = -1  # no diagonal entry of Q^2 can equal W
+            break
+        w_packed ^= c << (k * place[e])
+
+    q = [[0] * size for _ in range(size)]  # entry values of the current node
+
+    # Bounded: a size-1 search may square 2^budget_bits distinct values.
+    @functools.lru_cache(maxsize=1 << 16)
+    def product(a: int, b: int) -> int:
+        out = 0
+        right = digits(b)
+        for i, ca in digits(a):
+            row = shift[i]
+            for j, cb in right:
+                out ^= mul(ca, cb) << row[j]
+        return out
+
+    def square_at(i: int, j: int) -> int:
+        out = 0
+        for m in range(size):
+            out ^= product(q[i][m], q[m][j])
+        return out
+
+    # Slots list the entries in step order; the last slot of step t
+    # carries that step's checks.
+    slots: list[tuple[int, int]] = []
+    checks: list[list[tuple[int, int, int]]] = []
+    for t in range(size):
+        step = [(t, j) for j in range(t, size)] + [(i, t) for i in range(t + 1, size)]
+        slots += step
+        checks += [[] for _ in step]
+        checks[-1] = ([(t, j, 0) for j in range(t)] + [(i, t, 0) for i in range(t)]
+                      + [(t, t, w_packed)])
+    leaves = []
+    stack = [iter(range(nvalues))]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        slot = len(stack) - 1
+        i, j = slots[slot]
+        q[i][j] = v
+        for a, b, want in checks[slot]:
+            if square_at(a, b) != want:
+                break
+        else:
+            if len(stack) < len(slots):
+                stack.append(iter(range(nvalues)))
+            else:
+                leaves.append(tuple(x for row in q for x in row))
+    # Row-major value tuples sort like the brute-force assignment tuples.
+    leaves.sort()
     wid = RingMatrix.identity(ring, size).scale(w)
-    for assignment in itertools.product(values, repeat=nslots):
-        entries = []
-        for slot in range(size * size):
-            terms = {}
-            for m_i, exps in enumerate(supp):
-                c = assignment[slot * len(supp) + m_i]
-                if c:
-                    terms[exps] = c
-            entries.append(RingPoly(ring, terms))
-        q = RingMatrix(ring, size, size, entries)
-        if q * q == wid:
-            out.append(q)
-    return out
+    found = []
+    for leaf in leaves:
+        entries = [RingPoly(ring, {supp[i]: c for i, c in digits(v)}) for v in leaf]
+        m = RingMatrix(ring, size, size, entries)
+        if m * m != wid:
+            raise ValueError("search result failed re-verification: Q^2 != W*Id")
+        found.append(m)
+    return found

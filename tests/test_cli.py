@@ -9,12 +9,15 @@ it exactly.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import mf2
 from mf2.cli import emit_mf_text, main, parse_mf_text
 
 FIXTURES = files("mf2") / "fixtures"
@@ -232,6 +235,15 @@ def test_search_budget_and_support_errors(capsys):
     assert "monomial" in err
 
 
+def test_search_nonpositive_size_is_usage_error(capsys):
+    for size in ("0", "-1"):
+        code, out, err = run(capsys, ["search", "--potential", "x^2 + y^2",
+                                      "--size", size, "--support", "x,y"])
+        assert code == 2
+        assert out == ""
+        assert "search size must be positive" in err
+
+
 def test_suite_records(capsys):
     code, out, _ = run(capsys, ["suite", "--seed", "9", "--format", "records"])
     assert code == 0
@@ -253,9 +265,12 @@ def test_suite_text_report(capsys):
 
 
 def test_module_entry_point():
+    # The child imports mf2 from wherever this process did, installed or not.
+    path = [str(Path(mf2.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "mf2.cli", "verify", RP2],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "Q^2 = W*Id: OK\n"

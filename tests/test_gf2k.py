@@ -7,10 +7,11 @@ t^2 + t + 1: t*t = t+1 (3), t*(t+1) = t^2+t = 1, so inv(t) = t+1.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from mf2.gf2k import GF2, FieldSpec, default_spec, embed
+from mf2.gf2k import GF2, FieldSpec, _gf2_poly_mod, _is_irreducible, default_spec, embed
 
 
 def test_default_moduli():
@@ -29,6 +30,51 @@ def test_reducible_modulus_rejected():
         FieldSpec(4, 0b10101)  # t^4+t^2+1 = (t^2+t+1)^2
     with pytest.raises(ValueError):
         FieldSpec(3, 0b1111)  # t^3+t^2+t+1 has root 1
+
+
+def trial_division_irreducible(m: int) -> bool:
+    """The trial-division test Rabin's test replaced; oracle for small degrees."""
+    k = m.bit_length() - 1
+    if k < 1:
+        return False
+    if k == 1:
+        return True
+    if not m & 1:  # divisible by t
+        return False
+    for deg in range(1, k // 2 + 1):
+        for d in range(1 << deg, 1 << (deg + 1)):
+            if _gf2_poly_mod(m, d) == 0:
+                return False
+    return True
+
+
+def clmul(a: int, b: int) -> int:
+    """Product in GF(2)[t]."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a <<= 1
+        b >>= 1
+    return p
+
+
+def test_rabin_matches_trial_division_up_to_degree_12():
+    for m in range(2, 1 << 13):
+        assert _is_irreducible(m) == trial_division_irreducible(m), bin(m)
+
+
+def test_large_degree_modulus_is_decided_quickly():
+    gcm = (1 << 128) | 0b10000111  # t^128 + t^7 + t^2 + t + 1
+    reducible = clmul(0b11, (1 << 64) | 0b11011)  # (t+1)(t^64 + t^4 + t^3 + t + 1)
+    start = time.perf_counter()
+    spec = FieldSpec(128, gcm)
+    assert time.perf_counter() - start < 0.5
+    assert spec.mul(spec.inv(2), 2) == 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(65, reducible)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_non_default_irreducible_modulus_accepted():
