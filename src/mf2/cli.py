@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .gf2k import FieldSpec, default_spec
-from .ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
+from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, parse_poly
 from .ringmat import RingMatrix, parse_matrix
 from .mfcore import (
     UngradedMF,
@@ -46,7 +46,7 @@ class CliError(ValueError):
 # -- the MF file format ------------------------------------------------------------
 
 
-class MFFile:
+class MFFile(Immutable):
     """Parsed MF file: a coefficient ring, a potential, and a square matrix."""
 
     __slots__ = ("ring", "w", "q")
@@ -55,9 +55,6 @@ class MFFile:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MFFile is immutable")
 
 
 def parse_mf_text(text: str) -> MFFile:

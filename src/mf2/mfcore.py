@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .gf2k import FieldElem
 from .ringmat import RingMatrix, block2, matrix_partial, specialize
-from .ringpoly import RingPoly, grevlex_key
+from .ringpoly import Immutable, RingPoly, grevlex_key
 
 __all__ = [
     "VerifyReport",
@@ -67,7 +67,7 @@ def verify_mf(q: RingMatrix, w: RingPoly) -> VerifyReport:
     return VerifyReport(residual.is_zero(), residual)
 
 
-class UngradedMF:
+class UngradedMF(Immutable):
     """A verified ungraded factorization; construction fails on Q^2 != W*Id."""
 
     __slots__ = ("ring", "w", "q")
@@ -81,9 +81,6 @@ class UngradedMF:
         object.__setattr__(self, "ring", q.ring)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UngradedMF is immutable")
 
     @property
     def size(self) -> int:
@@ -103,7 +100,7 @@ class UngradedMF:
         return f"UngradedMF(size={self.size}, w={self.w})"
 
 
-class GradedMF:
+class GradedMF(Immutable):
     """A verified graded factorization (Q0, Q1) with Q0 Q1 = Q1 Q0 = W*Id."""
 
     __slots__ = ("ring", "w", "q0", "q1")
@@ -121,9 +118,6 @@ class GradedMF:
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMF is immutable")
-
     @property
     def size(self) -> int:
         return self.q0.rows
@@ -138,7 +132,7 @@ class GradedMF:
         return hash((self.w, self.q0, self.q1))
 
 
-class Morphism:
+class Morphism(Immutable):
     """A module map f: source -> target between factorizations of one potential."""
 
     __slots__ = ("source", "target", "f")
@@ -153,9 +147,6 @@ class Morphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "f", f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
 
     def differential(self) -> "Morphism":
         return Morphism(
@@ -193,7 +184,7 @@ def differential(f: Morphism) -> Morphism:
     return f.differential()
 
 
-class GradedMorphism:
+class GradedMorphism(Immutable):
     """A map between graded factorizations, stored on the total modules."""
 
     __slots__ = ("source", "target", "g")
@@ -208,9 +199,6 @@ class GradedMorphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMorphism is immutable")
 
     def differential(self) -> "GradedMorphism":
         qs = forget(self.source).q
@@ -227,7 +215,7 @@ class GradedMorphism:
         )
 
 
-class HomotopyWitness:
+class HomotopyWitness(Immutable):
     """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f."""
 
     __slots__ = ("claim", "g")
@@ -238,9 +226,6 @@ class HomotopyWitness:
             raise ValueError("homotopy witness does not satisfy d(g) = f")
         object.__setattr__(self, "claim", claim)
         object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomotopyWitness is immutable")
 
 
 # -- differential geometry of the potential -------------------------------------
@@ -379,7 +364,7 @@ def contract_at_noncritical(
     return FieldHomotopy(qp, h)
 
 
-class FieldHomotopy:
+class FieldHomotopy(Immutable):
     """Certifies Q h + h Q == Id for specialized matrices."""
 
     __slots__ = ("q", "h")
@@ -392,9 +377,6 @@ class FieldHomotopy:
             raise ValueError("contraction identity Q h + h Q = Id failed")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "h", h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldHomotopy is immutable")
 
 
 # -- factorization search ----------------------------------------------------------

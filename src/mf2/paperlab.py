@@ -16,6 +16,13 @@ x^3 + 1) these certify that alpha -> alpha*Id is an isomorphism from the
 Jacobian ring onto the cohomology endomorphism ring.  Every intermediate
 identity is re-checked symbolically; a returned result is a certificate,
 and any drift raises instead of propagating.
+
+Each identity has one implementation: an Rp2Context.check_* method (run
+at construction and again by the batteries) or a module helper.  The
+batteries -- run_suite, an_corpus and closed_open_certify -- are lists of
+check functions, each named by its check id and run in order; a check
+signals a mathematical failure with ValueError, and any other exception
+is a bug that propagates.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .gf2k import FieldSpec, default_spec
-from .ringpoly import RingDescriptor, RingPoly, exact_divide, parse_poly
+from .ringpoly import Immutable, RingDescriptor, RingPoly, exact_divide, parse_poly
 from .ringmat import (
     FieldMatrix,
     RingMatrix,
@@ -118,12 +125,18 @@ class Report:
 
 
 def _run_check(check_id: str, fn: Callable[[], str]) -> Check:
-    """Run fn; it returns a detail string or raises with the failed identity."""
+    """Run fn; it returns a detail string or raises ValueError with the
+    failed identity.  Any other exception is a bug and propagates."""
     try:
         detail = fn()
-    except Exception as exc:
+    except ValueError as exc:
         return Check(check_id, False, str(exc))
     return Check(check_id, True, detail)
+
+
+def _run_checks(*fns: Callable[[], str]) -> tuple[Check, ...]:
+    """Run a battery in order; each function's name is its check id."""
+    return tuple(_run_check(fn.__name__, fn) for fn in fns)
 
 
 # -- the 2x2 trace calculus --------------------------------------------------
@@ -149,7 +162,6 @@ def at(f: RingMatrix) -> RingPoly:
 
 def delta_u(f: RingMatrix) -> RingMatrix:
     """[U, f] in closed form: [[at, tr], [y*tr, at]]."""
-    _require_2x2(f)
     a, t = at(f), tr(f)
     y = RingPoly.variable(f.ring, "y")
     return RingMatrix.from_rows(f.ring, [[a, t], [y * t, a]])
@@ -179,15 +191,19 @@ def _v_matrix(ring: RingDescriptor) -> RingMatrix:
     return RingMatrix.identity(ring, 2) + _u_matrix(ring).scale(xyinv)
 
 
+def _twist(f: RingMatrix) -> tuple[RingPoly, RingPoly]:
+    """tr(V*f) = tr(f) + x^-1*y^-1*at(f) and at(V*f) = at(f) + x^-1*tr(f);
+    the same holds for f*V."""
+    t, a = tr(f), at(f)
+    xinv = RingPoly.variable(f.ring, "x", -1)
+    xyinv = RingPoly.monomial(f.ring, (-1, -1))
+    return t + xyinv * a, a + xinv * t
+
+
 def v_twist_check(f: RingMatrix) -> Report:
     """tr and at of V*f and f*V against their tr(f), at(f) expressions."""
-    _require_2x2(f)
-    ring = f.ring
-    v = _v_matrix(ring)
-    xinv = RingPoly.variable(ring, "x", -1)
-    xyinv = RingPoly.monomial(ring, (-1, -1))
-    want_tr = tr(f) + xyinv * at(f)
-    want_at = at(f) + xinv * tr(f)
+    v = _v_matrix(f.ring)
+    want_tr, want_at = _twist(f)
     facts = (
         ("tr_left", tr(v * f) == want_tr),
         ("tr_right", tr(f * v) == want_tr),
@@ -260,16 +276,15 @@ class ReductionResult:
 # -- the projective-plane context ------------------------------------------------
 
 
-class Rp2Context:
+class Rp2Context(Immutable):
     """The 4x4 factorization of w = x + y + 1/(xy) over GF(2^k), its block
     calculus, and a verified Jacobian quotient.
 
-    Construction assembles Q = [[U, V], [x*V, U]], re-checks the block
-    identities (U^2 = y*Id, V^2 = dW/dx*Id, UV = VU = x^-1*Id + U), checks
-    the alpha-matrix homotopy [Q, M] = F + x^-1*Id, builds the Jacobian
-    quotient (dimension 3), and validates the exponent-folding rule
-    x^a*y^b -> x^((a+b) mod 3) against the quotient on random monomials.
-    Instances are immutable after construction and all methods are pure."""
+    Construction parses Q, verifies Q^2 = w*Id, builds the Jacobian
+    quotient, and runs the check_* methods: the block identities, the
+    alpha-matrix homotopy, the quotient's dimension and minimal polynomial,
+    and the exponent-folding rule on 50 random monomials.  Instances are
+    immutable after construction and all methods are pure."""
 
     __slots__ = (
         "spec", "ring", "w", "u", "v", "mf", "q",
@@ -277,65 +292,95 @@ class Rp2Context:
         "f_alpha", "alpha_homotopy", "jacobian",
     )
 
-    def __init__(self, spec: Optional[FieldSpec] = None,
-                 validate_samples: int = 50, seed: int = 1905):
+    def __init__(self, spec: Optional[FieldSpec] = None):
         spec = spec if spec is not None else default_spec(1)
         ring = RingDescriptor(spec, ("x", "y"), (True, True))
-        x = RingPoly.variable(ring, "x")
-        y = RingPoly.variable(ring, "y")
-        xinv = RingPoly.variable(ring, "x", -1)
         w = parse_poly("x + y + x^-1*y^-1", ring)
-        u = _u_matrix(ring)
-        v = _v_matrix(ring)
-        q = block2(u, v, v.scale(x), u)
-        if q != parse_matrix(RP2_MATRIX_TEXT, ring):
-            raise ValueError("block assembly does not match the canonical matrix")
-        mf = UngradedMF(w, q)
-        dwdx = w.partial("x")
-        dwdy = w.partial("y")
-        id2 = RingMatrix.identity(ring, 2)
+        q = parse_matrix(RP2_MATRIX_TEXT, ring)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "u", _u_matrix(ring))
+        object.__setattr__(self, "v", _v_matrix(ring))
+        object.__setattr__(self, "mf", UngradedMF(w, q))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dwdx", w.partial("x"))
+        object.__setattr__(self, "dwdy", w.partial("y"))
+        object.__setattr__(self, "dqdx", matrix_partial(q, "x"))
+        object.__setattr__(self, "dqdy", matrix_partial(q, "y"))
+        object.__setattr__(self, "f_alpha", parse_matrix(ALPHA_MATRIX_TEXT, ring))
+        object.__setattr__(self, "alpha_homotopy", parse_matrix(ALPHA_HOMOTOPY_TEXT, ring))
+        object.__setattr__(self, "jacobian", quotient_ring(laurent_jacobian_ideal(w)))
+        self.check_blocks()
+        self.check_alpha_homotopy()
+        self.check_quotient()
+        self.check_folding(random.Random(1905))
+
+    # -- identities re-checked at construction --------------------------------
+
+    def check_blocks(self) -> None:
+        """U^2 = y*Id, V^2 = dW/dx*Id, UV = VU = x^-1*Id + U, and
+        Q = [[U, V], [x*V, U]]."""
+        u, v = self.u, self.v
+        x = RingPoly.variable(self.ring, "x")
+        y = RingPoly.variable(self.ring, "y")
+        xinv = RingPoly.variable(self.ring, "x", -1)
+        id2 = RingMatrix.identity(self.ring, 2)
         identities = (
             ("U^2 = y*Id", u * u == id2.scale(y)),
-            ("V^2 = dW/dx*Id", v * v == id2.scale(dwdx)),
+            ("V^2 = dW/dx*Id", v * v == id2.scale(self.dwdx)),
             ("UV = x^-1*Id + U", u * v == id2.scale(xinv) + u),
             ("VU = x^-1*Id + U", v * u == id2.scale(xinv) + u),
+            ("Q = [[U, V], [x*V, U]]", self.q == block2(u, v, v.scale(x), u)),
         )
         for label, ok in identities:
             if not ok:
                 raise ValueError(f"block identity failed: {label}")
-        f_alpha = parse_matrix(ALPHA_MATRIX_TEXT, ring)
-        alpha_homotopy = parse_matrix(ALPHA_HOMOTOPY_TEXT, ring)
-        id4 = RingMatrix.identity(ring, 4)
-        if commutator(q, alpha_homotopy) != f_alpha + id4.scale(xinv):
+
+    def check_alpha_homotopy(self) -> None:
+        """[Q, M] = F + x^-1*Id for the alpha matrix F and its homotopy M."""
+        xinv = RingPoly.variable(self.ring, "x", -1)
+        rhs = self.f_alpha + self._identity4().scale(xinv)
+        if commutator(self.q, self.alpha_homotopy) != rhs:
             raise ValueError("alpha-matrix homotopy identity failed")
-        jacobian = quotient_ring(laurent_jacobian_ideal(w))
-        if jacobian.dimension != 3:
-            raise ValueError("jacobian quotient dimension is not 3")
-        rng = random.Random(seed)
-        for _ in range(validate_samples):
+
+    def check_quotient(self) -> None:
+        """The Jacobian quotient has dimension 3 and multiplication by x has
+        minimal polynomial x^3 + 1."""
+        dim = self.jacobian.dimension
+        if dim != 3:
+            raise ValueError(f"jacobian dimension {dim}")
+        minpoly = minimal_polynomial(self.jacobian.mult_matrices[0])
+        if str(minpoly) != "x^3 + 1":
+            raise ValueError(f"multiplication minimal polynomial {minpoly}")
+
+    def check_folding(self, rng: random.Random) -> None:
+        """x^a*y^b -> x^((a+b) mod 3) agrees with the quotient on 50 random
+        monomials with exponents in [-6, 6]."""
+        jacobian = self.jacobian
+        for _ in range(50):
             exps = (rng.randint(-6, 6), rng.randint(-6, 6))
             folded = RingPoly.monomial(jacobian.ring, ((exps[0] + exps[1]) % 3, 0))
             if jacobian.laurent_monomial_class(exps) != jacobian.class_vector(folded):
                 raise ValueError(
                     f"exponent folding disagrees with the quotient at x^{exps[0]}*y^{exps[1]}"
                 )
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "mf", mf)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dwdx", dwdx)
-        object.__setattr__(self, "dwdy", dwdy)
-        object.__setattr__(self, "dqdx", matrix_partial(q, "x"))
-        object.__setattr__(self, "dqdy", matrix_partial(q, "y"))
-        object.__setattr__(self, "f_alpha", f_alpha)
-        object.__setattr__(self, "alpha_homotopy", alpha_homotopy)
-        object.__setattr__(self, "jacobian", jacobian)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Rp2Context is immutable")
+    # -- identities the batteries check ----------------------------------------
+
+    def check_alpha_reduction(self) -> None:
+        """The alpha matrix F reduces to x^2."""
+        result = self.reduce_endomorphism(self.f_alpha)
+        if result.alpha != RingPoly.variable(self.ring, "x", 2):
+            raise ValueError(f"alpha matrix reduced to {result.alpha}")
+
+    def check_random_reductions(self, rng: random.Random, samples: int) -> None:
+        """alpha*Id + delta(g) reduces back to alpha on random_closed samples."""
+        for _ in range(samples):
+            alpha, f = self.random_closed(rng)
+            result = self.reduce_endomorphism(f)
+            if result.alpha != alpha:
+                raise ValueError(f"reduced {result.alpha}, expected {alpha}")
 
     # -- small helpers ------------------------------------------------------
 
@@ -355,6 +400,33 @@ class Rp2Context:
 
     def _identity4(self) -> RingMatrix:
         return RingMatrix.identity(self.ring, 4)
+
+    def _split(self, mat: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
+        """Blocks a, b of mat = [[a, b], [c, d]] and the commutator
+        preimages s, t with c = x*b + [U, s] and d = a + [U, t]."""
+        a, b, c, d = blocks_of(mat)
+        x = RingPoly.variable(self.ring, "x")
+        t = delta_u_preimage(d + a)
+        s = delta_u_preimage(c + b.scale(x))
+        if t is None or s is None:
+            raise ValueError("internal consistency: commutator blocks have no preimage")
+        return a, b, s, t
+
+    # -- random samples ---------------------------------------------------------
+
+    def random_scalar(self, rng: random.Random) -> RingPoly:
+        """A canonical scalar with uniform coefficients on 1, x, x^2."""
+        return RingPoly(
+            self.ring, {(e, 0): rng.randrange(0, self.spec.order) for e in range(3)}
+        )
+
+    def random_closed(self, rng: random.Random, span: int = 2,
+                      max_terms: int = 3) -> tuple[RingPoly, RingMatrix]:
+        """A random canonical scalar alpha and the closed endomorphism
+        alpha*Id + delta(g) for a random_matrix g."""
+        alpha = self.random_scalar(rng)
+        g = random_matrix(self.ring, rng, 4, 4, span, max_terms)
+        return alpha, self._identity4().scale(alpha) + self._delta(g)
 
     # -- canonical scalars ---------------------------------------------------
 
@@ -431,24 +503,12 @@ class Rp2Context:
         mat = self._coerce(f)
         if not self._delta(mat).is_zero():
             raise ValueError("decomposition needs a closed endomorphism")
-        a, b, c, d = blocks_of(mat)
-        x = RingPoly.variable(self.ring, "x")
-        xinv = RingPoly.variable(self.ring, "x", -1)
+        a, b, s, t = self._split(mat)
         yinv = RingPoly.variable(self.ring, "y", -1)
         xyinv = RingPoly.monomial(self.ring, (-1, -1))
-        t = delta_u_preimage(d + a)
-        s = delta_u_preimage(c + b.scale(x))
-        if t is None or s is None:
-            raise ValueError("internal consistency: commutator blocks have no preimage")
         lhs_s = a + b.scale(yinv)
         lhs_t = b + a.scale(xyinv)
-        constraints = (
-            at(lhs_s) == at(s) + xinv * tr(s),
-            tr(lhs_s) == tr(s) + xyinv * at(s),
-            at(lhs_t) == at(t) + xinv * tr(t),
-            tr(lhs_t) == tr(t) + xyinv * at(t),
-        )
-        if not all(constraints):
+        if (tr(lhs_s), at(lhs_s)) != _twist(s) or (tr(lhs_t), at(lhs_t)) != _twist(t):
             raise ValueError("internal consistency: closure constraints failed")
         dec = ClosedDecomposition(a, b, s, t)
         if dec.reassembled() != mat:
@@ -483,7 +543,7 @@ class Rp2Context:
         b = dec.b
         b1, b2 = b.at(0, 0), b.at(0, 1)
         b4 = b.at(1, 1)
-        p = exact_divide(at(b) + xinv * tr(b), self.dwdx)
+        p = exact_divide(_twist(b)[1], self.dwdx)
         if p is None:
             raise ValueError("internal consistency: off-diagonal divisibility failed")
         a_fix = RingMatrix.from_rows(ring, [[zero, zero], [y * b2, b4 + xyinv * p]])
@@ -542,17 +602,11 @@ class Rp2Context:
             raise ValueError("alpha is not in the context ring")
         if self._delta(mat) != self._identity4().scale(alpha):
             raise ValueError("obstruction needs delta(f) = alpha*Id")
-        a, b, c, d = blocks_of(mat)
-        x = RingPoly.variable(self.ring, "x")
-        xinv = RingPoly.variable(self.ring, "x", -1)
+        _, b, s, t = self._split(mat)
         xy = RingPoly.monomial(self.ring, (1, 1))
         xyinv = RingPoly.monomial(self.ring, (-1, -1))
-        t = delta_u_preimage(d + a)
-        s = delta_u_preimage(c + b.scale(x))
-        if t is None or s is None:
-            raise ValueError("internal consistency: commutator blocks have no preimage")
         c1 = xy * (at(t) + xyinv * at(s))
-        c2 = xy * (at(b) + xinv * tr(b))
+        c2 = xy * _twist(b)[1]
         if c1 * self.dwdx + c2 * self.dwdy != alpha:
             raise ValueError("cofactor identity failed")
         return c1, c2
@@ -561,34 +615,30 @@ class Rp2Context:
 # -- aggregate certification ---------------------------------------------------------
 
 
-def closed_open_certify(spec: Optional[FieldSpec] = None, seed: int = 2718,
-                        samples: int = 10) -> Report:
-    """Certify that alpha -> alpha*Id is an isomorphism from the Jacobian
-    quotient onto the cohomology endomorphism ring.
+def _check_factorization(q: RingMatrix, w: RingPoly) -> None:
+    report = verify_mf(q, w)
+    if not report.ok:
+        raise ValueError(f"{report.residual_terms} residual terms")
+
+
+def closed_open_certify(seed: int = 2718) -> Report:
+    """Certify over GF(4), where all critical points are rational, that
+    alpha -> alpha*Id is an isomorphism from the Jacobian quotient onto the
+    cohomology endomorphism ring.
 
     Checks: the map is well defined (Jacobian multiples of Id are exact with
     explicit witnesses), surjective (random closed endomorphisms reduce to
     canonical scalars), injective (the classes Id, x*Id, x^2*Id separate at
     the three critical points, and exact scalars decompose into the ideal),
     of the right dimension, and consistent with the stable window
-    dimensions.  Defaults to GF(4), where all critical points are rational."""
-    spec = spec if spec is not None else default_spec(2)
-    ctx = Rp2Context(spec)
+    dimensions."""
+    ctx = Rp2Context(default_spec(2))
     rng = random.Random(seed)
     identity = ctx._identity4()
-    x = RingPoly.variable(ctx.ring, "x")
-    checks: list[Check] = []
-
-    def run(check_id: str, fn: Callable[[], str]) -> None:
-        checks.append(_run_check(check_id, fn))
+    samples = 10
 
     def co_dimension() -> str:
-        dim = ctx.jacobian.dimension
-        if dim != 3:
-            raise ValueError(f"jacobian dimension {dim}")
-        minpoly = minimal_polynomial(ctx.jacobian.mult_matrices[0])
-        if str(minpoly) != "x^3 + 1":
-            raise ValueError(f"multiplication minimal polynomial {minpoly}")
+        ctx.check_quotient()
         return "jacobian dimension 3, minimal polynomial x^3 + 1"
 
     def co_well_defined() -> str:
@@ -597,20 +647,11 @@ def closed_open_certify(spec: Optional[FieldSpec] = None, seed: int = 2718,
         return "dW/dx*Id and dW/dy*Id exact with verified witnesses"
 
     def co_surjective() -> str:
-        for _ in range(samples):
-            alpha = RingPoly(
-                ctx.ring,
-                {(e, 0): rng.randrange(0, spec.order) for e in range(3)},
-            )
-            g = random_matrix(ctx.ring, rng, 4, 4)
-            f = identity.scale(alpha) + ctx._delta(g)
-            result = ctx.reduce_endomorphism(f)
-            if result.alpha != alpha:
-                raise ValueError(f"reduced {result.alpha}, expected {alpha}")
+        ctx.check_random_reductions(rng, samples)
         return f"{samples} random closed endomorphisms reduced to their scalars"
 
     def co_injective_points() -> str:
-        points = find_critical_points(ctx.w, spec)
+        points = find_critical_points(ctx.w, ctx.spec)
         if len(points) != 3:
             raise ValueError(f"{len(points)} critical points, expected 3")
         classes = [
@@ -623,7 +664,7 @@ def closed_open_certify(spec: Optional[FieldSpec] = None, seed: int = 2718,
                 raise ValueError("identity class is exact at a critical point")
             for i in range(3):
                 rows[i].extend(report.class_coordinates[i])
-        mat = FieldMatrix(spec, 3, len(rows[0]), [v for row in rows for v in row])
+        mat = FieldMatrix(ctx.spec, 3, len(rows[0]), [v for row in rows for v in row])
         r = rank(mat)
         if r != 3:
             raise ValueError(f"evaluation matrix rank {r}, expected 3")
@@ -646,59 +687,43 @@ def closed_open_certify(spec: Optional[FieldSpec] = None, seed: int = 2718,
         return f"h_2..h_6 = {[dims[d] for d in range(2, 7)]}"
 
     def co_alpha_matrix() -> str:
-        xinv = RingPoly.variable(ctx.ring, "x", -1)
-        if commutator(ctx.q, ctx.alpha_homotopy) != ctx.f_alpha + identity.scale(xinv):
-            raise ValueError("homotopy identity failed")
-        result = ctx.reduce_endomorphism(ctx.f_alpha)
-        if result.alpha != x * x:
-            raise ValueError(f"alpha matrix reduced to {result.alpha}")
+        ctx.check_alpha_homotopy()
+        ctx.check_alpha_reduction()
         return "[Q, M] = F + x^-1*Id and F reduces to x^2"
 
-    run("co_dimension", co_dimension)
-    run("co_well_defined", co_well_defined)
-    run("co_surjective", co_surjective)
-    run("co_injective_points", co_injective_points)
-    run("co_injective_ideal", co_injective_ideal)
-    run("co_window_dims", co_window_dims)
-    run("co_alpha_matrix", co_alpha_matrix)
-    return Report(tuple(checks), seed)
+    return Report(_run_checks(
+        co_dimension, co_well_defined, co_surjective, co_injective_points,
+        co_injective_ideal, co_window_dims, co_alpha_matrix,
+    ), seed)
 
 
 # -- the A-series corpus -------------------------------------------------------------
 
 
-def an_corpus(n: int, d_max: int = 3, spec: Optional[FieldSpec] = None) -> Report:
-    """Verified facts for the A-series pair at index n: the factorization
-    Q = [[x^n, y], [y + x*z, x^n]] of x^2n + y^2 + xyz and its scalar-curve
-    companion R = [[x^n, y], [y, x^n]] of x^2n + y^2."""
+def an_corpus(n: int) -> Report:
+    """Verified facts over GF(2) for the A-series pair at index n: the
+    factorization Q = [[x^n, y], [y + x*z, x^n]] of x^2n + y^2 + xyz and its
+    scalar-curve companion R = [[x^n, y], [y, x^n]] of x^2n + y^2."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    spec = spec if spec is not None else default_spec(1)
+    spec = default_spec(1)
     ring3 = RingDescriptor(spec, ("x", "y", "z"), (False, False, False))
     ring2 = RingDescriptor(spec, ("x", "y"), (False, False))
     w3 = parse_poly(f"x^{2 * n} + y^2 + x*y*z", ring3)
     w2 = parse_poly(f"x^{2 * n} + y^2", ring2)
     q_mat = parse_matrix(f"x^{n}, y; y + x*z, x^{n}", ring3)
     r_mat = parse_matrix(f"x^{n}, y; y, x^{n}", ring2)
-    checks: list[Check] = []
-
-    def run(check_id: str, fn: Callable[[], str]) -> None:
-        checks.append(_run_check(check_id, fn))
+    mfq = UngradedMF(w3, q_mat)
+    mfr = UngradedMF(w2, r_mat)
+    id2 = RingMatrix.identity(ring3, 2)
 
     def an_q_factorization() -> str:
-        report = verify_mf(q_mat, w3)
-        if not report.ok:
-            raise ValueError(f"{report.residual_terms} residual terms")
+        _check_factorization(q_mat, w3)
         return f"Q(n={n})^2 = (x^{2 * n} + y^2 + x*y*z)*Id"
 
     def an_r_factorization() -> str:
-        report = verify_mf(r_mat, w2)
-        if not report.ok:
-            raise ValueError(f"{report.residual_terms} residual terms")
+        _check_factorization(r_mat, w2)
         return f"R(n={n})^2 = (x^{2 * n} + y^2)*Id"
-
-    mfq = UngradedMF(w3, q_mat)
-    mfr = UngradedMF(w2, r_mat)
 
     def an_j_involution() -> str:
         j = parse_matrix("0, 1; 1, 0", ring2)
@@ -709,7 +734,6 @@ def an_corpus(n: int, d_max: int = 3, spec: Optional[FieldSpec] = None) -> Repor
         return "J closed with J^2 = Id"
 
     def an_scalars_closed() -> str:
-        id2 = RingMatrix.identity(ring3, 2)
         for name in ("x", "z"):
             scalar = RingPoly.variable(ring3, name)
             if not Morphism(mfq, mfq, id2.scale(scalar)).is_closed():
@@ -717,7 +741,6 @@ def an_corpus(n: int, d_max: int = 3, spec: Optional[FieldSpec] = None) -> Repor
         return "x*Id and z*Id closed"
 
     def an_xz_exact() -> str:
-        id2 = RingMatrix.identity(ring3, 2)
         witness = jacobian_action_witness(Morphism(mfq, mfq, id2), "y")
         xz = parse_poly("x*z", ring3)
         if witness.claim.f != id2.scale(xz):
@@ -726,44 +749,36 @@ def an_corpus(n: int, d_max: int = 3, spec: Optional[FieldSpec] = None) -> Repor
             raise ValueError("witness is not dQ/dy")
         return "xz*Id = delta(dQ/dy), verified"
 
-    def an_jacobian_q() -> str:
-        quotient = quotient_ring(laurent_jacobian_ideal(w3))
-        names = {str(g) for g in quotient.basis}
-        if names != {"x*y", "x*z", "y*z"}:
-            raise ValueError(f"ideal generators {sorted(names)}")
+    def infinite_quotient(w: RingPoly, generators: list[str]) -> None:
+        quotient = quotient_ring(laurent_jacobian_ideal(w))
+        names = sorted(str(g) for g in quotient.basis)
+        if names != generators:
+            raise ValueError(f"ideal generators {names}")
         if quotient.dimension is not None:
             raise ValueError(f"dimension {quotient.dimension}, expected infinite")
+
+    def an_jacobian_q() -> str:
+        infinite_quotient(w3, ["x*y", "x*z", "y*z"])
         return "ideal (xy, xz, yz), infinite quotient"
 
     def an_jacobian_r() -> str:
-        quotient = quotient_ring(laurent_jacobian_ideal(w2))
-        if quotient.basis:
-            raise ValueError(f"ideal generators {[str(g) for g in quotient.basis]}")
-        if quotient.dimension is not None:
-            raise ValueError(f"dimension {quotient.dimension}, expected infinite")
+        infinite_quotient(w2, [])
         return "zero ideal, infinite quotient"
 
     def an_window_growth() -> str:
-        dims_q = cohomology_dims(mfq, mfq, d_max)
-        dims_r = cohomology_dims(mfr, mfr, d_max)
-        for dims, label in ((dims_q, "End(Q)"), (dims_r, "End(R)")):
-            seq = [dims[d] for d in range(1, d_max + 1)]
+        found = []
+        for label, mf in (("End(Q)", mfq), ("End(R)", mfr)):
+            dims = cohomology_dims(mf, mf, 3)
+            seq = [dims[d] for d in range(1, 4)]
             if any(seq[i] >= seq[i + 1] for i in range(len(seq) - 1)):
                 raise ValueError(f"{label} window dimensions not increasing: {seq}")
-        return (
-            f"End(Q) windows {[dims_q[d] for d in range(1, d_max + 1)]}, "
-            f"End(R) windows {[dims_r[d] for d in range(1, d_max + 1)]}"
-        )
+            found.append(f"{label} windows {seq}")
+        return ", ".join(found)
 
-    run("an_q_factorization", an_q_factorization)
-    run("an_r_factorization", an_r_factorization)
-    run("an_j_involution", an_j_involution)
-    run("an_scalars_closed", an_scalars_closed)
-    run("an_xz_exact", an_xz_exact)
-    run("an_jacobian_q", an_jacobian_q)
-    run("an_jacobian_r", an_jacobian_r)
-    run("an_window_growth", an_window_growth)
-    return Report(tuple(checks))
+    return Report(_run_checks(
+        an_q_factorization, an_r_factorization, an_j_involution, an_scalars_closed,
+        an_xz_exact, an_jacobian_q, an_jacobian_r, an_window_growth,
+    ))
 
 
 # -- the full battery -------------------------------------------------------------------
@@ -777,39 +792,20 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None,
     constructive reduction and its ring-map property, the exactness
     obstruction, the Jacobian quotient, the A-series corpus at n = 1, and
     the full isomorphism certification over GF(4)."""
-    spec = spec if spec is not None else default_spec(1)
     ctx = Rp2Context(spec)
     rng = random.Random(seed)
     ring = ctx.ring
     identity = ctx._identity4()
-    x = RingPoly.variable(ring, "x")
-    y = RingPoly.variable(ring, "y")
-    xinv = RingPoly.variable(ring, "x", -1)
     yinv = RingPoly.variable(ring, "y", -1)
     one = RingPoly.one(ring)
     zero = RingPoly.zero(ring)
-    checks: list[Check] = []
-
-    def run(check_id: str, fn: Callable[[], str]) -> None:
-        checks.append(_run_check(check_id, fn))
 
     def factorization() -> str:
-        report = verify_mf(ctx.q, ctx.w)
-        if not report.ok:
-            raise ValueError(f"{report.residual_terms} residual terms")
+        _check_factorization(ctx.q, ctx.w)
         return "Q^2 = (x + y + 1/(xy))*Id, 4x4"
 
     def block_identities() -> str:
-        id2 = RingMatrix.identity(ring, 2)
-        facts = (
-            ctx.u * ctx.u == id2.scale(y),
-            ctx.v * ctx.v == id2.scale(ctx.dwdx),
-            ctx.u * ctx.v == id2.scale(xinv) + ctx.u,
-            ctx.v * ctx.u == id2.scale(xinv) + ctx.u,
-            ctx.q == block2(ctx.u, ctx.v, ctx.v.scale(x), ctx.u),
-        )
-        if not all(facts):
-            raise ValueError("a block identity failed")
+        ctx.check_blocks()
         return "U^2, V^2, UV = VU, and the block assembly all verified"
 
     def delta_formula() -> str:
@@ -851,32 +847,26 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None,
         return f"tr(Vf) = at(Vf) = 0 forces [U, f] = 0 on {samples} samples"
 
     def alpha_rule() -> str:
-        for _ in range(50):
-            exps = (rng.randint(-6, 6), rng.randint(-6, 6))
-            folded = RingPoly.monomial(
-                ctx.jacobian.ring, ((exps[0] + exps[1]) % 3, 0)
-            )
-            if ctx.jacobian.laurent_monomial_class(exps) != ctx.jacobian.class_vector(folded):
-                raise ValueError(f"folding disagrees at {exps}")
+        ctx.check_folding(rng)
         return "x^a*y^b -> x^((a+b) mod 3) matches the quotient on 50 monomials"
 
     def alpha_matrix_homotopy() -> str:
-        if commutator(ctx.q, ctx.alpha_homotopy) != ctx.f_alpha + identity.scale(xinv):
-            raise ValueError("homotopy identity failed")
+        ctx.check_alpha_homotopy()
         return "[Q, M] = F + x^-1*Id"
 
-    def reduce_identity() -> str:
-        result = ctx.reduce_endomorphism(identity)
-        if result.alpha != one:
-            raise ValueError(f"identity reduced to {result.alpha}")
+    def fixed_scalar(alpha: RingPoly) -> None:
+        result = ctx.reduce_endomorphism(identity.scale(alpha))
+        if result.alpha != alpha:
+            raise ValueError(f"canonical {alpha} reduced to {result.alpha}")
         if not result.witness.g.is_zero():
-            raise ValueError("identity needed a nonzero witness")
+            raise ValueError(f"canonical {alpha} needed a nonzero witness")
+
+    def reduce_identity() -> str:
+        fixed_scalar(one)
         return "Id reduces to 1 with zero witness"
 
     def reduce_alpha_matrix() -> str:
-        result = ctx.reduce_endomorphism(ctx.f_alpha)
-        if result.alpha != x * x:
-            raise ValueError(f"alpha matrix reduced to {result.alpha}")
+        ctx.check_alpha_reduction()
         return "the alpha matrix reduces to x^2"
 
     def reduce_alpha_cubed() -> str:
@@ -888,38 +878,17 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None,
 
     def reduce_retraction() -> str:
         for _ in range(10):
-            alpha = RingPoly(
-                ring, {(e, 0): rng.randrange(0, spec.order) for e in range(3)}
-            )
-            result = ctx.reduce_endomorphism(identity.scale(alpha))
-            if result.alpha != alpha:
-                raise ValueError(f"canonical {alpha} reduced to {result.alpha}")
-            if not result.witness.g.is_zero():
-                raise ValueError("canonical scalar needed a nonzero witness")
+            fixed_scalar(ctx.random_scalar(rng))
         return "canonical scalars are fixed with zero witnesses, 10 samples"
 
     def reduce_random() -> str:
-        for _ in range(samples):
-            alpha = RingPoly(
-                ring, {(e, 0): rng.randrange(0, spec.order) for e in range(3)}
-            )
-            g = random_matrix(ring, rng, 4, 4)
-            f = identity.scale(alpha) + ctx._delta(g)
-            result = ctx.reduce_endomorphism(f)
-            if result.alpha != alpha:
-                raise ValueError(f"reduced {result.alpha}, expected {alpha}")
+        ctx.check_random_reductions(rng, samples)
         return f"alpha*Id + delta(g) reduces back to alpha, {samples} samples"
 
     def reduce_ring_map() -> str:
         for _ in range(10):
-            parts = []
-            for _ in range(2):
-                alpha = RingPoly(
-                    ring, {(e, 0): rng.randrange(0, spec.order) for e in range(3)}
-                )
-                g = random_matrix(ring, rng, 4, 4, span=1, max_terms=2)
-                parts.append((alpha, identity.scale(alpha) + ctx._delta(g)))
-            (alpha_f, f), (alpha_h, h) = parts
+            alpha_f, f = ctx.random_closed(rng, span=1, max_terms=2)
+            alpha_h, h = ctx.random_closed(rng, span=1, max_terms=2)
             product = ctx.reduce_endomorphism(f * h)
             if product.alpha != ctx.normal_form_alpha(alpha_f * alpha_h):
                 raise ValueError("composition does not reduce to the product")
@@ -938,31 +907,15 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None,
         return "dQ/dx -> (1, 0), dQ/dy -> (0, 1), 0 -> (0, 0)"
 
     def jacobian_quotient() -> str:
-        if ctx.jacobian.dimension != 3:
-            raise ValueError(f"dimension {ctx.jacobian.dimension}")
+        ctx.check_quotient()
         if ctx.jacobian.staircase != ((0, 0), (1, 0), (2, 0)):
             raise ValueError(f"staircase {ctx.jacobian.staircase}")
-        minpoly = minimal_polynomial(ctx.jacobian.mult_matrices[0])
-        if str(minpoly) != "x^3 + 1":
-            raise ValueError(f"minimal polynomial {minpoly}")
         return "dimension 3, basis {1, x, x^2}, minimal polynomial x^3 + 1"
 
-    run("factorization", factorization)
-    run("block_identities", block_identities)
-    run("delta_formula", delta_formula)
-    run("delta_preimage", delta_preimage)
-    run("v_twist", v_twist)
-    run("central_commutant", central_commutant)
-    run("alpha_rule", alpha_rule)
-    run("alpha_matrix_homotopy", alpha_matrix_homotopy)
-    run("reduce_identity", reduce_identity)
-    run("reduce_alpha_matrix", reduce_alpha_matrix)
-    run("reduce_alpha_cubed", reduce_alpha_cubed)
-    run("reduce_retraction", reduce_retraction)
-    run("reduce_random", reduce_random)
-    run("reduce_ring_map", reduce_ring_map)
-    run("obstruction_partials", obstruction_partials)
-    run("jacobian_quotient", jacobian_quotient)
-    checks.extend(an_corpus(1).checks)
-    checks.extend(closed_open_certify(default_spec(2), seed=seed, samples=10).checks)
-    return Report(tuple(checks), seed)
+    checks = _run_checks(
+        factorization, block_identities, delta_formula, delta_preimage, v_twist,
+        central_commutant, alpha_rule, alpha_matrix_homotopy, reduce_identity,
+        reduce_alpha_matrix, reduce_alpha_cubed, reduce_retraction, reduce_random,
+        reduce_ring_map, obstruction_partials, jacobian_quotient,
+    )
+    return Report(checks + an_corpus(1).checks + closed_open_certify(seed).checks, seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .gf2k import GF2, FieldElem, FieldSpec
-from .ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
+from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, parse_poly
 
 __all__ = [
     "RingMatrix",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class RingMatrix:
+class RingMatrix(Immutable):
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: RingDescriptor, rows: int, cols: int, entries: Sequence[RingPoly]):
@@ -45,9 +45,6 @@ class RingMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingMatrix is immutable")
 
     @classmethod
     def from_rows(cls, ring: RingDescriptor, rows: Sequence[Sequence[RingPoly]]) -> "RingMatrix":
@@ -237,7 +234,7 @@ def parse_matrix(text: str, ring: RingDescriptor, rows: Optional[int] = None,
 # -- field matrices -------------------------------------------------------------
 
 
-class FieldMatrix:
+class FieldMatrix(Immutable):
     """Dense matrix of serialized GF(2^k) values, row-major."""
 
     __slots__ = ("spec", "rows", "cols", "entries")
@@ -251,9 +248,6 @@ class FieldMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldMatrix is immutable")
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .gf2k import FieldElem, FieldSpec, embed
 
 __all__ = [
+    "Immutable",
     "RingDescriptor",
     "RingPoly",
     "ParseError",
@@ -77,12 +78,26 @@ class RingDescriptor:
         return RingDescriptor(self.field, self.vars, (False,) * self.nvars)
 
 
+class Immutable:
+    """Base of the package's value classes.  Subclasses declare __slots__
+    and fill them in __init__ with object.__setattr__; afterwards no
+    attribute can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def grevlex_key(exps: Sequence[int]):
     """Sort key realizing graded reverse lexicographic order (larger key = larger term)."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-class RingPoly:
+class RingPoly(Immutable):
     """Immutable sparse polynomial; terms maps exponent tuples to nonzero values."""
 
     __slots__ = ("ring", "terms")
@@ -95,9 +110,6 @@ class RingPoly:
                 clean[ring.check_exponents(exps)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingPoly is immutable")
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, terms: dict[tuple[int, ...], int]) -> "RingPoly":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -95,6 +96,19 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert "expected 2 matrix rows" in err
     code, _, err = run(capsys, ["verify", str(tmp_path / "missing.mf")])
     assert code == 2
+
+
+def test_huge_field_degree_is_a_parse_error(tmp_path, capsys):
+    huge = tmp_path / "huge.mf"
+    huge.write_text(
+        f"field: 2^100000 modulus 1{'1' * 100_000}\nring: x laurent:1\n"
+        "potential: x\nsize: 1\nx\n"
+    )
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["verify", str(huge)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert "line 1" in err and "exceeds the maximum" in err
 
 
 def test_double_output_is_consumable(tmp_path, capsys):
@@ -256,12 +270,46 @@ def test_suite_records(capsys):
     assert tail["passed"] == tail["total"] == str(len(checks))
 
 
+SUITE_SEED_9 = """\
+PASS factorization Q^2 = (x + y + 1/(xy))*Id, 4x4
+PASS block_identities U^2, V^2, UV = VU, and the block assembly all verified
+PASS delta_formula [U, f] = [[at, tr], [y*tr, at]] on 50 random matrices
+PASS delta_preimage 50 random round trips, plus rejection outside the image
+PASS v_twist tr/at twist identities on 100 random matrices
+PASS central_commutant tr(Vf) = at(Vf) = 0 forces [U, f] = 0 on 100 samples
+PASS alpha_rule x^a*y^b -> x^((a+b) mod 3) matches the quotient on 50 monomials
+PASS alpha_matrix_homotopy [Q, M] = F + x^-1*Id
+PASS reduce_identity Id reduces to 1 with zero witness
+PASS reduce_alpha_matrix the alpha matrix reduces to x^2
+PASS reduce_alpha_cubed the cubed alpha matrix reduces to 1
+PASS reduce_retraction canonical scalars are fixed with zero witnesses, 10 samples
+PASS reduce_random alpha*Id + delta(g) reduces back to alpha, 100 samples
+PASS reduce_ring_map reduce(f*h) = fold(reduce(f)*reduce(h)) on 10 random pairs
+PASS obstruction_partials dQ/dx -> (1, 0), dQ/dy -> (0, 1), 0 -> (0, 0)
+PASS jacobian_quotient dimension 3, basis {1, x, x^2}, minimal polynomial x^3 + 1
+PASS an_q_factorization Q(n=1)^2 = (x^2 + y^2 + x*y*z)*Id
+PASS an_r_factorization R(n=1)^2 = (x^2 + y^2)*Id
+PASS an_j_involution J closed with J^2 = Id
+PASS an_scalars_closed x*Id and z*Id closed
+PASS an_xz_exact xz*Id = delta(dQ/dy), verified
+PASS an_jacobian_q ideal (xy, xz, yz), infinite quotient
+PASS an_jacobian_r zero ideal, infinite quotient
+PASS an_window_growth End(Q) windows [3, 5, 7], End(R) windows [4, 6, 8]
+PASS co_dimension jacobian dimension 3, minimal polynomial x^3 + 1
+PASS co_well_defined dW/dx*Id and dW/dy*Id exact with verified witnesses
+PASS co_surjective 10 random closed endomorphisms reduced to their scalars
+PASS co_injective_points Id, x*Id, x^2*Id independent across the three critical points
+PASS co_injective_ideal 10 exact scalars decomposed into Jacobian cofactors
+PASS co_window_dims h_2..h_6 = [3, 3, 3, 3, 3]
+PASS co_alpha_matrix [Q, M] = F + x^-1*Id and F reduces to x^2
+31/31 checks passed (seed 9)
+"""
+
+
 def test_suite_text_report(capsys):
     code, out, _ = run(capsys, ["suite", "--seed", "9"])
     assert code == 0
-    lines = out.splitlines()
-    assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:-1])
-    assert lines[-1].endswith("(seed 9)")
+    assert out == SUITE_SEED_9
 
 
 def test_module_entry_point():

@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from mf2.gf2k import GF2, FieldSpec, _gf2_poly_mod, _is_irreducible, default_spec, embed
+from mf2.gf2k import (
+    GF2,
+    MAX_DEGREE,
+    FieldSpec,
+    _gf2_poly_mod,
+    _is_irreducible,
+    default_spec,
+    embed,
+)
 
 
 def test_default_moduli():
@@ -75,6 +83,18 @@ def test_large_degree_modulus_is_decided_quickly():
     with pytest.raises(ValueError, match="reducible"):
         FieldSpec(65, reducible)
     assert time.perf_counter() - start < 0.5
+
+
+def test_degree_above_the_bound_is_rejected_before_the_irreducibility_test():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the maximum 1024"):
+        FieldSpec(100_000, (1 << 100_001) - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldSpec(MAX_DEGREE + 1, (1 << MAX_DEGREE + 1) | 1)
+    assert time.perf_counter() - start < 0.1
+    # the bound is inclusive: degree MAX_DEGREE reaches the irreducibility test
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(MAX_DEGREE, (1 << MAX_DEGREE) | 1)  # (t + 1)^1024
 
 
 def test_non_default_irreducible_modulus_accepted():

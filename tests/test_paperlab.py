@@ -15,7 +15,9 @@ from mf2.ringpoly import RingPoly, parse_poly
 from mf2.ringmat import RingMatrix, blocks_of, commutator, parse_matrix
 from mf2.mfcore import Morphism
 from mf2.paperlab import (
+    Check,
     Rp2Context,
+    _run_check,
     an_corpus,
     at,
     closed_open_certify,
@@ -33,9 +35,7 @@ CTX = Rp2Context()
 
 
 def canonical_alpha(rng):
-    return RingPoly(
-        CTX.ring, {(e, 0): rng.randrange(0, CTX.spec.order) for e in range(3)}
-    )
+    return CTX.random_scalar(rng)
 
 
 def closed_sample(rng, alpha):
@@ -258,3 +258,16 @@ def test_run_suite_green():
     report = run_suite(seed=11, samples=20)
     assert report.ok, "\n".join(c.line() for c in report.checks if not c.passed)
     assert report.summary().endswith("(seed 11)")
+
+
+def test_run_check_reports_value_errors_and_propagates_bugs():
+    def failed_identity():
+        raise ValueError("identity failed")
+
+    def buggy():
+        return None + 1
+
+    assert _run_check("ok", lambda: "fine") == Check("ok", True, "fine")
+    assert _run_check("math", failed_identity) == Check("math", False, "identity failed")
+    with pytest.raises(TypeError):
+        _run_check("bug", buggy)

@@ -1,0 +1,51 @@
+"""Property test of the rp2 reduction against window linear algebra.
+
+reduce_endomorphism rewrites a closed f as alpha*Id + delta(g) by explicit
+block formulas; solve_exactness decides exactness by elimination over a
+monomial window.  On the window spanned by the returned witness g, the
+elimination must find a witness for f + alpha*Id, and when alpha is nonzero
+it must find none for f itself: a nonzero canonical alpha is nonzero in the
+Jacobian ring, so alpha*Id is not exact on any window.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mf2.cohomwin import Window, solve_exactness
+from mf2.gf2k import default_spec
+from mf2.mfcore import Morphism
+from mf2.paperlab import Rp2Context, random_matrix
+from mf2.ringpoly import RingPoly
+
+CONTEXTS = {k: Rp2Context(default_spec(k)) for k in (1, 2)}
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def closed_endomorphisms(draw):
+    """(context, canonical alpha, f = alpha*Id + delta(g)) with a small random g."""
+    ctx = CONTEXTS[draw(st.sampled_from((1, 2)))]
+    coeffs = draw(st.lists(st.integers(0, ctx.spec.order - 1), min_size=3, max_size=3))
+    alpha = RingPoly(ctx.ring, {(e, 0): c for e, c in enumerate(coeffs)})
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = random_matrix(ctx.ring, rng, 4, 4, span=draw(st.integers(1, 2)), max_terms=2)
+    return ctx, alpha, ctx._identity4().scale(alpha) + ctx._delta(g)
+
+
+@PROPERTY
+@given(closed_endomorphisms())
+def test_reduction_witness_agrees_with_window_elimination(sample):
+    ctx, alpha, f = sample
+    result = ctx.reduce_endomorphism(f)
+    assert result.alpha == alpha
+    window = Window(ctx.ring, tuple(result.witness.g.support_hull()))
+    shifted = Morphism(ctx.mf, ctx.mf, f + ctx._identity4().scale(result.alpha))
+    witness = solve_exactness(shifted, window)
+    assert witness is not None
+    assert witness.claim.f == shifted.f
+    if not result.alpha.is_zero():
+        assert solve_exactness(Morphism(ctx.mf, ctx.mf, f), window) is None

@@ -12,7 +12,18 @@ import random
 
 import pytest
 
+from mf2.cli import MFFile
 from mf2.gf2k import GF2, default_spec
+from mf2.mfcore import (
+    FieldHomotopy,
+    GradedMF,
+    GradedMorphism,
+    HomotopyWitness,
+    Morphism,
+    UngradedMF,
+)
+from mf2.paperlab import Rp2Context
+from mf2.ringmat import FieldMatrix, RingMatrix, parse_matrix
 from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, exact_divide, parse_poly
 
 LAURENT2 = RingDescriptor(GF2, ("x", "y"), (True, True))
@@ -196,3 +207,48 @@ def test_constant_value_and_bounds():
     assert P("0").constant_value() == 0
     assert P("x").constant_value() is None
     assert P("x^-2*y + x").support_bounds() == [(-2, 1), (0, 1)]
+
+
+def _xy_mf():
+    return UngradedMF(P("x*y"), parse_matrix("0, x; y, 0", LAURENT2))
+
+
+def _graded_mf():
+    return GradedMF(P("x*y"), parse_matrix("x", LAURENT2), parse_matrix("y", LAURENT2))
+
+
+IMMUTABLE_INSTANCES = {
+    "RingPoly": lambda: P("x + 1"),
+    "RingMatrix": lambda: RingMatrix.identity(LAURENT2, 2),
+    "FieldMatrix": lambda: FieldMatrix.identity(GF2, 2),
+    "UngradedMF": _xy_mf,
+    "GradedMF": _graded_mf,
+    "Morphism": lambda: Morphism(_xy_mf(), _xy_mf(), RingMatrix.identity(LAURENT2, 2)),
+    "GradedMorphism": lambda: GradedMorphism(
+        _graded_mf(), _graded_mf(), RingMatrix.identity(LAURENT2, 2)
+    ),
+    "HomotopyWitness": lambda: HomotopyWitness(
+        Morphism(_xy_mf(), _xy_mf(), RingMatrix.zeros(LAURENT2, 2, 2)),
+        RingMatrix.zeros(LAURENT2, 2, 2),
+    ),
+    "FieldHomotopy": lambda: FieldHomotopy(
+        FieldMatrix(GF2, 2, 2, [0, 1, 0, 0]), FieldMatrix(GF2, 2, 2, [0, 0, 1, 0])
+    ),
+    "Rp2Context": Rp2Context,
+    "MFFile": lambda: MFFile(LAURENT2, P("x"), RingMatrix.identity(LAURENT2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMMUTABLE_INSTANCES))
+def test_value_classes_reject_assignment_and_deletion(name):
+    obj = IMMUTABLE_INSTANCES[name]()
+    assert type(obj).__name__ == name
+    field = type(obj).__slots__[0]
+    value = getattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(obj, field)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        obj.extra = 1
+    assert getattr(obj, field) is value
