@@ -10,7 +10,8 @@ suite, parse-check.  Input factorizations travel as MF files:
     <n comma-separated matrix rows>
 
 Exit codes: 0 on success (all checks pass), 1 when a verification fails,
-2 on usage or parse errors.  Output is deterministic; the only randomized
+2 on usage or parse errors, 3 on an internal error (a bug in mf2, reported
+with its traceback).  Output is deterministic; the only randomized
 command is `suite`, whose seed is printed in its report.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -457,6 +459,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # verification-level failure: not a factorization, not closed, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a bug in mf2 itself: neither bad input nor a failed verification
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

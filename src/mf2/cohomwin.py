@@ -53,6 +53,10 @@ __all__ = [
     "LocalCohomologyReport",
 ]
 
+# Largest window whose monomials are listed: a hom basis holds this many
+# monomials per matrix entry, so a larger window exhausts memory first.
+MAX_WINDOW_MONOMIALS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Window:
@@ -81,6 +85,9 @@ class Window:
         return n
 
     def monomials(self) -> list[tuple[int, ...]]:
+        n = self.size
+        if n > MAX_WINDOW_MONOMIALS:
+            raise ValueError(f"window has {n} monomials, above the limit of {MAX_WINDOW_MONOMIALS}")
         return list(itertools.product(*[range(lo, hi + 1) for lo, hi in self.bounds]))
 
     def contains(self, exps: Sequence[int]) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ringmat import Echelon, FieldMatrix, solve
-from .ringpoly import RingDescriptor, RingPoly
+from .ringpoly import RingDescriptor, RingPoly, _mul_into
 
 __all__ = [
     "TermOrder",
@@ -104,23 +104,14 @@ def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> Rin
     heads = [(_leading(g, order)[0], _leading(g, order)[1], g) for g in basis if not g.is_zero()]
     while work:
         lt = max(work, key=order.key)
-        lc = work.pop(lt)
         for hexp, hc, g in heads:
             if _divides(hexp, lt):
                 shift = tuple(a - b for a, b in zip(lt, hexp))
-                c = field.mul(lc, field.inv(hc))
-                for e2, c2 in g.terms.items():
-                    e = tuple(x + y for x, y in zip(shift, e2))
-                    if e == lt:
-                        continue  # cancels the leading term by construction
-                    prev = work.get(e, 0) ^ field.mul(c, c2)
-                    if prev:
-                        work[e] = prev
-                    else:
-                        work.pop(e, None)
+                c = field.mul(work[lt], field.inv(hc))
+                _mul_into(work, g.terms, {shift: c}, field)  # cancels lt
                 break
         else:
-            rem[lt] = lc
+            rem[lt] = work.pop(lt)
     return RingPoly(ring, rem)
 
 

@@ -1,7 +1,11 @@
 """Matrices over polynomial rings and over finite fields.
 
-RingMatrix holds RingPoly entries (row-major, immutable by convention)
-and supplies the block algebra the factorization layer is built on.
+RingMatrix holds RingPoly entries (row-major, immutable) and supplies
+the block algebra the factorization layer is built on.  Entries are
+ring-checked once, at construction; a sum, product or scaling checks the
+two operands' rings once and builds its result without checking each
+entry again.  A product keeps one accumulator per output entry across the
+inner index and fills it with ringpoly's multiply-accumulate kernel.
 FieldMatrix holds serialized field values.  Rank, kernels and solving
 run through Echelon, one elimination kernel for every GF(2^k) that packs
 a whole vector into one int (a bitset when k = 1).
@@ -12,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .gf2k import GF2, FieldElem, FieldSpec
-from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, parse_poly
+from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, _mul_into, parse_poly
 
 __all__ = [
     "RingMatrix",
@@ -39,12 +43,26 @@ class RingMatrix(Immutable):
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         for e in entries:
-            if e.ring != ring:
+            if e.ring is not ring and e.ring != ring:
                 raise ValueError("ring mismatch in matrix entry")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
+
+    @classmethod
+    def _raw(cls, ring: RingDescriptor, rows: int, cols: int, entries: list[RingPoly]) -> "RingMatrix":
+        """A matrix of entries the caller built in `ring` itself."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ring", ring)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(entries))
+        return m
+
+    def _check_ring(self, ring: RingDescriptor) -> None:
+        if self.ring is not ring and self.ring != ring:
+            raise ValueError("ring mismatch")
 
     @classmethod
     def from_rows(cls, ring: RingDescriptor, rows: Sequence[Sequence[RingPoly]]) -> "RingMatrix":
@@ -91,7 +109,8 @@ class RingMatrix(Immutable):
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
-        return RingMatrix(
+        self._check_ring(other.ring)
+        return RingMatrix._raw(
             self.ring, self.rows, self.cols,
             [a + b for a, b in zip(self.entries, other.entries)],
         )
@@ -99,24 +118,32 @@ class RingMatrix(Immutable):
     __sub__ = __add__
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
+        """One term accumulator per output entry, summed over the inner index."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
+        self._check_ring(other.ring)
+        ring = self.ring
+        field = ring.field
+        n = other.cols
+        columns = [[e.terms for e in other.entries[j::n]] for j in range(n)]
         out = []
         for i in range(self.rows):
-            my_row = self.row(i)
-            for j in range(other.cols):
-                acc = RingPoly.zero(self.ring)
-                for k in range(self.cols):
-                    a = my_row[k]
-                    b = other.at(k, j)
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                out.append(acc)
-        return RingMatrix(self.ring, self.rows, other.cols, out)
+            left = [e.terms for e in self.row(i)]
+            for column in columns:
+                acc: dict[tuple[int, ...], int] = {}
+                for a, b in zip(left, column):
+                    if a and b:
+                        _mul_into(acc, a, b, field)
+                out.append(RingPoly._raw(ring, acc))
+        return RingMatrix._raw(ring, self.rows, n, out)
 
     def scale(self, c: RingPoly) -> "RingMatrix":
-        return RingMatrix(self.ring, self.rows, self.cols, [c * e for e in self.entries])
+        self._check_ring(c.ring)
+        ring, field = self.ring, self.ring.field
+        return RingMatrix._raw(
+            ring, self.rows, self.cols,
+            [RingPoly._raw(ring, _mul_into({}, c.terms, e.terms, field)) for e in self.entries],
+        )
 
     def map_entries(self, fn: Callable[[RingPoly], RingPoly]) -> "RingMatrix":
         return RingMatrix(self.ring, self.rows, self.cols, [fn(e) for e in self.entries])

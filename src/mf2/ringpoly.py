@@ -9,6 +9,14 @@ every characteristic-2 field.
 Exponents are Python ints, so they are arbitrary precision and cannot
 silently wrap.
 
+Every sparse product runs through one multiply-accumulate kernel,
+`_mul_into`, which XORs the product of two term dicts into an accumulator
+dict and deletes the keys that cancel (the accumulator of Monagan &
+Pearce, "Sparse polynomial division using a heap", 2011, without the
+heap).  RingPoly products, RingMatrix products and scaling (one
+accumulator per matrix entry), exact division and Groebner normal forms
+all call it, so no product builds a temporary polynomial to add.
+
 Text form (whitespace insignificant):
 
     poly   := term ('+' term)*
@@ -24,6 +32,7 @@ largest term first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, embed
@@ -97,6 +106,38 @@ def grevlex_key(exps: Sequence[int]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _mul_into(acc: dict, a: dict, b: dict, field: FieldSpec) -> dict:
+    """Add the product of the term dicts a and b into acc and return acc.
+
+    acc holds only nonzero coefficients before and after: a sum that
+    cancels to 0 deletes its key.  Terms of a and b must be nonzero, so no
+    single product is 0.  A side that is one monomial with coefficient 1
+    only shifts the other side's exponents, with no field multiplication."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (shift, scale), = b.items()
+        if scale == 1:
+            for e, c in a.items():
+                e = tuple(map(add, e, shift))
+                c ^= acc.get(e, 0)
+                if c:
+                    acc[e] = c
+                else:
+                    del acc[e]
+            return acc
+    mul = field.mul
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = acc.get(e, 0) ^ mul(c1, c2)
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return acc
+
+
 class RingPoly(Immutable):
     """Immutable sparse polynomial; terms maps exponent tuples to nonzero values."""
 
@@ -151,7 +192,7 @@ class RingPoly(Immutable):
     # -- structure -----------------------------------------------------------
 
     def _check_ring(self, other: "RingPoly") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
 
     def is_zero(self) -> bool:
@@ -199,36 +240,7 @@ class RingPoly(Immutable):
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
         self._check_ring(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return RingPoly.zero(self.ring)
-        if len(a) < len(b):
-            a, b = b, a
-        field = self.ring.field
-        if len(b) == 1:
-            (shift, scale), = b.items()
-            if scale == 1:
-                out = {tuple(x + y for x, y in zip(exps, shift)): c for exps, c in a.items()}
-            else:
-                out = {}
-                for exps, c in a.items():
-                    cc = field.mul(c, scale)
-                    if cc:
-                        out[tuple(x + y for x, y in zip(exps, shift))] = cc
-            return RingPoly._raw(self.ring, out)
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                c = field.mul(c1, c2)
-                if not c:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prev = out.get(e, 0) ^ c
-                if prev:
-                    out[e] = prev
-                else:
-                    del out[e]
-        return RingPoly._raw(self.ring, out)
+        return RingPoly._raw(self.ring, _mul_into({}, self.terms, other.terms, self.ring.field))
 
     def scale(self, coeff: int) -> "RingPoly":
         field = self.ring.field
@@ -257,7 +269,7 @@ class RingPoly(Immutable):
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingPoly)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
@@ -357,15 +369,9 @@ def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
             return None
         c = field.mul(rem[lt], lc_d_inv)
         quo[step] = c
-        for e2, c2 in dd.items():
-            e = tuple(x + y for x, y in zip(step, e2))
-            prev = rem.get(e, 0) ^ field.mul(c, c2)
-            if prev:
-                rem[e] = prev
-            else:
-                del rem[e]
+        _mul_into(rem, dd, {step: c}, field)  # cancels lt
     unit = tuple(a - b for a, b in zip(shift_p, shift_d))
-    out = {tuple(x + y for x, y in zip(e, unit)): c for e, c in quo.items()}
+    out = _mul_into({}, quo, {unit: 1}, field)
     for exps in out:
         for e, flag in zip(exps, ring.laurent):
             if e < 0 and not flag:

@@ -1,8 +1,10 @@
 """Command-line interface tests.
 
 Exit-code contract: 0 when every check passes, 1 when a verification fails
-(bad factorization, non-closed endomorphism), 2 for usage and parse errors
-(malformed files, missing files, bad points, exceeded search budgets).
+(bad factorization, non-closed endomorphism, failed suite check) or a
+window exceeds its size limit, 2 for usage and parse errors (malformed
+files, missing files, bad points, exceeded search budgets), 3 for an
+internal error, i.e. a bug in mf2.
 parse-check must be byte-stable: emitting a parsed canonical file reproduces
 it exactly.
 """
@@ -19,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import mf2
+from mf2 import paperlab
 from mf2.cli import emit_mf_text, main, parse_mf_text
+from mf2.paperlab import Check, Report
 
 FIXTURES = files("mf2") / "fixtures"
 RP2 = str(FIXTURES / "rp2.mf")
@@ -109,6 +113,20 @@ def test_huge_field_degree_is_a_parse_error(tmp_path, capsys):
     assert time.perf_counter() - start < 0.1
     assert code == 2
     assert "line 1" in err and "exceeds the maximum" in err
+
+
+def test_window_above_the_limit_fails_fast(tmp_path, capsys):
+    huge = tmp_path / "huge.mf"
+    huge.write_text(
+        "field: 2^1 modulus 11\nring: x y laurent:00\npotential: x^1000000*y\n"
+        "size: 2\n0, x^1000000\ny, 0\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["cohomology", str(huge), "--dmax", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: window has 4000012 monomials, above the limit of 1048576\n"
 
 
 def test_double_output_is_consumable(tmp_path, capsys):
@@ -310,6 +328,27 @@ def test_suite_text_report(capsys):
     code, out, _ = run(capsys, ["suite", "--seed", "9"])
     assert code == 0
     assert out == SUITE_SEED_9
+
+
+def test_bug_in_lab_code_is_an_internal_error(monkeypatch, capsys):
+    def broken(n):
+        raise TypeError("broken lab code")
+
+    monkeypatch.setattr(paperlab, "an_corpus", broken)
+    code, out, err = run(capsys, ["suite"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: TypeError: broken lab code\nTraceback")
+    assert err.rstrip().endswith("TypeError: broken lab code")
+
+
+def test_failed_suite_check_exits_1(monkeypatch, capsys):
+    failed = Report((Check("an_forced", False, "forced failure"),))
+    monkeypatch.setattr(paperlab, "an_corpus", lambda n: failed)
+    code, out, err = run(capsys, ["suite"])
+    assert code == 1
+    assert "FAIL an_forced forced failure" in out.splitlines()
+    assert err == ""
 
 
 def test_module_entry_point():

@@ -39,8 +39,8 @@ from mf2.ringpoly import RingDescriptor, RingPoly
 
 FIELDS = [default_spec(k) for k in (1, 2, 3, 4)]
 GF4 = default_spec(2)
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-SLOW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=60)
+SLOW = settings(max_examples=12)
 
 
 # -- dense oracles -------------------------------------------------------------

@@ -22,7 +22,7 @@ from mf2.paperlab import Rp2Context, random_matrix
 from mf2.ringpoly import RingPoly
 
 CONTEXTS = {k: Rp2Context(default_spec(k)) for k in (1, 2)}
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=20)
 
 
 @st.composite

@@ -1,0 +1,193 @@
+"""Property tests of the multiply-accumulate kernel against the old products.
+
+The oracles are the loops the kernel replaced: a polynomial product with
+one field multiplication per term pair, and a matrix product that folds
+`acc + a*b` entry by entry.  The fused RingPoly and RingMatrix products
+must equal them exactly and keep no zero coefficient, over GF(2)..GF(16),
+Laurent and non-Laurent rings, non-square shapes, unit monomials with any
+coefficient, and sums that cancel.
+"""
+
+from __future__ import annotations
+
+from importlib.resources import files
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mf2.cli import parse_mf_text
+from mf2.gf2k import default_spec
+from mf2.ringmat import RingMatrix, commutator
+from mf2.ringpoly import RingDescriptor, RingPoly
+
+FIELDS = [default_spec(k) for k in (1, 2, 3, 4)]
+PROPERTY = settings(max_examples=80)
+
+
+# -- the old products ---------------------------------------------------------------
+
+
+def oracle_mul(a: RingPoly, b: RingPoly) -> RingPoly:
+    """Every term pair, one field multiplication each; zero sums dropped."""
+    field = a.ring.field
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) ^ field.mul(c1, c2)
+    return RingPoly(a.ring, {e: c for e, c in out.items() if c})
+
+
+def oracle_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
+    """The per-entry `acc + a*b` loop."""
+    out = []
+    for i in range(m.rows):
+        for j in range(n.cols):
+            acc = RingPoly.zero(m.ring)
+            for k in range(m.cols):
+                a, b = m.at(i, k), n.at(k, j)
+                if a.is_zero() or b.is_zero():
+                    continue
+                acc = acc + oracle_mul(a, b)
+            out.append(acc)
+    return RingMatrix(m.ring, m.rows, n.cols, out)
+
+
+# -- strategies -------------------------------------------------------------------------
+
+
+@st.composite
+def rings(draw):
+    spec = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    laurent = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return RingDescriptor(spec, ("x", "y", "z")[:n], laurent)
+
+
+@st.composite
+def polys(draw, ring):
+    """Up to five terms with exponents in -1..2 (0..2 when not Laurent), so
+    products collide and cancel; one draw in three is a single monomial,
+    with any coefficient."""
+    exps = st.tuples(*(st.integers(-1 if flag else 0, 2) for flag in ring.laurent))
+    coeffs = st.integers(1, ring.field.order - 1)
+    size = draw(st.sampled_from((0, 1, 1, 2, 3, 5)))
+    return RingPoly(ring, draw(st.dictionaries(exps, coeffs, max_size=size)))
+
+
+@st.composite
+def matrices(draw, ring, rows, cols):
+    """Entries drawn from a small pool, so equal products meet and cancel."""
+    pool = draw(st.lists(polys(ring), min_size=1, max_size=4))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return RingMatrix(ring, rows, cols, entries)
+
+
+@st.composite
+def matrix_pairs(draw):
+    ring = draw(rings())
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(matrices(ring, r, k)), draw(matrices(ring, k, c))
+
+
+def assert_clean(p: RingPoly, ring: RingDescriptor) -> None:
+    assert p.ring is ring
+    assert all(p.terms.values()), p.terms
+
+
+# -- the kernel against the oracle ------------------------------------------------
+
+
+@PROPERTY
+@given(st.data())
+def test_poly_product_equals_oracle(data):
+    ring = data.draw(rings())
+    a, b = data.draw(polys(ring)), data.draw(polys(ring))
+    got = a * b
+    assert got.terms == oracle_mul(a, b).terms
+    assert_clean(got, ring)
+    assert (a + b) * (a + b) == a * a + b * b  # the cross terms cancel in characteristic 2
+
+
+@PROPERTY
+@given(matrix_pairs())
+def test_matrix_product_equals_oracle(pair):
+    m, n = pair
+    got = m * n
+    want = oracle_matmul(m, n)
+    assert (got.rows, got.cols) == (m.rows, n.cols)
+    assert got == want
+    for e in got.entries:
+        assert_clean(e, m.ring)
+
+
+@PROPERTY
+@given(st.data())
+def test_scale_and_sum_equal_oracle(data):
+    ring = data.draw(rings())
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(matrices(ring, rows, cols))
+    n = data.draw(matrices(ring, rows, cols))
+    c = data.draw(polys(ring))
+    scaled = m.scale(c)
+    assert scaled.entries == tuple(oracle_mul(c, e) for e in m.entries)
+    assert (m + n).entries == tuple(a + b for a, b in zip(m.entries, n.entries))
+    assert (m + m).is_zero()
+    for e in scaled.entries + (m + n).entries:
+        assert_clean(e, ring)
+
+
+def test_equal_rings_built_apart_still_multiply():
+    spec = default_spec(2)
+    r1 = RingDescriptor(spec, ("x", "y"), (True, False))
+    r2 = RingDescriptor(spec, ("x", "y"), (True, False))
+    assert r1 == r2 and r1 is not r2
+    p = RingPoly(r1, {(-1, 0): 2, (0, 1): 1})
+    q = RingPoly(r2, {(1, 1): 3})
+    assert (p * q).terms == oracle_mul(p, q).terms
+    m = RingMatrix(r1, 1, 2, [p, q])
+    n = RingMatrix(r2, 2, 1, [q, p])
+    assert m * n == oracle_matmul(m, n)
+    assert (m + RingMatrix(r2, 1, 2, [q, p])).entries == (p + q, p + q)
+    assert m.scale(RingPoly.one(r2)) == m
+
+
+@pytest.mark.parametrize("op", ["poly*", "poly+", "matrix*", "matrix+", "matrix.scale"])
+def test_ring_mismatch_is_rejected(op):
+    spec = default_spec(2)
+    r1 = RingDescriptor(spec, ("x", "y"), (True, True))
+    r2 = RingDescriptor(spec, ("x", "z"), (True, True))
+    p1, p2 = RingPoly.one(r1), RingPoly.one(r2)
+    m1, m2 = RingMatrix.identity(r1, 2), RingMatrix.identity(r2, 2)
+    calls = {
+        "poly*": lambda: p1 * p2,
+        "poly+": lambda: p1 + p2,
+        "matrix*": lambda: m1 * m2,
+        "matrix+": lambda: m1 + m2,
+        "matrix.scale": lambda: m1.scale(p2),
+    }
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        calls[op]()
+
+
+# -- delta squares to zero ----------------------------------------------------------
+
+
+FIXTURES = {
+    name: parse_mf_text((files("mf2") / "fixtures" / f"{name}.mf").read_text())
+    for name in ("rp2", "an_q_1", "an_r_1")
+}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(FIXTURES)), st.sampled_from(FIELDS[:2]), st.data())
+def test_delta_squares_to_zero(name, spec, data):
+    """d(d(g)) = Q^2 g + g Q^2 = 2W g = 0 because Q^2 = W*Id, over GF(2)
+    and lifted to GF(4)."""
+    mff = FIXTURES[name]
+    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
+    n = mff.q.rows
+    q = RingMatrix(ring, n, n, [RingPoly(ring, dict(e.terms)) for e in mff.q.entries])
+    g = data.draw(matrices(ring, n, n))
+    assert commutator(q, commutator(q, g)).is_zero()

@@ -23,7 +23,7 @@ from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
 FIELDS = (GF2, default_spec(2))
 MAX_BITS = 12
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 def brute_force_search(
