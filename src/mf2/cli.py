@@ -24,8 +24,8 @@ import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .gf2k import FieldSpec, default_spec
-from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, parse_poly
+from .gf2k import FieldSpec, Immutable, default_spec
+from .ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
 from .ringmat import RingMatrix, parse_matrix
 from .mfcore import (
     UngradedMF,
@@ -52,11 +52,6 @@ class MFFile(Immutable):
     """Parsed MF file: a coefficient ring, a potential, and a square matrix."""
 
     __slots__ = ("ring", "w", "q")
-
-    def __init__(self, ring: RingDescriptor, w: RingPoly, q: RingMatrix):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", q)
 
 
 def parse_mf_text(text: str) -> MFFile:

@@ -35,10 +35,9 @@ chosen classes in the local cohomology.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2k import FieldElem, FieldSpec
+from .gf2k import FieldElem, FieldSpec, Immutable
 from .mfcore import HomotopyWitness, Morphism, UngradedMF
 from .ringmat import Echelon, FieldMatrix, RingMatrix, _column_echelon, specialize
 from .ringpoly import RingDescriptor, RingPoly
@@ -58,14 +57,13 @@ __all__ = [
 MAX_WINDOW_MONOMIALS = 1 << 20
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Immutable):
     """Per-variable exponent bounds (lo, hi), inclusive; lo > hi is empty."""
 
-    ring: RingDescriptor
-    bounds: tuple[tuple[int, int], ...]
+    __slots__ = ("ring", "bounds")
 
-    def __post_init__(self):
+    def __init__(self, ring: RingDescriptor, bounds: tuple[tuple[int, int], ...]):
+        super().__init__(ring, bounds)
         if len(self.bounds) != self.ring.nvars:
             raise ValueError("window needs one bound pair per variable")
         for (lo, hi), laur in zip(self.bounds, self.ring.laurent):
@@ -287,16 +285,12 @@ def find_critical_points(w: RingPoly, spec: FieldSpec) -> list[tuple[FieldElem, 
     return out
 
 
-@dataclass(frozen=True)
-class LocalCohomologyReport:
+class LocalCohomologyReport(Immutable):
     """Kernel/image data of the specialized differential at one point,
     with coordinates of the requested classes in a fixed basis of the
     local cohomology (all-zero coordinates = locally exact)."""
 
-    point: tuple[FieldElem, ...]
-    kernel_dim: int
-    image_dim: int
-    class_coordinates: tuple[tuple[int, ...], ...]
+    __slots__ = ("point", "kernel_dim", "image_dim", "class_coordinates")
 
     @property
     def local_dim(self) -> int:

@@ -16,14 +16,19 @@ Default moduli:
 
 Larger fields, up to degree MAX_DEGREE, are available by passing an
 explicit irreducible modulus.
+
+This module also holds Immutable, the base of every value class in the
+package, because it is the bottom of the import graph: the names in a
+subclass's __slots__ are its fields, and the base builds, compares,
+hashes and prints an instance from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
+    "Immutable",
     "FieldSpec",
     "FieldElem",
     "GF2",
@@ -76,14 +81,54 @@ def _is_irreducible(m: int) -> bool:
     return frobenius(k) == t
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Immutable:
+    """Base of the package's value classes.
+
+    The names in a subclass's __slots__ are its fields.  __init__ fills
+    them in order; a subclass that checks or derives values does so in its
+    own __init__ and then calls super().__init__ with every field.  After
+    construction no attribute can be assigned or deleted.  Two instances
+    are equal when they have the same type and equal fields, the hash is
+    the hash of the fields, and the repr is Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} values, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(self) is type(other) and self._fields() == other._fields())
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldSpec(Immutable):
     """GF(2^k) presented by an irreducible degree-k modulus over GF(2)."""
 
-    k: int
-    modulus: int
+    __slots__ = ("k", "modulus")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: int, modulus: int) -> None:
+        super().__init__(k, modulus)
         if self.k < 1:
             raise ValueError("extension degree must be positive")
         if self.k > MAX_DEGREE:
@@ -155,12 +200,10 @@ class FieldSpec:
             yield FieldElem(self, v)
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(Immutable):
     """A field element tied to its FieldSpec; operators stay inside one spec."""
 
-    spec: FieldSpec
-    value: int
+    __slots__ = ("spec", "value")
 
     def _check(self, other: "FieldElem") -> None:
         if self.spec != other.spec:

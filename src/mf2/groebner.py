@@ -17,9 +17,9 @@ variable action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .gf2k import Immutable
 from .ringmat import Echelon, FieldMatrix, solve
 from .ringpoly import RingDescriptor, RingPoly, _mul_into
 
@@ -35,16 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Immutable):
     """kind 'lex' or 'grevlex'; block > 0 makes the first `block` priority
     variables an elimination block compared before the rest."""
 
-    kind: str
-    priority: tuple[int, ...]
-    block: int = 0
+    __slots__ = ("kind", "priority", "block")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, priority: tuple[int, ...], block: int = 0):
+        super().__init__(kind, priority, block)
         if self.kind not in ("lex", "grevlex"):
             raise ValueError("term order kind must be 'lex' or 'grevlex'")
         if sorted(self.priority) != list(range(len(self.priority))):
@@ -185,14 +183,15 @@ def _clear_monomial_content(p: RingPoly, target: RingDescriptor) -> RingPoly:
                              for exps, c in p.terms.items()})
 
 
-@dataclass(frozen=True)
-class JacobianPresentation:
+class JacobianPresentation(Immutable):
     """A polynomial presentation of the Jacobian quotient of a Laurent potential."""
 
-    ring: RingDescriptor          # polynomial ring on the original variables
-    generators: tuple[RingPoly, ...]
-    laurent: tuple[bool, ...]     # which original variables are invertible
-    order: TermOrder
+    __slots__ = (
+        "ring",        # polynomial ring on the original variables
+        "generators",  # tuple of RingPoly
+        "laurent",     # which original variables are invertible
+        "order",       # TermOrder
+    )
 
 
 def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:

@@ -20,12 +20,11 @@ the unfold.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2k import FieldElem
+from .gf2k import FieldElem, Immutable
 from .ringmat import RingMatrix, block2, matrix_partial, specialize
-from .ringpoly import Immutable, RingPoly, grevlex_key
+from .ringpoly import RingPoly, grevlex_key
 
 __all__ = [
     "VerifyReport",
@@ -47,10 +46,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    residual: RingMatrix
+class VerifyReport(Immutable):
+    """Whether Q^2 == W*Id (or another identity) held, and its residual."""
+
+    __slots__ = ("ok", "residual")
 
     @property
     def residual_terms(self) -> int:
@@ -78,23 +77,11 @@ class UngradedMF(Immutable):
             raise ValueError(
                 f"not a factorization: Q^2 - W*Id has {report.residual_terms} residual terms"
             )
-        object.__setattr__(self, "ring", q.ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", q)
+        super().__init__(q.ring, w, q)
 
     @property
     def size(self) -> int:
         return self.q.rows
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UngradedMF)
-            and self.w == other.w
-            and self.q == other.q
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.q))
 
     def __repr__(self) -> str:
         return f"UngradedMF(size={self.size}, w={self.w})"
@@ -113,23 +100,11 @@ class GradedMF(Immutable):
         wid = RingMatrix.identity(q0.ring, q0.rows).scale(w)
         if q0 * q1 != wid or q1 * q0 != wid:
             raise ValueError("not a graded factorization: Q0*Q1 != W*Id")
-        object.__setattr__(self, "ring", q0.ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
+        super().__init__(q0.ring, w, q0, q1)
 
     @property
     def size(self) -> int:
         return self.q0.rows
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedMF)
-            and (self.w, self.q0, self.q1) == (other.w, other.q0, other.q1)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.w, self.q0, self.q1))
 
 
 class Morphism(Immutable):
@@ -144,9 +119,7 @@ class Morphism(Immutable):
             raise ValueError("potential mismatch: hom-sets need a common potential")
         if f.rows != target.size or f.cols != source.size:
             raise ValueError("morphism shape does not match source/target sizes")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "f", f)
+        super().__init__(source, target, f)
 
     def differential(self) -> "Morphism":
         return Morphism(
@@ -163,21 +136,6 @@ class Morphism(Immutable):
         if self.target is not other.target and self.target != other.target:
             raise ValueError("morphism sum needs matching target")
         return Morphism(self.source, self.target, self.f + other.f)
-
-    def compose(self, inner: "Morphism") -> "Morphism":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return Morphism(inner.source, self.target, self.f * inner.f)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and (self.source, self.target, self.f) == (other.source, other.target, other.f)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.f))
 
 
 def differential(f: Morphism) -> Morphism:
@@ -196,9 +154,7 @@ class GradedMorphism(Immutable):
             raise ValueError("potential mismatch: hom-sets need a common potential")
         if g.rows != 2 * target.size or g.cols != 2 * source.size:
             raise ValueError("graded morphism shape does not match total modules")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "g", g)
+        super().__init__(source, target, g)
 
     def differential(self) -> "GradedMorphism":
         qs = forget(self.source).q
@@ -207,12 +163,6 @@ class GradedMorphism(Immutable):
 
     def is_closed(self) -> bool:
         return self.differential().g.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedMorphism)
-            and (self.source, self.target, self.g) == (other.source, other.target, other.g)
-        )
 
 
 class HomotopyWitness(Immutable):
@@ -224,8 +174,7 @@ class HomotopyWitness(Immutable):
         d = claim.target.q * g + g * claim.source.q
         if d != claim.f:
             raise ValueError("homotopy witness does not satisfy d(g) = f")
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "g", g)
+        super().__init__(claim, g)
 
 
 # -- differential geometry of the potential -------------------------------------
@@ -375,8 +324,7 @@ class FieldHomotopy(Immutable):
         ident = type(q).identity(spec, q.rows)
         if lhs != ident:
             raise ValueError("contraction identity Q h + h Q = Id failed")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "h", h)
+        super().__init__(q, h)
 
 
 # -- factorization search ----------------------------------------------------------

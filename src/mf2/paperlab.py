@@ -28,11 +28,10 @@ is a bug that propagates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .gf2k import FieldSpec, default_spec
-from .ringpoly import Immutable, RingDescriptor, RingPoly, exact_divide, parse_poly
+from .gf2k import FieldSpec, Immutable, default_spec
+from .ringpoly import RingDescriptor, RingPoly, _mul_into, exact_divide, parse_poly
 from .ringmat import (
     FieldMatrix,
     RingMatrix,
@@ -83,25 +82,26 @@ ALPHA_HOMOTOPY_TEXT = "0, 0, 0, 0; x^-1, 0, 0, 0; 0, 0, 0, x^-1*y^-1; 0, 0, 0, 0
 # -- check/report plumbing ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Immutable):
     """One certified fact: an id, a verdict, and a short detail string."""
 
-    check_id: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("check_id", "passed", "detail")
+
+    def __init__(self, check_id: str, passed: bool, detail: str = ""):
+        super().__init__(check_id, passed, detail)
 
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
         return f"{word} {self.check_id} {self.detail}".rstrip()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Immutable):
     """A batch of checks plus the seed that drove any randomized ones."""
 
-    checks: tuple[Check, ...]
-    seed: Optional[int] = None
+    __slots__ = ("checks", "seed")
+
+    def __init__(self, checks: tuple[Check, ...], seed: Optional[int] = None):
+        super().__init__(checks, seed)
 
     @property
     def ok(self) -> bool:
@@ -241,15 +241,11 @@ def random_matrix(ring: RingDescriptor, rng: random.Random, rows: int, cols: int
 # -- decomposition and reduction results ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedDecomposition:
+class ClosedDecomposition(Immutable):
     """Blocks of a closed endomorphism f = [[a, b], [c, d]] together with the
     commutator preimages: d = a + [U, t] and c = x*b + [U, s]."""
 
-    a: RingMatrix
-    b: RingMatrix
-    s: RingMatrix
-    t: RingMatrix
+    __slots__ = ("a", "b", "s", "t")
 
     @property
     def c(self) -> RingMatrix:
@@ -264,13 +260,11 @@ class ClosedDecomposition:
         return block2(self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Immutable):
     """Canonical scalar alpha in span{1, x, x^2} plus the verified witness g
     with delta(g) = f + alpha*Id."""
 
-    alpha: RingPoly
-    witness: HomotopyWitness
+    __slots__ = ("alpha", "witness")
 
 
 # -- the projective-plane context ------------------------------------------------
@@ -297,20 +291,12 @@ class Rp2Context(Immutable):
         ring = RingDescriptor(spec, ("x", "y"), (True, True))
         w = parse_poly("x + y + x^-1*y^-1", ring)
         q = parse_matrix(RP2_MATRIX_TEXT, ring)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u", _u_matrix(ring))
-        object.__setattr__(self, "v", _v_matrix(ring))
-        object.__setattr__(self, "mf", UngradedMF(w, q))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dwdx", w.partial("x"))
-        object.__setattr__(self, "dwdy", w.partial("y"))
-        object.__setattr__(self, "dqdx", matrix_partial(q, "x"))
-        object.__setattr__(self, "dqdy", matrix_partial(q, "y"))
-        object.__setattr__(self, "f_alpha", parse_matrix(ALPHA_MATRIX_TEXT, ring))
-        object.__setattr__(self, "alpha_homotopy", parse_matrix(ALPHA_HOMOTOPY_TEXT, ring))
-        object.__setattr__(self, "jacobian", quotient_ring(laurent_jacobian_ideal(w)))
+        super().__init__(
+            spec, ring, w, _u_matrix(ring), _v_matrix(ring), UngradedMF(w, q), q,
+            w.partial("x"), w.partial("y"), matrix_partial(q, "x"), matrix_partial(q, "y"),
+            parse_matrix(ALPHA_MATRIX_TEXT, ring), parse_matrix(ALPHA_HOMOTOPY_TEXT, ring),
+            quotient_ring(laurent_jacobian_ideal(w)),
+        )
         self.check_blocks()
         self.check_alpha_homotopy()
         self.check_quotient()
@@ -453,26 +439,26 @@ class Rp2Context(Immutable):
             raise ValueError("target is not in the context ring")
         ring = self.ring
         spec = ring.field
-        x = RingPoly.variable(ring, "x")
-        y = RingPoly.variable(ring, "y")
-        c1 = RingPoly.zero(ring)
-        c2 = RingPoly.zero(ring)
+        x = {(1, 0): 1}
+        y = {(0, 1): 1}
+        c1_terms: dict[tuple[int, ...], int] = {}
+        c2_terms: dict[tuple[int, ...], int] = {}
         powers: dict[int, int] = {}
         for (a, b), coeff in target.terms.items():
             if b:
-                # y^b + x^b = (x + y) * h with h explicit for either sign of b
+                # y^b + x^b = (x + y) * h with h explicit for either sign of b;
+                # k is x^a * h
                 if b > 0:
-                    h_terms = {(b - 1 - i, i): coeff for i in range(b)}
+                    k = {(a + b - 1 - i, i): coeff for i in range(b)}
                 else:
-                    h_terms = {(-1 - i, b + i): coeff for i in range(-b)}
-                k = RingPoly.monomial(ring, (a, 0)) * RingPoly(ring, h_terms)
-                c1 = c1 + x * k
-                c2 = c2 + y * k
+                    k = {(a - 1 - i, b + i): coeff for i in range(-b)}
+                _mul_into(c1_terms, k, x, spec)
+                _mul_into(c2_terms, k, y, spec)
             n = a + b
             powers[n] = spec.add(powers.get(n, 0), coeff)
         remainder: dict[int, int] = {}
-        cof1 = parse_poly("x^2*y + x^3", ring)
-        cof2 = parse_poly("x^2*y", ring)
+        cof1 = {(2, 1): 1, (3, 0): 1}  # x^2*y + x^3
+        cof2 = {(2, 1): 1}  # x^2*y
         for n, coeff in powers.items():
             if not coeff:
                 continue
@@ -481,15 +467,16 @@ class Rp2Context(Immutable):
             if steps:
                 # x^n + x^r = (x^3 + 1) * l, telescoping in steps of three
                 if steps > 0:
-                    l_terms = {(r + 3 * i, 0): coeff for i in range(steps)}
+                    l = {(r + 3 * i, 0): coeff for i in range(steps)}
                 else:
-                    l_terms = {(n + 3 * i, 0): coeff for i in range(-steps)}
-                l = RingPoly(ring, l_terms)
-                c1 = c1 + cof1 * l
-                c2 = c2 + cof2 * l
+                    l = {(n + 3 * i, 0): coeff for i in range(-steps)}
+                _mul_into(c1_terms, cof1, l, spec)
+                _mul_into(c2_terms, cof2, l, spec)
             remainder[r] = spec.add(remainder.get(r, 0), coeff)
         if any(remainder.values()):
             raise ValueError("target is not in the Jacobian ideal")
+        c1 = RingPoly._raw(ring, c1_terms)
+        c2 = RingPoly._raw(ring, c2_terms)
         if c1 * self.dwdx + c2 * self.dwdy != target:
             raise ValueError("cofactor identity failed")
         return c1, c2

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .gf2k import GF2, FieldElem, FieldSpec
-from .ringpoly import Immutable, ParseError, RingDescriptor, RingPoly, _mul_into, parse_poly
+from .gf2k import GF2, FieldElem, FieldSpec, Immutable
+from .ringpoly import ParseError, RingDescriptor, RingPoly, _mul_into, parse_poly
 
 __all__ = [
     "RingMatrix",
@@ -37,6 +37,8 @@ __all__ = [
 class RingMatrix(Immutable):
     __slots__ = ("ring", "rows", "cols", "entries")
 
+    # __init__ and _raw write the slots directly: a matrix is built per
+    # product and sum, too often to go through the generic Immutable.__init__.
     def __init__(self, ring: RingDescriptor, rows: int, cols: int, entries: Sequence[RingPoly]):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
@@ -94,18 +96,6 @@ class RingMatrix(Immutable):
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RingMatrix)
-            and self.ring == other.ring
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows, self.cols, self.entries))
-
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
@@ -147,12 +137,6 @@ class RingMatrix(Immutable):
 
     def map_entries(self, fn: Callable[[RingPoly], RingPoly]) -> "RingMatrix":
         return RingMatrix(self.ring, self.rows, self.cols, [fn(e) for e in self.entries])
-
-    def transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            self.ring, self.cols, self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def support_hull(self) -> list[tuple[int, int]]:
         """Per-variable (min, max) exponent over all entries; (0, 0) if all zero."""
@@ -271,10 +255,7 @@ class FieldMatrix(Immutable):
             raise ValueError("entry count does not match dimensions")
         for v in entries:
             spec.validate(v)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        super().__init__(spec, rows, cols, tuple(entries))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
@@ -285,16 +266,6 @@ class FieldMatrix(Immutable):
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and (self.spec, self.rows, self.cols, self.entries)
-            == (other.spec, other.rows, other.cols, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.rows, self.cols, self.entries))
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

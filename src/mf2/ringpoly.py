@@ -17,6 +17,11 @@ heap).  RingPoly products, RingMatrix products and scaling (one
 accumulator per matrix entry), exact division and Groebner normal forms
 all call it, so no product builds a temporary polynomial to add.
 
+RingDescriptor and RingPoly are gf2k.Immutable values, and Immutable is
+re-exported here.  RingPoly writes its two slots itself and defines its
+own equality and hash, because it is built once per product entry and
+its terms are a dict.
+
 Text form (whitespace insignificant):
 
     poly   := term ('+' term)*
@@ -31,11 +36,10 @@ largest term first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .gf2k import FieldElem, FieldSpec, embed
+from .gf2k import FieldElem, FieldSpec, Immutable, embed
 
 __all__ = [
     "Immutable",
@@ -48,15 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Immutable):
     """A (partially) Laurent polynomial ring over GF(2^k)."""
 
-    field: FieldSpec
-    vars: tuple[str, ...]
-    laurent: tuple[bool, ...]
+    __slots__ = ("field", "vars", "laurent")
 
-    def __post_init__(self) -> None:
+    def __init__(self, field: FieldSpec, vars: tuple[str, ...], laurent: tuple[bool, ...]) -> None:
+        super().__init__(field, vars, laurent)
         if not self.vars:
             raise ValueError("ring needs at least one variable")
         if len(set(self.vars)) != len(self.vars):
@@ -85,20 +87,6 @@ class RingDescriptor:
     def polynomialized(self) -> "RingDescriptor":
         """Same variables with all Laurent flags cleared."""
         return RingDescriptor(self.field, self.vars, (False,) * self.nvars)
-
-
-class Immutable:
-    """Base of the package's value classes.  Subclasses declare __slots__
-    and fill them in __init__ with object.__setattr__; afterwards no
-    attribute can be assigned or deleted."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def grevlex_key(exps: Sequence[int]):
@@ -143,6 +131,8 @@ class RingPoly(Immutable):
 
     __slots__ = ("ring", "terms")
 
+    # __init__ and _raw write the slots directly: a polynomial is built per
+    # product entry, too often to go through the generic Immutable.__init__.
     def __init__(self, ring: RingDescriptor, terms: dict[tuple[int, ...], int]):
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
@@ -197,9 +187,6 @@ class RingPoly(Immutable):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def constant_value(self) -> Optional[int]:
         """Serialized value if the polynomial is a constant, else None."""
@@ -266,6 +253,7 @@ class RingPoly(Immutable):
             e >>= 1
         return result
 
+    # Own equality and hash: terms is a dict, which cannot be hashed as a field.
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingPoly)

@@ -8,12 +8,19 @@ W(t,t) = t over GF(4) since t^-2 = t when t^3 = 1.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mf2
 from mf2.cli import MFFile
-from mf2.gf2k import GF2, default_spec
+from mf2.cohomwin import LocalCohomologyReport, Window
+from mf2.gf2k import GF2, FieldSpec, default_spec
+from mf2.groebner import TermOrder, laurent_jacobian_ideal
 from mf2.mfcore import (
     FieldHomotopy,
     GradedMF,
@@ -21,10 +28,18 @@ from mf2.mfcore import (
     HomotopyWitness,
     Morphism,
     UngradedMF,
+    verify_mf,
 )
-from mf2.paperlab import Rp2Context
+from mf2.paperlab import Check, ClosedDecomposition, ReductionResult, Report, Rp2Context
 from mf2.ringmat import FieldMatrix, RingMatrix, parse_matrix
-from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, exact_divide, parse_poly
+from mf2.ringpoly import (
+    Immutable,
+    ParseError,
+    RingDescriptor,
+    RingPoly,
+    exact_divide,
+    parse_poly,
+)
 
 LAURENT2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 POLY2 = RingDescriptor(GF2, ("x", "y"), (False, False))
@@ -217,7 +232,15 @@ def _graded_mf():
     return GradedMF(P("x*y"), parse_matrix("x", LAURENT2), parse_matrix("y", LAURENT2))
 
 
+def _zero_witness():
+    zero = RingMatrix.zeros(LAURENT2, 2, 2)
+    return HomotopyWitness(Morphism(_xy_mf(), _xy_mf(), zero), zero)
+
+
 IMMUTABLE_INSTANCES = {
+    "FieldSpec": lambda: default_spec(2),
+    "FieldElem": lambda: default_spec(2).element(3),
+    "RingDescriptor": lambda: RingDescriptor(GF2, ("x", "y"), (True, False)),
     "RingPoly": lambda: P("x + 1"),
     "RingMatrix": lambda: RingMatrix.identity(LAURENT2, 2),
     "FieldMatrix": lambda: FieldMatrix.identity(GF2, 2),
@@ -227,15 +250,23 @@ IMMUTABLE_INSTANCES = {
     "GradedMorphism": lambda: GradedMorphism(
         _graded_mf(), _graded_mf(), RingMatrix.identity(LAURENT2, 2)
     ),
-    "HomotopyWitness": lambda: HomotopyWitness(
-        Morphism(_xy_mf(), _xy_mf(), RingMatrix.zeros(LAURENT2, 2, 2)),
-        RingMatrix.zeros(LAURENT2, 2, 2),
-    ),
+    "HomotopyWitness": _zero_witness,
     "FieldHomotopy": lambda: FieldHomotopy(
         FieldMatrix(GF2, 2, 2, [0, 1, 0, 0]), FieldMatrix(GF2, 2, 2, [0, 0, 1, 0])
     ),
     "Rp2Context": Rp2Context,
     "MFFile": lambda: MFFile(LAURENT2, P("x"), RingMatrix.identity(LAURENT2, 1)),
+    "VerifyReport": lambda: verify_mf(RingMatrix.identity(LAURENT2, 1), P("x")),
+    "Window": lambda: Window.symmetric(LAURENT2, 2),
+    "LocalCohomologyReport": lambda: LocalCohomologyReport((GF2.one(), GF2.one()), 2, 1, ((1, 0),)),
+    "TermOrder": lambda: TermOrder.eliminate_first(3, 1),
+    "JacobianPresentation": lambda: laurent_jacobian_ideal(P("x + y + x^-1*y^-1")),
+    "Check": lambda: Check("an_forced", False, "forced failure"),
+    "Report": lambda: Report((Check("ok", True),), 2024),
+    "ClosedDecomposition": lambda: ClosedDecomposition(
+        *(RingMatrix.identity(LAURENT2, 2).scale(P(t)) for t in ("x", "y", "1", "0"))
+    ),
+    "ReductionResult": lambda: ReductionResult(P("x^2"), _zero_witness()),
 }
 
 
@@ -252,3 +283,57 @@ def test_value_classes_reject_assignment_and_deletion(name):
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         obj.extra = 1
     assert getattr(obj, field) is value
+
+
+def _with_field(obj, name, value):
+    """A copy of obj with one field replaced, built by the base constructor."""
+    copy = object.__new__(type(obj))
+    fields = (value if n == name else getattr(obj, n) for n in type(obj).__slots__)
+    Immutable.__init__(copy, *fields)
+    return copy
+
+
+# An Rp2Context holds its QuotientRing, which compares by identity, so two
+# separately built contexts are not equal.
+VALUE_CLASSES = sorted(set(IMMUTABLE_INSTANCES) - {"Rp2Context"})
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_classes_compare_and_hash_by_fields(name):
+    a, b = IMMUTABLE_INSTANCES[name](), IMMUTABLE_INSTANCES[name]()
+    assert isinstance(a, Immutable)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert not a != b
+    for field in type(a).__slots__:
+        changed = _with_field(a, field, object())
+        assert changed != a and a != changed, field
+        assert _with_field(a, field, getattr(a, field)) == a
+
+
+def test_value_class_equality_needs_the_same_type_and_repr_names_fields():
+    w, q = P("x*y"), parse_matrix("0, x; y, 0", LAURENT2)
+    mff, mf = MFFile(LAURENT2, w, q), UngradedMF(w, q)
+    assert mff._fields() == mf._fields()
+    assert mff != mf and mf != mff
+    assert repr(FieldSpec(2, 7)) == "FieldSpec(k=2, modulus=7)"
+    assert repr(LAURENT2) == (
+        "RingDescriptor(field=FieldSpec(k=1, modulus=3), vars=('x', 'y'), laurent=(True, True))"
+    )
+    assert repr(Check("a", True)) == "Check(check_id='a', passed=True, detail='')"
+    assert len({IMMUTABLE_INSTANCES["GradedMorphism"]() for _ in range(2)}) == 1
+    with pytest.raises(TypeError, match="MFFile takes 3 values, got 2"):
+        MFFile(LAURENT2, w)
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Value classes use Immutable alone; the dataclasses module (and the
+    inspect module it imports) would add to every command's start-up."""
+    path = [str(Path(mf2.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mf2.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
