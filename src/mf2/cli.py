@@ -316,11 +316,7 @@ def cmd_search(args) -> int:
     if bad:
         print("error: a search result failed re-verification", file=sys.stderr)
         return 1
-    one_liners = [
-        "; ".join(", ".join(str(q.at(i, j)) for j in range(q.cols))
-                  for i in range(q.rows))
-        for q in results
-    ]
+    one_liners = [str(q) for q in results]
     text = [f"found {len(results)} factorization(s)"]
     text.extend(f"q[{i}]: {line}" for i, line in enumerate(one_liners))
     records = [("count", str(len(results)))]

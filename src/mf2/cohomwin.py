@@ -17,15 +17,21 @@ and its stable value is a diagnostic for (not a proof of) the actual
 cohomology dimension.  Exact answers come from the witness solver and
 the point certification below.
 
+A column of d is one packed Echelon int.  With n = src.size and
+cells = tgt.size * n, the output coordinate of E_rc x^m is
+block[m] * cells + r * n + c, where block numbers the monomials of the
+output window; a domain column is a (cell, monomial) pair.
+
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
 Persistent Homology", 2005).  The radius of a monomial is the smallest d
 whose window holds it.  Domain columns enter in ascending radius, so
 every B_r is a prefix of the insertion order and the pivot count after
-it is the rank of d on B_r.  Output coordinates are numbered outermost
-first, so span B_{r-1} is a trailing block; with lowest-index pivots an
-echelon row has its pivot there exactly when it has no component
-outside, so the pivots in that block count dim(d(B_r) ∩ span B_{r-1}).
+it is the rank of d on B_r.  Output monomials are numbered outermost
+first, so span B_{r-1} is a trailing run of blocks; with lowest-index
+pivots an echelon row has its pivot there exactly when it has no
+component outside, so the pivots in those blocks count
+dim(d(B_r) ∩ span B_{r-1}).
 
 Specializing at a field point collapses d to a finite operator; local
 reports carry kernel/image dimensions and deterministic coordinates of
@@ -35,6 +41,7 @@ chosen classes in the local cohomology.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
@@ -44,7 +51,6 @@ from .ringpoly import RingDescriptor, RingPoly
 
 __all__ = [
     "Window",
-    "delta_as_field_matrix",
     "cohomology_dims",
     "solve_exactness",
     "find_critical_points",
@@ -52,8 +58,8 @@ __all__ = [
     "LocalCohomologyReport",
 ]
 
-# Largest window whose monomials are listed: a hom basis holds this many
-# monomials per matrix entry, so a larger window exhausts memory first.
+# Largest window whose monomials are listed: the differential has one
+# column per monomial and matrix entry, so a larger window exhausts memory first.
 MAX_WINDOW_MONOMIALS = 1 << 20
 
 
@@ -88,9 +94,6 @@ class Window(Immutable):
             raise ValueError(f"window has {n} monomials, above the limit of {MAX_WINDOW_MONOMIALS}")
         return list(itertools.product(*[range(lo, hi + 1) for lo, hi in self.bounds]))
 
-    def contains(self, exps: Sequence[int]) -> bool:
-        return all(lo <= e <= hi for e, (lo, hi) in zip(exps, self.bounds))
-
     def expanded(self, hull: Sequence[tuple[int, int]]) -> "Window":
         """Grow the window so that shifting by any hull exponent stays inside."""
         bs = []
@@ -123,71 +126,47 @@ def _combined_hull(a: RingMatrix, b: RingMatrix) -> list[tuple[int, int]]:
     return [(min(x, u), max(y, v)) for (x, y), (u, v) in zip(ha, hb)]
 
 
-def _hom_basis(src: UngradedMF, tgt: UngradedMF, win: Window):
-    mons = win.monomials()
-    return [
-        (i, j, e)
-        for i in range(tgt.size)
-        for j in range(src.size)
-        for e in mons
-    ]
+def _delta_columns(src: UngradedMF, tgt: UngradedMF,
+                   domain: Sequence[tuple[int, tuple[int, ...]]],
+                   out_block: dict[tuple[int, ...], int]) -> list[int]:
+    """Packed Echelon columns of d, one per (cell, monomial) of the domain;
+    raises if an image term falls outside the output window.
 
-
-def _delta_columns(src: UngradedMF, tgt: UngradedMF, basis_in, out_index) -> list[dict[int, int]]:
-    """Sparse columns of d over the hom bases; raises if an image term
-    falls outside the output window."""
+    The domain cell i*n + j stands for E_ij (n = src.size); out_block
+    numbers the output window's monomials, and the coefficient of
+    E_rc x^m sits in slot out_block[m]*cells + r*n + c."""
+    m, n = tgt.size, src.size
+    k = src.ring.field.k
+    stride = k * m * n
     qs, qt = src.q, tgt.q
-    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic
-    terms = {
-        (i, j): [(r, j, s, c) for r in range(tgt.size) for s, c in qt.at(r, i).terms.items()]
-        + [(i, c_j, s, c) for c_j in range(src.size) for s, c in qs.at(j, c_j).terms.items()]
-        for i in range(tgt.size)
-        for j in range(src.size)
-    }
-    shifts = {s for cell in terms.values() for _, _, s, _ in cell}
-    shifted: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic, merged
+    # per (output cell, shift): two terms meet exactly when their shifts do
+    terms = []
+    for i in range(m):
+        for j in range(n):
+            acc: dict[tuple[int, tuple[int, ...]], int] = {}
+            images = [(r * n + j, qt.at(r, i)) for r in range(m)]
+            images += [(i * n + col, qs.at(j, col)) for col in range(n)]
+            for cell, entry in images:
+                for s, c in entry.terms.items():
+                    acc[cell, s] = acc.get((cell, s), 0) ^ c
+            terms.append([(k * cell, s, c) for (cell, s), c in acc.items() if c])
+    shifts = {s for cell in terms for _, s, _ in cell}
+    offsets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     cols = []
-    for i, j, e in basis_in:
-        sh = shifted.get(e)
-        if sh is None:
-            sh = shifted[e] = {s: tuple(a + b for a, b in zip(e, s)) for s in shifts}
-        acc: dict[tuple[int, int, tuple[int, ...]], int] = {}
-        for row, column, s, c in terms[i, j]:
-            key = (row, column, sh[s])
-            acc[key] = acc.get(key, 0) ^ c
-        col: dict[int, int] = {}
-        for key, coeff in acc.items():
-            if not coeff:
-                continue
-            idx = out_index.get(key)
-            if idx is None:
-                raise ValueError(
-                    "window overflow: differential image leaves the output window"
-                )
-            col[idx] = coeff
-        cols.append(col)
+    try:
+        for cell, e in domain:
+            off = offsets.get(e)
+            if off is None:
+                off = offsets[e] = {}
+                for s in shifts:
+                    b = out_block.get(tuple(map(add, e, s)))
+                    if b is not None:
+                        off[s] = b * stride
+            cols.append(sum(c << (off[s] + pos) for pos, s, c in terms[cell]))
+    except KeyError:
+        raise ValueError("window overflow: differential image leaves the output window") from None
     return cols
-
-
-def delta_as_field_matrix(src: UngradedMF, tgt: UngradedMF,
-                          win_in: Window, win_out: Window) -> FieldMatrix:
-    """Dense matrix of d: Hom(win_in) -> Hom(win_out) over the ground field.
-
-    Columns follow the (row, col, monomial) basis of win_in, rows the same
-    basis of win_out; meant for small windows (the rank pipeline keeps
-    columns sparse instead).
-    """
-    _check_pair(src, tgt)
-    basis_in = _hom_basis(src, tgt, win_in)
-    basis_out = _hom_basis(src, tgt, win_out)
-    out_index = {key: n for n, key in enumerate(basis_out)}
-    cols = _delta_columns(src, tgt, basis_in, out_index)
-    nrows, ncols = len(basis_out), len(basis_in)
-    entries = [0] * (nrows * ncols)
-    for c_idx, col in enumerate(cols):
-        for r_idx, v in col.items():
-            entries[r_idx * ncols + c_idx] = v
-    return FieldMatrix(src.ring.field, nrows, ncols, entries)
 
 
 def _radius(exps: Sequence[int]) -> int:
@@ -202,67 +181,55 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     ring = src.ring
+    cells = tgt.size * src.size
     dom = Window.symmetric(ring, d_max + 1)
-    basis_dom = sorted(_hom_basis(src, tgt, dom), key=lambda b: _radius(b[2]))
-    basis_out = _hom_basis(src, tgt, dom.expanded(_combined_hull(src.q, tgt.q)))
-    basis_out.sort(key=lambda b: -_radius(b[2]))
-    out_index = {key: n for n, key in enumerate(basis_out)}
-    out_radius = [_radius(e) for _, _, e in basis_out]
+    out = sorted(dom.expanded(_combined_hull(src.q, tgt.q)).monomials(), key=_radius, reverse=True)
+    out_radius = [_radius(e) for e in out]
+    domain = [(cell, e) for e in sorted(dom.monomials(), key=_radius) for cell in range(cells)]
+    cols = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(out)})
+    # B_r holds the first cells * |Window.symmetric(ring, r)| columns
+    ends = [cells * Window.symmetric(ring, r).size for r in range(d_max + 2)]
     ech = Echelon(ring.field)
-    cols = [ech.pack_items(col.items()) for col in _delta_columns(src, tgt, basis_dom, out_index)]
     pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
     ranks, inner = [], []
-    pos = 0
-    for r in range(d_max + 2):
-        while pos < len(cols) and _radius(basis_dom[pos][2]) == r:
-            pivot, _ = ech.insert(cols[pos])
+    start = 0
+    for r, end in enumerate(ends):
+        for col in cols[start:end]:
+            pivot, _ = ech.insert(col)
             if pivot is not None:
-                pivots_at[out_radius[pivot]] += 1
-            pos += 1
+                pivots_at[out_radius[pivot // cells]] += 1
+        start = end
         ranks.append(len(ech.rows))
         inner.append(sum(pivots_at[:r]))
-    hom_rank = tgt.size * src.size
-    return {
-        d: hom_rank * Window.symmetric(ring, d).size - ranks[d] - inner[d + 1]
-        for d in range(1, d_max + 1)
-    }
+    return {d: ends[d] - ranks[d] - inner[d + 1] for d in range(1, d_max + 1)}
 
 
 def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     """Search the window for g with d(g) = f; the witness re-verifies
     symbolically, None means no witness exists inside this window."""
     src, tgt = f.source, f.target
-    if window.ring != src.ring:
+    ring = src.ring
+    if window.ring != ring:
         raise ValueError("window ring does not match the morphism")
-    hull = _combined_hull(src.q, tgt.q)
-    win_out = window.expanded(hull)
-    fh = f.f.support_hull()
-    win_out = win_out.union(Window(src.ring, tuple(fh)))
-    basis_in = _hom_basis(src, tgt, window)
-    basis_out = _hom_basis(src, tgt, win_out)
-    out_index = {key: n for n, key in enumerate(basis_out)}
-    cols = _delta_columns(src, tgt, basis_in, out_index)
-    ech = Echelon(src.ring.field, track=True)
-    ech.insert_all(ech.pack_items(col.items()) for col in cols)
-    rest, comb = ech.reduce(ech.pack_items(
-        (out_index[(i, j, e)], c)
-        for i in range(tgt.size)
-        for j in range(src.size)
-        for e, c in f.f.at(i, j).terms.items()
+    win_out = window.expanded(_combined_hull(src.q, tgt.q)).union(
+        Window(ring, tuple(f.f.support_hull())))
+    block = {e: b for b, e in enumerate(win_out.monomials())}
+    cells = tgt.size * src.size
+    domain = list(itertools.product(range(cells), window.monomials()))
+    ech = Echelon(ring.field, track=True)
+    ech.insert_all(_delta_columns(src, tgt, domain, block))
+    rest, comb = ech.reduce(sum(
+        c << ech.k * (block[e] * cells + cell)
+        for cell, entry in enumerate(f.f.entries)
+        for e, c in entry.terms.items()
     ))
     if rest:
         return None
-    gterms: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-    for (i, j, e), c in zip(basis_in, ech.unpack(comb, len(cols))):
+    gterms: list[dict[tuple[int, ...], int]] = [{} for _ in range(cells)]
+    for (cell, e), c in zip(domain, ech.unpack(comb, len(domain))):
         if c:
-            gterms.setdefault((i, j), {})[e] = c
-    ring = src.ring
-    g_entries = [
-        RingPoly(ring, gterms.get((i, j), {}))
-        for i in range(tgt.size)
-        for j in range(src.size)
-    ]
-    g = RingMatrix(ring, tgt.size, src.size, g_entries)
+            gterms[cell][e] = c
+    g = RingMatrix(ring, tgt.size, src.size, [RingPoly(ring, t) for t in gterms])
     return HomotopyWitness(f, g)
 
 

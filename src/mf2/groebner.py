@@ -237,64 +237,55 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
 # -- quotient rings ---------------------------------------------------------------
 
 
-class QuotientRing:
+def _staircase_and_action(ring: RingDescriptor, basis: Sequence[RingPoly], order: TermOrder):
+    """The standard monomials of a finite quotient in term order and the
+    matrix of each variable's action on them; (None, None) when infinite."""
+    lts = [_leading(g, order)[0] for g in basis]
+    supports = [[i for i, e in enumerate(lt) if e] for lt in lts]
+    # finite: the unit ideal, or a pure power of every variable leads some generator
+    if [] not in supports and any([i] not in supports for i in range(ring.nvars)):
+        return None, None
+    found: set[tuple[int, ...]] = set()
+    frontier = [(0,) * ring.nvars]
+    while frontier:
+        exps = frontier.pop()
+        if exps in found or any(_divides(lt, exps) for lt in lts):
+            continue
+        found.add(exps)
+        for i in range(ring.nvars):
+            frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
+    stair = tuple(sorted(found, key=order.key))
+    index = {e: i for i, e in enumerate(stair)}
+    mats = []
+    for v in range(ring.nvars):
+        cols = []
+        for e in stair:
+            shifted = e[:v] + (e[v] + 1,) + e[v + 1:]
+            nf = normal_form(RingPoly.monomial(ring, shifted), basis, order)
+            col = [0] * len(stair)
+            for ee, c in nf.terms.items():
+                col[index[ee]] = c
+            cols.append(col)
+        entries = [cols[j][i] for i in range(len(stair)) for j in range(len(stair))]
+        mats.append(FieldMatrix(ring.field, len(stair), len(stair), entries))
+    return stair, tuple(mats)
+
+
+class QuotientRing(Immutable):
     """K[x_1..x_n]/I for a Groebner basis of I; finite quotients carry a
-    monomial staircase basis and multiplication matrices."""
+    monomial staircase basis and multiplication matrices (both None when
+    the quotient is infinite dimensional)."""
+
+    __slots__ = ("ring", "basis", "order", "invertible", "staircase", "mult_matrices")
 
     def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly], order: TermOrder,
                  invertible: Optional[Sequence[bool]] = None):
-        self.ring = ring
-        self.basis = list(basis)
-        self.order = order
-        self.invertible = tuple(invertible) if invertible is not None else (False,) * ring.nvars
-        self._lts = [_leading(g, order)[0] for g in self.basis]
-        self.staircase: Optional[tuple[tuple[int, ...], ...]] = None
-        self.mult_matrices: Optional[list[FieldMatrix]] = None
-        if self._is_finite():
-            self._build_staircase()
-
-    def _is_standard(self, exps: tuple[int, ...]) -> bool:
-        return not any(_divides(lt, exps) for lt in self._lts)
-
-    def _is_finite(self) -> bool:
-        if any(all(e == 0 for e in lt) for lt in self._lts):
-            return True  # unit ideal
-        for i in range(self.ring.nvars):
-            if not any(
-                lt[i] > 0 and all(e == 0 for j, e in enumerate(lt) if j != i)
-                for lt in self._lts
-            ):
-                return False
-        return True
-
-    def _build_staircase(self) -> None:
-        n = self.ring.nvars
-        found: set[tuple[int, ...]] = set()
-        frontier = [(0,) * n]
-        while frontier:
-            exps = frontier.pop()
-            if exps in found or not self._is_standard(exps):
-                continue
-            found.add(exps)
-            for i in range(n):
-                frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
-        stair = tuple(sorted(found, key=self.order.key))
-        self.staircase = stair
-        index = {e: i for i, e in enumerate(stair)}
-        spec = self.ring.field
-        mats = []
-        for v in range(n):
-            cols = []
-            for e in stair:
-                shifted = e[:v] + (e[v] + 1,) + e[v + 1:]
-                nf = normal_form(RingPoly.monomial(self.ring, shifted), self.basis, self.order)
-                col = [0] * len(stair)
-                for ee, c in nf.terms.items():
-                    col[index[ee]] = c
-                cols.append(col)
-            entries = [cols[j][i] for i in range(len(stair)) for j in range(len(stair))]
-            mats.append(FieldMatrix(spec, len(stair), len(stair), entries))
-        self.mult_matrices = mats
+        basis = tuple(basis)
+        super().__init__(
+            ring, basis, order,
+            tuple(invertible) if invertible is not None else (False,) * ring.nvars,
+            *_staircase_and_action(ring, basis, order),
+        )
 
     @property
     def dimension(self) -> Optional[int]:

@@ -423,10 +423,11 @@ class Rp2Context(Immutable):
         the Groebner quotient at construction time."""
         if alpha.ring != self.ring:
             raise ValueError("alpha is not in the context ring")
-        out = RingPoly.zero(self.ring)
+        terms: dict[tuple[int, ...], int] = {}
         for (a, b), coeff in alpha.terms.items():
-            out = out + RingPoly.monomial(self.ring, ((a + b) % 3, 0), coeff)
-        return out
+            e = ((a + b) % 3, 0)
+            terms[e] = terms.get(e, 0) ^ coeff
+        return RingPoly._raw(self.ring, {e: c for e, c in terms.items() if c})
 
     def jacobian_cofactors(self, target: RingPoly) -> tuple[RingPoly, RingPoly]:
         """Explicit c1, c2 with target = c1*dW/dx + c2*dW/dy.

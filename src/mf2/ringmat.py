@@ -350,12 +350,8 @@ class Echelon:
         self._bits = 0
 
     def pack(self, values: Iterable[int]) -> int:
-        return self.pack_items(enumerate(values))
-
-    def pack_items(self, items: Iterable[tuple[int, int]]) -> int:
-        """Packs (index, value) pairs; indices left out are zero."""
         k = self.k
-        return sum(v << (k * j) for j, v in items)
+        return sum(v << (k * j) for j, v in enumerate(values))
 
     def unpack(self, v: int, n: int) -> list[int]:
         k, mask = self.k, self._mask

@@ -18,15 +18,15 @@ import pytest
 
 from mf2.cohomwin import (
     Window,
+    _delta_columns,
     certify_at_point,
     cohomology_dims,
-    delta_as_field_matrix,
     find_critical_points,
     solve_exactness,
 )
 from mf2.gf2k import GF2, default_spec
 from mf2.mfcore import Morphism, UngradedMF, contract_at_noncritical
-from mf2.ringmat import RingMatrix, parse_matrix, rank
+from mf2.ringmat import Echelon, RingMatrix, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 
 P2 = RingDescriptor(GF2, ("x", "y"), (False, False))
@@ -62,7 +62,7 @@ def test_window_basics():
     assert win.bounds == ((-2, 2), (-2, 2))
     assert win.size == 25
     assert len(win.monomials()) == 25
-    assert win.contains((-2, 1)) and not win.contains((3, 0))
+    assert (-2, 1) in win.monomials() and (3, 0) not in win.monomials()
     pwin = Window.symmetric(P2, 2)
     assert pwin.bounds == ((0, 2), (0, 2))
     assert pwin.size == 9
@@ -87,25 +87,37 @@ def test_window_rejects_negative_bound_on_polynomial_variable():
         Window(P2, ((-1, 1), (0, 1)))
 
 
+def delta_columns(src, tgt, win_in, win_out):
+    """Packed columns of d, cell-major over win_in, blocks in win_out order."""
+    domain = [(cell, e) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
+    return _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(win_out.monomials())})
+
+
 def test_delta_matrix_small_oracle():
     x = a1()
     win = Window.symmetric(P2, 0)
     out = win.expanded([(0, 1), (0, 1)])
-    m = delta_as_field_matrix(x, x, win, out)
+    cols = delta_columns(x, x, win, out)
     # columns: unit matrices e_00, e_01, e_10, e_11 at the constant monomial;
     # d(e_00) = y*(e_01 + e_10), so each column has exactly two entries
-    assert m.cols == 4
-    assert m.rows == 4 * out.size
-    for c in range(4):
-        assert sum(1 for r in range(m.rows) if m.at(r, c)) == 2
-    assert rank(m) == 2
+    assert len(cols) == 4
+    ech = Echelon(P2.field)
+    y_block = out.monomials().index((0, 1))
+    assert ech.unpack(cols[0], 4 * out.size) == [
+        1 if slot in (4 * y_block + 1, 4 * y_block + 2) else 0 for slot in range(4 * out.size)
+    ]
+    for col in cols:
+        assert col < 1 << 4 * out.size
+        assert sum(map(bool, ech.unpack(col, 4 * out.size))) == 2
+    ech.insert_all(cols)
+    assert len(ech.rows) == 2
 
 
 def test_window_overflow_raises():
     x = a1()
     win = Window.symmetric(P2, 1)
     with pytest.raises(ValueError, match="window overflow"):
-        delta_as_field_matrix(x, x, win, win)
+        delta_columns(x, x, win, win)
 
 
 def test_cohomology_scalar_line():

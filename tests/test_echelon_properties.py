@@ -15,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mf2.cli import parse_mf_text
-from mf2.cohomwin import (
-    Window,
-    certify_at_point,
-    cohomology_dims,
-    delta_as_field_matrix,
-)
+from mf2.cohomwin import Window, _delta_columns, certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import minimal_polynomial
 from mf2.mfcore import UngradedMF
@@ -249,20 +244,49 @@ def test_gf2_rank_survives_embedding_into_gf4(rows, cols, data):
 # -- one-pass window cohomology against the per-radius definition ----------------------
 
 
-def per_radius_dims(mf, d_max):
+def delta_as_field_matrix(src, tgt, win_in, win_out):
+    """Dense matrix of d(E_ij x^e) = qt E_ij x^e + E_ij x^e qs, one RingMatrix
+    product pair per column.  Columns run over (cell, monomial of win_in)
+    and rows over (cell, monomial of win_out), cell-major, with cell i*n + j
+    for n = src.size and monomials in window order."""
+    ring = src.ring
+    m, n = tgt.size, src.size
+    mons_out = win_out.monomials()
+    row_of = {(cell, e): cell * len(mons_out) + b
+              for cell in range(m * n) for b, e in enumerate(mons_out)}
+    cols = []
+    for cell in range(m * n):
+        for e in win_in.monomials():
+            unit = RingMatrix(ring, m, n, [
+                RingPoly.monomial(ring, e) if c == cell else RingPoly.zero(ring)
+                for c in range(m * n)
+            ])
+            col = [0] * len(row_of)
+            for c, entry in enumerate((tgt.q * unit + unit * src.q).entries):
+                for x, v in entry.terms.items():
+                    col[row_of[c, x]] = v
+            cols.append(col)
+    return FieldMatrix(ring.field, len(row_of), len(cols),
+                       [col[r] for r in range(len(row_of)) for col in cols])
+
+
+def per_radius_dims(src, tgt, d_max):
     """h_d = n_d - rank(d|B_d) - (rank(d|B_{d+1}) - rank of its rows outside B_d)."""
-    ring = mf.ring
-    hull = mf.q.support_hull()
+    ring = src.ring
+    hull = [(min(a, c), max(b, d)) for (a, b), (c, d)
+            in zip(src.q.support_hull(), tgt.q.support_hull())]
+    cells = src.size * tgt.size
     dims = {}
     for d in range(1, d_max + 1):
         win_d = Window.symmetric(ring, d)
         win_next = Window.symmetric(ring, d + 1)
         win_out = win_next.expanded(hull)
-        n_d = mf.size * mf.size * win_d.size
-        rank_d = rank(delta_as_field_matrix(mf, mf, win_d, win_d.expanded(hull)))
-        big = delta_as_field_matrix(mf, mf, win_next, win_out)
-        out_basis = [e for _ in range(mf.size * mf.size) for e in win_out.monomials()]
-        outside = [r for r, e in enumerate(out_basis) if not win_d.contains(e)]
+        n_d = cells * win_d.size
+        rank_d = rank(delta_as_field_matrix(src, tgt, win_d, win_d.expanded(hull)))
+        big = delta_as_field_matrix(src, tgt, win_next, win_out)
+        inside = set(win_d.monomials())
+        out_basis = [e for _ in range(cells) for e in win_out.monomials()]
+        outside = [r for r, e in enumerate(out_basis) if e not in inside]
         outer = FieldMatrix(big.spec, len(outside), big.cols,
                             [v for r in outside for v in big.row(r)])
         dims[d] = n_d - rank_d - (rank(big) - rank(outer))
@@ -275,15 +299,45 @@ CASES = (
 )
 
 
+def random_conjugate(mf, k, data):
+    perm = data.draw(st.permutations(range(mf.size)))
+    units = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=mf.size, max_size=mf.size))
+    return conjugate(mf, perm, units)
+
+
 @SLOW
 @given(st.sampled_from(CASES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
     name, k, d_max = case
     mf = load_fixture(name, default_spec(k))
-    perm = data.draw(st.permutations(range(mf.size)))
-    units = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=mf.size, max_size=mf.size))
-    mf = conjugate(mf, perm, units)
-    assert cohomology_dims(mf, mf, d_max) == per_radius_dims(mf, d_max)
+    src, tgt = random_conjugate(mf, k, data), random_conjugate(mf, k, data)
+    assert cohomology_dims(src, tgt, d_max) == per_radius_dims(src, tgt, d_max)
+
+
+@SLOW
+@given(st.sampled_from(((1, "rp2", "rp2"), (2, "rp2", "double_rp2"), (2, "double_rp2", "rp2"),
+                        (3, "an_q_2", "an_q_2"))),
+       st.integers(0, 1), st.data())
+def test_packed_columns_match_dense_products(case, radius, data):
+    """Slot block[m]*cells + r*n + c of a packed column is the dense entry
+    at row (r*n + c, m), also for a hom space between different sizes."""
+    k, src_name, tgt_name = case
+    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
+    tgt = random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
+    win_in = Window.symmetric(src.ring, radius)
+    win_out = win_in.expanded(src.q.support_hull()).union(win_in.expanded(tgt.q.support_hull()))
+    cells = src.size * tgt.size
+    mons_out = win_out.monomials()
+    domain = [(cell, e) for cell in range(cells) for e in win_in.monomials()]
+    cols = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(mons_out)})
+    dense = delta_as_field_matrix(src, tgt, win_in, win_out)
+    ech = Echelon(src.ring.field)
+    assert len(cols) == dense.cols
+    for j, col in enumerate(cols):
+        slots = ech.unpack(col, len(mons_out) * cells)
+        assert col >> (ech.k * len(slots)) == 0
+        assert [slots[b * cells + cell] for cell in range(cells) for b in range(len(mons_out))] \
+            == [dense.at(r, j) for r in range(dense.rows)]
 
 
 # -- point certificates ------------------------------------------------------------------

@@ -130,6 +130,16 @@ def test_unit_ideal_quotient():
     assert q.dimension == 0
 
 
+def test_quotient_is_finite_only_with_a_pure_power_of_every_variable():
+    from mf2.groebner import QuotientRing
+    order = TermOrder.grevlex(2)
+    assert QuotientRing(P2, [parse_poly("x^2", P2)], order).dimension is None
+    q = QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)], order)
+    assert q.dimension == 6
+    assert q.staircase == tuple(sorted(((a, b) for a in range(2) for b in range(3)), key=order.key))
+    assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)], order) == q
+
+
 def test_minimal_polynomial_examples():
     # companion-style nilpotent block: M^2 = 0, M != 0
     m = FieldMatrix(GF2, 2, 2, [0, 1, 0, 0])

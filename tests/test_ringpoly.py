@@ -20,7 +20,7 @@ import mf2
 from mf2.cli import MFFile
 from mf2.cohomwin import LocalCohomologyReport, Window
 from mf2.gf2k import GF2, FieldSpec, default_spec
-from mf2.groebner import TermOrder, laurent_jacobian_ideal
+from mf2.groebner import TermOrder, laurent_jacobian_ideal, quotient_ring
 from mf2.mfcore import (
     FieldHomotopy,
     GradedMF,
@@ -261,6 +261,7 @@ IMMUTABLE_INSTANCES = {
     "LocalCohomologyReport": lambda: LocalCohomologyReport((GF2.one(), GF2.one()), 2, 1, ((1, 0),)),
     "TermOrder": lambda: TermOrder.eliminate_first(3, 1),
     "JacobianPresentation": lambda: laurent_jacobian_ideal(P("x + y + x^-1*y^-1")),
+    "QuotientRing": lambda: quotient_ring(laurent_jacobian_ideal(P("x + y + x^-1*y^-1"))),
     "Check": lambda: Check("an_forced", False, "forced failure"),
     "Report": lambda: Report((Check("ok", True),), 2024),
     "ClosedDecomposition": lambda: ClosedDecomposition(
@@ -293,12 +294,7 @@ def _with_field(obj, name, value):
     return copy
 
 
-# An Rp2Context holds its QuotientRing, which compares by identity, so two
-# separately built contexts are not equal.
-VALUE_CLASSES = sorted(set(IMMUTABLE_INSTANCES) - {"Rp2Context"})
-
-
-@pytest.mark.parametrize("name", VALUE_CLASSES)
+@pytest.mark.parametrize("name", sorted(IMMUTABLE_INSTANCES))
 def test_value_classes_compare_and_hash_by_fields(name):
     a, b = IMMUTABLE_INSTANCES[name](), IMMUTABLE_INSTANCES[name]()
     assert isinstance(a, Immutable)
