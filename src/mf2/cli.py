@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .gf2k import FieldSpec, Immutable, default_spec
-from .ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
-from .ringmat import RingMatrix, parse_matrix
+from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, parse_poly
+from .ringmat import RingMatrix, _parse_matrix_span, parse_matrix
 from .mfcore import (
     UngradedMF,
     double,
@@ -57,6 +57,9 @@ class MFFile(Immutable):
 def parse_mf_text(text: str) -> MFFile:
     """Parse the five-part MF file format; raises ParseError with position."""
     lines = text.split("\n")
+    starts = [0]  # offset of each line in text
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
 
     def line_at(i: int) -> str:
         if i >= len(lines):
@@ -86,7 +89,8 @@ def parse_mf_text(text: str) -> MFFile:
     potential_line = line_at(2)
     if not potential_line.startswith("potential:"):
         raise ParseError("expected 'potential: <poly>'", 3, 1)
-    w = parse_poly(potential_line[len("potential:"):], ring, line_offset=2)
+    body = starts[2] + lines[2].index("potential:") + len("potential:")
+    w = _parse_span(text, body, starts[3] - 1, ring)
 
     m = re.fullmatch(r"size:\s*(\d+)", line_at(3))
     if not m:
@@ -95,14 +99,14 @@ def parse_mf_text(text: str) -> MFFile:
     if size < 1:
         raise ParseError("size must be positive", 4, 1)
 
-    row_lines = [(i, lines[i]) for i in range(4, len(lines)) if lines[i].strip()]
+    row_lines = [i for i in range(4, len(lines)) if lines[i].strip()]
     if len(row_lines) != size:
         raise ParseError(
             f"expected {size} matrix rows, found {len(row_lines)}", 5, 1
         )
     entries: list[RingPoly] = []
-    for i, row_text in row_lines:
-        row = parse_matrix(row_text, ring, rows=1, cols=size, line_offset=i)
+    for i in row_lines:
+        row = _parse_matrix_span(text, starts[i], starts[i + 1] - 1, ring, rows=1, cols=size)
         entries.extend(row.row(0))
     return MFFile(ring, w, RingMatrix(ring, size, size, entries))
 
@@ -303,11 +307,13 @@ def cmd_search(args) -> int:
     ring = _infer_ring(args.potential, spec, args.vars, args.laurent)
     w = parse_poly(args.potential, ring)
     support = []
+    start = 0
     for token in args.support.split(","):
-        p = parse_poly(token.strip(), ring)
+        p = _parse_span(args.support, start, start + len(token), ring)
         if len(p.terms) != 1:
             raise CliError(f"support entry '{token.strip()}' is not a monomial")
         support.append(next(iter(p.terms)))
+        start += len(token) + 1
     try:
         results = search_factorizations(w, args.size, support, args.budget_bits)
     except ValueError as exc:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .gf2k import Immutable
 from .ringmat import Echelon, FieldMatrix, solve
-from .ringpoly import RingDescriptor, RingPoly, _mul_into
+from .ringpoly import RingDescriptor, RingPoly, _mul_into, grevlex_key
 
 __all__ = [
     "TermOrder",
@@ -51,9 +51,7 @@ class TermOrder(Immutable):
             raise ValueError("invalid block split")
 
     def _block_key(self, arranged: tuple[int, ...]):
-        if self.kind == "lex":
-            return arranged
-        return (sum(arranged), tuple(-e for e in reversed(arranged)))
+        return arranged if self.kind == "lex" else grevlex_key(arranged)
 
     def key(self, exps: Sequence[int]):
         arranged = tuple(exps[p] for p in self.priority)
@@ -99,7 +97,7 @@ def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> Rin
     field = ring.field
     rem: dict[tuple[int, ...], int] = {}
     work = dict(p.terms)
-    heads = [(_leading(g, order)[0], _leading(g, order)[1], g) for g in basis if not g.is_zero()]
+    heads = [(*_leading(g, order), g) for g in basis if not g.is_zero()]
     while work:
         lt = max(work, key=order.key)
         for hexp, hc, g in heads:
@@ -131,28 +129,27 @@ def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
     ring = basis[0].ring
     if any(ring.laurent):
         raise ValueError("clear denominators first: Groebner bases need a polynomial ring")
+    lts = [_leading(g, order)[0] for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    # normal selection: smallest lcm degree first, then oldest
+    def pair_rank(ij):
+        return (sum(max(a, b) for a, b in zip(lts[ij[0]], lts[ij[1]])), ij)
+
     while pairs:
-        # normal selection: smallest lcm degree first, then oldest
-        def pair_rank(ij):
-            lf, _ = _leading(basis[ij[0]], order)
-            lg, _ = _leading(basis[ij[1]], order)
-            return (sum(max(a, b) for a, b in zip(lf, lg)), ij)
         pairs.sort(key=pair_rank)
         i, j = pairs.pop(0)
-        lf, _ = _leading(basis[i], order)
-        lg, _ = _leading(basis[j], order)
-        if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
             continue  # product criterion: coprime leading terms reduce to zero
         s = normal_form(_spoly(basis[i], basis[j], order), basis, order)
         if s.is_zero():
             continue
         s = _monic(s, order)
         basis.append(s)
+        lts.append(_leading(s, order)[0])
         pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
     # inter-reduce to the unique reduced basis
     reduced: list[RingPoly] = []
-    lts = [_leading(g, order)[0] for g in basis]
     for idx, g in enumerate(basis):
         if any(
             k != idx and _divides(lts[k], lts[idx])

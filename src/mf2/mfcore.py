@@ -10,11 +10,12 @@ that does not satisfy d(g) = f cannot exist.
 
 The doubling functor D sends ungraded Q to the pair (Q, Q); the
 forgetful functor F folds a pair into the ungraded block matrix
-[[0, Q0], [Q1, 0]].  Their adjunction is realized chain-level by
-placing the two blocks of an ungraded morphism on the graded diagonal
-(to_graded) and by folding parity components back (from_graded); the
-fold intertwines differentials on the nose and is a left inverse of
-the unfold.
+[[0, Q0], [Q1, 0]], which a GradedMF keeps, verified, as `folded`.
+Their adjunction is realized chain-level by placing the two blocks of
+an ungraded morphism on the graded diagonal (to_graded) and by folding
+parity components back onto the doubled end named by `folded`
+(from_graded); the fold intertwines differentials on the nose and is a
+left inverse of the unfold.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "GradedMorphism",
     "HomotopyWitness",
     "verify_mf",
-    "differential",
     "euler_identity_check",
     "jacobian_action_witness",
     "double",
@@ -88,19 +88,24 @@ class UngradedMF(Immutable):
 
 
 class GradedMF(Immutable):
-    """A verified graded factorization (Q0, Q1) with Q0 Q1 = Q1 Q0 = W*Id."""
+    """A verified graded factorization (Q0, Q1) with Q0 Q1 = Q1 Q0 = W*Id.
 
-    __slots__ = ("ring", "w", "q0", "q1")
+    `folded` is the ungraded fold [[0, Q0], [Q1, 0]]; its square is
+    diag(Q0 Q1, Q1 Q0), so verifying it verifies the pair."""
+
+    __slots__ = ("ring", "w", "q0", "q1", "folded")
 
     def __init__(self, w: RingPoly, q0: RingMatrix, q1: RingMatrix):
         if not (q0.is_square() and q1.is_square() and q0.rows == q1.rows):
             raise ValueError("graded factorization needs equal square blocks")
         if w.ring != q0.ring or q0.ring != q1.ring:
             raise ValueError("ring mismatch")
-        wid = RingMatrix.identity(q0.ring, q0.rows).scale(w)
-        if q0 * q1 != wid or q1 * q0 != wid:
-            raise ValueError("not a graded factorization: Q0*Q1 != W*Id")
-        super().__init__(q0.ring, w, q0, q1)
+        z = RingMatrix.zeros(q0.ring, q0.rows, q0.rows)
+        try:
+            folded = UngradedMF(w, block2(z, q0, q1, z))
+        except ValueError:
+            raise ValueError("not a graded factorization: Q0*Q1 != W*Id") from None
+        super().__init__(q0.ring, w, q0, q1, folded)
 
     @property
     def size(self) -> int:
@@ -138,10 +143,6 @@ class Morphism(Immutable):
         return Morphism(self.source, self.target, self.f + other.f)
 
 
-def differential(f: Morphism) -> Morphism:
-    return f.differential()
-
-
 class GradedMorphism(Immutable):
     """A map between graded factorizations, stored on the total modules."""
 
@@ -157,8 +158,7 @@ class GradedMorphism(Immutable):
         super().__init__(source, target, g)
 
     def differential(self) -> "GradedMorphism":
-        qs = forget(self.source).q
-        qt = forget(self.target).q
+        qs, qt = self.source.folded.q, self.target.folded.q
         return GradedMorphism(self.source, self.target, qt * self.g + self.g * qs)
 
     def is_closed(self) -> bool:
@@ -207,35 +207,7 @@ def double(x: UngradedMF) -> GradedMF:
 
 
 def forget(y: GradedMF) -> UngradedMF:
-    z = RingMatrix.zeros(y.ring, y.size, y.size)
-    return UngradedMF(y.w, block2(z, y.q0, y.q1, z))
-
-
-def _split_cols(f: RingMatrix, left: int) -> tuple[RingMatrix, RingMatrix]:
-    ring = f.ring
-    a = RingMatrix(ring, f.rows, left,
-                   [f.at(i, j) for i in range(f.rows) for j in range(left)])
-    b = RingMatrix(ring, f.rows, f.cols - left,
-                   [f.at(i, j) for i in range(f.rows) for j in range(left, f.cols)])
-    return a, b
-
-
-def _split_rows(f: RingMatrix, top: int) -> tuple[RingMatrix, RingMatrix]:
-    ring = f.ring
-    a = RingMatrix(ring, top, f.cols,
-                   [f.at(i, j) for i in range(top) for j in range(f.cols)])
-    b = RingMatrix(ring, f.rows - top, f.cols,
-                   [f.at(i, j) for i in range(top, f.rows) for j in range(f.cols)])
-    return a, b
-
-
-def _stack_diag(a: RingMatrix, d: RingMatrix) -> RingMatrix:
-    ring = a.ring
-    z_top = RingMatrix.zeros(ring, a.rows, d.cols)
-    z_bot = RingMatrix.zeros(ring, d.rows, a.cols)
-    rows = [list(a.row(i)) + list(z_top.row(i)) for i in range(a.rows)]
-    rows += [list(z_bot.row(i)) + list(d.row(i)) for i in range(d.rows)]
-    return RingMatrix.from_rows(ring, rows)
+    return y.folded
 
 
 def to_graded(phi: Morphism, x: GradedMF) -> GradedMorphism:
@@ -244,54 +216,38 @@ def to_graded(phi: Morphism, x: GradedMF) -> GradedMorphism:
     Two cases: phi: forget(x) -> Y yields X -> double(Y), and
     phi: Y -> forget(x) yields double(Y) -> X.
     """
-    fx = forget(x)
-    if phi.source == fx:
-        y = phi.target
-        f0, f1 = _split_cols(phi.f, x.size)
-        return GradedMorphism(x, double(y), _stack_diag(f0, f1))
-    if phi.target == fx:
-        y = phi.source
-        f0, f1 = _split_rows(phi.f, x.size)
-        return GradedMorphism(double(y), x, _stack_diag(f0, f1))
-    raise ValueError("morphism does not involve forget(x)")
+    n, f = x.size, phi.f
+    if phi.source == x.folded:
+        f0, f1 = f.block(0, f.rows, 0, n), f.block(0, f.rows, n, 2 * n)
+        source, target = x, double(phi.target)
+    elif phi.target == x.folded:
+        f0, f1 = f.block(0, n, 0, f.cols), f.block(n, 2 * n, 0, f.cols)
+        source, target = double(phi.source), x
+    else:
+        raise ValueError("morphism does not involve forget(x)")
+    z = RingMatrix.zeros(f.ring, f0.rows, f0.cols)
+    return GradedMorphism(source, target, block2(f0, z, z, f1))
 
 
-def from_graded(psi: GradedMorphism, folded: str = "auto") -> Morphism:
+def from_graded(psi: GradedMorphism, folded: str) -> Morphism:
     """Fold the parity components of a graded morphism back to an ungraded one.
 
     `folded` names the doubled end that collapses to its ungraded Y:
     "target" reads psi: X -> double(Y) and folds the blocks (a,b;c,d)
     to (a+c, b+d): forget(X) -> Y; "source" reads psi: double(Y) -> X
-    and folds to the column (a+b; c+d): Y -> forget(X).  "auto" picks
-    the unique doubled end and refuses when both ends are doubled.
+    and folds to the column (a+b; c+d): Y -> forget(X).
     The fold intertwines differentials exactly and inverts to_graded.
     """
-    src, tgt = psi.source, psi.target
-    src_doubled = src.q0 == src.q1
-    tgt_doubled = tgt.q0 == tgt.q1
-    if folded == "auto":
-        if tgt_doubled and not src_doubled:
-            folded = "target"
-        elif src_doubled and not tgt_doubled:
-            folded = "source"
-        elif src_doubled and tgt_doubled:
-            raise ValueError("ambiguous fold: both ends are doubled; pass folded=")
-        else:
-            raise ValueError("graded morphism does not involve a doubled factorization")
-    g = psi.g
+    if folded not in ("source", "target"):
+        raise ValueError("folded must be 'source' or 'target'")
+    src, tgt, g = psi.source, psi.target, psi.g
+    end = tgt if folded == "target" else src
+    if end.q0 != end.q1:
+        raise ValueError(f"{folded} is not a doubled factorization")
+    y, n = UngradedMF(end.w, end.q0), end.size
     if folded == "target":
-        if not tgt_doubled:
-            raise ValueError("target is not a doubled factorization")
-        y = UngradedMF(tgt.w, tgt.q0)
-        top, bot = _split_rows(g, tgt.size)
-        return Morphism(forget(src), y, top + bot)
-    if folded == "source":
-        if not src_doubled:
-            raise ValueError("source is not a doubled factorization")
-        y = UngradedMF(src.w, src.q0)
-        left, right = _split_cols(g, src.size)
-        return Morphism(y, forget(tgt), left + right)
-    raise ValueError("folded must be 'source', 'target' or 'auto'")
+        return Morphism(src.folded, y, g.block(0, n, 0, g.cols) + g.block(n, 2 * n, 0, g.cols))
+    return Morphism(y, tgt.folded, g.block(0, g.rows, 0, n) + g.block(0, g.rows, n, 2 * n))
 
 
 # -- local structure at points ---------------------------------------------------

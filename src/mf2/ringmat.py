@@ -1,7 +1,8 @@
 """Matrices over polynomial rings and over finite fields.
 
 RingMatrix holds RingPoly entries (row-major, immutable) and supplies
-the block algebra the factorization layer is built on.  Entries are
+the block algebra the factorization layer is built on: one slice,
+RingMatrix.block, and one assembly of a 2x2 grid, block2.  Entries are
 ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
 entry again.  A product keeps one accumulator per output entry across the
@@ -13,10 +14,11 @@ a whole vector into one int (a bitset when k = 1).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import re
+from typing import Iterable, Optional, Sequence
 
 from .gf2k import GF2, FieldElem, FieldSpec, Immutable
-from .ringpoly import ParseError, RingDescriptor, RingPoly, _mul_into, parse_poly
+from .ringpoly import RingDescriptor, RingPoly, _error_at, _mul_into, _parse_span
 
 __all__ = [
     "RingMatrix",
@@ -90,6 +92,16 @@ class RingMatrix(Immutable):
     def row(self, i: int) -> tuple[RingPoly, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "RingMatrix":
+        """The submatrix of rows r0..r1-1 and columns c0..c1-1."""
+        if not (0 <= r0 < r1 <= self.rows and 0 <= c0 < c1 <= self.cols):
+            raise ValueError("block out of range")
+        n, entries = self.cols, self.entries
+        return RingMatrix._raw(
+            self.ring, r1 - r0, c1 - c0,
+            [e for i in range(r0, r1) for e in entries[i * n + c0:i * n + c1]],
+        )
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
@@ -135,9 +147,6 @@ class RingMatrix(Immutable):
             [RingPoly._raw(ring, _mul_into({}, c.terms, e.terms, field)) for e in self.entries],
         )
 
-    def map_entries(self, fn: Callable[[RingPoly], RingPoly]) -> "RingMatrix":
-        return RingMatrix(self.ring, self.rows, self.cols, [fn(e) for e in self.entries])
-
     def support_hull(self) -> list[tuple[int, int]]:
         """Per-variable (min, max) exponent over all entries; (0, 0) if all zero."""
         n = self.ring.nvars
@@ -173,36 +182,27 @@ def commutator(a: RingMatrix, b: RingMatrix) -> RingMatrix:
 
 
 def block2(a: RingMatrix, b: RingMatrix, c: RingMatrix, d: RingMatrix) -> RingMatrix:
-    """Assemble [[a, b], [c, d]] from equally sized square blocks."""
-    n = a.rows
-    for m in (a, b, c, d):
-        if m.rows != n or m.cols != n:
-            raise ValueError("block2 needs four square blocks of equal size")
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + list(b.row(i)))
-    for i in range(n):
-        rows.append(list(c.row(i)) + list(d.row(i)))
-    return RingMatrix.from_rows(a.ring, rows)
+    """Assemble [[a, b], [c, d]]: a and b share a row count, c and d too;
+    a and c share a column count, b and d too."""
+    if a.rows != b.rows or c.rows != d.rows or a.cols != c.cols or b.cols != d.cols:
+        raise ValueError("block2 needs blocks whose rows and columns line up")
+    for m in (b, c, d):
+        a._check_ring(m.ring)
+    entries = [e for left, right in ((a, b), (c, d))
+               for i in range(left.rows) for e in left.row(i) + right.row(i)]
+    return RingMatrix._raw(a.ring, a.rows + c.rows, a.cols + b.cols, entries)
 
 
 def blocks_of(m: RingMatrix) -> tuple[RingMatrix, RingMatrix, RingMatrix, RingMatrix]:
     """Split an even-sized square matrix into its four half-size blocks."""
     if not m.is_square() or m.rows % 2:
         raise ValueError("blocks_of needs an even square matrix")
-    n = m.rows // 2
-
-    def block(r0: int, c0: int) -> RingMatrix:
-        return RingMatrix(
-            m.ring, n, n,
-            [m.at(r0 + i, c0 + j) for i in range(n) for j in range(n)],
-        )
-
-    return block(0, 0), block(0, n), block(n, 0), block(n, n)
+    n, t = m.rows // 2, m.rows
+    return m.block(0, n, 0, n), m.block(0, n, n, t), m.block(n, t, 0, n), m.block(n, t, n, t)
 
 
 def matrix_partial(m: RingMatrix, var: int | str) -> RingMatrix:
-    return m.map_entries(lambda e: e.partial(var))
+    return RingMatrix._raw(m.ring, m.rows, m.cols, [e.partial(var) for e in m.entries])
 
 
 def specialize(m: RingMatrix, point: Sequence[FieldElem]) -> "FieldMatrix":
@@ -215,30 +215,35 @@ def specialize(m: RingMatrix, point: Sequence[FieldElem]) -> "FieldMatrix":
 
 
 def parse_matrix(text: str, ring: RingDescriptor, rows: Optional[int] = None,
-                 cols: Optional[int] = None, line_offset: int = 0) -> RingMatrix:
+                 cols: Optional[int] = None) -> RingMatrix:
     """Rows separated by ';' (or newlines), entries by ','."""
-    normalized = text.replace("\n", ";")
-    row_texts = [r for r in normalized.split(";") if r.strip()]
-    if not row_texts:
-        raise ParseError("empty matrix", 1 + line_offset, 1)
+    return _parse_matrix_span(text, 0, len(text), ring, rows, cols)
+
+
+_ROW = re.compile(r"[^;\n\s][^;\n]*")  # a row from its first non-blank character
+
+
+def _parse_matrix_span(text: str, start: int, end: int, ring: RingDescriptor,
+                       rows: Optional[int] = None, cols: Optional[int] = None) -> RingMatrix:
+    """parse_matrix of text[start:end], with error positions in the whole text;
+    an error about a row or the shape points at the row's first character."""
+    row_spans = [m.span() for m in _ROW.finditer(text, start, end)]
+    if not row_spans:
+        raise _error_at(text, start, "empty matrix")
     entries = []
     ncols = None
-    for r_i, row_text in enumerate(row_texts):
-        cells = row_text.split(",")
+    for r_i, (r0, r1) in enumerate(row_spans):
+        cells = text[r0:r1].split(",")
         if ncols is None:
             ncols = len(cells)
         elif len(cells) != ncols:
-            raise ParseError(
-                f"row {r_i + 1} has {len(cells)} entries, expected {ncols}",
-                1 + line_offset, 1,
-            )
+            raise _error_at(text, r0, f"row {r_i + 1} has {len(cells)} entries, expected {ncols}")
         for cell in cells:
-            entries.append(parse_poly(cell, ring, line_offset))
-    nrows = len(row_texts)
+            entries.append(_parse_span(text, r0, r0 + len(cell), ring))
+            r0 += len(cell) + 1
+    nrows = len(row_spans)
     if rows is not None and (nrows, ncols) != (rows, cols):
-        raise ParseError(
-            f"matrix is {nrows}x{ncols}, expected {rows}x{cols}", 1 + line_offset, 1
-        )
+        raise _error_at(text, row_spans[0][0], f"matrix is {nrows}x{ncols}, expected {rows}x{cols}")
     return RingMatrix(ring, nrows, ncols, entries)
 
 

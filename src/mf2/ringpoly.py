@@ -160,13 +160,6 @@ class RingPoly(Immutable):
         return cls._raw(ring, {(0,) * ring.nvars: 1})
 
     @classmethod
-    def constant(cls, ring: RingDescriptor, coeff: int) -> "RingPoly":
-        ring.field.validate(coeff)
-        if coeff == 0:
-            return cls.zero(ring)
-        return cls._raw(ring, {(0,) * ring.nvars: coeff})
-
-    @classmethod
     def monomial(cls, ring: RingDescriptor, exps: Sequence[int], coeff: int = 1) -> "RingPoly":
         ring.field.validate(coeff)
         if coeff == 0:
@@ -380,27 +373,28 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-class _Scanner:
-    def __init__(self, text: str, line_offset: int = 0):
-        self.text = text
-        self.pos = 0
-        self.line_offset = line_offset
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset pos of text, as a 1-based line and column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
-    def _where(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1 + self.line_offset
-        last_nl = self.text.rfind("\n", 0, pos)
-        return line, pos - last_nl
+
+class _Scanner:
+    """Reads text[pos:end]; errors give positions in the whole text."""
+
+    def __init__(self, text: str, pos: int, end: int):
+        self.text = text
+        self.pos = pos
+        self.end = end
 
     def error(self, message: str, pos: Optional[int] = None):
-        line, col = self._where(self.pos if pos is None else pos)
-        raise ParseError(message, line, col)
+        raise _error_at(self.text, self.pos if pos is None else pos, message)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+        while self.pos < self.end and self.text[self.pos] in " \t\r\n":
             self.pos += 1
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos] if self.pos < self.end else ""
 
     def take(self) -> str:
         ch = self.peek()
@@ -484,9 +478,14 @@ def _parse_term(sc: _Scanner, ring: RingDescriptor) -> tuple[tuple[int, ...], in
     return tuple(exps), coeff
 
 
-def parse_poly(text: str, ring: RingDescriptor, line_offset: int = 0) -> RingPoly:
+def parse_poly(text: str, ring: RingDescriptor) -> RingPoly:
     """Parse the text grammar above into a polynomial of the given ring."""
-    sc = _Scanner(text, line_offset)
+    return _parse_span(text, 0, len(text), ring)
+
+
+def _parse_span(text: str, start: int, end: int, ring: RingDescriptor) -> RingPoly:
+    """parse_poly of text[start:end], with error positions in the whole text."""
+    sc = _Scanner(text, start, end)
     sc.skip_ws()
     if not sc.peek():
         sc.error("empty polynomial")
@@ -505,7 +504,7 @@ def parse_poly(text: str, ring: RingDescriptor, line_offset: int = 0) -> RingPol
             sc.skip_ws()
             continue
         break
-    if sc.pos != len(sc.text):
+    if sc.pos != end:
         sc.error(f"unexpected character '{sc.peek()}'")
     for exps in terms:
         ring.check_exponents(exps)

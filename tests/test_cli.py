@@ -12,6 +12,7 @@ matrix.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from mf2.cli import MFFile, emit_mf_text, main, parse_mf_text
 from mf2.gf2k import default_spec
 from mf2.paperlab import Check, Report
 from mf2.ringmat import RingMatrix
-from mf2.ringpoly import RingDescriptor, RingPoly
+from mf2.ringpoly import ParseError, RingDescriptor, RingPoly
 
 FIXTURES = files("mf2") / "fixtures"
 RP2 = str(FIXTURES / "rp2.mf")
@@ -136,6 +137,32 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+MF_HEAD = "field: 2^1 modulus 11\nring: x y laurent:11\n"
+
+
+def test_parse_error_positions_are_in_the_original_text(tmp_path, capsys):
+    # an error inside a matrix entry or the potential is reported at its
+    # line and column in the file, not in the entry or the line body
+    for text, where in (
+        (MF_HEAD + "potential: x\nsize: 2\nx, y\ny, x + $\n", (6, 8)),
+        (MF_HEAD + "potential: x + y + $\nsize: 1\nx\n", (3, 20)),
+        (MF_HEAD + "  potential:x+$\nsize: 1\nx\n", (3, 15)),
+    ):
+        with pytest.raises(ParseError) as ei:
+            parse_mf_text(text)
+        assert (ei.value.line, ei.value.col) == where
+        assert ei.value.message == "expected a variable name"
+    mat = tmp_path / "z.mat"
+    mat.write_text("1, 0, 0, 0\n0, 1, 0, 0\nx^-1, 0, 1, z\n0, 0, 0, 1\n")
+    code, _, err = run(capsys, ["reduce", str(mat)])
+    assert code == 2
+    assert err == "error: line 3, col 13: unknown variable 'z'\n"
+    code, _, err = run(capsys, ["search", "--potential", "x^2 + y^2", "--size", "1",
+                                "--support", "x, y*$"])
+    assert code == 2
+    assert err == "error: line 1, col 6: expected a variable name\n"
+
+
 def test_huge_field_degree_is_a_parse_error(tmp_path, capsys):
     huge = tmp_path / "huge.mf"
     huge.write_text(
@@ -174,6 +201,30 @@ def test_double_output_is_consumable(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", str(doubled)])
     assert code == 0
     assert out == "Q^2 = W*Id: OK\n"
+
+
+# sha256 of `mf2 double FIXTURE` for every shipped fixture: doubling and
+# folding must keep the emitted text byte for byte.
+DOUBLE_SHA256 = {
+    "an_q_1.mf": "b283e5d4b418deab08dbb1c23f4288f50301499c2b018fe9f3568b24d75d29e2",
+    "an_q_2.mf": "86d75d6a390144b49b2a5e19beaf219a1360d91b869f6991bfcaea52a6e2073b",
+    "an_q_3.mf": "1170f1f04859a58a1c5e7bc72d004ddd32e847464d3f8991eb39f11192aecaec",
+    "an_q_4.mf": "1eab23968bc3ed399f309acd92a3271033549f497b16bbb335edb0f6e5b5dfa4",
+    "an_r_1.mf": "c4695cd23ae04683ee62bd96f74988b1a0b5dfda713de932bd00f2ebfa8fc090",
+    "an_r_2.mf": "918efa2e71db52247e9969fccb2ad055c3c6bf6b9c9e715faac255654adfa902",
+    "an_r_3.mf": "92acb7f95a548db089edcf6147bc7ffacf40fe220b7afb574033c2445adf713b",
+    "an_r_4.mf": "42acf572a3554e6556f8a5feb43333e3ff58d36d53cf511546a86c243a6fa960",
+    "double_rp2.mf": "577b39281d6e1599e38826a5ca5c76d0041590e6e40fd76fe3746f98bab775c0",
+    "rp2.mf": "48adcea15b4ab56aedd38bcbdf25d6281915fb764e57c47a5f23830ad18c73ee",
+}
+
+
+def test_double_output_is_pinned_for_every_fixture(capsys):
+    assert sorted(p.name for p in FIXTURES.glob("*.mf")) == sorted(DOUBLE_SHA256)
+    for name, digest in DOUBLE_SHA256.items():
+        code, out, _ = run(capsys, ["double", str(FIXTURES / name)])
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_cohomology_records(capsys):

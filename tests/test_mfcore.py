@@ -29,7 +29,7 @@ from mf2.mfcore import (
     to_graded,
     verify_mf,
 )
-from mf2.ringmat import RingMatrix, matrix_partial, parse_matrix
+from mf2.ringmat import RingMatrix, block2, matrix_partial, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
@@ -131,6 +131,22 @@ def test_double_and_forget_shapes():
     assert forget(double(rp2())).size == 8
 
 
+def test_graded_mf_keeps_its_verified_fold():
+    x = an_r(1)
+    d = double(x)
+    assert forget(d) is d.folded
+    z = RingMatrix.zeros(P2, 2, 2)
+    assert d.folded == UngradedMF(x.w, block2(z, x.q, x.q, z))
+    # (Q, Q) with Q^2 = W*Id for another W is not a factorization of W
+    with pytest.raises(ValueError, match="not a graded factorization"):
+        GradedMF(parse_poly("x^2", P2), x.q, x.q)
+    # Q0 = Id, Q1 = W*Id passes; swapping in Q1 = x*Id breaks Q0*Q1 = W*Id
+    ident = RingMatrix.identity(P2, 2)
+    assert GradedMF(x.w, ident, ident.scale(x.w)).folded.size == 4
+    with pytest.raises(ValueError, match="not a graded factorization"):
+        GradedMF(x.w, ident, ident.scale(parse_poly("x", P2)))
+
+
 def _random_morphism(rng, src, tgt, window=2, maxterms=3):
     n = src.ring.nvars
     def rnd_poly():
@@ -165,10 +181,9 @@ def test_adjunction_round_trip_and_intertwining():
         psi = to_graded(phi, x)
         assert from_graded(psi, "source") == phi
         assert from_graded(psi.differential(), "source") == phi.differential()
-    # both ends of these transports are doubled, so "auto" must refuse
-    phi = _random_morphism(rng, fx, y)
-    with pytest.raises(ValueError, match="ambiguous"):
-        from_graded(to_graded(phi, x))
+    # the doubled end to fold onto is always named
+    with pytest.raises(ValueError, match="folded must be"):
+        from_graded(psi, "auto")
 
 
 def test_adjunction_preserves_closedness():

@@ -7,6 +7,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mf2.gf2k import GF2, default_spec
 from mf2.ringmat import (
@@ -24,7 +26,7 @@ from mf2.ringmat import (
     solve,
     specialize,
 )
-from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
+from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 
@@ -52,6 +54,71 @@ def test_block_assembly_matches_direct_transcription():
     a, b, c, d = blocks_of(q)
     assert (a, b, d) == (u, v, u)
     assert c == v.scale(x)
+
+
+@st.composite
+def aligned_grids(draw, square=False):
+    """Four blocks [[a, b], [c, d]] whose rows and columns line up, each
+    side 1-3 long (all four equal when `square`), with random Laurent
+    monomial sums as entries."""
+    if square:
+        top = bottom = left = right = draw(st.integers(1, 3))
+    else:
+        top, bottom, left, right = (draw(st.integers(1, 3)) for _ in range(4))
+    polys = st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.just(1), max_size=3
+    ).map(lambda terms: RingPoly(L2, terms))
+
+    def matrix(r, c):
+        return RingMatrix(L2, r, c, draw(st.lists(polys, min_size=r * c, max_size=r * c)))
+
+    return (matrix(top, left), matrix(top, right),
+            matrix(bottom, left), matrix(bottom, right))
+
+
+@settings(max_examples=60)
+@given(aligned_grids())
+def test_block_slices_what_block2_assembles(grid):
+    a, b, c, d = grid
+    m = block2(a, b, c, d)
+    r, k = a.rows, a.cols
+    assert (m.rows, m.cols) == (r + c.rows, k + b.cols)
+    assert m.block(0, r, 0, k) == a
+    assert m.block(0, r, k, m.cols) == b
+    assert m.block(r, m.rows, 0, k) == c
+    assert m.block(r, m.rows, k, m.cols) == d
+    assert m == RingMatrix.from_rows(
+        L2, [list(a.row(i)) + list(b.row(i)) for i in range(r)]
+        + [list(c.row(i)) + list(d.row(i)) for i in range(c.rows)])
+
+
+@settings(max_examples=30)
+@given(aligned_grids(square=True))
+def test_blocks_of_inverts_block2_on_equal_squares(grid):
+    assert blocks_of(block2(*grid)) == grid
+
+
+def test_block2_rejects_misaligned_blocks_and_mixed_rings():
+    one = RingMatrix.identity(L2, 1)
+    row = M("x, y")
+    col = M("x; y")
+    assert block2(one, row, col, M("1, 0; 0, 1")).rows == 3
+    with pytest.raises(ValueError, match="line up"):
+        block2(one, one, col, one)  # c is taller than d
+    with pytest.raises(ValueError, match="line up"):
+        block2(one, row, one, one)  # b is wider than d
+    with pytest.raises(ValueError, match="line up"):
+        block2(col, one, one, one)  # a is taller than b
+    other = RingMatrix.identity(RingDescriptor(GF2, ("x", "y"), (False, False)), 1)
+    for i in range(4):
+        blocks = [one] * 4
+        blocks[i] = other
+        with pytest.raises(ValueError, match="ring mismatch"):
+            block2(*blocks)
+    with pytest.raises(ValueError, match="out of range"):
+        M("x, y").block(0, 1, 1, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        M("x, y").block(1, 1, 0, 2)
 
 
 def test_matrix_square_of_factorization():
@@ -163,6 +230,25 @@ def test_randomized_rank_kernel_dimension_identity():
             c = rng.randrange(1, 6)
             m = FieldMatrix(spec, r, c, [rng.randrange(spec.order) for _ in range(r * c)])
             assert rank(m) + len(kernel_basis(m)) == c
+
+
+def test_parse_errors_point_into_the_original_text():
+    # (text, line, col, message): entries and rows are located in the text
+    # as given, newlines included, not in the cell or row cut out of it
+    cases = [
+        ("x, y\n1, x + $", 2, 8, "expected a variable name"),
+        ("x, y; 1, z", 1, 10, "unknown variable 'z'"),
+        ("x, y;\n  x", 2, 3, "row 2 has 1 entries, expected 2"),
+        ("x,,y", 1, 3, "empty polynomial"),
+    ]
+    for text, line, col, message in cases:
+        with pytest.raises(ParseError) as ei:
+            parse_matrix(text, L2)
+        assert (ei.value.line, ei.value.col, ei.value.message) == (line, col, message)
+    with pytest.raises(ParseError) as ei:
+        parse_matrix("\n x, y", L2, rows=2, cols=2)
+    assert (ei.value.line, ei.value.col) == (2, 2)
+    assert ei.value.message == "matrix is 1x2, expected 2x2"
 
 
 def test_dimension_errors():
