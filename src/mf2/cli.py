@@ -1,13 +1,8 @@
 """Command-line front end for the factorization toolkit.
 
 Commands: verify, double, cohomology, jacobian, reduce, evaluate, search,
-suite, parse-check.  Input factorizations travel as MF files:
-
-    field: 2^k modulus <bits>
-    ring: <vars> laurent:<flags>
-    potential: <poly>
-    size: n
-    <n comma-separated matrix rows>
+suite, parse-check.  Input factorizations travel as MF files, whose
+format mfcore reads and writes.
 
 Exit codes: 0 on success (all checks pass), 1 when a verification fails,
 2 on usage or parse errors, 3 on an internal error (a bug in mf2, reported
@@ -24,13 +19,16 @@ import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .gf2k import FieldSpec, Immutable, default_spec
-from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, parse_poly
-from .ringmat import RingMatrix, _parse_matrix_span, parse_matrix
+from .gf2k import FieldSpec, default_spec
+from .ringpoly import ParseError, RingDescriptor, _parse_span, parse_poly
+from .ringmat import RingMatrix, parse_matrix
 from .mfcore import (
+    MFFile,
     UngradedMF,
     double,
+    emit_mf_text,
     forget,
+    parse_mf_text,
     search_factorizations,
     verify_mf,
 )
@@ -38,93 +36,11 @@ from .cohomwin import certify_at_point, cohomology_dims
 from .groebner import laurent_jacobian_ideal, minimal_polynomial, quotient_ring
 from .paperlab import Rp2Context, run_suite
 
-__all__ = ["main", "parse_mf_text", "emit_mf_text", "MFFile"]
+__all__ = ["main"]
 
 
 class CliError(ValueError):
     """Usage-level problem: wrong flags, bad points, exceeded budgets."""
-
-
-# -- the MF file format ------------------------------------------------------------
-
-
-class MFFile(Immutable):
-    """Parsed MF file: a coefficient ring, a potential, and a square matrix."""
-
-    __slots__ = ("ring", "w", "q")
-
-
-def parse_mf_text(text: str) -> MFFile:
-    """Parse the five-part MF file format; raises ParseError with position."""
-    lines = text.split("\n")
-    starts = [0]  # offset of each line in text
-    for line in lines:
-        starts.append(starts[-1] + len(line) + 1)
-
-    def line_at(i: int) -> str:
-        if i >= len(lines):
-            raise ParseError("unexpected end of file", i + 1, 1)
-        return lines[i].strip()
-
-    m = re.fullmatch(r"field:\s*2\^(\d+)\s+modulus\s+([01]+)", line_at(0))
-    if not m:
-        raise ParseError("expected 'field: 2^k modulus <bits>'", 1, 1)
-    try:
-        spec = FieldSpec(int(m.group(1)), int(m.group(2), 2))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
-
-    m = re.fullmatch(r"ring:\s*(.+?)\s+laurent:([01]+)", line_at(1))
-    if not m:
-        raise ParseError("expected 'ring: <vars> laurent:<flags>'", 2, 1)
-    names = tuple(m.group(1).split())
-    flags = tuple(c == "1" for c in m.group(2))
-    if len(flags) != len(names):
-        raise ParseError("laurent flags do not match the variable count", 2, 1)
-    try:
-        ring = RingDescriptor(spec, names, flags)
-    except ValueError as exc:
-        raise ParseError(str(exc), 2, 1) from None
-
-    potential_line = line_at(2)
-    if not potential_line.startswith("potential:"):
-        raise ParseError("expected 'potential: <poly>'", 3, 1)
-    body = starts[2] + lines[2].index("potential:") + len("potential:")
-    w = _parse_span(text, body, starts[3] - 1, ring)
-
-    m = re.fullmatch(r"size:\s*(\d+)", line_at(3))
-    if not m:
-        raise ParseError("expected 'size: n'", 4, 1)
-    size = int(m.group(1))
-    if size < 1:
-        raise ParseError("size must be positive", 4, 1)
-
-    row_lines = [i for i in range(4, len(lines)) if lines[i].strip()]
-    if len(row_lines) != size:
-        raise ParseError(
-            f"expected {size} matrix rows, found {len(row_lines)}", 5, 1
-        )
-    entries: list[RingPoly] = []
-    for i in row_lines:
-        row = _parse_matrix_span(text, starts[i], starts[i + 1] - 1, ring, rows=1, cols=size)
-        entries.extend(row.row(0))
-    return MFFile(ring, w, RingMatrix(ring, size, size, entries))
-
-
-def emit_mf_text(w: RingPoly, q: RingMatrix) -> str:
-    """Canonical MF file text; parse_mf_text(emit_mf_text(...)) round-trips."""
-    ring = q.ring
-    spec = ring.field
-    lines = [
-        f"field: 2^{spec.k} modulus {spec.modulus:b}",
-        "ring: " + " ".join(ring.vars)
-        + " laurent:" + "".join("1" if f else "0" for f in ring.laurent),
-        f"potential: {w}",
-        f"size: {q.rows}",
-    ]
-    for i in range(q.rows):
-        lines.append(", ".join(str(q.at(i, j)) for j in range(q.cols)))
-    return "\n".join(lines) + "\n"
 
 
 def _load_mf(path: str) -> MFFile:
@@ -225,8 +141,7 @@ def cmd_jacobian(args) -> int:
         mff = _load_mf(args.file)
         ring, w = mff.ring, mff.w
     else:
-        spec = args.field if args.field is not None else default_spec(1)
-        ring = _infer_ring(args.potential, spec, args.vars, args.laurent)
+        ring = _infer_ring(args.potential, args.field, args.vars, args.laurent)
         w = parse_poly(args.potential, ring)
     quotient = quotient_ring(laurent_jacobian_ideal(w))
     dim = quotient.dimension
@@ -246,8 +161,7 @@ def cmd_jacobian(args) -> int:
 def cmd_reduce(args) -> int:
     if (args.file is None) == (args.matrix is None):
         raise CliError("pass exactly one of a matrix file or --matrix")
-    spec = args.field if args.field is not None else default_spec(1)
-    ctx = Rp2Context(spec)
+    ctx = Rp2Context(args.field)
     text = args.matrix if args.matrix is not None else Path(args.file).read_text()
     mat = parse_matrix(text, ctx.ring, rows=4, cols=4)
     result = ctx.reduce_endomorphism(mat)
@@ -303,8 +217,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec = args.field if args.field is not None else default_spec(1)
-    ring = _infer_ring(args.potential, spec, args.vars, args.laurent)
+    ring = _infer_ring(args.potential, args.field, args.vars, args.laurent)
     w = parse_poly(args.potential, ring)
     support = []
     start = 0
@@ -365,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output style: human text or key=value records")
 
     def add_field(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--field", type=_field_flag, default=None,
+        p.add_argument("--field", type=_field_flag, default=default_spec(1),
                        metavar="2^k[:bits]",
                        help="coefficient field, e.g. 2^2 or 2^3:1011")
 
@@ -446,10 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CliError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

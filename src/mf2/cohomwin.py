@@ -45,7 +45,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
-from .mfcore import HomotopyWitness, Morphism, UngradedMF
+from .mfcore import HomotopyWitness, Morphism, UngradedMF, _check_hom
 from .ringmat import Echelon, FieldMatrix, RingMatrix, _column_echelon, specialize
 from .ringpoly import RingDescriptor, RingPoly
 
@@ -113,13 +113,6 @@ class Window(Immutable):
         ))
 
 
-def _check_pair(src: UngradedMF, tgt: UngradedMF) -> None:
-    if src.ring != tgt.ring:
-        raise ValueError("ring mismatch between source and target")
-    if src.w != tgt.w:
-        raise ValueError("potential mismatch: hom-sets need a common potential")
-
-
 def _combined_hull(a: RingMatrix, b: RingMatrix) -> list[tuple[int, int]]:
     ha = a.support_hull()
     hb = b.support_hull()
@@ -177,7 +170,7 @@ def _radius(exps: Sequence[int]) -> int:
 def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, int]:
     """{d: h_d} for d = 1..d_max over the hom complex Hom(src, tgt),
     from one radius-filtered pass (see the module docstring)."""
-    _check_pair(src, tgt)
+    _check_hom(src, tgt)
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     ring = src.ring
@@ -272,7 +265,7 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
                      classes: Sequence[RingMatrix] = ()) -> LocalCohomologyReport:
     """Specialize the hom differential at a point and locate classes in
     the local cohomology ker/im."""
-    _check_pair(src, tgt)
+    _check_hom(src, tgt)
     qs = specialize(src.q, point)
     qt = specialize(tgt.q, point)
     spec = qs.spec

@@ -84,20 +84,24 @@ def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _monic(p: RingPoly, order: TermOrder) -> RingPoly:
-    _, lc = _leading(p, order)
-    if lc == 1:
-        return p
-    return p.scale(p.ring.field.inv(lc))
+# A polynomial with its leading exponents and coefficient, computed once.
+Head = tuple[tuple[int, ...], int, RingPoly]
 
 
-def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> RingPoly:
-    """Remainder of full multivariate division of p by the basis."""
+def _monic_head(p: RingPoly, order: TermOrder) -> Head:
+    """The head (leading exponents, 1, p / leading coefficient)."""
+    lt, lc = _leading(p, order)
+    if lc != 1:
+        p = p.scale(p.ring.field.inv(lc))
+    return lt, 1, p
+
+
+def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
+    """Remainder of full multivariate division of p by the polynomials of the heads."""
     ring = p.ring
     field = ring.field
     rem: dict[tuple[int, ...], int] = {}
     work = dict(p.terms)
-    heads = [(*_leading(g, order), g) for g in basis if not g.is_zero()]
     while work:
         lt = max(work, key=order.key)
         for hexp, hc, g in heads:
@@ -111,9 +115,13 @@ def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> Rin
     return RingPoly(ring, rem)
 
 
-def _spoly(f: RingPoly, g: RingPoly, order: TermOrder) -> RingPoly:
-    lf, cf = _leading(f, order)
-    lg, cg = _leading(g, order)
+def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> RingPoly:
+    """Remainder of full multivariate division of p by the basis."""
+    return _reduce(p, [(*_leading(g, order), g) for g in basis if not g.is_zero()], order)
+
+
+def _spoly(hf: Head, hg: Head) -> RingPoly:
+    (lf, cf, f), (lg, cg, g) = hf, hg
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     field = f.ring.field
     mf = RingPoly.monomial(f.ring, tuple(a - b for a, b in zip(lcm, lf)), field.inv(cf))
@@ -123,49 +131,44 @@ def _spoly(f: RingPoly, g: RingPoly, order: TermOrder) -> RingPoly:
 
 def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
     """The reduced Groebner basis of the ideal generated by gens."""
-    basis = [_monic(g, order) for g in gens if not g.is_zero()]
-    if not basis:
+    heads = [_monic_head(g, order) for g in gens if not g.is_zero()]
+    if not heads:
         return []
-    ring = basis[0].ring
-    if any(ring.laurent):
+    if any(heads[0][2].ring.laurent):
         raise ValueError("clear denominators first: Groebner bases need a polynomial ring")
-    lts = [_leading(g, order)[0] for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = [(i, j) for i in range(len(heads)) for j in range(i + 1, len(heads))]
 
     # normal selection: smallest lcm degree first, then oldest
     def pair_rank(ij):
-        return (sum(max(a, b) for a, b in zip(lts[ij[0]], lts[ij[1]])), ij)
+        return (sum(max(a, b) for a, b in zip(heads[ij[0]][0], heads[ij[1]][0])), ij)
 
     while pairs:
         pairs.sort(key=pair_rank)
         i, j = pairs.pop(0)
-        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
+        if all(a == 0 or b == 0 for a, b in zip(heads[i][0], heads[j][0])):
             continue  # product criterion: coprime leading terms reduce to zero
-        s = normal_form(_spoly(basis[i], basis[j], order), basis, order)
+        s = _reduce(_spoly(heads[i], heads[j]), heads, order)
         if s.is_zero():
             continue
-        s = _monic(s, order)
-        basis.append(s)
-        lts.append(_leading(s, order)[0])
-        pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+        heads.append(_monic_head(s, order))
+        pairs.extend((t, len(heads) - 1) for t in range(len(heads) - 1))
     # inter-reduce to the unique reduced basis
-    reduced: list[RingPoly] = []
-    for idx, g in enumerate(basis):
-        if any(
+    lts = [h[0] for h in heads]
+    reduced = [
+        h for idx, h in enumerate(heads)
+        if not any(
             k != idx and _divides(lts[k], lts[idx])
             and (lts[k] != lts[idx] or k < idx)
-            for k in range(len(basis))
-        ):
-            continue
-        reduced.append(g)
+            for k in range(len(heads))
+        )
+    ]
     final = []
-    for idx, g in enumerate(reduced):
-        others = reduced[:idx] + reduced[idx + 1:]
-        r = normal_form(g, others, order)
+    for idx, h in enumerate(reduced):
+        r = _reduce(h[2], reduced[:idx] + reduced[idx + 1:], order)
         if not r.is_zero():
-            final.append(_monic(r, order))
-    final.sort(key=lambda g: order.key(_leading(g, order)[0]))
-    return final
+            final.append(_monic_head(r, order))
+    final.sort(key=lambda h: order.key(h[0]))
+    return [h[2] for h in final]
 
 
 # -- Jacobian ideals of (Laurent) potentials -------------------------------------
@@ -173,9 +176,7 @@ def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
 
 def _clear_monomial_content(p: RingPoly, target: RingDescriptor) -> RingPoly:
     """Shift a Laurent polynomial by its monomial content into a polynomial ring."""
-    n = p.ring.nvars
-    lows = [min(e[i] for e in p.terms) for i in range(n)]
-    shift = tuple(-min(low, 0) for low in lows)
+    shift = tuple(-min(lo, 0) for lo, _ in p.support_bounds())
     return RingPoly(target, {tuple(e + s for e, s in zip(exps, shift)): c
                              for exps, c in p.terms.items()})
 

@@ -16,18 +16,28 @@ an ungraded morphism on the graded diagonal (to_graded) and by folding
 parity components back onto the doubled end named by `folded`
 (from_graded); the fold intertwines differentials on the nose and is a
 left inverse of the unfold.
+
+An MF file is the text form of a factorization: the lines `field: 2^k
+modulus <bits>`, `ring: <vars> laurent:<flags>`, `potential: <poly>` and
+`size: n`, then n comma-separated matrix rows.  parse_mf_text reads it and
+emit_mf_text writes it canonically; the two round-trip.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterable, Sequence
 
-from .gf2k import FieldElem, Immutable
-from .ringmat import RingMatrix, block2, matrix_partial, specialize
-from .ringpoly import RingPoly, grevlex_key
+from .gf2k import FieldElem, FieldSpec, Immutable
+from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2, commutator,
+                      matrix_partial, specialize)
+from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, grevlex_key
 
 __all__ = [
+    "MFFile",
+    "parse_mf_text",
+    "emit_mf_text",
     "VerifyReport",
     "UngradedMF",
     "GradedMF",
@@ -87,6 +97,14 @@ class UngradedMF(Immutable):
         return f"UngradedMF(size={self.size}, w={self.w})"
 
 
+def _check_hom(source, target) -> None:
+    """Hom(source, target) needs one ring and one potential."""
+    if source.ring != target.ring:
+        raise ValueError("ring mismatch between source and target")
+    if source.w != target.w:
+        raise ValueError("potential mismatch: hom-sets need a common potential")
+
+
 class GradedMF(Immutable):
     """A verified graded factorization (Q0, Q1) with Q0 Q1 = Q1 Q0 = W*Id.
 
@@ -118,10 +136,7 @@ class Morphism(Immutable):
     __slots__ = ("source", "target", "f")
 
     def __init__(self, source: UngradedMF, target: UngradedMF, f: RingMatrix):
-        if source.ring != target.ring:
-            raise ValueError("ring mismatch between source and target")
-        if source.w != target.w:
-            raise ValueError("potential mismatch: hom-sets need a common potential")
+        _check_hom(source, target)
         if f.rows != target.size or f.cols != source.size:
             raise ValueError("morphism shape does not match source/target sizes")
         super().__init__(source, target, f)
@@ -149,17 +164,14 @@ class GradedMorphism(Immutable):
     __slots__ = ("source", "target", "g")
 
     def __init__(self, source: GradedMF, target: GradedMF, g: RingMatrix):
-        if source.ring != target.ring:
-            raise ValueError("ring mismatch")
-        if source.w != target.w:
-            raise ValueError("potential mismatch: hom-sets need a common potential")
+        _check_hom(source, target)
         if g.rows != 2 * target.size or g.cols != 2 * source.size:
             raise ValueError("graded morphism shape does not match total modules")
         super().__init__(source, target, g)
 
     def differential(self) -> "GradedMorphism":
-        qs, qt = self.source.folded.q, self.target.folded.q
-        return GradedMorphism(self.source, self.target, qt * self.g + self.g * qs)
+        d = Morphism(self.source.folded, self.target.folded, self.g).differential()
+        return GradedMorphism(self.source, self.target, d.f)
 
     def is_closed(self) -> bool:
         return self.differential().g.is_zero()
@@ -171,8 +183,7 @@ class HomotopyWitness(Immutable):
     __slots__ = ("claim", "g")
 
     def __init__(self, claim: Morphism, g: RingMatrix):
-        d = claim.target.q * g + g * claim.source.q
-        if d != claim.f:
+        if Morphism(claim.source, claim.target, g).differential().f != claim.f:
             raise ValueError("homotopy witness does not satisfy d(g) = f")
         super().__init__(claim, g)
 
@@ -182,8 +193,7 @@ class HomotopyWitness(Immutable):
 
 def euler_identity_check(x: UngradedMF, var: int | str) -> VerifyReport:
     """dQ*Q + Q*dQ == dW * Id, the derivative of Q^2 = W*Id."""
-    dq = matrix_partial(x.q, var)
-    lhs = dq * x.q + x.q * dq
+    lhs = commutator(matrix_partial(x.q, var), x.q)
     rhs = RingMatrix.identity(x.ring, x.size).scale(x.w.partial(var))
     residual = lhs + rhs
     return VerifyReport(residual.is_zero(), residual)
@@ -265,7 +275,7 @@ def contract_at_noncritical(
     qp = specialize(x.q, point)
     dqp = specialize(matrix_partial(x.q, var), point)
     s = dw_val.inverse().value
-    h = type(qp)(spec, dqp.rows, dqp.cols, [spec.mul(s, v) for v in dqp.entries])
+    h = FieldMatrix(spec, dqp.rows, dqp.cols, [spec.mul(s, v) for v in dqp.entries])
     return FieldHomotopy(qp, h)
 
 
@@ -274,11 +284,8 @@ class FieldHomotopy(Immutable):
 
     __slots__ = ("q", "h")
 
-    def __init__(self, q, h):
-        spec = q.spec
-        lhs = q * h + h * q
-        ident = type(q).identity(spec, q.rows)
-        if lhs != ident:
+    def __init__(self, q: FieldMatrix, h: FieldMatrix):
+        if commutator(q, h) != FieldMatrix.identity(q.spec, q.rows):
             raise ValueError("contraction identity Q h + h Q = Id failed")
         super().__init__(q, h)
 
@@ -404,3 +411,85 @@ def search_factorizations(
             raise ValueError("search result failed re-verification: Q^2 != W*Id")
         found.append(m)
     return found
+
+
+# -- the MF file format ------------------------------------------------------------
+
+
+class MFFile(Immutable):
+    """Parsed MF file: a coefficient ring, a potential, and a square matrix."""
+
+    __slots__ = ("ring", "w", "q")
+
+
+def parse_mf_text(text: str) -> MFFile:
+    """Parse the five-part MF file format; raises ParseError with position."""
+    lines = text.split("\n")
+    starts = [0]  # offset of each line in text
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
+
+    def line_at(i: int) -> str:
+        if i >= len(lines):
+            raise ParseError("unexpected end of file", i + 1, 1)
+        return lines[i].strip()
+
+    m = re.fullmatch(r"field:\s*2\^(\d+)\s+modulus\s+([01]+)", line_at(0))
+    if not m:
+        raise ParseError("expected 'field: 2^k modulus <bits>'", 1, 1)
+    try:
+        spec = FieldSpec(int(m.group(1)), int(m.group(2), 2))
+    except ValueError as exc:
+        raise ParseError(str(exc), 1, 1) from None
+
+    m = re.fullmatch(r"ring:\s*(.+?)\s+laurent:([01]+)", line_at(1))
+    if not m:
+        raise ParseError("expected 'ring: <vars> laurent:<flags>'", 2, 1)
+    names = tuple(m.group(1).split())
+    flags = tuple(c == "1" for c in m.group(2))
+    if len(flags) != len(names):
+        raise ParseError("laurent flags do not match the variable count", 2, 1)
+    try:
+        ring = RingDescriptor(spec, names, flags)
+    except ValueError as exc:
+        raise ParseError(str(exc), 2, 1) from None
+
+    potential_line = line_at(2)
+    if not potential_line.startswith("potential:"):
+        raise ParseError("expected 'potential: <poly>'", 3, 1)
+    body = starts[2] + lines[2].index("potential:") + len("potential:")
+    w = _parse_span(text, body, starts[3] - 1, ring)
+
+    m = re.fullmatch(r"size:\s*(\d+)", line_at(3))
+    if not m:
+        raise ParseError("expected 'size: n'", 4, 1)
+    size = int(m.group(1))
+    if size < 1:
+        raise ParseError("size must be positive", 4, 1)
+
+    row_lines = [i for i in range(4, len(lines)) if lines[i].strip()]
+    if len(row_lines) != size:
+        raise ParseError(
+            f"expected {size} matrix rows, found {len(row_lines)}", 5, 1
+        )
+    entries: list[RingPoly] = []
+    for i in row_lines:
+        row = _parse_matrix_span(text, starts[i], starts[i + 1] - 1, ring, rows=1, cols=size)
+        entries.extend(row.row(0))
+    return MFFile(ring, w, RingMatrix(ring, size, size, entries))
+
+
+def emit_mf_text(w: RingPoly, q: RingMatrix) -> str:
+    """Canonical MF file text; parse_mf_text(emit_mf_text(...)) round-trips."""
+    ring = q.ring
+    spec = ring.field
+    lines = [
+        f"field: 2^{spec.k} modulus {spec.modulus:b}",
+        "ring: " + " ".join(ring.vars)
+        + " laurent:" + "".join("1" if f else "0" for f in ring.laurent),
+        f"potential: {w}",
+        f"size: {q.rows}",
+    ]
+    for i in range(q.rows):
+        lines.append(", ".join(str(q.at(i, j)) for j in range(q.cols)))
+    return "\n".join(lines) + "\n"

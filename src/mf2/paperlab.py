@@ -381,9 +381,6 @@ class Rp2Context(Immutable):
             raise ValueError("endomorphisms here are 4x4 over the context ring")
         return f
 
-    def _delta(self, g: RingMatrix) -> RingMatrix:
-        return self.q * g + g * self.q
-
     def _identity4(self) -> RingMatrix:
         return RingMatrix.identity(self.ring, 4)
 
@@ -412,7 +409,7 @@ class Rp2Context(Immutable):
         alpha*Id + delta(g) for a random_matrix g."""
         alpha = self.random_scalar(rng)
         g = random_matrix(self.ring, rng, 4, 4, span, max_terms)
-        return alpha, self._identity4().scale(alpha) + self._delta(g)
+        return alpha, self._identity4().scale(alpha) + commutator(self.q, g)
 
     # -- canonical scalars ---------------------------------------------------
 
@@ -489,7 +486,7 @@ class Rp2Context(Immutable):
         d = a + [U, t] and c = x*b + [U, s], re-verifying the four tr/at
         constraints that closedness imposes on (a, b, s, t)."""
         mat = self._coerce(f)
-        if not self._delta(mat).is_zero():
+        if not commutator(self.q, mat).is_zero():
             raise ValueError("decomposition needs a closed endomorphism")
         a, b, s, t = self._split(mat)
         yinv = RingPoly.variable(self.ring, "y", -1)
@@ -541,14 +538,14 @@ class Rp2Context(Immutable):
         )
         d_fix = RingMatrix.from_rows(ring, [[b1, b2], [p, zero]])
         g1 = block2(a_fix, b_fix, c_fix, d_fix)
-        d1 = self._delta(g1)
+        d1 = commutator(self.q, g1)
         _, d1b, d1c, _ = blocks_of(d1)
         if d1b != b or d1c != b.scale(x):
             raise ValueError("internal consistency: correction stage missed the off-diagonal blocks")
 
         # stage two: clear the remaining [U, s] in the lower-left block
         g2 = block2(zeros2, zeros2, dec.s, zeros2)
-        f2 = mat + d1 + self._delta(g2)
+        f2 = mat + d1 + commutator(self.q, g2)
         a2, b2blk, c2blk, d2 = blocks_of(f2)
         if not b2blk.is_zero() or not c2blk.is_zero():
             raise ValueError("internal consistency: off-diagonal blocks survive")
@@ -562,7 +559,7 @@ class Rp2Context(Immutable):
         off = a2.at(0, 1)
         c3 = RingMatrix.from_rows(ring, [[zero, off], [y * off, zero]])
         g3 = block2(zeros2, zeros2, c3, zeros2)
-        f3 = f2 + self._delta(g3)
+        f3 = f2 + commutator(self.q, g3)
         alpha0 = top + xinv * off
         if f3 != self._identity4().scale(alpha0):
             raise ValueError("internal consistency: scalar stage failed")
@@ -588,7 +585,7 @@ class Rp2Context(Immutable):
         mat = self._coerce(f)
         if alpha.ring != self.ring:
             raise ValueError("alpha is not in the context ring")
-        if self._delta(mat) != self._identity4().scale(alpha):
+        if commutator(self.q, mat) != self._identity4().scale(alpha):
             raise ValueError("obstruction needs delta(f) = alpha*Id")
         _, b, s, t = self._split(mat)
         xy = RingPoly.monomial(self.ring, (1, 1))

@@ -7,8 +7,8 @@ ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
 entry again.  A product keeps one accumulator per output entry across the
 inner index and fills it with ringpoly's multiply-accumulate kernel.
-FieldMatrix holds serialized field values.  Rank, kernels and solving
-run through Echelon, one elimination kernel for every GF(2^k) that packs
+FieldMatrix holds serialized field values.  Rank and solving run
+through Echelon, one elimination kernel for every GF(2^k) that packs
 a whole vector into one int (a bitset when k = 1).
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "parse_matrix",
     "Echelon",
     "rank",
-    "kernel_basis",
     "solve",
 ]
 
@@ -176,7 +175,7 @@ class RingMatrix(Immutable):
         return f"RingMatrix({self})"
 
 
-def commutator(a: RingMatrix, b: RingMatrix) -> RingMatrix:
+def commutator(a: RingMatrix | FieldMatrix, b: RingMatrix | FieldMatrix) -> RingMatrix | FieldMatrix:
     """[a, b] = ab + ba, which in characteristic 2 is also the anticommutator."""
     return a * b + b * a
 
@@ -493,16 +492,6 @@ def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[
 
 def rank(m: FieldMatrix) -> int:
     return len(_column_echelon(m)[0].rows)
-
-
-def kernel_basis(m: FieldMatrix) -> list[list[int]]:
-    """Basis of {x : m x = 0}; one vector per free column, ascending.
-
-    A column is free when it depends on the columns before it; its vector
-    is the unique kernel element with a 1 there and 0 at the other free
-    columns."""
-    ech, relations = _column_echelon(m, track=True)
-    return [ech.unpack(rel, m.cols) for rel in relations]
 
 
 def solve(m: FieldMatrix, b: Sequence[int]) -> Optional[list[int]]:

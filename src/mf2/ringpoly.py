@@ -181,16 +181,6 @@ class RingPoly(Immutable):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Optional[int]:
-        """Serialized value if the polynomial is a constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            (exps, coeff), = self.terms.items()
-            if all(e == 0 for e in exps):
-                return coeff
-        return None
-
     def support_bounds(self) -> Optional[list[tuple[int, int]]]:
         """Per-variable (min, max) exponent over all terms; None for the zero polynomial."""
         if not self.terms:
@@ -316,10 +306,6 @@ class RingPoly(Immutable):
 # -- exact division -----------------------------------------------------------
 
 
-def _monomial_content(terms: dict[tuple[int, ...], int], n: int) -> tuple[int, ...]:
-    return tuple(min(e[i] for e in terms) for i in range(n))
-
-
 def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     """Quotient p/d when d divides p in the ring, else None.
 
@@ -333,9 +319,8 @@ def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     ring = p.ring
     if p.is_zero():
         return p
-    n = ring.nvars
-    shift_p = _monomial_content(p.terms, n)
-    shift_d = _monomial_content(d.terms, n)
+    shift_p = [lo for lo, _ in p.support_bounds()]
+    shift_d = [lo for lo, _ in d.support_bounds()]
     rem = {tuple(x - s for x, s in zip(e, shift_p)): c for e, c in p.terms.items()}
     dd = {tuple(x - s for x, s in zip(e, shift_d)): c for e, c in d.terms.items()}
     lt_d = max(dd, key=grevlex_key)

@@ -14,17 +14,15 @@ from importlib.resources import files
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mf2.cli import parse_mf_text
 from mf2.cohomwin import Window, _delta_columns, certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import minimal_polynomial
-from mf2.mfcore import UngradedMF
+from mf2.mfcore import UngradedMF, parse_mf_text
 from mf2.ringmat import (
     Echelon,
     _generic_echelon,
     FieldMatrix,
     RingMatrix,
-    kernel_basis,
     matrix_partial,
     rank,
     solve,
@@ -69,6 +67,13 @@ def dense_echelon(rows, spec):
 
 def dense_rank(m):
     return len(dense_echelon([list(m.row(i)) for i in range(m.rows)], m.spec)[1])
+
+
+def kernel_basis(m):
+    """One kernel vector per column that depends on the columns before it."""
+    ech = Echelon(m.spec, track=True)
+    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    return [ech.unpack(rel, m.cols) for rel in relations]
 
 
 def dense_kernel_basis(m):

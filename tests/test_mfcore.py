@@ -4,27 +4,36 @@ Frozen oracles: the A-series pair Q(n) = [[x^n, y],[y+x*z, x^n]] squares to
 x^2n + y^2 + x*y*z; dW/dy = x*z there and the witness matrix for x*z*Id is
 [[0,1],[1,0]].  At the GF(4) point (1,t) the x-partial of the
 projective-plane potential is 1 + t^2 = t, which is invertible, so the
-specialized complex contracts.
+specialized complex contracts.  Parsing emitted MF text gives back the
+same ring, potential and matrix.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mf2.cohomwin import certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
 from mf2.mfcore import (
     GradedMF,
+    GradedMorphism,
     HomotopyWitness,
+    MFFile,
     Morphism,
     UngradedMF,
     contract_at_noncritical,
     double,
+    emit_mf_text,
     euler_identity_check,
     forget,
     from_graded,
     jacobian_action_witness,
+    parse_mf_text,
     search_factorizations,
     to_graded,
     verify_mf,
@@ -94,6 +103,28 @@ def test_potential_mismatch_rejected():
         Morphism(an_r(1), an_r(2), RingMatrix.identity(P2, 2))
 
 
+# Every user of a hom complex Hom(X, an_r(1)) over the polynomial ring P2.
+HOM_USERS = {
+    "Morphism": lambda x, y: Morphism(x, y, RingMatrix.identity(y.ring, 2)),
+    "GradedMorphism": lambda x, y: GradedMorphism(
+        double(x), double(y), RingMatrix.identity(y.ring, 4)),
+    "cohomology_dims": lambda x, y: cohomology_dims(x, y, 1),
+    "certify_at_point": lambda x, y: certify_at_point(x, y, (GF2.one(), GF2.one())),
+}
+
+
+@pytest.mark.parametrize("user", sorted(HOM_USERS))
+@pytest.mark.parametrize("source, message", [
+    # the same matrix and potential over the Laurent ring L2
+    (lambda: UngradedMF(parse_poly("x^2 + y^2", L2), parse_matrix("x, y; y, x", L2)),
+     "ring mismatch between source and target"),
+    (lambda: an_r(2), "potential mismatch: hom-sets need a common potential"),
+], ids=["ring", "potential"])
+def test_hom_users_state_one_contract(user, source, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HOM_USERS[user](source(), an_r(1))
+
+
 def test_euler_identity_both_variables():
     x = rp2()
     for v in ("x", "y"):
@@ -118,6 +149,8 @@ def test_homotopy_witness_rejects_wrong_certificate():
     claim = Morphism(q, q, RingMatrix.identity(P3, 2).scale(parse_poly("x*z", P3)))
     with pytest.raises(ValueError, match="does not satisfy"):
         HomotopyWitness(claim, RingMatrix.identity(P3, 2))
+    with pytest.raises(ValueError, match="morphism shape does not match"):
+        HomotopyWitness(claim, RingMatrix.identity(P3, 3))
 
 
 def test_double_and_forget_shapes():
@@ -237,3 +270,31 @@ def test_search_budget_guard():
     w = parse_poly("x^2 + y^2", P2)
     with pytest.raises(ValueError, match="needs 8 bits"):
         search_factorizations(w, 2, [(1, 0), (0, 1)], budget_bits=4)
+
+
+@st.composite
+def mf_contents(draw):
+    """A ring over GF(2^k), k <= 4, with 1-3 variables and random Laurent
+    flags, a potential and a square matrix of up to 3x3 (not necessarily a
+    factorization: the file format does not require one)."""
+    spec = default_spec(draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 3))
+    laurent = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ring = RingDescriptor(spec, ("x", "y", "z")[:n], laurent)
+    exps = st.tuples(*(st.integers(-3 if flag else 0, 3) for flag in laurent))
+    polys = st.dictionaries(exps, st.integers(1, spec.order - 1), max_size=4).map(
+        lambda terms: RingPoly(ring, terms)
+    )
+    size = draw(st.integers(1, 3))
+    entries = draw(st.lists(polys, min_size=size * size, max_size=size * size))
+    return draw(polys), RingMatrix(ring, size, size, entries)
+
+
+@settings(max_examples=60)
+@given(mf_contents())
+def test_mf_text_parse_inverts_emit(content):
+    w, q = content
+    text = emit_mf_text(w, q)
+    parsed = parse_mf_text(text)
+    assert parsed == MFFile(q.ring, w, q)
+    assert emit_mf_text(parsed.w, parsed.q) == text

@@ -40,7 +40,7 @@ def canonical_alpha(rng):
 
 def closed_sample(rng, alpha):
     g = random_matrix(CTX.ring, rng, 4, 4)
-    return CTX._identity4().scale(alpha) + CTX._delta(g)
+    return CTX._identity4().scale(alpha) + commutator(CTX.q, g)
 
 
 def test_tr_at_basics():
@@ -233,7 +233,7 @@ def test_context_over_gf4():
     rng = random.Random(51)
     alpha = RingPoly(ctx.ring, {(1, 0): 2, (0, 0): 1})
     g = random_matrix(ctx.ring, rng, 4, 4)
-    f = RingMatrix.identity(ctx.ring, 4).scale(alpha) + ctx._delta(g)
+    f = RingMatrix.identity(ctx.ring, 4).scale(alpha) + commutator(ctx.q, g)
     assert ctx.reduce_endomorphism(f).alpha == alpha
 
 

@@ -19,6 +19,7 @@ from mf2.cohomwin import Window, solve_exactness
 from mf2.gf2k import default_spec
 from mf2.mfcore import Morphism
 from mf2.paperlab import Rp2Context, random_matrix
+from mf2.ringmat import commutator
 from mf2.ringpoly import RingPoly
 
 CONTEXTS = {k: Rp2Context(default_spec(k)) for k in (1, 2)}
@@ -33,7 +34,7 @@ def closed_endomorphisms(draw):
     alpha = RingPoly(ctx.ring, {(e, 0): c for e, c in enumerate(coeffs)})
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     g = random_matrix(ctx.ring, rng, 4, 4, span=draw(st.integers(1, 2)), max_terms=2)
-    return ctx, alpha, ctx._identity4().scale(alpha) + ctx._delta(g)
+    return ctx, alpha, ctx._identity4().scale(alpha) + commutator(ctx.q, g)
 
 
 @PROPERTY

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mf2.cli import parse_mf_text
 from mf2.gf2k import default_spec
+from mf2.mfcore import parse_mf_text
 from mf2.ringmat import RingMatrix, commutator
 from mf2.ringpoly import RingDescriptor, RingPoly
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mf2.gf2k import GF2, default_spec
 from mf2.ringmat import (
+    Echelon,
     FieldMatrix,
     RingMatrix,
     block2,
@@ -19,7 +20,6 @@ from mf2.ringmat import (
     commutator,
     gf2_rank,
     gf2_solve_combination,
-    kernel_basis,
     matrix_partial,
     parse_matrix,
     rank,
@@ -27,6 +27,14 @@ from mf2.ringmat import (
     specialize,
 )
 from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
+
+
+def kernel_basis(m):
+    """One kernel vector per column that depends on the columns before it."""
+    ech = Echelon(m.spec, track=True)
+    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    return [ech.unpack(rel, m.cols) for rel in relations]
+
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 

@@ -12,9 +12,8 @@ import importlib.util
 from importlib.resources import files
 from pathlib import Path
 
-from mf2 import cohomwin
-from mf2.cli import parse_mf_text
-from mf2.mfcore import UngradedMF
+from mf2 import cli, cohomwin, mfcore
+from mf2.mfcore import UngradedMF, parse_mf_text
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,3 +44,17 @@ def test_tracer_counts_one_column_build_per_cohomology_call():
     # the output window grows by the unit hull of Q: 9x9 monomials
     assert snap["counts"]["cohomwin.out_width"] == 81
     assert cohomwin._delta_columns is original
+
+
+def test_tracer_times_the_parser_the_cli_reexports():
+    # the benchmark calls cli.parse_mf_text and times it as cli.parse
+    assert cli.parse_mf_text is mfcore.parse_mf_text
+    text = (files("mf2") / "fixtures" / "rp2.mf").read_text()
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        cli.parse_mf_text(text)
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["calls"]["cli.parse"] == 1
+    assert cli.parse_mf_text is mfcore.parse_mf_text
