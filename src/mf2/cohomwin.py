@@ -131,17 +131,19 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     m, n = tgt.size, src.size
     k = src.ring.field.k
     stride = k * m * n
-    qs, qt = src.q, tgt.q
+    # exponent-tuple views of the entries, read once: windows index tuples
+    qs = [e.terms for e in src.q.entries]
+    qt = [e.terms for e in tgt.q.entries]
     # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic, merged
     # per (output cell, shift): two terms meet exactly when their shifts do
     terms = []
     for i in range(m):
         for j in range(n):
             acc: dict[tuple[int, tuple[int, ...]], int] = {}
-            images = [(r * n + j, qt.at(r, i)) for r in range(m)]
-            images += [(i * n + col, qs.at(j, col)) for col in range(n)]
+            images = [(r * n + j, qt[r * m + i]) for r in range(m)]
+            images += [(i * n + col, qs[j * n + col]) for col in range(n)]
             for cell, entry in images:
-                for s, c in entry.terms.items():
+                for s, c in entry.items():
                     acc[cell, s] = acc.get((cell, s), 0) ^ c
             terms.append([(k * cell, s, c) for (cell, s), c in acc.items() if c])
     shifts = {s for cell in terms for _, s, _ in cell}

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .gf2k import Immutable
 from .ringmat import Echelon, FieldMatrix, solve
-from .ringpoly import RingDescriptor, RingPoly, _mul_into, grevlex_key
+from .ringpoly import RingDescriptor, RingPoly, _mul_into, _packed_order, grevlex_key
 
 __all__ = [
     "TermOrder",
@@ -76,8 +76,9 @@ class TermOrder(Immutable):
 
 
 def _leading(p: RingPoly, order: TermOrder) -> tuple[tuple[int, ...], int]:
-    lt = max(p.terms, key=order.key)
-    return lt, p.terms[lt]
+    terms = p.terms
+    lt = max(terms, key=order.key)
+    return lt, terms[lt]
 
 
 def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -99,20 +100,22 @@ def _monic_head(p: RingPoly, order: TermOrder) -> Head:
 def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
     """Remainder of full multivariate division of p by the polynomials of the heads."""
     ring = p.ring
-    field = ring.field
-    rem: dict[tuple[int, ...], int] = {}
-    work = dict(p.terms)
+    field, unpack = ring.field, ring.unpack
+    key = _packed_order(ring, order.key)
+    rem: dict[int, int] = {}
+    work = dict(p.packed)
     while work:
-        lt = max(work, key=order.key)
+        lt = max(work, key=key)
+        exps = unpack(lt)
         for hexp, hc, g in heads:
-            if _divides(hexp, lt):
-                shift = tuple(a - b for a, b in zip(lt, hexp))
+            if _divides(hexp, exps):
+                shift = ring.pack([a - b for a, b in zip(exps, hexp)])
                 c = field.mul(work[lt], field.inv(hc))
-                _mul_into(work, g.terms, {shift: c}, field)  # cancels lt
+                _mul_into(work, g.packed, {shift: c}, ring)  # cancels lt
                 break
         else:
             rem[lt] = work.pop(lt)
-    return RingPoly(ring, rem)
+    return RingPoly._raw(ring, rem)
 
 
 def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> RingPoly:

@@ -63,7 +63,7 @@ class VerifyReport(Immutable):
 
     @property
     def residual_terms(self) -> int:
-        return sum(len(e.terms) for e in self.residual.entries)
+        return sum(len(e.packed) for e in self.residual.entries)
 
 
 def verify_mf(q: RingMatrix, w: RingPoly) -> VerifyReport:

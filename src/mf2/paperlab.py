@@ -424,7 +424,7 @@ class Rp2Context(Immutable):
         for (a, b), coeff in alpha.terms.items():
             e = ((a + b) % 3, 0)
             terms[e] = terms.get(e, 0) ^ coeff
-        return RingPoly._raw(self.ring, {e: c for e, c in terms.items() if c})
+        return RingPoly(self.ring, {e: c for e, c in terms.items() if c})
 
     def jacobian_cofactors(self, target: RingPoly) -> tuple[RingPoly, RingPoly]:
         """Explicit c1, c2 with target = c1*dW/dx + c2*dW/dy.
@@ -436,27 +436,27 @@ class Rp2Context(Immutable):
         if target.ring != self.ring:
             raise ValueError("target is not in the context ring")
         ring = self.ring
-        spec = ring.field
-        x = {(1, 0): 1}
-        y = {(0, 1): 1}
-        c1_terms: dict[tuple[int, ...], int] = {}
-        c2_terms: dict[tuple[int, ...], int] = {}
+        spec, pack = ring.field, ring.pack
+        x = {pack((1, 0)): 1}
+        y = {pack((0, 1)): 1}
+        c1_terms: dict[int, int] = {}
+        c2_terms: dict[int, int] = {}
         powers: dict[int, int] = {}
         for (a, b), coeff in target.terms.items():
             if b:
                 # y^b + x^b = (x + y) * h with h explicit for either sign of b;
                 # k is x^a * h
                 if b > 0:
-                    k = {(a + b - 1 - i, i): coeff for i in range(b)}
+                    k = {pack((a + b - 1 - i, i)): coeff for i in range(b)}
                 else:
-                    k = {(a - 1 - i, b + i): coeff for i in range(-b)}
-                _mul_into(c1_terms, k, x, spec)
-                _mul_into(c2_terms, k, y, spec)
+                    k = {pack((a - 1 - i, b + i)): coeff for i in range(-b)}
+                _mul_into(c1_terms, k, x, ring)
+                _mul_into(c2_terms, k, y, ring)
             n = a + b
             powers[n] = spec.add(powers.get(n, 0), coeff)
         remainder: dict[int, int] = {}
-        cof1 = {(2, 1): 1, (3, 0): 1}  # x^2*y + x^3
-        cof2 = {(2, 1): 1}  # x^2*y
+        cof1 = {pack((2, 1)): 1, pack((3, 0)): 1}  # x^2*y + x^3
+        cof2 = {pack((2, 1)): 1}  # x^2*y
         for n, coeff in powers.items():
             if not coeff:
                 continue
@@ -465,11 +465,11 @@ class Rp2Context(Immutable):
             if steps:
                 # x^n + x^r = (x^3 + 1) * l, telescoping in steps of three
                 if steps > 0:
-                    l = {(r + 3 * i, 0): coeff for i in range(steps)}
+                    l = {pack((r + 3 * i, 0)): coeff for i in range(steps)}
                 else:
-                    l = {(n + 3 * i, 0): coeff for i in range(-steps)}
-                _mul_into(c1_terms, cof1, l, spec)
-                _mul_into(c2_terms, cof2, l, spec)
+                    l = {pack((n + 3 * i, 0)): coeff for i in range(-steps)}
+                _mul_into(c1_terms, cof1, l, ring)
+                _mul_into(c2_terms, cof2, l, ring)
             remainder[r] = spec.add(remainder.get(r, 0), coeff)
         if any(remainder.values()):
             raise ValueError("target is not in the Jacobian ideal")

@@ -124,26 +124,25 @@ class RingMatrix(Immutable):
             raise ValueError("dimension mismatch in matrix product")
         self._check_ring(other.ring)
         ring = self.ring
-        field = ring.field
         n = other.cols
-        columns = [[e.terms for e in other.entries[j::n]] for j in range(n)]
+        columns = [[e.packed for e in other.entries[j::n]] for j in range(n)]
         out = []
         for i in range(self.rows):
-            left = [e.terms for e in self.row(i)]
+            left = [e.packed for e in self.row(i)]
             for column in columns:
-                acc: dict[tuple[int, ...], int] = {}
+                acc: dict[int, int] = {}
                 for a, b in zip(left, column):
                     if a and b:
-                        _mul_into(acc, a, b, field)
+                        _mul_into(acc, a, b, ring)
                 out.append(RingPoly._raw(ring, acc))
         return RingMatrix._raw(ring, self.rows, n, out)
 
     def scale(self, c: RingPoly) -> "RingMatrix":
         self._check_ring(c.ring)
-        ring, field = self.ring, self.ring.field
+        ring = self.ring
         return RingMatrix._raw(
             ring, self.rows, self.cols,
-            [RingPoly._raw(ring, _mul_into({}, c.terms, e.terms, field)) for e in self.entries],
+            [RingPoly._raw(ring, _mul_into({}, c.packed, e.packed, ring)) for e in self.entries],
         )
 
     def support_hull(self) -> list[tuple[int, int]]:

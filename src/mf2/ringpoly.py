@@ -6,8 +6,20 @@ allowed or not).  A polynomial is a map from exponent vectors to
 nonzero serialized field values; addition is coefficient-wise XOR in
 every characteristic-2 field.
 
-Exponents are Python ints, so they are arbitrary precision and cannot
-silently wrap.
+Exponent vectors are stored packed, one int per vector (the packed
+exponent vectors of Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Variable i owns
+lane i, bits [LANE_BITS*i, LANE_BITS*(i+1)), which holds e + EXP_BOUND.
+So every exponent lies in [-EXP_BOUND, EXP_BOUND) = [-2^30, 2^30): the
+ring, the parser and the factorization search reject any other.  The key
+of a product is k1 + k2 - BIAS, BIAS holding EXP_BOUND in every lane.
+The top bit of each lane is a guard: a lane sum that over- or underflows
+sets its own guard bit (a borrow out of the top lane makes the key
+negative, which sets the guard too), and the kernel tests every product
+key against the guard mask, so an exponent that leaves the range raises
+ValueError instead of wrapping into a wrong term.  RingPoly.packed holds
+the packed dict; RingPoly.terms is a read-only view keyed by exponent
+tuples, for the parser, the printer and the other edges.
 
 Every sparse product runs through one multiply-accumulate kernel,
 `_mul_into`, which XORs the product of two term dicts into an accumulator
@@ -20,7 +32,7 @@ all call it, so no product builds a temporary polynomial to add.
 RingDescriptor and RingPoly are gf2k.Immutable values, and Immutable is
 re-exported here.  RingPoly writes its two slots itself and defines its
 own equality and hash, because it is built once per product entry and
-its terms are a dict.
+its packed terms are a dict.
 
 Text form (whitespace insignificant):
 
@@ -36,8 +48,8 @@ largest term first.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Optional, Sequence
+from functools import cache
+from typing import Any, Callable, Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable, embed
 
@@ -46,10 +58,28 @@ __all__ = [
     "RingDescriptor",
     "RingPoly",
     "ParseError",
+    "LANE_BITS",
+    "EXP_BOUND",
     "grevlex_key",
     "exact_divide",
     "parse_poly",
 ]
+
+LANE_BITS = 32
+EXP_BOUND = 1 << (LANE_BITS - 2)  # exponents lie in [-EXP_BOUND, EXP_BOUND)
+_LANE_MASK = (1 << LANE_BITS) - 1
+
+
+@cache
+def _lanes(nvars: int) -> tuple[int, int]:
+    """(BIAS, GUARD) for nvars lanes: EXP_BOUND, and the guard bit, in every lane."""
+    bias = sum(EXP_BOUND << (LANE_BITS * i) for i in range(nvars))
+    return bias, bias << 1
+
+
+def _overflow() -> ValueError:
+    return ValueError(f"exponent overflow: a product exponent leaves [-2^{LANE_BITS - 2}, "
+                      f"2^{LANE_BITS - 2})")
 
 
 class RingDescriptor(Immutable):
@@ -77,11 +107,32 @@ class RingDescriptor(Immutable):
             raise ValueError(f"unknown variable '{name}'") from None
 
     def check_exponents(self, exps: Sequence[int]) -> tuple[int, ...]:
-        if len(exps) != self.nvars:
+        self.pack(exps)
+        return tuple(exps)
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The packed key of an exponent vector.  Raises ValueError for a
+        wrong length, a negative exponent on a non-Laurent variable, or an
+        exponent outside [-EXP_BOUND, EXP_BOUND)."""
+        if len(exps) != len(self.vars):
             raise ValueError("exponent vector has wrong length")
+        key = shift = 0
         for e, flag, name in zip(exps, self.laurent, self.vars):
             if e < 0 and not flag:
                 raise ValueError(f"negative exponent on non-Laurent variable '{name}'")
+            if not -EXP_BOUND <= e < EXP_BOUND:
+                raise ValueError(f"exponent {e} of '{name}' outside "
+                                 f"[-2^{LANE_BITS - 2}, 2^{LANE_BITS - 2})")
+            key |= (e + EXP_BOUND) << shift
+            shift += LANE_BITS
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a packed key."""
+        exps = []
+        for _ in self.vars:
+            exps.append((key & _LANE_MASK) - EXP_BOUND)
+            key >>= LANE_BITS
         return tuple(exps)
 
     def polynomialized(self) -> "RingDescriptor":
@@ -94,30 +145,39 @@ def grevlex_key(exps: Sequence[int]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def _mul_into(acc: dict, a: dict, b: dict, field: FieldSpec) -> dict:
-    """Add the product of the term dicts a and b into acc and return acc.
+def _mul_into(acc: dict, a: dict, b: dict, ring: RingDescriptor) -> dict:
+    """Add the product of the packed term dicts a and b into acc and return acc.
 
     acc holds only nonzero coefficients before and after: a sum that
     cancels to 0 deletes its key.  Terms of a and b must be nonzero, so no
     single product is 0.  A side that is one monomial with coefficient 1
-    only shifts the other side's exponents, with no field multiplication."""
+    only shifts the other side's keys, with no field multiplication.
+    Every product key is tested against the guard bits; an exponent out of
+    range raises ValueError."""
+    bias, guard = _lanes(len(ring.vars))
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
         (shift, scale), = b.items()
         if scale == 1:
+            shift -= bias
             for e, c in a.items():
-                e = tuple(map(add, e, shift))
+                e += shift
+                if e & guard:
+                    raise _overflow()
                 c ^= acc.get(e, 0)
                 if c:
                     acc[e] = c
                 else:
                     del acc[e]
             return acc
-    mul = field.mul
+    mul = ring.field.mul
     for e1, c1 in a.items():
+        e1 -= bias
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
+            if e & guard:
+                raise _overflow()
             c = acc.get(e, 0) ^ mul(c1, c2)
             if c:
                 acc[e] = c
@@ -127,27 +187,34 @@ def _mul_into(acc: dict, a: dict, b: dict, field: FieldSpec) -> dict:
 
 
 class RingPoly(Immutable):
-    """Immutable sparse polynomial; terms maps exponent tuples to nonzero values."""
+    """Immutable sparse polynomial; packed maps packed exponent keys to
+    nonzero values, and terms is the same map keyed by exponent tuples."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed")
 
     # __init__ and _raw write the slots directly: a polynomial is built per
     # product entry, too often to go through the generic Immutable.__init__.
     def __init__(self, ring: RingDescriptor, terms: dict[tuple[int, ...], int]):
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
         for exps, coeff in terms.items():
             ring.field.validate(coeff)
             if coeff:
-                clean[ring.check_exponents(exps)] = coeff
+                clean[ring.pack(exps)] = coeff
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "packed", clean)
 
     @classmethod
-    def _raw(cls, ring: RingDescriptor, terms: dict[tuple[int, ...], int]) -> "RingPoly":
+    def _raw(cls, ring: RingDescriptor, packed: dict[int, int]) -> "RingPoly":
         p = object.__new__(cls)
         object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "packed", packed)
         return p
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """A new dict of the terms keyed by exponent tuples, in the order of packed."""
+        unpack = self.ring.unpack
+        return {unpack(key): c for key, c in self.packed.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -157,14 +224,14 @@ class RingPoly(Immutable):
 
     @classmethod
     def one(cls, ring: RingDescriptor) -> "RingPoly":
-        return cls._raw(ring, {(0,) * ring.nvars: 1})
+        return cls._raw(ring, {_lanes(ring.nvars)[0]: 1})
 
     @classmethod
     def monomial(cls, ring: RingDescriptor, exps: Sequence[int], coeff: int = 1) -> "RingPoly":
         ring.field.validate(coeff)
         if coeff == 0:
             return cls.zero(ring)
-        return cls._raw(ring, {ring.check_exponents(exps): coeff})
+        return cls._raw(ring, {ring.pack(exps): coeff})
 
     @classmethod
     def variable(cls, ring: RingDescriptor, name: str, power: int = 1) -> "RingPoly":
@@ -179,38 +246,35 @@ class RingPoly(Immutable):
             raise ValueError("ring mismatch")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def support_bounds(self) -> Optional[list[tuple[int, int]]]:
         """Per-variable (min, max) exponent over all terms; None for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return None
-        n = self.ring.nvars
-        lo = [min(e[i] for e in self.terms) for i in range(n)]
-        hi = [max(e[i] for e in self.terms) for i in range(n)]
-        return list(zip(lo, hi))
+        return [(min(column), max(column)) for column in zip(*self.terms)]
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RingPoly") -> "RingPoly":
         self._check_ring(other)
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        for exps, coeff in b.items():
-            c = out.get(exps, 0) ^ coeff
+        for key, coeff in b.items():
+            c = out.get(key, 0) ^ coeff
             if c:
-                out[exps] = c
+                out[key] = c
             else:
-                del out[exps]
+                del out[key]
         return RingPoly._raw(self.ring, out)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
         self._check_ring(other)
-        return RingPoly._raw(self.ring, _mul_into({}, self.terms, other.terms, self.ring.field))
+        return RingPoly._raw(self.ring, _mul_into({}, self.packed, other.packed, self.ring))
 
     def scale(self, coeff: int) -> "RingPoly":
         field = self.ring.field
@@ -221,7 +285,7 @@ class RingPoly(Immutable):
             return self
         return RingPoly._raw(
             self.ring,
-            {e: field.mul(c, coeff) for e, c in self.terms.items()},
+            {key: field.mul(c, coeff) for key, c in self.packed.items()},
         )
 
     def __pow__(self, e: int) -> "RingPoly":
@@ -232,35 +296,39 @@ class RingPoly(Immutable):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square past the last bit: it could overflow unused
+                base = base * base
         return result
 
-    # Own equality and hash: terms is a dict, which cannot be hashed as a field.
+    # Own equality and hash: packed is a dict, which cannot be hashed as a field.
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RingPoly)
             and (self.ring is other.ring or self.ring == other.ring)
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.packed.items())))
 
     # -- calculus and evaluation ----------------------------------------------
 
     def partial(self, var: int | str) -> "RingPoly":
-        """Formal partial derivative: termwise a*x^e -> (e mod 2)*a*x^(e-1)."""
+        """Formal partial derivative: termwise a*x^e -> (e mod 2)*a*x^(e-1).
+
+        The lane of x holds e + EXP_BOUND with EXP_BOUND even, so its low
+        bit is e mod 2, and an odd e > -EXP_BOUND leaves e - 1 in range."""
         i = self.ring.var_index(var) if isinstance(var, str) else var
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] & 1:
-                e = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                out[e] = coeff
-        return RingPoly._raw(self.ring, out)
+        shift = LANE_BITS * i
+        one = 1 << shift
+        return RingPoly._raw(
+            self.ring, {key - one: c for key, c in self.packed.items() if key >> shift & 1}
+        )
 
     def evaluate(self, point: Sequence[FieldElem]) -> FieldElem:
-        """Evaluate at a point over this field or an extension of it."""
+        """Evaluate at a point over this field or an extension of it; a
+        negative exponent uses the coordinate's inverse, computed once."""
         if len(point) != self.ring.nvars:
             raise ValueError("point has wrong number of coordinates")
         specs = {p.spec for p in point}
@@ -270,12 +338,17 @@ class RingPoly(Immutable):
         for p, flag, name in zip(point, self.ring.laurent, self.ring.vars):
             if flag and p.value == 0:
                 raise ValueError(f"pole: zero coordinate for Laurent variable '{name}'")
+        inverses: dict[int, int] = {}
         acc = 0
         for exps, coeff in self.terms.items():
             v = embed(coeff, self.ring.field, spec)
-            for p, e in zip(point, exps):
-                if e:
+            for i, (p, e) in enumerate(zip(point, exps)):
+                if e > 0:
                     v = spec.mul(v, spec.pow(p.value, e))
+                elif e < 0:
+                    if i not in inverses:
+                        inverses[i] = spec.inv(p.value)
+                    v = spec.mul(v, spec.pow(inverses[i], -e))
             acc ^= v
         return FieldElem(spec, acc)
 
@@ -294,10 +367,11 @@ class RingPoly(Immutable):
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        ordered = sorted(self.terms, key=grevlex_key, reverse=True)
-        return " + ".join(self._term_text(e, self.terms[e]) for e in ordered)
+        ordered = sorted(terms, key=grevlex_key, reverse=True)
+        return " + ".join(self._term_text(e, terms[e]) for e in ordered)
 
     def __repr__(self) -> str:
         return f"RingPoly({self})"
@@ -306,12 +380,29 @@ class RingPoly(Immutable):
 # -- exact division -----------------------------------------------------------
 
 
+def _packed_order(ring: RingDescriptor, key: Callable[[tuple[int, ...]], Any]) -> Callable:
+    """A sort key on packed keys: `key` of the exponent tuple, computed once
+    per packed key, for divisions that take many leading terms."""
+    seen: dict[int, Any] = {}
+    unpack = ring.unpack
+
+    def order(packed: int):
+        k = seen.get(packed)
+        if k is None:
+            k = seen[packed] = key(unpack(packed))
+        return k
+
+    return order
+
+
 def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     """Quotient p/d when d divides p in the ring, else None.
 
     Both operands are normalized by their monomial content first, so in a
     Laurent ring divisibility is tested up to units, and the unit shift is
-    restored (and checked against the Laurent flags) at the end.
+    restored (and checked against the Laurent flags) at the end.  The
+    division steps run on packed keys; only the leading-term choice and
+    the step test read exponent tuples.
     """
     p._check_ring(d)
     if d.is_zero():
@@ -319,30 +410,31 @@ def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     ring = p.ring
     if p.is_zero():
         return p
+    pack, unpack = ring.pack, ring.unpack
     shift_p = [lo for lo, _ in p.support_bounds()]
     shift_d = [lo for lo, _ in d.support_bounds()]
-    rem = {tuple(x - s for x, s in zip(e, shift_p)): c for e, c in p.terms.items()}
-    dd = {tuple(x - s for x, s in zip(e, shift_d)): c for e, c in d.terms.items()}
-    lt_d = max(dd, key=grevlex_key)
-    lc_d = dd[lt_d]
+    rem = {pack([x - s for x, s in zip(e, shift_p)]): c for e, c in p.terms.items()}
+    dd = {pack([x - s for x, s in zip(e, shift_d)]): c for e, c in d.terms.items()}
+    order = _packed_order(ring, grevlex_key)
+    lt_d = max(dd, key=order)
+    exps_d = unpack(lt_d)
     field = ring.field
-    lc_d_inv = field.inv(lc_d)
-    quo: dict[tuple[int, ...], int] = {}
+    lc_d_inv = field.inv(dd[lt_d])
+    quo: dict[int, int] = {}
     while rem:
-        lt = max(rem, key=grevlex_key)
-        step = tuple(a - b for a, b in zip(lt, lt_d))
+        lt = max(rem, key=order)
+        step = [a - b for a, b in zip(unpack(lt), exps_d)]
         if any(e < 0 for e in step):
             return None
         c = field.mul(rem[lt], lc_d_inv)
-        quo[step] = c
-        _mul_into(rem, dd, {step: c}, field)  # cancels lt
-    unit = tuple(a - b for a, b in zip(shift_p, shift_d))
-    out = _mul_into({}, quo, {unit: 1}, field)
-    for exps in out:
-        for e, flag in zip(exps, ring.laurent):
-            if e < 0 and not flag:
-                return None
-    return RingPoly._raw(ring, out)
+        key = pack(step)
+        quo[key] = c
+        _mul_into(rem, dd, {key: c}, ring)  # cancels lt
+    # quo has low corner 0, so the quotient's low corner is the unit shift
+    unit = [a - b for a, b in zip(shift_p, shift_d)]
+    if any(e < 0 and not flag for e, flag in zip(unit, ring.laurent)):
+        return None
+    return RingPoly._raw(ring, _mul_into({}, quo, {pack(unit): 1}, ring))
 
 
 # -- parsing -------------------------------------------------------------------
@@ -444,13 +536,23 @@ def _parse_atom(sc: _Scanner, ring: RingDescriptor) -> tuple[int, list[int]]:
         sc.take()
         sc.skip_ws()
         power = sc.take_int()
-    if power < 0 and not ring.laurent[i]:
-        sc.error(f"negative exponent on non-Laurent variable '{name}'", start)
     exps[i] = power
+    _pack_at(sc, ring, exps, start)
     return 1, exps
 
 
-def _parse_term(sc: _Scanner, ring: RingDescriptor) -> tuple[tuple[int, ...], int]:
+def _pack_at(sc: _Scanner, ring: RingDescriptor, exps: list[int], pos: int) -> int:
+    """ring.pack, failing as a ParseError at pos."""
+    try:
+        return ring.pack(exps)
+    except ValueError as exc:
+        sc.error(str(exc), pos)
+
+
+def _parse_term(sc: _Scanner, ring: RingDescriptor) -> tuple[int, int]:
+    """One term as (packed key, coefficient); a product of atoms whose
+    exponents leave the range fails at the term's first character."""
+    start = sc.pos
     coeff, exps = _parse_atom(sc, ring)
     sc.skip_ws()
     while sc.peek() == "*":
@@ -460,7 +562,7 @@ def _parse_term(sc: _Scanner, ring: RingDescriptor) -> tuple[tuple[int, ...], in
         coeff = ring.field.mul(coeff, c2)
         exps = [a + b for a, b in zip(exps, e2)]
         sc.skip_ws()
-    return tuple(exps), coeff
+    return _pack_at(sc, ring, exps, start), coeff
 
 
 def parse_poly(text: str, ring: RingDescriptor) -> RingPoly:
@@ -474,15 +576,15 @@ def _parse_span(text: str, start: int, end: int, ring: RingDescriptor) -> RingPo
     sc.skip_ws()
     if not sc.peek():
         sc.error("empty polynomial")
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     while True:
-        exps, coeff = _parse_term(sc, ring)
+        key, coeff = _parse_term(sc, ring)
         if coeff:
-            prev = terms.get(exps, 0) ^ coeff
+            prev = terms.get(key, 0) ^ coeff
             if prev:
-                terms[exps] = prev
+                terms[key] = prev
             else:
-                del terms[exps]
+                del terms[key]
         sc.skip_ws()
         if sc.peek() == "+":
             sc.take()
@@ -491,6 +593,4 @@ def _parse_span(text: str, start: int, end: int, ring: RingDescriptor) -> RingPo
         break
     if sc.pos != end:
         sc.error(f"unexpected character '{sc.peek()}'")
-    for exps in terms:
-        ring.check_exponents(exps)
     return RingPoly._raw(ring, terms)

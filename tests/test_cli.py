@@ -144,6 +144,15 @@ def test_huge_field_degree_is_a_parse_error(tmp_path, capsys):
     assert "line 1" in err and "exceeds the maximum" in err
 
 
+def test_exponent_above_the_bound_is_a_parse_error(tmp_path, capsys):
+    huge = tmp_path / "huge.mf"
+    huge.write_text(MF_HEAD + "potential: x^1073741824\nsize: 1\nx^1073741824\n")
+    code, out, err = run(capsys, ["verify", str(huge)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3, col 12: exponent 1073741824 of 'x' outside [-2^30, 2^30)\n"
+
+
 def test_window_above_the_limit_fails_fast(tmp_path, capsys):
     huge = tmp_path / "huge.mf"
     huge.write_text(

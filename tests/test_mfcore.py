@@ -272,6 +272,13 @@ def test_search_budget_guard():
         search_factorizations(w, 2, [(1, 0), (0, 1)], budget_bits=4)
 
 
+def test_search_rejects_support_outside_the_exponent_bound():
+    w = parse_poly("x^2 + y^2", P2)
+    for support in ([(2 ** 30, 0)], [(1, 0), (0, 2 ** 31)]):
+        with pytest.raises(ValueError, match="outside"):
+            search_factorizations(w, 1, support)
+
+
 @st.composite
 def mf_contents(draw):
     """A ring over GF(2^k), k <= 4, with 1-3 variables and random Laurent

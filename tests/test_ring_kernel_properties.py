@@ -1,15 +1,20 @@
 """Property tests of the multiply-accumulate kernel against the old products.
 
 The oracles are the loops the kernel replaced: a polynomial product with
-one field multiplication per term pair, and a matrix product that folds
-`acc + a*b` entry by entry.  The fused RingPoly and RingMatrix products
-must equal them exactly and keep no zero coefficient, over GF(2)..GF(16),
-Laurent and non-Laurent rings, non-square shapes, unit monomials with any
-coefficient, and sums that cancel.
+one field multiplication per term pair on exponent tuples, and a matrix
+product that folds `acc + a*b` entry by entry.  The fused RingPoly and
+RingMatrix products on packed keys must equal them exactly and keep no
+zero coefficient, over GF(2)..GF(16), Laurent and non-Laurent rings,
+non-square shapes, unit monomials with any coefficient, and sums that
+cancel.  At the exponent bound the packed product must equal the oracle
+whenever every exponent sum is in range and raise otherwise, and the
+products, sums and scalings must never unpack a key.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from importlib.resources import files
 
 import pytest
@@ -18,8 +23,9 @@ from hypothesis import strategies as st
 
 from mf2.gf2k import default_spec
 from mf2.mfcore import parse_mf_text
+from mf2.paperlab import Rp2Context, random_matrix, random_poly
 from mf2.ringmat import RingMatrix, commutator
-from mf2.ringpoly import RingDescriptor, RingPoly
+from mf2.ringpoly import EXP_BOUND, RingDescriptor, RingPoly
 
 FIELDS = [default_spec(k) for k in (1, 2, 3, 4)]
 PROPERTY = settings(max_examples=80)
@@ -191,3 +197,82 @@ def test_delta_squares_to_zero(name, spec, data):
     q = RingMatrix(ring, n, n, [RingPoly(ring, dict(e.terms)) for e in mff.q.entries])
     g = data.draw(matrices(ring, n, n))
     assert commutator(q, commutator(q, g)).is_zero()
+
+
+# -- the packed layout at the exponent bound -------------------------------------------
+
+
+EDGE = (-EXP_BOUND, -EXP_BOUND + 1, -1, 0, 1, EXP_BOUND // 2, EXP_BOUND - 2, EXP_BOUND - 1)
+NAMES = ("x", "y", "z", "w")
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_pack_unpack_round_trip_at_the_bound(nvars):
+    ring = RingDescriptor(default_spec(1), NAMES[:nvars], (True,) * nvars)
+    values = (-EXP_BOUND, -1, 0, 1, EXP_BOUND - 1)
+    keys = set()
+    for exps in itertools.product(values, repeat=nvars):
+        key = ring.pack(exps)
+        assert ring.unpack(key) == exps
+        keys.add(key)
+    assert len(keys) == len(values) ** nvars
+    for i in range(nvars):
+        for bad in (EXP_BOUND, -EXP_BOUND - 1):
+            exps = [0] * nvars
+            exps[i] = bad
+            with pytest.raises(ValueError, match="outside"):
+                ring.pack(exps)
+    polynomial = ring.polynomialized()
+    assert polynomial.unpack(polynomial.pack([EXP_BOUND - 1] * nvars)) == (EXP_BOUND - 1,) * nvars
+    with pytest.raises(ValueError, match="non-Laurent"):
+        polynomial.pack([-1] * nvars)
+
+
+@st.composite
+def edge_polys(draw, ring):
+    """Up to three terms with exponents at and next to the bound."""
+    exps = st.tuples(*(st.sampled_from([e for e in EDGE if flag or e >= 0])
+                       for flag in ring.laurent))
+    coeffs = st.integers(1, ring.field.order - 1)
+    return RingPoly(ring, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+
+
+@PROPERTY
+@given(st.data())
+def test_packed_product_at_the_bound_equals_oracle_or_raises(data):
+    spec = data.draw(st.sampled_from(FIELDS))
+    n = data.draw(st.integers(1, 4))
+    laurent = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ring = RingDescriptor(spec, NAMES[:n], laurent)
+    a, b = data.draw(edge_polys(ring)), data.draw(edge_polys(ring))
+    in_range = all(-EXP_BOUND <= x + y < EXP_BOUND
+                   for e1 in a.terms for e2 in b.terms for x, y in zip(e1, e2))
+    row = RingMatrix(ring, 1, 2, [a, RingPoly.zero(ring)])
+    col = RingMatrix(ring, 2, 1, [b, b])
+    if in_range:
+        assert (a * b).terms == oracle_mul(a, b).terms
+        assert row * col == oracle_matmul(row, col)
+        assert row.scale(b).entries[0] == oracle_mul(a, b)
+    else:
+        for product in (lambda: a * b, lambda: row * col, lambda: row.scale(b)):
+            with pytest.raises(ValueError, match="exponent overflow"):
+                product()
+
+
+def test_products_sums_and_scalings_never_unpack(monkeypatch):
+    ctx = Rp2Context(default_spec(2))
+    rng = random.Random(17)
+    g, h = (random_matrix(ctx.ring, rng, 4, 4, span=3, max_terms=4) for _ in range(2))
+    c = random_poly(ctx.ring, rng, span=3, max_terms=4)
+    unpacked = []
+    unpack = RingDescriptor.unpack
+    monkeypatch.setattr(RingDescriptor, "unpack",
+                        lambda ring, key: unpacked.append(key) or unpack(ring, key))
+    d = commutator(ctx.q, g)
+    results = [d, g * h, g.scale(c), g + h, d + g]
+    a, b = g.at(0, 0), h.at(1, 2)
+    assert a * b + b * a == RingPoly.zero(ctx.ring)
+    assert len({hash(e) for m in results for e in m.entries}) > 1
+    assert unpacked == []
+    str(d)  # the printer reads the exponent-tuple view, which does unpack
+    assert unpacked

@@ -221,6 +221,69 @@ def test_support_bounds():
     assert P("x^-2*y + x").support_bounds() == [(-2, 1), (0, 1)]
 
 
+def test_evaluate_inverts_each_laurent_coordinate_once(monkeypatch):
+    gf4 = default_spec(2)
+    ring = RingDescriptor(gf4, ("x",), (True,))
+    calls = []
+    inv = FieldSpec.inv
+    monkeypatch.setattr(FieldSpec, "inv", lambda spec, a: calls.append(a) or inv(spec, a))
+    t = gf4.element(2)
+    # t^-1 + t^-2 + t^-3 = t^2 + t + 1 = 0, the minimal polynomial of t
+    assert parse_poly("x^-1 + x^-2 + x^-3", ring).evaluate((t,)).value == 0
+    assert calls == [2]
+    calls.clear()
+    assert parse_poly("x^-1 + x^-2", ring).evaluate((t,)).value == 1
+    assert parse_poly("x^2 + x", ring).evaluate((t,)).value == 1
+    assert calls == [2]
+
+
+# Exponents lie in [-2^30, 2^30): one 32-bit lane per variable, less a
+# guard bit and a sign bias.
+BOUND = 2 ** 30
+
+
+@pytest.mark.parametrize("exps", [(BOUND, 0), (0, BOUND), (-BOUND - 1, 0), (0, 2 ** 40)])
+def test_exponents_outside_the_bound_are_rejected(exps):
+    with pytest.raises(ValueError, match="outside"):
+        LAURENT2.check_exponents(exps)
+    with pytest.raises(ValueError, match="outside"):
+        RingPoly(LAURENT2, {exps: 1})
+    with pytest.raises(ValueError, match="outside"):
+        RingPoly.monomial(LAURENT2, exps)
+    inside = tuple(max(-BOUND, min(e, BOUND - 1)) for e in exps)
+    assert RingPoly.monomial(LAURENT2, inside).terms == {inside: 1}
+
+
+def test_parser_rejects_exponents_outside_the_bound_with_a_position():
+    for text, col in (("x^1073741824", 1), ("x + y*x^1073741824", 7),
+                      ("x^-1073741825", 1), ("y + x^1073741823*x", 5),
+                      ("x^99999999999999999999", 1), ("x^1073741824*x^-1", 1)):
+        with pytest.raises(ParseError, match="outside") as ei:
+            P(text)
+        assert (ei.value.line, ei.value.col) == (1, col), text
+    assert P("x^1073741823 + x^-1073741824").terms == {(BOUND - 1, 0): 1, (-BOUND, 0): 1}
+    assert P("x^1073741823*x*x^-1").terms == {(BOUND - 1, 0): 1}
+
+
+@pytest.mark.parametrize("var", ["x", "y"])  # y owns the top lane, x a lower one
+def test_products_that_leave_the_bound_raise_instead_of_wrapping(var):
+    one = RingPoly.variable(LAURENT2, var)
+    inverse = RingPoly.variable(LAURENT2, var, -1)
+    top = RingPoly.variable(LAURENT2, var, BOUND - 1)
+    bottom = RingPoly.variable(LAURENT2, var, -BOUND)
+    assert str(top * inverse) == f"{var}^{BOUND - 2}"
+    assert str(bottom * one) == f"{var}^{-BOUND + 1}"
+    for a, b in ((top, one), (bottom, inverse), (top, top), (bottom, bottom),
+                 (top + one, P("x*y")), (RingMatrix.identity(LAURENT2, 2).scale(top), one)):
+        with pytest.raises(ValueError, match="exponent overflow"):
+            a.scale(b) if isinstance(a, RingMatrix) else a * b
+    with pytest.raises(ValueError, match="exponent overflow"):
+        RingPoly.variable(LAURENT2, var, 2 ** 15) ** (2 ** 15)
+    assert RingPoly.variable(LAURENT2, var, 2 ** 15) ** (2 ** 15 - 1) == \
+        RingPoly.variable(LAURENT2, var, 2 ** 30 - 2 ** 15)
+    assert (top ** 1) == top
+
+
 def _xy_mf():
     return UngradedMF(P("x*y"), parse_matrix("0, x; y, 0", LAURENT2))
 
