@@ -231,10 +231,6 @@ def cmd_search(args) -> int:
         results = search_factorizations(w, args.size, support, args.budget_bits)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    bad = [q for q in results if not verify_mf(q, w).ok]
-    if bad:
-        print("error: a search result failed re-verification", file=sys.stderr)
-        return 1
     one_liners = [str(q) for q in results]
     text = [f"found {len(results)} factorization(s)"]
     text.extend(f"q[{i}]: {line}" for i, line in enumerate(one_liners))

@@ -41,6 +41,7 @@ chosen classes in the local cohomology.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add
 from typing import Optional, Sequence
 
@@ -60,6 +61,7 @@ __all__ = [
 
 # Largest window whose monomials are listed: the differential has one
 # column per monomial and matrix entry, so a larger window exhausts memory first.
+# find_critical_points enumerates at most this many field points.
 MAX_WINDOW_MONOMIALS = 1 << 20
 
 
@@ -233,8 +235,12 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
 
 def find_critical_points(w: RingPoly, spec: FieldSpec) -> list[tuple[FieldElem, ...]]:
     """All points with every partial derivative of w vanishing; Laurent
-    variables range over nonzero field elements only."""
+    variables range over nonzero field elements only.  Refuses, before
+    listing any, more than MAX_WINDOW_MONOMIALS points."""
     ring = w.ring
+    count = math.prod(spec.order - 1 if laur else spec.order for laur in ring.laurent)
+    if count > MAX_WINDOW_MONOMIALS:
+        raise ValueError(f"{count} field points to search, above the limit of {MAX_WINDOW_MONOMIALS}")
     partials = [w.partial(i) for i in range(ring.nvars)]
     axes = []
     for laur in ring.laurent:

@@ -13,6 +13,7 @@ has three-dimensional stable cohomology.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from mf2.cohomwin import (
     find_critical_points,
     solve_exactness,
 )
-from mf2.gf2k import GF2, default_spec
+from mf2.gf2k import GF2, FieldSpec, default_spec
 from mf2.mfcore import Morphism, UngradedMF, contract_at_noncritical
 from mf2.ringmat import Echelon, RingMatrix, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
@@ -182,6 +183,16 @@ def test_critical_points():
     for p in pts:
         assert p[0] == p[1]
         assert (p[0] * p[0] * p[0]).value == 1
+
+
+def test_critical_point_search_refuses_huge_point_sets_fast():
+    spec = FieldSpec(8, 0b100011011)  # x^8 + x^4 + x^3 + x + 1
+    ring = RingDescriptor(spec, ("x", "y", "z"), (False, False, False))
+    w = parse_poly("x*y*z + x^2", ring)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="16777216 field points"):
+        find_critical_points(w, spec)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_certify_at_critical_point():

@@ -13,6 +13,7 @@ import pytest
 from mf2.gf2k import default_spec
 from mf2.ringpoly import RingPoly, parse_poly
 from mf2.ringmat import RingMatrix, blocks_of, commutator, parse_matrix
+from mf2 import paperlab
 from mf2.mfcore import Morphism
 from mf2.paperlab import (
     Check,
@@ -32,6 +33,7 @@ from mf2.paperlab import (
 
 
 CTX = Rp2Context()
+CONTEXTS = {1: CTX, 2: Rp2Context(default_spec(2))}
 
 
 def canonical_alpha(rng):
@@ -146,6 +148,82 @@ def test_reduce_random_round_trips():
         result = CTX.reduce_endomorphism(f)
         assert result.alpha == alpha
         assert result.witness.claim.f == f + CTX._identity4().scale(alpha)
+
+
+def test_reduce_rejects_non_closed():
+    x = RingPoly.variable(CTX.ring, "x")
+    open_map = RingMatrix.zeros(CTX.ring, 4, 4) + CTX.dqdx.scale(x)
+    with pytest.raises(ValueError, match="closed"):
+        CTX.reduce_endomorphism(open_map)
+
+
+def test_reduce_makes_two_commutator_calls(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return commutator(a, b)
+
+    monkeypatch.setattr(paperlab, "commutator", counted)
+    for k in (1, 2):
+        ctx = CONTEXTS[k]
+        _, f = ctx.random_closed(random.Random(53))
+        calls.clear()
+        ctx.reduce_endomorphism(f)
+        assert len(calls) == 2
+
+
+# Each fault breaks one identity the reduction used to re-check at its own
+# stage; the final HomotopyWitness must reject all of them.
+
+
+def _shift_p_by_x(monkeypatch):
+    """Stage one: a wrong quotient p breaks delta(g1)'s off-diagonal blocks."""
+    divide = paperlab.exact_divide
+
+    def wrong(a, b):
+        return divide(a, b) + RingPoly.variable(a.ring, "x")
+
+    monkeypatch.setattr(paperlab, "exact_divide", wrong)
+
+
+def _perturb_s(monkeypatch):
+    """Stage one: a wrong preimage s leaves [U, s] in the lower-left block
+    (s + Id would not be a fault: Id is in the kernel of [U, -])."""
+    preimage = paperlab.delta_u_preimage
+    calls = []
+
+    def wrong(x):
+        calls.append(1)
+        out = preimage(x)
+        if len(calls) == 2:  # _split asks for t, then s
+            one, zero = RingPoly.one(x.ring), RingPoly.zero(x.ring)
+            out = out + RingMatrix.from_rows(x.ring, [[one, zero], [zero, zero]])
+        return out
+
+    monkeypatch.setattr(paperlab, "delta_u_preimage", wrong)
+
+
+def _swap_cofactors(monkeypatch):
+    """Stage three: swapped cofactors miss alpha0 + alpha."""
+    cofactors = Rp2Context.jacobian_cofactors
+
+    def wrong(self, target):
+        c1, c2 = cofactors(self, target)
+        return c2, c1
+
+    monkeypatch.setattr(Rp2Context, "jacobian_cofactors", wrong)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fault", [_shift_p_by_x, _perturb_s, _swap_cofactors])
+def test_reduce_witness_rejects_stage_faults(monkeypatch, fault, k):
+    ctx = CONTEXTS[k]
+    _, f = ctx.random_closed(random.Random(54))
+    ctx.reduce_endomorphism(f)
+    fault(monkeypatch)
+    with pytest.raises(ValueError, match="homotopy witness does not satisfy"):
+        ctx.reduce_endomorphism(f)
 
 
 def test_reduce_accepts_morphisms():
