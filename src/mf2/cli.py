@@ -25,6 +25,7 @@ from .ringmat import RingMatrix, parse_matrix
 from .mfcore import (
     MFFile,
     UngradedMF,
+    VerificationError,
     double,
     emit_mf_text,
     forget,
@@ -229,6 +230,8 @@ def cmd_search(args) -> int:
         start += len(token) + 1
     try:
         results = search_factorizations(w, args.size, support, args.budget_bits)
+    except VerificationError:
+        raise  # a failed verification exits 1, not as a usage error
     except ValueError as exc:
         raise CliError(str(exc)) from None
     one_liners = [str(q) for q in results]

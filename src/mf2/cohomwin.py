@@ -20,7 +20,12 @@ the point certification below.
 A column of d is one packed Echelon int.  With n = src.size and
 cells = tgt.size * n, the output coordinate of E_rc x^m is
 block[m] * cells + r * n + c, where block numbers the monomials of the
-output window; a domain column is a (cell, monomial) pair.
+output window; a domain column is a (cell, monomial) pair.  The images
+of one domain cell are folded once into a small int per shift s, with
+every output cell in its own slot, so terms that meet at one cell and
+shift cancel there.  The column of (cell, x^e) is the sum of those ints,
+each moved to the block of x^(e+s): one big shift per distinct shift,
+not one per term.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
@@ -136,33 +141,39 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     # exponent-tuple views of the entries, read once: windows index tuples
     qs = [e.terms for e in src.q.entries]
     qt = [e.terms for e in tgt.q.entries]
-    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic, merged
-    # per (output cell, shift): two terms meet exactly when their shifts do
-    terms = []
+    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
+    # shift s, one small int holds every output cell (slot k*cell), and
+    # terms that meet at one (cell, shift) cancel there
+    images = []
     for i in range(m):
         for j in range(n):
-            acc: dict[tuple[int, tuple[int, ...]], int] = {}
-            images = [(r * n + j, qt[r * m + i]) for r in range(m)]
-            images += [(i * n + col, qs[j * n + col]) for col in range(n)]
-            for cell, entry in images:
+            acc: dict[tuple[int, ...], int] = {}
+            parts = [(r * n + j, qt[r * m + i]) for r in range(m)]
+            parts += [(i * n + col, qs[j * n + col]) for col in range(n)]
+            for cell, entry in parts:
                 for s, c in entry.items():
-                    acc[cell, s] = acc.get((cell, s), 0) ^ c
-            terms.append([(k * cell, s, c) for (cell, s), c in acc.items() if c])
-    shifts = {s for cell in terms for _, s, _ in cell}
+                    acc[s] = acc.get(s, 0) ^ c << (k * cell)
+            images.append([(s, v) for s, v in acc.items() if v])
+    shifts = {s for cell in images for s, _ in cell}
     offsets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     cols = []
-    try:
-        for cell, e in domain:
-            off = offsets.get(e)
-            if off is None:
-                off = offsets[e] = {}
-                for s in shifts:
-                    b = out_block.get(tuple(map(add, e, s)))
-                    if b is not None:
-                        off[s] = b * stride
-            cols.append(sum(c << (off[s] + pos) for pos, s, c in terms[cell]))
-    except KeyError:
-        raise ValueError("window overflow: differential image leaves the output window") from None
+    for cell, e in domain:
+        off = offsets.get(e)
+        if off is None:
+            off = offsets[e] = {}
+            for s in shifts:
+                b = out_block.get(tuple(map(add, e, s)))
+                if b is not None:
+                    off[s] = b * stride
+        # out_block is a bijection, so the shifted pieces are disjoint
+        # and OR adds them
+        col = 0
+        try:
+            for s, v in images[cell]:
+                col |= v << off[s]
+        except KeyError:
+            raise ValueError("window overflow: differential image leaves the output window") from None
+        cols.append(col)
     return cols
 
 

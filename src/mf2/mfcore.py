@@ -53,7 +53,13 @@ __all__ = [
     "from_graded",
     "contract_at_noncritical",
     "search_factorizations",
+    "VerificationError",
 ]
+
+
+class VerificationError(ValueError):
+    """A result that failed its own re-verification: a fault in mf2's
+    computation, not in the caller's input."""
 
 
 class VerifyReport(Immutable):
@@ -408,7 +414,7 @@ def search_factorizations(
         entries = [RingPoly(ring, {supp[i]: c for i, c in digits(v)}) for v in leaf]
         m = RingMatrix(ring, size, size, entries)
         if m * m != wid:
-            raise ValueError("search result failed re-verification: Q^2 != W*Id")
+            raise VerificationError("search result failed re-verification: Q^2 != W*Id")
         found.append(m)
     return found
 

@@ -38,8 +38,9 @@ __all__ = [
 class RingMatrix(Immutable):
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    # __init__ and _raw write the slots directly: a matrix is built per
-    # product and sum, too often to go through the generic Immutable.__init__.
+    # __init__ and _raw write the slots through their descriptors: a matrix
+    # is built per product and sum, too often to go through the generic
+    # Immutable.__init__ or object.__setattr__.
     def __init__(self, ring: RingDescriptor, rows: int, cols: int, entries: Sequence[RingPoly]):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
@@ -48,19 +49,19 @@ class RingMatrix(Immutable):
         for e in entries:
             if e.ring is not ring and e.ring != ring:
                 raise ValueError("ring mismatch in matrix entry")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, tuple(entries))
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, rows: int, cols: int, entries: list[RingPoly]) -> "RingMatrix":
         """A matrix of entries the caller built in `ring` itself."""
         m = object.__new__(cls)
-        object.__setattr__(m, "ring", ring)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(entries))
+        _set_ring(m, ring)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_entries(m, tuple(entries))
         return m
 
     def _check_ring(self, ring: RingDescriptor) -> None:
@@ -172,6 +173,10 @@ class RingMatrix(Immutable):
 
     def __repr__(self) -> str:
         return f"RingMatrix({self})"
+
+
+_set_ring, _set_rows, _set_cols, _set_entries = (
+    getattr(RingMatrix, name).__set__ for name in RingMatrix.__slots__)
 
 
 def commutator(a: RingMatrix | FieldMatrix, b: RingMatrix | FieldMatrix) -> RingMatrix | FieldMatrix:
@@ -429,10 +434,11 @@ class Echelon:
             return None, comb
         k = self.k
         p = ((v & -v).bit_length() - 1) // k
-        c = (v >> (k * p)) & self._mask
-        if c != 1:
-            c = self.spec.inv(c)
-            v, comb = self.scale(v, c), self.scale(comb, c)
+        if k != 1:  # over GF(2) the leading coefficient is 1
+            c = (v >> (k * p)) & self._mask
+            if c != 1:
+                c = self.spec.inv(c)
+                v, comb = self.scale(v, c), self.scale(comb, c)
         self.rows[p] = v
         if self.track:
             self.combs[p] = comb

@@ -192,22 +192,23 @@ class RingPoly(Immutable):
 
     __slots__ = ("ring", "packed")
 
-    # __init__ and _raw write the slots directly: a polynomial is built per
-    # product entry, too often to go through the generic Immutable.__init__.
+    # __init__ and _raw write the slots through their descriptors: a
+    # polynomial is built per product entry, too often to go through the
+    # generic Immutable.__init__ or object.__setattr__.
     def __init__(self, ring: RingDescriptor, terms: dict[tuple[int, ...], int]):
         clean: dict[int, int] = {}
         for exps, coeff in terms.items():
             ring.field.validate(coeff)
             if coeff:
                 clean[ring.pack(exps)] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "packed", clean)
+        _set_ring(self, ring)
+        _set_packed(self, clean)
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, packed: dict[int, int]) -> "RingPoly":
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "packed", packed)
+        _set_ring(p, ring)
+        _set_packed(p, packed)
         return p
 
     @property
@@ -375,6 +376,9 @@ class RingPoly(Immutable):
 
     def __repr__(self) -> str:
         return f"RingPoly({self})"
+
+
+_set_ring, _set_packed = RingPoly.ring.__set__, RingPoly.packed.__set__
 
 
 # -- exact division -----------------------------------------------------------

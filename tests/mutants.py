@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Mutation gate: each seeded fault must make its named test fail.
+
+    python3 tests/mutants.py
+
+Run from the repository root (about two minutes, most of it hypothesis
+shrinking the failing examples).  Each mutant is (file, old text, new
+text, test id).  The script copies `src/`, `tests/` and `pyproject.toml`
+into a temporary directory, replaces the old text (which must occur
+exactly once) by the new one there, runs only the named test with pytest
+and expects it to fail.  First it runs every named test on
+an unmutated copy, where each must pass, so a kill is the mutant's doing.
+It exits 0 when every mutant is killed and 1 otherwise.  The script
+itself uses only the standard library and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# A mutant whose test runs this long is reported as a hang, not a kill.
+TIMEOUT_S = 300
+
+ECHELON = "tests/test_echelon_properties.py"
+MUTANTS = (
+    # OR instead of XOR: images that meet at one (cell, shift) no longer cancel
+    ("src/mf2/cohomwin.py",
+     "acc[s] = acc.get(s, 0) ^ c << (k * cell)",
+     "acc[s] = acc.get(s, 0) | c << (k * cell)",
+     f"{ECHELON}::test_packed_columns_match_dense_products"),
+    # a cell's slot ignores the field degree: cells overlap when k > 1
+    ("src/mf2/cohomwin.py",
+     "c << (k * cell)",
+     "c << cell",
+     f"{ECHELON}::test_packed_columns_match_dense_products"),
+    # a swallowed window overflow drops the column
+    ("src/mf2/cohomwin.py",
+     'raise ValueError("window overflow: differential image leaves the output window") from None',
+     "continue",
+     f"{ECHELON}::test_delta_columns_reject_a_window_one_step_too_small"),
+    # GF(4) rows are no longer made monic
+    ("src/mf2/ringmat.py",
+     "if k != 1:  # over GF(2) the leading coefficient is 1",
+     "if k > 2:",
+     f"{ECHELON}::test_insert_scales_a_new_row_to_be_monic"),
+    # the unit-shift path of the product kernel forgets the exponent guard
+    ("src/mf2/ringpoly.py",
+     "                if e & guard:\n                    raise _overflow()\n",
+     "",
+     "tests/test_ringpoly.py::test_products_that_leave_the_bound_raise_instead_of_wrapping"),
+    # the general path of the product kernel forgets the exponent guard
+    ("src/mf2/ringpoly.py",
+     "            if e & guard:\n                raise _overflow()\n",
+     "",
+     "tests/test_ring_kernel_properties.py::test_packed_product_at_the_bound_equals_oracle_or_raises"),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(tree: Path, test_ids: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mf2-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        proc = run_tests(base, sorted({test for *_, test in MUTANTS}))
+        if proc.returncode != 0:
+            print(proc.stdout[-2000:], proc.stderr[-2000:], sep="\n")
+            print("mutants: the named tests do not all pass on the unmutated tree")
+            return 1
+        for i, (path, old, new, test) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"m{i}"
+            copy_tree(tree)
+            target = tree / path
+            text = target.read_text()
+            if text.count(old) != 1:
+                failures.append(f"mutant {i}: {old!r} occurs {text.count(old)} times in {path}")
+                continue
+            target.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            try:
+                code = run_tests(tree, [test]).returncode
+            except subprocess.TimeoutExpired:
+                code = None
+            shutil.rmtree(tree)
+            # pytest exits 1 when a test failed; 0 is a survivor, anything
+            # else (no such test, a usage error) is a broken mutant entry
+            status = {0: "SURVIVED", 1: "killed", None: "hung"}.get(code, f"error (pytest exit {code})")
+            print(f"mutant {i}: {status} in {time.perf_counter() - start:.1f} s: {path}: "
+                  f"{old.strip()!r} -> {new.strip()!r} [{test}]", flush=True)
+            if code != 1:
+                failures.append(f"mutant {i}: {status}")
+    for line in failures:
+        print(line)
+    print(f"mutants: {len(MUTANTS) - len(failures)} of {len(MUTANTS)} killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

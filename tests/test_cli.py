@@ -1,10 +1,11 @@
 """Command-line interface tests.
 
 Exit-code contract: 0 when every check passes, 1 when a verification fails
-(bad factorization, non-closed endomorphism, failed suite check) or a
-window exceeds its size limit, 2 for usage and parse errors (malformed
-files, missing files, bad points, exceeded search budgets), 3 for an
-internal error, i.e. a bug in mf2.
+(bad factorization, non-closed endomorphism, failed suite check, a
+search result failing its re-verification) or a window exceeds its size
+limit, 2 for usage and parse errors (malformed files, missing files, bad
+points, exceeded search budgets), 3 for an internal error, i.e. a bug in
+mf2.
 parse-check must be byte-stable: emitting a parsed canonical file reproduces
 it exactly.
 """
@@ -26,6 +27,7 @@ from mf2 import paperlab
 from mf2.cli import main
 from mf2.mfcore import emit_mf_text, parse_mf_text
 from mf2.paperlab import Check, Report
+from mf2.ringmat import RingMatrix
 from mf2.ringpoly import ParseError
 
 FIXTURES = files("mf2") / "fixtures"
@@ -327,6 +329,15 @@ def test_search_budget_and_support_errors(capsys):
                                 "--vars", "x y", "--laurent", "00"])
     assert code == 2
     assert "monomial" in err
+
+
+def test_search_result_failing_reverification_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(RingMatrix, "__ne__", lambda self, other: True)
+    code, out, err = run(capsys, ["search", "--potential", "x^2 + y^2",
+                                  "--size", "1", "--support", "x, y"])
+    assert code == 1
+    assert out == ""
+    assert "search result failed re-verification" in err
 
 
 def test_search_nonpositive_size_is_usage_error(capsys):

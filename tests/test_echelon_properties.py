@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,6 +238,21 @@ def test_scale_is_slotwise_field_product(spec, data):
 
 
 @PROPERTY
+@given(st.sampled_from(FIELDS), st.data())
+def test_insert_scales_a_new_row_to_be_monic(spec, data):
+    n = data.draw(st.integers(1, 8))
+    values = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n))
+    ech = Echelon(spec)
+    pivot, _ = ech.insert(ech.pack(values))
+    lead = next((v for v in values if v), None)
+    if lead is None:
+        assert pivot is None
+    else:
+        assert pivot == next(j for j, v in enumerate(values) if v)
+        assert ech.unpack(ech.rows[pivot], n) == [spec.mul(spec.inv(lead), v) for v in values]
+
+
+@PROPERTY
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_gf2_rank_survives_embedding_into_gf4(rows, cols, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
@@ -310,6 +326,20 @@ def random_conjugate(mf, k, data):
     return conjugate(mf, perm, units)
 
 
+def elementary_conjugate(mf, k, data):
+    """P Q P for P = I + c E_ij with i != j, its own inverse in characteristic
+    2: entries become sums of several monomials, and the diagonal fills in."""
+    ring = mf.ring
+    n = mf.size
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    c = data.draw(st.integers(1, (1 << k) - 1))
+    p = RingMatrix.identity(ring, n) + RingMatrix(ring, n, n, [
+        RingPoly.monomial(ring, (0,) * ring.nvars, c) if (r, col) == (i, j) else RingPoly.zero(ring)
+        for r in range(n) for col in range(n)
+    ])
+    return UngradedMF(mf.w, p * mf.q * p)
+
+
 @SLOW
 @given(st.sampled_from(CASES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
@@ -321,14 +351,22 @@ def test_one_pass_dims_match_per_radius_definition(case, data):
 
 @SLOW
 @given(st.sampled_from(((1, "rp2", "rp2"), (2, "rp2", "double_rp2"), (2, "double_rp2", "rp2"),
-                        (3, "an_q_2", "an_q_2"))),
+                        (3, "an_q_2", "an_q_2"), (3, "rp2", "rp2"))),
        st.integers(0, 1), st.data())
 def test_packed_columns_match_dense_products(case, radius, data):
     """Slot block[m]*cells + r*n + c of a packed column is the dense entry
-    at row (r*n + c, m), also for a hom space between different sizes."""
+    at row (r*n + c, m), also for a hom space between different sizes.
+    Elementary conjugation gives multi-term entries and a nonzero diagonal,
+    and an endomorphism space (tgt = src) makes qt[i, i] and qs[i, i] meet
+    at one output cell and shift and cancel there."""
     k, src_name, tgt_name = case
     src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
-    tgt = random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
+    src = elementary_conjugate(src, k, data)
+    if src_name == tgt_name and data.draw(st.booleans()):
+        tgt = src
+    else:
+        tgt = elementary_conjugate(random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data),
+                                   k, data)
     win_in = Window.symmetric(src.ring, radius)
     win_out = win_in.expanded(src.q.support_hull()).union(win_in.expanded(tgt.q.support_hull()))
     cells = src.size * tgt.size
@@ -343,6 +381,24 @@ def test_packed_columns_match_dense_products(case, radius, data):
         assert col >> (ech.k * len(slots)) == 0
         assert [slots[b * cells + cell] for cell in range(cells) for b in range(len(mons_out))] \
             == [dense.at(r, j) for r in range(dense.rows)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_delta_columns_reject_a_window_one_step_too_small(k):
+    """Shrinking any bound of the exact output window by one drops the
+    monomial some image term lands on."""
+    mf = load_fixture("rp2", default_spec(k))
+    win_in = Window.symmetric(mf.ring, 1)
+    win_out = win_in.expanded(mf.q.support_hull())
+    domain = [(cell, e) for cell in range(mf.size ** 2) for e in win_in.monomials()]
+    assert _delta_columns(mf, mf, domain, {e: b for b, e in enumerate(win_out.monomials())})
+    for var in range(mf.ring.nvars):
+        for side, step in ((0, 1), (1, -1)):
+            bounds = [list(b) for b in win_out.bounds]
+            bounds[var][side] += step
+            small = Window(mf.ring, tuple(map(tuple, bounds)))
+            with pytest.raises(ValueError, match="window overflow"):
+                _delta_columns(mf, mf, domain, {e: b for b, e in enumerate(small.monomials())})
 
 
 # -- point certificates ------------------------------------------------------------------

@@ -346,6 +346,21 @@ def test_value_classes_reject_assignment_and_deletion(name):
     assert getattr(obj, field) is value
 
 
+def test_products_built_through_slot_descriptors_stay_immutable():
+    """Products are built by _raw, which writes each slot through its
+    descriptor; every slot of the result still rejects assignment."""
+    one = RingMatrix.identity(LAURENT2, 2)
+    for obj in (P("x + 1") * P("y"), one * one, one + one):
+        name = type(obj).__name__
+        for field in type(obj).__slots__:
+            value = getattr(obj, field)
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(obj, field, value)
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                delattr(obj, field)
+            assert getattr(obj, field) is value
+
+
 def _with_field(obj, name, value):
     """A copy of obj with one field replaced, built by the base constructor."""
     copy = object.__new__(type(obj))
