@@ -1,7 +1,7 @@
 """Groebner bases over GF(2^k) and Jacobian quotient rings.
 
 Buchberger's algorithm with the product criterion and full
-inter-reduction; term orders are lex, grevlex, or an elimination order
+inter-reduction; term orders are grevlex, or an elimination order
 (block-lex between blocks, grevlex inside each block).  Sizes here are
 tiny, so clarity wins over pairing heuristics.
 
@@ -36,43 +36,32 @@ __all__ = [
 
 
 class TermOrder(Immutable):
-    """kind 'lex' or 'grevlex'; block > 0 makes the first `block` priority
-    variables an elimination block compared before the rest."""
+    """Grevlex on the variables ranked by priority; block > 0 makes the
+    first `block` priority variables an elimination block, compared by
+    grevlex before the rest."""
 
-    __slots__ = ("kind", "priority", "block")
+    __slots__ = ("priority", "block")
 
-    def __init__(self, kind: str, priority: tuple[int, ...], block: int = 0):
-        super().__init__(kind, priority, block)
-        if self.kind not in ("lex", "grevlex"):
-            raise ValueError("term order kind must be 'lex' or 'grevlex'")
+    def __init__(self, priority: tuple[int, ...], block: int = 0):
+        super().__init__(priority, block)
         if sorted(self.priority) != list(range(len(self.priority))):
             raise ValueError("priority must be a permutation of the variable indices")
         if not 0 <= self.block <= len(self.priority):
             raise ValueError("invalid block split")
 
-    def _block_key(self, arranged: tuple[int, ...]):
-        return arranged if self.kind == "lex" else grevlex_key(arranged)
-
     def key(self, exps: Sequence[int]):
         arranged = tuple(exps[p] for p in self.priority)
         if self.block:
-            return (
-                self._block_key(arranged[:self.block]),
-                self._block_key(arranged[self.block:]),
-            )
-        return self._block_key(arranged)
+            return grevlex_key(arranged[:self.block]), grevlex_key(arranged[self.block:])
+        return grevlex_key(arranged)
 
     @classmethod
     def grevlex(cls, nvars: int) -> "TermOrder":
-        return cls("grevlex", tuple(range(nvars)))
-
-    @classmethod
-    def lex(cls, nvars: int) -> "TermOrder":
-        return cls("lex", tuple(range(nvars)))
+        return cls(tuple(range(nvars)))
 
     @classmethod
     def eliminate_first(cls, nvars: int, block: int) -> "TermOrder":
-        return cls("grevlex", tuple(range(nvars)), block)
+        return cls(tuple(range(nvars)), block)
 
 
 def _leading(p: RingPoly, order: TermOrder) -> tuple[tuple[int, ...], int]:
@@ -210,7 +199,7 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
         _clear_monomial_content(p, poly_ring) for p in partials if not p.is_zero()
     ]
     # later variables compare larger, so earlier-listed ones survive into staircases
-    order = TermOrder("grevlex", tuple(reversed(range(ring.nvars))))
+    order = TermOrder(tuple(reversed(range(ring.nvars))))
     if not cleared or not any(ring.laurent):
         gens = buchberger(cleared, order) if cleared else []
         return JacobianPresentation(poly_ring, tuple(gens), ring.laurent, order)

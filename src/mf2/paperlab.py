@@ -16,13 +16,15 @@ x^3 + 1) these certify that alpha -> alpha*Id is an isomorphism from the
 Jacobian ring onto the cohomology endomorphism ring.  Each returned
 result carries one certificate, its defining identity re-checked
 symbolically before it is returned (for a reduction, the HomotopyWitness
-delta(g) = f + alpha*Id); intermediate stages are not re-checked, since a
-wrong stage breaks that identity and raises instead of propagating.
+delta(g) = f + alpha*Id; for a decomposition, the reassembly of f);
+intermediate stages are not re-checked, since a wrong stage breaks that
+identity and raises instead of propagating.
 
 Each identity has one implementation: an Rp2Context.check_* method (run
-at construction and again by the batteries) or a module helper.  The
-batteries -- run_suite, an_corpus and closed_open_certify -- are lists of
-check functions, each named by its check id and run in order; a check
+at construction and again by the batteries) or a module helper; the
+Jacobian fold into span{1, x, x^2} and its cofactors is Rp2Context._fold.
+The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
+of check functions, each named by its check id and run in order; a check
 signals a mathematical failure with ValueError, and any other exception
 is a bug that propagates.
 """
@@ -415,28 +417,14 @@ class Rp2Context(Immutable):
 
     # -- canonical scalars ---------------------------------------------------
 
-    def normal_form_alpha(self, alpha: RingPoly) -> RingPoly:
-        """Canonical representative of alpha in span{1, x, x^2}: each
-        monomial x^a*y^b collapses to x^((a+b) mod 3).  The rule is the
-        quotient map for the relations y = x and x^3 = 1, validated against
-        the Groebner quotient at construction time."""
-        if alpha.ring != self.ring:
-            raise ValueError("alpha is not in the context ring")
-        terms: dict[tuple[int, ...], int] = {}
-        for (a, b), coeff in alpha.terms.items():
-            e = ((a + b) % 3, 0)
-            terms[e] = terms.get(e, 0) ^ coeff
-        return RingPoly(self.ring, {e: c for e, c in terms.items() if c})
-
-    def jacobian_cofactors(self, target: RingPoly) -> tuple[RingPoly, RingPoly]:
-        """Explicit c1, c2 with target = c1*dW/dx + c2*dW/dy.
+    def _fold(self, target: RingPoly) -> tuple[RingPoly, RingPoly, RingPoly]:
+        """alpha in span{1, x, x^2} and cofactors c1, c2 with
+        target = alpha + c1*dW/dx + c2*dW/dy: the one implementation of the
+        quotient map x^a*y^b -> x^((a+b) mod 3) and of its cofactors.
 
         Stage one rewrites x^a*y^b to x^(a+b) along multiples of
         x + y = x*dW/dx + y*dW/dy; stage two folds exponents mod 3 along
-        x^3 + 1 = (x^2*y + x^3)*dW/dx + x^2*y*dW/dy.  The remainder is the
-        canonical form of target, which must vanish."""
-        if target.ring != self.ring:
-            raise ValueError("target is not in the context ring")
+        x^3 + 1 = (x^2*y + x^3)*dW/dx + x^2*y*dW/dy."""
         ring = self.ring
         spec, pack = ring.field, ring.pack
         x = {pack((1, 0)): 1}
@@ -473,10 +461,28 @@ class Rp2Context(Immutable):
                 _mul_into(c1_terms, cof1, l, ring)
                 _mul_into(c2_terms, cof2, l, ring)
             remainder[r] = spec.add(remainder.get(r, 0), coeff)
-        if any(remainder.values()):
+        alpha = RingPoly._raw(ring, {pack((r, 0)): c for r, c in remainder.items() if c})
+        return alpha, RingPoly._raw(ring, c1_terms), RingPoly._raw(ring, c2_terms)
+
+    def normal_form_alpha(self, alpha: RingPoly) -> RingPoly:
+        """Canonical representative of alpha in span{1, x, x^2}: each
+        monomial x^a*y^b collapses to x^((a+b) mod 3).  The rule is the
+        quotient map for the relations y = x and x^3 = 1, validated against
+        the Groebner quotient at construction time; _fold is its one
+        implementation."""
+        if alpha.ring != self.ring:
+            raise ValueError("alpha is not in the context ring")
+        return self._fold(alpha)[0]
+
+    def jacobian_cofactors(self, target: RingPoly) -> tuple[RingPoly, RingPoly]:
+        """Explicit c1, c2 with target = c1*dW/dx + c2*dW/dy, from _fold:
+        the canonical form of target must vanish.  The cofactor identity is
+        this answer's certificate and is re-checked."""
+        if target.ring != self.ring:
+            raise ValueError("target is not in the context ring")
+        alpha, c1, c2 = self._fold(target)
+        if not alpha.is_zero():
             raise ValueError("target is not in the Jacobian ideal")
-        c1 = RingPoly._raw(ring, c1_terms)
-        c2 = RingPoly._raw(ring, c2_terms)
         if c1 * self.dwdx + c2 * self.dwdy != target:
             raise ValueError("cofactor identity failed")
         return c1, c2
@@ -485,19 +491,12 @@ class Rp2Context(Immutable):
 
     def decompose_closed(self, f: Union[Morphism, RingMatrix]) -> ClosedDecomposition:
         """Split a closed endomorphism into blocks [[a, b], [c, d]] with
-        d = a + [U, t] and c = x*b + [U, s], re-verifying the four tr/at
-        constraints that closedness imposes on (a, b, s, t)."""
+        d = a + [U, t] and c = x*b + [U, s].  The decomposition's one
+        certificate is its defining identity: the blocks reassemble to f."""
         mat = self._coerce(f)
         if not commutator(self.q, mat).is_zero():
             raise ValueError("decomposition needs a closed endomorphism")
-        a, b, s, t = self._split(mat)
-        yinv = RingPoly.variable(self.ring, "y", -1)
-        xyinv = RingPoly.monomial(self.ring, (-1, -1))
-        lhs_s = a + b.scale(yinv)
-        lhs_t = b + a.scale(xyinv)
-        if (tr(lhs_s), at(lhs_s)) != _twist(s) or (tr(lhs_t), at(lhs_t)) != _twist(t):
-            raise ValueError("internal consistency: closure constraints failed")
-        dec = ClosedDecomposition(a, b, s, t)
+        dec = ClosedDecomposition(*self._split(mat))
         if dec.reassembled() != mat:
             raise ValueError("internal consistency: reassembly mismatch")
         return dec
@@ -511,9 +510,10 @@ class Rp2Context(Immutable):
         The pipeline subtracts two explicit coboundaries (the first clears
         the off-diagonal blocks, the second the off-diagonal entries of the
         diagonal blocks), reads off the scalar, and absorbs its
-        non-canonical part into the Jacobian cofactors.  The stages are not
-        checked one by one: the returned HomotopyWitness certifies
-        delta(g) = f + alpha*Id, which a wrong stage would break."""
+        non-canonical part into the Jacobian cofactors of _fold.  The stages
+        are not checked one by one: the answer's one certificate is the
+        returned HomotopyWitness, delta(g) = f + alpha*Id, which a wrong
+        stage would break."""
         mat = self._coerce(f)
         if not commutator(self.q, mat).is_zero():
             raise ValueError("reduction needs a closed endomorphism")
@@ -528,7 +528,7 @@ class Rp2Context(Immutable):
         zeros2 = RingMatrix.zeros(ring, 2, 2)
 
         # stage one: a coboundary whose off-diagonal blocks are exactly
-        # (b, c) = (b, x*b + [U, s]), so f2 is block diagonal
+        # (b, c) = (b, x*b + [U, s]), so f + delta(g1) is block diagonal
         b1, b2 = b.at(0, 0), b.at(0, 1)
         b4 = b.at(1, 1)
         p = exact_divide(_twist(b)[1], self.dwdx)
@@ -541,20 +541,22 @@ class Rp2Context(Immutable):
         )
         d_fix = RingMatrix.from_rows(ring, [[b1, b2], [p, zero]])
         g1 = block2(a_fix, b_fix, c_fix + s, d_fix)
-        f2 = mat + commutator(self.q, g1)
 
-        # stage two: f2 = [[a2, 0], [0, a2]] with a2 = top*Id + off*U, and
+        # stage two: f + delta(g1) = [[a2, 0], [0, a2]] with
+        # a2 = top*Id + off*U, so only its row 0, columns 0-1 are formed;
         # the coboundary of g3 trades off*U for x^-1*off*Id
-        top = f2.at(0, 0)
-        off = f2.at(0, 1)
+        q = self.q
+        row = (mat.block(0, 1, 0, 2) + q.block(0, 1, 0, 4) * g1.block(0, 4, 0, 2)
+               + g1.block(0, 1, 0, 4) * q.block(0, 4, 0, 2))
+        top, off = row.at(0, 0), row.at(0, 1)
         c3 = RingMatrix.from_rows(ring, [[zero, off], [y * off, zero]])
         g3 = block2(zeros2, zeros2, c3, zeros2)
         alpha0 = top + xinv * off
 
-        # stage three: canonicalize the scalar through the Jacobian cofactors
-        alpha = self.normal_form_alpha(alpha0)
-        cof1, cof2 = self.jacobian_cofactors(alpha0 + alpha)
-        g4 = self.dqdx.scale(cof1) + self.dqdy.scale(cof2)
+        # stage three: alpha0 = alpha + c1*dW/dx + c2*dW/dy, and
+        # delta(c1*dQ/dx + c2*dQ/dy) = (c1*dW/dx + c2*dW/dy)*Id
+        alpha, c1, c2 = self._fold(alpha0)
+        g4 = self.dqdx.scale(c1) + self.dqdy.scale(c2)
         claim = Morphism(self.mf, self.mf, mat + self._identity4().scale(alpha))
         return ReductionResult(alpha, HomotopyWitness(claim, g1 + g3 + g4))
 

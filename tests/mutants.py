@@ -60,6 +60,42 @@ MUTANTS = (
      "            if e & guard:\n                raise _overflow()\n",
      "",
      "tests/test_ring_kernel_properties.py::test_packed_product_at_the_bound_equals_oracle_or_raises"),
+    # BIAS off by one in every lane: each product exponent drifts by one
+    ("src/mf2/ringpoly.py",
+     "bias = sum(EXP_BOUND << (LANE_BITS * i) for i in range(nvars))",
+     "bias = sum((EXP_BOUND + 1) << (LANE_BITS * i) for i in range(nvars))",
+     "tests/test_ring_kernel_properties.py::test_poly_product_equals_oracle"),
+    # a transposed output cell: qt[r, i] lands on E_jr instead of E_rj
+    ("src/mf2/cohomwin.py",
+     "(r * n + j, qt[r * m + i])",
+     "(j * n + r, qt[r * m + i])",
+     f"{ECHELON}::test_packed_columns_match_dense_products"),
+    # block2 no longer checks that the four blocks share one ring
+    ("src/mf2/ringmat.py",
+     "    for m in (b, c, d):\n        a._check_ring(m.ring)\n",
+     "",
+     "tests/test_ringmat.py::test_block2_rejects_misaligned_blocks_and_mixed_rings"),
+    # the fold's canonical exponent shifted by one: alpha leaves span{1, x, x^2}
+    ("src/mf2/paperlab.py",
+     "{pack((r, 0)): c for r, c in remainder.items() if c}",
+     "{pack((r + 1, 0)): c for r, c in remainder.items() if c}",
+     "tests/test_reduce_properties.py::test_fold_splits_a_target_into_alpha_and_cofactors"),
+    # the fold drops the dW/dy part of each telescoping step
+    ("src/mf2/paperlab.py",
+     "                _mul_into(c2_terms, cof2, l, ring)\n",
+     "",
+     "tests/test_reduce_properties.py::test_fold_splits_a_target_into_alpha_and_cofactors"),
+    # stage two of the reduction reads the diagonal entry for off
+    ("src/mf2/paperlab.py",
+     "top, off = row.at(0, 0), row.at(0, 1)",
+     "top, off = row.at(0, 0), row.at(0, 0)",
+     "tests/test_paperlab.py::test_reduce_random_round_trips"),
+    # decompose_closed returns without its reassembly certificate
+    ("src/mf2/paperlab.py",
+     "        if dec.reassembled() != mat:\n"
+     "            raise ValueError(\"internal consistency: reassembly mismatch\")\n",
+     "",
+     "tests/test_paperlab.py::test_decompose_reassembly_rejects_a_wrong_preimage"),
 )
 
 

@@ -37,15 +37,17 @@ def test_grevlex_order_basics():
     assert o.key((2, 1)) > o.key((1, 2))
 
 
-def test_lex_vs_grevlex_disagree():
-    lex = TermOrder.lex(2)
+def test_grevlex_and_elimination_orders_disagree():
     grevlex = TermOrder.grevlex(2)
-    # x^3 vs x*y: lex prefers the pure power chain, grevlex the higher degree
-    assert lex.key((3, 0)) > lex.key((1, 1))
+    eliminate_x = TermOrder.eliminate_first(2, 1)
+    # x^3 vs x*y: both prefer x^3
     assert grevlex.key((3, 0)) > grevlex.key((1, 1))
-    # x vs y^2: lex says x bigger, grevlex says y^2 bigger
-    assert lex.key((1, 0)) > lex.key((0, 2))
+    assert eliminate_x.key((3, 0)) > eliminate_x.key((1, 1))
+    # x vs y^2: grevlex says y^2 bigger (degree first), eliminating x says x
     assert grevlex.key((0, 2)) > grevlex.key((1, 0))
+    assert eliminate_x.key((1, 0)) > eliminate_x.key((0, 2))
+    # within the block of y alone, the order is by degree
+    assert eliminate_x.key((1, 2)) > eliminate_x.key((1, 1))
 
 
 def test_buchberger_projective_plane_generators():

@@ -38,7 +38,7 @@ from mf2.mfcore import (
     to_graded,
     verify_mf,
 )
-from mf2.ringmat import RingMatrix, block2, matrix_partial, parse_matrix
+from mf2.ringmat import RingMatrix, block2, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))

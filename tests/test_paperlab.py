@@ -12,7 +12,7 @@ import pytest
 
 from mf2.gf2k import default_spec
 from mf2.ringpoly import RingPoly, parse_poly
-from mf2.ringmat import RingMatrix, blocks_of, commutator, parse_matrix
+from mf2.ringmat import RingMatrix, commutator
 from mf2 import paperlab
 from mf2.mfcore import Morphism
 from mf2.paperlab import (
@@ -157,7 +157,7 @@ def test_reduce_rejects_non_closed():
         CTX.reduce_endomorphism(open_map)
 
 
-def test_reduce_makes_two_commutator_calls(monkeypatch):
+def test_reduce_makes_one_commutator_call(monkeypatch):
     calls = []
 
     def counted(a, b):
@@ -170,7 +170,7 @@ def test_reduce_makes_two_commutator_calls(monkeypatch):
         _, f = ctx.random_closed(random.Random(53))
         calls.clear()
         ctx.reduce_endomorphism(f)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 # Each fault breaks one identity the reduction used to re-check at its own
@@ -206,13 +206,13 @@ def _perturb_s(monkeypatch):
 
 def _swap_cofactors(monkeypatch):
     """Stage three: swapped cofactors miss alpha0 + alpha."""
-    cofactors = Rp2Context.jacobian_cofactors
+    fold = Rp2Context._fold
 
     def wrong(self, target):
-        c1, c2 = cofactors(self, target)
-        return c2, c1
+        alpha, c1, c2 = fold(self, target)
+        return alpha, c2, c1
 
-    monkeypatch.setattr(Rp2Context, "jacobian_cofactors", wrong)
+    monkeypatch.setattr(Rp2Context, "_fold", wrong)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -224,6 +224,16 @@ def test_reduce_witness_rejects_stage_faults(monkeypatch, fault, k):
     fault(monkeypatch)
     with pytest.raises(ValueError, match="homotopy witness does not satisfy"):
         ctx.reduce_endomorphism(f)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_decompose_reassembly_rejects_a_wrong_preimage(monkeypatch, k):
+    ctx = CONTEXTS[k]
+    _, f = ctx.random_closed(random.Random(55))
+    ctx.decompose_closed(f)
+    _perturb_s(monkeypatch)
+    with pytest.raises(ValueError, match="internal consistency: reassembly mismatch"):
+        ctx.decompose_closed(f)
 
 
 def test_reduce_accepts_morphisms():

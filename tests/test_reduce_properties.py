@@ -7,6 +7,9 @@ monomial window.  On the window spanned by the returned witness g, the
 elimination must find a witness for f + alpha*Id, and when alpha is nonzero
 it must find none for f itself: a nonzero canonical alpha is nonzero in the
 Jacobian ring, so alpha*Id is not exact on any window.
+
+The reduction no longer re-checks the Jacobian fold it uses; the fold's
+identity target = alpha + c1*dW/dx + c2*dW/dy is a property test here.
 """
 
 from __future__ import annotations
@@ -52,6 +55,27 @@ def test_reduction_witness_agrees_with_window_elimination(sample):
     assert witness.claim.f == shifted.f
     if not result.alpha.is_zero():
         assert solve_exactness(Morphism(ctx.mf, ctx.mf, f), window) is None
+
+
+@st.composite
+def laurent_targets(draw):
+    """(context, a random Laurent polynomial with exponents in [-6, 6])."""
+    ctx = CONTEXTS[draw(st.sampled_from((1, 2)))]
+    exps = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    terms = draw(st.dictionaries(exps, st.integers(1, ctx.spec.order - 1), max_size=6))
+    return ctx, RingPoly(ctx.ring, terms)
+
+
+@settings(max_examples=100)
+@given(laurent_targets())
+def test_fold_splits_a_target_into_alpha_and_cofactors(sample):
+    ctx, target = sample
+    alpha, c1, c2 = ctx._fold(target)
+    assert target == alpha + c1 * ctx.dwdx + c2 * ctx.dwdy
+    assert set(alpha.terms) <= {(0, 0), (1, 0), (2, 0)}
+    again, d1, d2 = ctx._fold(alpha)
+    assert again == alpha
+    assert d1.is_zero() and d2.is_zero()
 
 
 # sha256 of the printed alpha and witness g of 20 random_closed reductions,
