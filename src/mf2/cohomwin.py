@@ -25,7 +25,8 @@ of one domain cell are folded once into a small int per shift s, with
 every output cell in its own slot, so terms that meet at one cell and
 shift cancel there.  The column of (cell, x^e) is the sum of those ints,
 each moved to the block of x^(e+s): one big shift per distinct shift,
-not one per term.
+not one per term.  Shifts are the packed keys of Q's terms and the
+output window is looked up by packed key, so x^(e+s) is one int add.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add
 from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
@@ -64,10 +64,17 @@ __all__ = [
     "LocalCohomologyReport",
 ]
 
-# Largest window whose monomials are listed: the differential has one
-# column per monomial and matrix entry, so a larger window exhausts memory first.
+# Largest window whose monomials are listed, and most columns of the
+# differential (one per monomial and matrix entry): more exhaust memory first.
 # find_critical_points enumerates at most this many field points.
 MAX_WINDOW_MONOMIALS = 1 << 20
+
+
+def _check_columns(cells: int, domain: Window) -> None:
+    """Refuse, before listing any monomial, more than MAX_WINDOW_MONOMIALS columns."""
+    n = cells * domain.size
+    if n > MAX_WINDOW_MONOMIALS:
+        raise ValueError(f"differential has {n} columns, above the limit of {MAX_WINDOW_MONOMIALS}")
 
 
 class Window(Immutable):
@@ -136,18 +143,18 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     numbers the output window's monomials, and the coefficient of
     E_rc x^m sits in slot out_block[m]*cells + r*n + c."""
     m, n = tgt.size, src.size
-    k = src.ring.field.k
+    ring = src.ring
+    k, one = ring.field.k, ring.one_key
     stride = k * m * n
-    # exponent-tuple views of the entries, read once: windows index tuples
-    qs = [e.terms for e in src.q.entries]
-    qt = [e.terms for e in tgt.q.entries]
+    qs = [e.packed for e in src.q.entries]
+    qt = [e.packed for e in tgt.q.entries]
     # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
-    # shift s, one small int holds every output cell (slot k*cell), and
+    # shift key s, one small int holds every output cell (slot k*cell), and
     # terms that meet at one (cell, shift) cancel there
     images = []
     for i in range(m):
         for j in range(n):
-            acc: dict[tuple[int, ...], int] = {}
+            acc: dict[int, int] = {}
             parts = [(r * n + j, qt[r * m + i]) for r in range(m)]
             parts += [(i * n + col, qs[j * n + col]) for col in range(n)]
             for cell, entry in parts:
@@ -155,16 +162,15 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
                     acc[s] = acc.get(s, 0) ^ c << (k * cell)
             images.append([(s, v) for s, v in acc.items() if v])
     shifts = {s for cell in images for s, _ in cell}
-    offsets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    # the output window by packed key: x^e shifted by s has key e + s - one
+    block = {ring.pack(e): b * stride for e, b in out_block.items()}
+    offsets: dict[tuple[int, ...], dict[int, int]] = {}
     cols = []
     for cell, e in domain:
         off = offsets.get(e)
         if off is None:
-            off = offsets[e] = {}
-            for s in shifts:
-                b = out_block.get(tuple(map(add, e, s)))
-                if b is not None:
-                    off[s] = b * stride
+            base = ring.pack(e) - one
+            off = offsets[e] = {s: block[base + s] for s in shifts if base + s in block}
         # out_block is a bijection, so the shifted pieces are disjoint
         # and OR adds them
         col = 0
@@ -191,6 +197,7 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     ring = src.ring
     cells = tgt.size * src.size
     dom = Window.symmetric(ring, d_max + 1)
+    _check_columns(cells, dom)
     out = sorted(dom.expanded(_combined_hull(src.q, tgt.q)).monomials(), key=_radius, reverse=True)
     out_radius = [_radius(e) for e in out]
     domain = [(cell, e) for e in sorted(dom.monomials(), key=_radius) for cell in range(cells)]
@@ -219,17 +226,18 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     ring = src.ring
     if window.ring != ring:
         raise ValueError("window ring does not match the morphism")
+    cells = tgt.size * src.size
+    _check_columns(cells, window)
     win_out = window.expanded(_combined_hull(src.q, tgt.q)).union(
         Window(ring, tuple(f.f.support_hull())))
     block = {e: b for b, e in enumerate(win_out.monomials())}
-    cells = tgt.size * src.size
     domain = list(itertools.product(range(cells), window.monomials()))
     ech = Echelon(ring.field, track=True)
     ech.insert_all(_delta_columns(src, tgt, domain, block))
     rest, comb = ech.reduce(sum(
-        c << ech.k * (block[e] * cells + cell)
+        c << ech.k * (block[ring.unpack(key)] * cells + cell)
         for cell, entry in enumerate(f.f.entries)
-        for e, c in entry.terms.items()
+        for key, c in entry.packed.items()
     ))
     if rest:
         return None

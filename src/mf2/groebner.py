@@ -5,6 +5,13 @@ inter-reduction; term orders are grevlex, or an elimination order
 (block-lex between blocks, grevlex inside each block).  Sizes here are
 tiny, so clarity wins over pairing heuristics.
 
+Division runs on the packed keys of ringpoly: a head is a monic
+polynomial with the packed key of its leading term; it divides a term
+when their key difference has no guard bit set, and the quotient
+monomial's key is that difference plus the key of 1.  Term orders and
+S-pair lcms unpack keys to exponent tuples.  A QuotientRing derives its
+heads once, for all its normal forms.
+
 The Jacobian pipeline turns a (Laurent) potential into an honest
 polynomial ideal: partial derivatives are cleared of denominators by
 their monomial content, and when Laurent variables are present the
@@ -17,11 +24,12 @@ variable action.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from .gf2k import Immutable
-from .ringmat import Echelon, FieldMatrix, solve
-from .ringpoly import RingDescriptor, RingPoly, _mul_into, _packed_order, grevlex_key
+from .ringmat import Echelon, FieldMatrix, _column_echelon
+from .ringpoly import RingDescriptor, RingPoly, _mul_into, grevlex_key
 
 __all__ = [
     "TermOrder",
@@ -64,43 +72,30 @@ class TermOrder(Immutable):
         return cls(tuple(range(nvars)), block)
 
 
-def _leading(p: RingPoly, order: TermOrder) -> tuple[tuple[int, ...], int]:
-    terms = p.terms
-    lt = max(terms, key=order.key)
-    return lt, terms[lt]
-
-
-def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-# A polynomial with its leading exponents and coefficient, computed once.
-Head = tuple[tuple[int, ...], int, RingPoly]
+# A monic polynomial with the packed key of its leading term, computed once.
+Head = tuple[int, RingPoly]
 
 
 def _monic_head(p: RingPoly, order: TermOrder) -> Head:
-    """The head (leading exponents, 1, p / leading coefficient)."""
-    lt, lc = _leading(p, order)
-    if lc != 1:
-        p = p.scale(p.ring.field.inv(lc))
-    return lt, 1, p
+    """The head (leading key, p / leading coefficient)."""
+    lt = max(p.packed, key=lambda key: order.key(p.ring.unpack(key)))
+    if p.packed[lt] != 1:
+        p = p.scale(p.ring.field.inv(p.packed[lt]))
+    return lt, p
 
 
 def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
     """Remainder of full multivariate division of p by the polynomials of the heads."""
     ring = p.ring
-    field, unpack = ring.field, ring.unpack
-    key = _packed_order(ring, order.key)
+    one, guard = ring.one_key, ring.guard
+    order_key = cache(lambda key: order.key(ring.unpack(key)))  # once per key, not per step
     rem: dict[int, int] = {}
     work = dict(p.packed)
     while work:
-        lt = max(work, key=key)
-        exps = unpack(lt)
-        for hexp, hc, g in heads:
-            if _divides(hexp, exps):
-                shift = ring.pack([a - b for a, b in zip(exps, hexp)])
-                c = field.mul(work[lt], field.inv(hc))
-                _mul_into(work, g.packed, {shift: c}, ring)  # cancels lt
+        lt = max(work, key=order_key)
+        for head, g in heads:
+            if not (lt - head) & guard:
+                _mul_into(work, g.packed, {lt - head + one: work[lt]}, ring)  # cancels lt
                 break
         else:
             rem[lt] = work.pop(lt)
@@ -109,16 +104,15 @@ def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
 
 def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> RingPoly:
     """Remainder of full multivariate division of p by the basis."""
-    return _reduce(p, [(*_leading(g, order), g) for g in basis if not g.is_zero()], order)
+    return _reduce(p, [_monic_head(g, order) for g in basis if not g.is_zero()], order)
 
 
 def _spoly(hf: Head, hg: Head) -> RingPoly:
-    (lf, cf, f), (lg, cg, g) = hf, hg
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    field = f.ring.field
-    mf = RingPoly.monomial(f.ring, tuple(a - b for a, b in zip(lcm, lf)), field.inv(cf))
-    mg = RingPoly.monomial(g.ring, tuple(a - b for a, b in zip(lcm, lg)), field.inv(cg))
-    return mf * f + mg * g
+    (lf, f), (lg, g) = hf, hg
+    ring = f.ring
+    lcm = ring.pack(list(map(max, ring.unpack(lf), ring.unpack(lg)))) + ring.one_key
+    acc = _mul_into({}, f.packed, {lcm - lf: 1}, ring)
+    return RingPoly._raw(ring, _mul_into(acc, g.packed, {lcm - lg: 1}, ring))
 
 
 def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
@@ -126,18 +120,20 @@ def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
     heads = [_monic_head(g, order) for g in gens if not g.is_zero()]
     if not heads:
         return []
-    if any(heads[0][2].ring.laurent):
+    ring = heads[0][1].ring
+    if any(ring.laurent):
         raise ValueError("clear denominators first: Groebner bases need a polynomial ring")
+    unpack, guard = ring.unpack, ring.guard
     pairs = [(i, j) for i in range(len(heads)) for j in range(i + 1, len(heads))]
 
     # normal selection: smallest lcm degree first, then oldest
     def pair_rank(ij):
-        return (sum(max(a, b) for a, b in zip(heads[ij[0]][0], heads[ij[1]][0])), ij)
+        return sum(map(max, unpack(heads[ij[0]][0]), unpack(heads[ij[1]][0]))), ij
 
     while pairs:
         pairs.sort(key=pair_rank)
         i, j = pairs.pop(0)
-        if all(a == 0 or b == 0 for a, b in zip(heads[i][0], heads[j][0])):
+        if all(a == 0 or b == 0 for a, b in zip(unpack(heads[i][0]), unpack(heads[j][0]))):
             continue  # product criterion: coprime leading terms reduce to zero
         s = _reduce(_spoly(heads[i], heads[j]), heads, order)
         if s.is_zero():
@@ -149,18 +145,18 @@ def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
     reduced = [
         h for idx, h in enumerate(heads)
         if not any(
-            k != idx and _divides(lts[k], lts[idx])
+            k != idx and not (lts[idx] - lts[k]) & guard
             and (lts[k] != lts[idx] or k < idx)
             for k in range(len(heads))
         )
     ]
     final = []
     for idx, h in enumerate(reduced):
-        r = _reduce(h[2], reduced[:idx] + reduced[idx + 1:], order)
+        r = _reduce(h[1], reduced[:idx] + reduced[idx + 1:], order)
         if not r.is_zero():
             final.append(_monic_head(r, order))
-    final.sort(key=lambda h: order.key(h[0]))
-    return [h[2] for h in final]
+    final.sort(key=lambda h: order.key(unpack(h[0])))
+    return [h[1] for h in final]
 
 
 # -- Jacobian ideals of (Laurent) potentials -------------------------------------
@@ -227,11 +223,19 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
 # -- quotient rings ---------------------------------------------------------------
 
 
-def _staircase_and_action(ring: RingDescriptor, basis: Sequence[RingPoly], order: TermOrder):
+def _coordinates(nf: RingPoly, index: dict[int, int]) -> list[int]:
+    """The coefficients of a normal form at the staircase positions of its keys."""
+    vec = [0] * len(index)
+    for key, c in nf.packed.items():
+        vec[index[key]] = c
+    return vec
+
+
+def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head], order: TermOrder):
     """The standard monomials of a finite quotient in term order and the
     matrix of each variable's action on them; (None, None) when infinite."""
-    lts = [_leading(g, order)[0] for g in basis]
-    supports = [[i for i, e in enumerate(lt) if e] for lt in lts]
+    pack, guard = ring.pack, ring.guard
+    supports = [[i for i, e in enumerate(ring.unpack(lt)) if e] for lt, _ in heads]
     # finite: the unit ideal, or a pure power of every variable leads some generator
     if [] not in supports and any([i] not in supports for i in range(ring.nvars)):
         return None, None
@@ -239,23 +243,17 @@ def _staircase_and_action(ring: RingDescriptor, basis: Sequence[RingPoly], order
     frontier = [(0,) * ring.nvars]
     while frontier:
         exps = frontier.pop()
-        if exps in found or any(_divides(lt, exps) for lt in lts):
+        if exps in found or any(not (pack(exps) - lt) & guard for lt, _ in heads):
             continue
         found.add(exps)
         for i in range(ring.nvars):
             frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
     stair = tuple(sorted(found, key=order.key))
-    index = {e: i for i, e in enumerate(stair)}
+    index = {pack(e): i for i, e in enumerate(stair)}
     mats = []
     for v in range(ring.nvars):
-        cols = []
-        for e in stair:
-            shifted = e[:v] + (e[v] + 1,) + e[v + 1:]
-            nf = normal_form(RingPoly.monomial(ring, shifted), basis, order)
-            col = [0] * len(stair)
-            for ee, c in nf.terms.items():
-                col[index[ee]] = c
-            cols.append(col)
+        cols = [_coordinates(_reduce(RingPoly.monomial(ring, e[:v] + (e[v] + 1,) + e[v + 1:]),
+                                     heads, order), index) for e in stair]
         entries = [cols[j][i] for i in range(len(stair)) for j in range(len(stair))]
         mats.append(FieldMatrix(ring.field, len(stair), len(stair), entries))
     return stair, tuple(mats)
@@ -264,17 +262,19 @@ def _staircase_and_action(ring: RingDescriptor, basis: Sequence[RingPoly], order
 class QuotientRing(Immutable):
     """K[x_1..x_n]/I for a Groebner basis of I; finite quotients carry a
     monomial staircase basis and multiplication matrices (both None when
-    the quotient is infinite dimensional)."""
+    the quotient is infinite dimensional).  heads holds the basis's monic
+    leading terms, derived once for every normal form."""
 
-    __slots__ = ("ring", "basis", "order", "invertible", "staircase", "mult_matrices")
+    __slots__ = ("ring", "basis", "heads", "order", "invertible", "staircase", "mult_matrices")
 
     def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly], order: TermOrder,
                  invertible: Optional[Sequence[bool]] = None):
         basis = tuple(basis)
+        heads = tuple(_monic_head(g, order) for g in basis if not g.is_zero())
         super().__init__(
-            ring, basis, order,
+            ring, basis, heads, order,
             tuple(invertible) if invertible is not None else (False,) * ring.nvars,
-            *_staircase_and_action(ring, basis, order),
+            *_staircase_and_action(ring, heads, order),
         )
 
     @property
@@ -285,12 +285,8 @@ class QuotientRing(Immutable):
     def class_vector(self, p: RingPoly) -> list[int]:
         if self.staircase is None:
             raise ValueError("quotient is infinite dimensional")
-        nf = normal_form(p, self.basis, self.order)
-        index = {e: i for i, e in enumerate(self.staircase)}
-        vec = [0] * len(self.staircase)
-        for e, c in nf.terms.items():
-            vec[index[e]] = c
-        return vec
+        index = {self.ring.pack(e): i for i, e in enumerate(self.staircase)}
+        return _coordinates(_reduce(p, self.heads, self.order), index)
 
     def laurent_monomial_class(self, exps: Sequence[int]) -> list[int]:
         """Class of x^exps, negative exponents resolved through the
@@ -301,24 +297,16 @@ class QuotientRing(Immutable):
             return []
         vec = self.class_vector(RingPoly.one(self.ring))
         for v, e in enumerate(exps):
-            if e == 0:
-                continue
             m = self.mult_matrices[v]
-            if e > 0:
-                for _ in range(e):
-                    vec = m.apply(vec)
-            else:
-                if not self.invertible[v]:
-                    raise ValueError(
-                        f"variable '{self.ring.vars[v]}' is not invertible in the quotient"
-                    )
-                for _ in range(-e):
-                    sol = solve(m, vec)
-                    if sol is None:
-                        raise ValueError(
-                            f"variable '{self.ring.vars[v]}' is not invertible in the quotient"
-                        )
-                    vec = sol
+            for _ in range(e):
+                vec = m.apply(vec)
+            if e < 0:  # one column echelon of the matrix serves every step
+                ech, _ = _column_echelon(m, track=True)
+            for _ in range(-e):
+                rest, comb = ech.reduce(ech.pack(vec))
+                if rest or not self.invertible[v]:
+                    raise ValueError(f"variable '{self.ring.vars[v]}' is not invertible in the quotient")
+                vec = ech.unpack(comb, m.cols)
         return vec
 
 

@@ -353,7 +353,8 @@ def search_factorizations(
     shift = [[k * place.setdefault(tuple(x + y for x, y in zip(a, b)), len(place))
               for b in supp] for a in supp]
     w_packed = 0
-    for e, c in w.terms.items():
+    for key, c in w.packed.items():
+        e = ring.unpack(key)
         if e not in place:
             w_packed = -1  # no diagonal entry of Q^2 can equal W
             break

@@ -426,13 +426,14 @@ class Rp2Context(Immutable):
         x + y = x*dW/dx + y*dW/dy; stage two folds exponents mod 3 along
         x^3 + 1 = (x^2*y + x^3)*dW/dx + x^2*y*dW/dy."""
         ring = self.ring
-        spec, pack = ring.field, ring.pack
+        spec, pack, unpack = ring.field, ring.pack, ring.unpack
         x = {pack((1, 0)): 1}
         y = {pack((0, 1)): 1}
         c1_terms: dict[int, int] = {}
         c2_terms: dict[int, int] = {}
         powers: dict[int, int] = {}
-        for (a, b), coeff in target.terms.items():
+        for key, coeff in target.packed.items():
+            a, b = unpack(key)
             if b:
                 # y^b + x^b = (x + y) * h with h explicit for either sign of b;
                 # k is x^a * h

@@ -17,9 +17,11 @@ The top bit of each lane is a guard: a lane sum that over- or underflows
 sets its own guard bit (a borrow out of the top lane makes the key
 negative, which sets the guard too), and the kernel tests every product
 key against the guard mask, so an exponent that leaves the range raises
-ValueError instead of wrapping into a wrong term.  RingPoly.packed holds
-the packed dict; RingPoly.terms is a read-only view keyed by exponent
-tuples, for the parser, the printer and the other edges.
+ValueError instead of wrapping into a wrong term.  The same mask tests
+divisibility: (a - b) & GUARD is 0 exactly when key b's monomial divides
+key a's.  RingPoly.packed holds the packed dict; RingPoly.terms is a
+read-only view keyed by exponent tuples, for the printer, the command
+line and the maps between rings.
 
 Every sparse product runs through one multiply-accumulate kernel,
 `_mul_into`, which XORs the product of two term dicts into an accumulator
@@ -49,7 +51,7 @@ largest term first.
 from __future__ import annotations
 
 from functools import cache
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable, embed
 
@@ -126,6 +128,16 @@ class RingDescriptor(Immutable):
             key |= (e + EXP_BOUND) << shift
             shift += LANE_BITS
         return key
+
+    @property
+    def one_key(self) -> int:
+        """The key of 1: a monomial product's key is a + b - one_key."""
+        return _lanes(len(self.vars))[0]
+
+    @property
+    def guard(self) -> int:
+        """No in-range key has a guard bit; (a - b) & guard == 0 iff b divides a."""
+        return _lanes(len(self.vars))[1]
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed key."""
@@ -225,7 +237,7 @@ class RingPoly(Immutable):
 
     @classmethod
     def one(cls, ring: RingDescriptor) -> "RingPoly":
-        return cls._raw(ring, {_lanes(ring.nvars)[0]: 1})
+        return cls._raw(ring, {ring.one_key: 1})
 
     @classmethod
     def monomial(cls, ring: RingDescriptor, exps: Sequence[int], coeff: int = 1) -> "RingPoly":
@@ -253,7 +265,7 @@ class RingPoly(Immutable):
         """Per-variable (min, max) exponent over all terms; None for the zero polynomial."""
         if not self.packed:
             return None
-        return [(min(column), max(column)) for column in zip(*self.terms)]
+        return [(min(column), max(column)) for column in zip(*map(self.ring.unpack, self.packed))]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -341,9 +353,9 @@ class RingPoly(Immutable):
                 raise ValueError(f"pole: zero coordinate for Laurent variable '{name}'")
         inverses: dict[int, int] = {}
         acc = 0
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.packed.items():
             v = embed(coeff, self.ring.field, spec)
-            for i, (p, e) in enumerate(zip(point, exps)):
+            for i, (p, e) in enumerate(zip(point, self.ring.unpack(key))):
                 if e > 0:
                     v = spec.mul(v, spec.pow(p.value, e))
                 elif e < 0:
@@ -384,29 +396,17 @@ _set_ring, _set_packed = RingPoly.ring.__set__, RingPoly.packed.__set__
 # -- exact division -----------------------------------------------------------
 
 
-def _packed_order(ring: RingDescriptor, key: Callable[[tuple[int, ...]], Any]) -> Callable:
-    """A sort key on packed keys: `key` of the exponent tuple, computed once
-    per packed key, for divisions that take many leading terms."""
-    seen: dict[int, Any] = {}
-    unpack = ring.unpack
-
-    def order(packed: int):
-        k = seen.get(packed)
-        if k is None:
-            k = seen[packed] = key(unpack(packed))
-        return k
-
-    return order
-
-
 def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     """Quotient p/d when d divides p in the ring, else None.
 
-    Both operands are normalized by their monomial content first, so in a
+    Both operands are shifted by their monomial content first, so in a
     Laurent ring divisibility is tested up to units, and the unit shift is
     restored (and checked against the Laurent flags) at the end.  The
-    division steps run on packed keys; only the leading-term choice and
-    the step test read exponent tuples.
+    division runs in the packed keys' own order, lex with the last
+    variable most significant.  With one divisor no order changes the
+    answer: every nonzero multiple h*d leads with lt(h)*lt(d), so d divides
+    p exactly when each remainder's leading term is a multiple of lt(d),
+    and an exact quotient is unique.
     """
     p._check_ring(d)
     if d.is_zero():
@@ -414,31 +414,31 @@ def exact_divide(p: RingPoly, d: RingPoly) -> Optional[RingPoly]:
     ring = p.ring
     if p.is_zero():
         return p
-    pack, unpack = ring.pack, ring.unpack
-    shift_p = [lo for lo, _ in p.support_bounds()]
-    shift_d = [lo for lo, _ in d.support_bounds()]
-    rem = {pack([x - s for x, s in zip(e, shift_p)]): c for e, c in p.terms.items()}
-    dd = {pack([x - s for x, s in zip(e, shift_d)]): c for e, c in d.terms.items()}
-    order = _packed_order(ring, grevlex_key)
-    lt_d = max(dd, key=order)
-    exps_d = unpack(lt_d)
+    one, guard = ring.one_key, ring.guard
+    low_p = [lo for lo, _ in p.support_bounds()]
+    low_d = [lo for lo, _ in d.support_bounds()]
+    shift_p, shift_d = one - ring.pack(low_p), one - ring.pack(low_d)
+    rem = {key + shift_p: c for key, c in p.packed.items()}
+    dd = {key + shift_d: c for key, c in d.packed.items()}
+    for key in (*rem, *dd):
+        if key & guard:  # a shifted exponent is 2^30 or more; pack names it
+            ring.pack(ring.unpack(key))
+    if any(a < b and not flag for a, b, flag in zip(low_p, low_d, ring.laurent)):
+        return None  # the quotient would hold a negative power of a polynomial variable
+    lt_d = max(dd)
     field = ring.field
     lc_d_inv = field.inv(dd[lt_d])
     quo: dict[int, int] = {}
     while rem:
-        lt = max(rem, key=order)
-        step = [a - b for a, b in zip(unpack(lt), exps_d)]
-        if any(e < 0 for e in step):
+        lt = max(rem)
+        step = lt - lt_d
+        if step & guard:
             return None
-        c = field.mul(rem[lt], lc_d_inv)
-        key = pack(step)
-        quo[key] = c
+        key = step + one
+        quo[key] = c = field.mul(rem[lt], lc_d_inv)
         _mul_into(rem, dd, {key: c}, ring)  # cancels lt
     # quo has low corner 0, so the quotient's low corner is the unit shift
-    unit = [a - b for a, b in zip(shift_p, shift_d)]
-    if any(e < 0 and not flag for e, flag in zip(unit, ring.laurent)):
-        return None
-    return RingPoly._raw(ring, _mul_into({}, quo, {pack(unit): 1}, ring))
+    return RingPoly._raw(ring, _mul_into({}, quo, {shift_d - shift_p + one: 1}, ring))
 
 
 # -- parsing -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 
     python3 tests/mutants.py
 
-Run from the repository root (about two minutes, most of it hypothesis
+Run from the repository root (about four minutes, most of it hypothesis
 shrinking the failing examples).  Each mutant is (file, old text, new
 text, test id).  The script copies `src/`, `tests/` and `pyproject.toml`
 into a temporary directory, replaces the old text (which must occur
@@ -96,6 +96,30 @@ MUTANTS = (
      "            raise ValueError(\"internal consistency: reassembly mismatch\")\n",
      "",
      "tests/test_paperlab.py::test_decompose_reassembly_rejects_a_wrong_preimage"),
+    # exact division no longer checks the shifted keys against the guard at entry
+    ("src/mf2/ringpoly.py",
+     "    for key in (*rem, *dd):\n"
+     "        if key & guard:  # a shifted exponent is 2^30 or more; pack names it\n"
+     "            ring.pack(ring.unpack(key))\n",
+     "",
+     "tests/test_ringpoly.py::test_exact_divide_raises_when_a_shifted_exponent_leaves_the_range"),
+    # exact division restores the unit shift with the wrong sign
+    ("src/mf2/ringpoly.py",
+     "{shift_d - shift_p + one: 1}",
+     "{shift_p - shift_d + one: 1}",
+     "tests/test_kernel_oracle.py::test_exact_divide_matches_sympy_division"),
+    # Groebner division drops the divisibility mask: only an equal key divides.
+    # (Masking with the bias instead of the guard is an equivalent mutant:
+    # for exponents in [0, 2^30) both bits flag exactly the same borrows.)
+    ("src/mf2/groebner.py",
+     "if not (lt - head) & guard:",
+     "if not (lt - head):",
+     "tests/test_groebner_oracle.py::test_normal_forms_match_sympy_reduction"),
+    # a column shift adds two biased keys without subtracting the key of 1
+    ("src/mf2/cohomwin.py",
+     "base = ring.pack(e) - one",
+     "base = ring.pack(e)",
+     f"{ECHELON}::test_packed_columns_match_dense_products"),
 )
 
 

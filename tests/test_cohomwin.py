@@ -173,6 +173,21 @@ def test_solve_exactness_matches_closed_form_witness():
     assert x.q * wit.g + wit.g * x.q == f.f
 
 
+def test_column_limit_refuses_before_listing_any_monomial(monkeypatch):
+    # radius 131: 263^2 = 69169 domain monomials pass the window limit,
+    # but 16 cells make 1106704 columns, above 2^20
+    x = rp2()
+    listed = []
+    monkeypatch.setattr(Window, "monomials", lambda self: listed.append(self) or [])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="differential has 1106704 columns, above the limit of 1048576"):
+        cohomology_dims(x, x, 130)
+    with pytest.raises(ValueError, match="differential has 1106704 columns"):
+        solve_exactness(Morphism(x, x, RingMatrix.identity(L2, 4)), Window.symmetric(L2, 131))
+    assert time.perf_counter() - start < 0.5
+    assert listed == []
+
+
 def test_critical_points():
     w = parse_poly("x + y + x^-1*y^-1", L2)
     over2 = find_critical_points(w, GF2)

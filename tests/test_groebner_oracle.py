@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mf2.gf2k import GF2
-from mf2.groebner import TermOrder, _clear_monomial_content, buchberger
+from mf2.groebner import TermOrder, _clear_monomial_content, buchberger, normal_form
 from mf2.mfcore import parse_mf_text
 from mf2.ringpoly import RingDescriptor, RingPoly
 
@@ -28,25 +28,29 @@ def as_terms(p: RingPoly) -> frozenset:
     return frozenset(p.terms.items())
 
 
+def to_sympy(p: RingPoly, symbols, priority) -> sympy.Expr:
+    return sympy.Add(*(sympy.Mul(*(s ** e[i] for s, i in zip(symbols, priority)))
+                       for e in p.terms))
+
+
+def from_sympy(g: sympy.Expr, ring: RingDescriptor, symbols, priority) -> frozenset:
+    """The terms of a sympy expression in the ring's variable order."""
+    terms = {}
+    for exps, coeff in sympy.Poly(g, *symbols, modulus=2).terms():
+        ours = [0] * ring.nvars
+        for i, e in zip(priority, exps):
+            ours[i] = e
+        terms[tuple(ours)] = int(coeff) % 2
+    return frozenset((e, c) for e, c in terms.items() if c)
+
+
 def sympy_basis(gens: list[RingPoly], order: TermOrder) -> set[frozenset]:
     """The reduced basis sympy computes, as term sets in the ring's variable order."""
     ring = gens[0].ring
     symbols = [sympy.Symbol(ring.vars[i]) for i in order.priority]
-    exprs = [
-        sympy.Add(*(sympy.Mul(*(s ** e[i] for s, i in zip(symbols, order.priority)))
-                    for e in p.terms))
-        for p in gens
-    ]
-    out = set()
-    for g in sympy.groebner(exprs, *symbols, modulus=2, order="grevlex").exprs:
-        terms = {}
-        for exps, coeff in sympy.Poly(g, *symbols, modulus=2).terms():
-            ours = [0] * ring.nvars
-            for i, e in zip(order.priority, exps):
-                ours[i] = e
-            terms[tuple(ours)] = int(coeff) % 2
-        out.add(frozenset((e, c) for e, c in terms.items() if c))
-    return out
+    exprs = [to_sympy(p, symbols, order.priority) for p in gens]
+    return {from_sympy(g, ring, symbols, order.priority)
+            for g in sympy.groebner(exprs, *symbols, modulus=2, order="grevlex").exprs}
 
 
 def assert_bases_agree(gens: list[RingPoly], order: TermOrder) -> list[RingPoly]:
@@ -85,3 +89,21 @@ def generator_sets(draw):
 def test_random_gf2_sets_match_sympy(drawn):
     gens, priority = drawn
     assert_bases_agree(gens, TermOrder(priority))
+
+
+@settings(max_examples=100)
+@given(generator_sets(), st.data())
+def test_normal_forms_match_sympy_reduction(drawn, data):
+    # the divisors are sympy's basis, so only normal_form is under test;
+    # modulo a Groebner basis the remainder of full division is unique
+    gens, priority = drawn
+    ring, order = gens[0].ring, TermOrder(priority)
+    basis = [RingPoly(ring, dict(g)) for g in sympy_basis(gens, order)]
+    monomial = st.tuples(*[st.integers(0, 5)] * ring.nvars)
+    p = RingPoly(ring, {e: 1 for e in data.draw(st.sets(monomial, max_size=6))})
+    symbols = [sympy.Symbol(ring.vars[i]) for i in priority]
+    _, rem = sympy.reduced(to_sympy(p, symbols, priority),
+                           [to_sympy(g, symbols, priority) for g in basis],
+                           *symbols, modulus=2, order="grevlex")
+    want = from_sympy(rem, ring, symbols, priority) if rem != 0 else frozenset()
+    assert as_terms(normal_form(p, basis, order)) == want

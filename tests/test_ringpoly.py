@@ -188,6 +188,18 @@ def test_exact_divide_laurent_normalization():
     assert exact_divide(P("x^-1 + y"), d) is None
 
 
+@pytest.mark.parametrize("p, d, exponent", [
+    ("x^1073741823 + x^-5", "x^-5", 1073741828),
+    ("x^1073741000*y + x^-1000", "x + 1", 1073742000),
+    # without the entry check this one would return None, not raise
+    ("x^-5*y + x^1073741823", "y + 1", 1073741828),
+])
+def test_exact_divide_raises_when_a_shifted_exponent_leaves_the_range(p, d, exponent):
+    # shifting p by its monomial content moves an exponent past 2^30 - 1
+    with pytest.raises(ValueError, match=rf"exponent {exponent} of 'x' outside \[-2\^30, 2\^30\)"):
+        exact_divide(P(p), P(d))
+
+
 def test_exact_divide_randomized_round_trip():
     rng = random.Random(12345)
     for _ in range(60):
