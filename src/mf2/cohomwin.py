@@ -27,17 +27,30 @@ shift cancel there.  The column of (cell, x^e) is the sum of those ints,
 each moved to the block of x^(e+s): one big shift per distinct shift,
 not one per term.  Shifts are the packed keys of Q's terms and the
 output window is looked up by packed key, so x^(e+s) is one int add.
+The folded images and each monomial's block offsets are computed once;
+a column is built from them only when it is asked for.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
 Persistent Homology", 2005).  The radius of a monomial is the smallest d
-whose window holds it.  Domain columns enter in ascending radius, so
-every B_r is a prefix of the insertion order and the pivot count after
-it is the rank of d on B_r.  Output monomials are numbered outermost
-first, so span B_{r-1} is a trailing run of blocks; with lowest-index
-pivots an echelon row has its pivot there exactly when it has no
-component outside, so the pivots in those blocks count
-dim(d(B_r) ∩ span B_{r-1}).
+whose window holds it.  Output monomials are numbered outermost first,
+so the domain window is a trailing run of blocks, and domain columns
+enter in the exact reverse of the output numbering: column t is output
+coordinate size-1-t.  Radii ascend, so every B_r is a prefix of the
+insertion order and the pivot count after it is the rank of d on B_r;
+span B_{r-1} is a trailing run of blocks, and with lowest-index pivots
+an echelon row has its pivot there exactly when it has no component
+outside, so the pivots in those blocks count dim(d(B_r) ∩ span B_{r-1}).
+
+The reverse order makes the elimination cheaper by clearing (Chen &
+Kerber, "Persistent Homology Computation with a Twist", EuroCG 2011;
+Bauer, Kerber & Reininghaus, "Clear and Compress: Computing Persistent
+Homology in Chunks", 2014).  An echelon row R = d(u) has its pivot p at
+its lowest coordinate, which is the latest inserted one in its support.
+When p lies in the domain, all of R lies there, and d(R) = d^2(u) = 0
+writes the column of p as a combination of columns inserted before it.
+So that column is never built or inserted: it would add no pivot, and
+neither the rank of any prefix nor the pivot count per radius changes.
 
 Specializing at a field point collapses d to a finite operator; local
 reports carry kernel/image dimensions and deterministic coordinates of
@@ -48,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
 from .mfcore import HomotopyWitness, Morphism, UngradedMF, _check_hom
@@ -135,9 +148,10 @@ def _combined_hull(a: RingMatrix, b: RingMatrix) -> list[tuple[int, int]]:
 
 def _delta_columns(src: UngradedMF, tgt: UngradedMF,
                    domain: Sequence[tuple[int, tuple[int, ...]]],
-                   out_block: dict[tuple[int, ...], int]) -> list[int]:
-    """Packed Echelon columns of d, one per (cell, monomial) of the domain;
-    raises if an image term falls outside the output window.
+                   out_block: dict[tuple[int, ...], int]) -> Callable[[int], int]:
+    """A builder column(t) of the packed Echelon column of d at domain[t],
+    a (cell, monomial) pair; raises here, before any column is built, if
+    an image term falls outside the output window.
 
     The domain cell i*n + j stands for E_ij (n = src.size); out_block
     numbers the output window's monomials, and the coefficient of
@@ -149,38 +163,59 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     qs = [e.packed for e in src.q.entries]
     qt = [e.packed for e in tgt.q.entries]
     # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
-    # shift key s, one small int holds every output cell (slot k*cell), and
-    # terms that meet at one (cell, shift) cancel there
+    # shift key s, one small int holds every output cell (slot k*cell).
+    # Column i of qt and row j of qs are folded once each (their terms sit
+    # in distinct slots, so OR adds them); the image of E_ij moves the one
+    # to column j and the other to row i, and the two meet only at cell
+    # i*n + j, where terms of one shift cancel
+    left = []  # per i: qt[r, i] in the slot of cell r*n
+    for i in range(m):
+        acc: dict[int, int] = {}
+        for r in range(m):
+            for s, c in qt[r * m + i].items():
+                acc[s] = acc.get(s, 0) | c << (k * r * n)
+        left.append(acc)
+    right = []  # per j: qs[j, c] in the slot of cell c
+    for j in range(n):
+        acc = {}
+        for col in range(n):
+            for s, c in qs[j * n + col].items():
+                acc[s] = acc.get(s, 0) | c << (k * col)
+        right.append(acc)
     images = []
     for i in range(m):
         for j in range(n):
-            acc: dict[int, int] = {}
-            parts = [(r * n + j, qt[r * m + i]) for r in range(m)]
-            parts += [(i * n + col, qs[j * n + col]) for col in range(n)]
-            for cell, entry in parts:
-                for s, c in entry.items():
-                    acc[s] = acc.get(s, 0) ^ c << (k * cell)
+            acc = {s: v << (k * j) for s, v in left[i].items()}
+            for s, v in right[j].items():
+                acc[s] = acc.get(s, 0) ^ v << (k * i * n)
             images.append([(s, v) for s, v in acc.items() if v])
     shifts = {s for cell in images for s, _ in cell}
     # the output window by packed key: x^e shifted by s has key e + s - one
     block = {ring.pack(e): b * stride for e, b in out_block.items()}
     offsets: dict[tuple[int, ...], dict[int, int]] = {}
-    cols = []
+    pieces = []  # per domain column: its cell's images and its block offsets
     for cell, e in domain:
         off = offsets.get(e)
         if off is None:
             base = ring.pack(e) - one
             off = offsets[e] = {s: block[base + s] for s in shifts if base + s in block}
-        # out_block is a bijection, so the shifted pieces are disjoint
+        pieces.append((images[cell], off))
+    # only a monomial that misses some shift can have an image term outside
+    if any(len(off) < len(shifts) for off in offsets.values()):
+        for image, off in pieces:
+            if not all(s in off for s, _ in image):
+                raise ValueError("window overflow: differential image leaves the output window")
+
+    def column(t: int) -> int:
+        image, off = pieces[t]
+        # out_block is a bijection, so the shifted images are disjoint
         # and OR adds them
         col = 0
-        try:
-            for s, v in images[cell]:
-                col |= v << off[s]
-        except KeyError:
-            raise ValueError("window overflow: differential image leaves the output window") from None
-        cols.append(col)
-    return cols
+        for s, v in image:
+            col |= v << off[s]
+        return col
+
+    return column
 
 
 def _radius(exps: Sequence[int]) -> int:
@@ -200,19 +235,26 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     _check_columns(cells, dom)
     out = sorted(dom.expanded(_combined_hull(src.q, tgt.q)).monomials(), key=_radius, reverse=True)
     out_radius = [_radius(e) for e in out]
-    domain = [(cell, e) for e in sorted(dom.monomials(), key=_radius) for cell in range(cells)]
-    cols = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(out)})
+    # domain column t is output coordinate last - t: the window's own
+    # monomials are the trailing blocks of out, entered back to front
+    last = len(out) * cells - 1
+    domain = [(cell, e) for e in reversed(out[len(out) - dom.size:]) for cell in reversed(range(cells))]
+    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(out)})
     # B_r holds the first cells * |Window.symmetric(ring, r)| columns
     ends = [cells * Window.symmetric(ring, r).size for r in range(d_max + 2)]
     ech = Echelon(ring.field)
     pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
+    cleared: set[int] = set()  # pivots; a domain column at one is dependent
     ranks, inner = [], []
     start = 0
     for r, end in enumerate(ends):
-        for col in cols[start:end]:
-            pivot, _ = ech.insert(col)
+        for t in range(start, end):
+            if last - t in cleared:
+                continue
+            pivot, _ = ech.insert(column(t))
             if pivot is not None:
                 pivots_at[out_radius[pivot // cells]] += 1
+                cleared.add(pivot)
         start = end
         ranks.append(len(ech.rows))
         inner.append(sum(pivots_at[:r]))
@@ -233,7 +275,7 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     block = {e: b for b, e in enumerate(win_out.monomials())}
     domain = list(itertools.product(range(cells), window.monomials()))
     ech = Echelon(ring.field, track=True)
-    ech.insert_all(_delta_columns(src, tgt, domain, block))
+    ech.insert_all(map(_delta_columns(src, tgt, domain, block), range(len(domain))))
     rest, comb = ech.reduce(sum(
         c << ech.k * (block[ring.unpack(key)] * cells + cell)
         for cell, entry in enumerate(f.f.entries)

@@ -91,7 +91,8 @@ def test_window_rejects_negative_bound_on_polynomial_variable():
 def delta_columns(src, tgt, win_in, win_out):
     """Packed columns of d, cell-major over win_in, blocks in win_out order."""
     domain = [(cell, e) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
-    return _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(win_out.monomials())})
+    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(win_out.monomials())})
+    return [column(t) for t in range(len(domain))]
 
 
 def test_delta_matrix_small_oracle():
@@ -136,6 +137,19 @@ def test_cohomology_rp2_stabilizes_at_three():
     dims = cohomology_dims(x, x, 3)
     assert dims[2] == 3
     assert dims[3] == 3
+
+
+@pytest.mark.parametrize("d_max, inserts", [(2, 503), (4, 1147), (6, 2047)])
+def test_cleared_columns_are_never_inserted(monkeypatch, d_max, inserts):
+    """Of the 16 * (2*d_max + 3)^2 columns (784, 1936, 3600), those whose
+    output coordinate is already a pivot are dependent (d^2 = 0) and are
+    skipped; the dimensions stay those of the full elimination."""
+    calls = []
+    insert = Echelon.insert
+    monkeypatch.setattr(Echelon, "insert", lambda self, v: calls.append(1) or insert(self, v))
+    x = rp2()
+    assert cohomology_dims(x, x, d_max) == {d: 3 for d in range(1, d_max + 1)}
+    assert len(calls) == inserts
 
 
 def test_solve_exactness_round_trip():

@@ -314,10 +314,14 @@ def per_radius_dims(src, tgt, d_max):
     return dims
 
 
+# (source fixture, target fixture, field degree k, d_max)
 CASES = (
-    ("rp2", 1, 1), ("rp2", 2, 1), ("an_q_1", 1, 2), ("an_q_2", 2, 2),
-    ("an_r_2", 1, 3), ("an_r_3", 2, 3),
+    ("rp2", "rp2", 1, 1), ("rp2", "rp2", 2, 1), ("an_q_1", "an_q_1", 1, 2),
+    ("an_q_2", "an_q_2", 2, 2), ("an_r_2", "an_r_2", 1, 3), ("an_r_3", "an_r_3", 2, 3),
 )
+# hom spaces with tgt.size != src.size
+BETWEEN_FIXTURES = tuple((src, tgt, k, 1) for src, tgt in (("rp2", "double_rp2"), ("double_rp2", "rp2"))
+                         for k in (1, 2))
 
 
 def random_conjugate(mf, k, data):
@@ -341,11 +345,11 @@ def elementary_conjugate(mf, k, data):
 
 
 @SLOW
-@given(st.sampled_from(CASES), st.data())
+@given(st.sampled_from(CASES + BETWEEN_FIXTURES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
-    name, k, d_max = case
-    mf = load_fixture(name, default_spec(k))
-    src, tgt = random_conjugate(mf, k, data), random_conjugate(mf, k, data)
+    src_name, tgt_name, k, d_max = case
+    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
+    tgt = random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
     assert cohomology_dims(src, tgt, d_max) == per_radius_dims(src, tgt, d_max)
 
 
@@ -372,7 +376,8 @@ def test_packed_columns_match_dense_products(case, radius, data):
     cells = src.size * tgt.size
     mons_out = win_out.monomials()
     domain = [(cell, e) for cell in range(cells) for e in win_in.monomials()]
-    cols = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(mons_out)})
+    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(mons_out)})
+    cols = [column(t) for t in range(len(domain))]
     dense = delta_as_field_matrix(src, tgt, win_in, win_out)
     ech = Echelon(src.ring.field)
     assert len(cols) == dense.cols
