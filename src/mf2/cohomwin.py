@@ -274,7 +274,7 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
         Window(ring, tuple(f.f.support_hull())))
     block = {e: b for b, e in enumerate(win_out.monomials())}
     domain = list(itertools.product(range(cells), window.monomials()))
-    ech = Echelon(ring.field, track=True)
+    ech = Echelon(ring.field, len(block) * cells)
     ech.insert_all(map(_delta_columns(src, tgt, domain, block), range(len(domain))))
     rest, comb = ech.reduce(sum(
         c << ech.k * (block[ring.unpack(key)] * cells + cell)

@@ -17,6 +17,14 @@ Default moduli:
 Larger fields, up to degree MAX_DEGREE, are available by passing an
 explicit irreducible modulus.
 
+Inverses: for k <= INV_TABLE_MAX_DEGREE, FieldSpec.inv reads a table of
+all 2^k inverses, built on first use per modulus (which fixes k) and kept
+in a module-level cache; a larger field inverts by the extended Euclidean
+algorithm over GF(2)[t] (Hankerson, Menezes & Vanstone, "Guide to
+Elliptic Curve Cryptography", 2004, Algorithm 2.48): at most 2k
+shift-and-XOR steps, where Fermat's a^(2^k - 2) takes about 2k field
+multiplications.
+
 This module also holds Immutable, the base of every value class in the
 package, because it is the bottom of the import graph: the names in a
 subclass's __slots__ are its fields, and the base builds, compares,
@@ -42,6 +50,9 @@ DEFAULT_MODULI = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011}
 # squarings of k-bit polynomials: about 0.05 s at k = 1024, 1.4 s at 4096.
 MAX_DEGREE = 1024
 
+# Largest degree whose inverses are read from a table (2^8 entries).
+INV_TABLE_MAX_DEGREE = 8
+
 
 def _gf2_poly_mod(a: int, m: int) -> int:
     """Remainder of the GF(2)[t] division of a by m (ints as bit vectors)."""
@@ -55,6 +66,34 @@ def _gf2_poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2_poly_mod(a, b)
     return a
+
+
+def _gf2_poly_inverse(a: int, m: int) -> int:
+    """Inverse of a modulo the irreducible m by the extended Euclidean
+    algorithm: u = g1 * a and v = g2 * a (mod m) hold throughout, and each
+    step cancels the top bit of u against a shift of v."""
+    u, v = _gf2_poly_mod(a, m), m
+    if not u:
+        raise ZeroDivisionError("inverse of zero in GF(2^k)")
+    g1, g2 = 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
+# modulus -> tuple of the inverses of 0 .. 2^k - 1 (0 at index 0)
+_INV_TABLES: dict[int, tuple[int, ...]] = {}
+
+
+def _inverse_table(m: int) -> tuple[int, ...]:
+    """Build and cache the inverses of every element modulo m."""
+    order = 1 << (m.bit_length() - 1)
+    table = _INV_TABLES[m] = (0, *(_gf2_poly_inverse(a, m) for a in range(1, order)))
+    return table
 
 
 def _is_irreducible(m: int) -> bool:
@@ -175,8 +214,9 @@ class FieldSpec(Immutable):
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^k)")
-        # Fermat: a^(2^k - 2)
-        return self.pow(a, self.order - 2)
+        if self.k > INV_TABLE_MAX_DEGREE:
+            return _gf2_poly_inverse(a, self.modulus)
+        return (_INV_TABLES.get(self.modulus) or _inverse_table(self.modulus))[a]
 
     def validate(self, a: int) -> int:
         if not 0 <= a < self.order:

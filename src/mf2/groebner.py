@@ -324,7 +324,7 @@ def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
     if n == 0:
         return RingPoly.one(uni)
     # vectorized powers enter the echelon until one depends on the ones before
-    ech = Echelon(spec, track=True)
+    ech = Echelon(spec, n * n)
     power = FieldMatrix.identity(spec, n)
     degree = 0
     while True:

@@ -147,23 +147,12 @@ class RingMatrix(Immutable):
         )
 
     def support_hull(self) -> list[tuple[int, int]]:
-        """Per-variable (min, max) exponent over all entries; (0, 0) if all zero."""
-        n = self.ring.nvars
-        lo = [0] * n
-        hi = [0] * n
-        seen = False
-        for e in self.entries:
-            b = e.support_bounds()
-            if b is None:
-                continue
-            if not seen:
-                lo = [x for x, _ in b]
-                hi = [x for _, x in b]
-                seen = True
-            else:
-                lo = [min(a, x) for a, (x, _) in zip(lo, b)]
-                hi = [max(a, x) for a, (_, x) in zip(hi, b)]
-        return list(zip(lo, hi))
+        """Per-variable (min, max) exponent over all entries; (0, 0) if all zero.
+        Each distinct packed key of the entries is unpacked once."""
+        keys = set().union(*(e.packed for e in self.entries))
+        if not keys:
+            return [(0, 0)] * self.ring.nvars
+        return [(min(column), max(column)) for column in zip(*map(self.ring.unpack, keys))]
 
     def __str__(self) -> str:
         return "; ".join(
@@ -336,22 +325,30 @@ class Echelon:
     """Incremental lowest-index echelon form of packed GF(2^k) vectors.
 
     `insert` reduces a vector by the pivot rows and keeps a nonzero
-    remainder, scaled to be monic, as the row of a new pivot.  With
-    `track` set, every row also carries the combination of inserted
-    vectors that equals it (packed the same way, slot i for the i-th
-    insert), so a vector that reduces to zero yields the relation that
-    cancels it, and `reduce` yields the coefficients of a solution.
+    remainder, scaled to be monic, as the row of a new pivot.
+
+    With `width` set (None means untracked), a vector has at most `width`
+    slots, and every row also carries the combination of inserted vectors
+    that equals it, packed the same way (slot i for the i-th insert) in the
+    same int at bit offset k * width: the augmented matrix [M | I].  Pivot
+    search, reduction and the monic scaling act on the whole int, so one
+    row addition updates the vector and its combination with one `scale`.
+    A vector that reduces to zero below the offset yields the relation
+    that cancels it, and `reduce` yields the coefficients of a solution.
+    A vector with a bit at or above the offset is refused with ValueError.
     """
 
-    __slots__ = ("spec", "k", "track", "rows", "combs", "count", "_mask", "_low", "_top", "_bits")
+    __slots__ = ("spec", "k", "width", "rows", "count", "_offset", "_vector_mask",
+                 "_mask", "_low", "_top", "_bits")
 
-    def __init__(self, spec: FieldSpec, track: bool = False):
+    def __init__(self, spec: FieldSpec, width: Optional[int] = None):
         self.spec = spec
         self.k = spec.k
-        self.track = track
-        self.rows: dict[int, int] = {}  # pivot index -> monic row
-        self.combs: dict[int, int] = {}  # pivot index -> combination equal to its row
+        self.width = width
+        self.rows: dict[int, int] = {}  # pivot index -> monic row (and its combination)
         self.count = 0  # vectors inserted so far
+        self._offset = None if width is None else spec.k * width  # bit offset of the combination
+        self._vector_mask = -1 if width is None else (1 << self._offset) - 1  # the vector part
         self._mask = (1 << spec.k) - 1
         self._low = spec.modulus ^ (1 << spec.k)  # t^k reduced by the modulus
         self._top = 0  # top bit of every slot below bit _bits
@@ -384,42 +381,41 @@ class Echelon:
             c >>= 1
         return acc
 
-    def _reduce(self, v: int, comb: int, full: bool) -> tuple[int, int]:
-        """Eliminate pivots from the bottom of v up; stop at the first
-        non-pivot slot unless `full`, which carries on past it."""
-        rows, combs, track, k = self.rows, self.combs, self.track, self.k
+    def _check(self, v: int) -> None:
+        if v >> self._offset:
+            raise ValueError(f"vector has a slot at or beyond the tracked width {self.width}")
+
+    def _reduce(self, v: int, full: bool) -> int:
+        """Eliminate pivots from the bottom of v's vector part up; stop at
+        the first non-pivot slot unless `full`, which carries on past it."""
+        rows, k, vector = self.rows, self.k, self._vector_mask
         kept = 0
-        if k == 1:
+        if k == 1 and self.width is None:
             while v:
                 bit = v & -v
                 p = bit.bit_length() - 1
                 row = rows.get(p)
                 if row is not None:
                     v ^= row
-                    if track:
-                        comb ^= combs[p]
                 elif full:
                     kept |= bit
                     v ^= bit
                 else:
                     break
-            return kept | v, comb
+            return kept | v
         scale, mask = self.scale, self._mask
-        while v:
+        while v & vector:
             p = ((v & -v).bit_length() - 1) // k
             row = rows.get(p)
             if row is not None:
-                c = (v >> (k * p)) & mask
-                v ^= scale(row, c)
-                if track:
-                    comb ^= scale(combs[p], c)
+                v ^= scale(row, (v >> (k * p)) & mask)
             elif full:
                 slot = v & (mask << (k * p))
                 kept |= slot
                 v ^= slot
             else:
                 break
-        return kept | v, comb
+        return kept | v
 
     def insert(self, v: int) -> tuple[Optional[int], int]:
         """Reduce v and keep the remainder as a new pivot row.
@@ -427,22 +423,22 @@ class Echelon:
         Returns (pivot, comb): the new pivot index and the combination
         equal to its row, or (None, relation) when v lies in the span.
         comb is 0 unless tracking."""
-        comb = 1 << (self.k * self.count) if self.track else 0
+        offset = self._offset
+        if offset is not None:
+            self._check(v)
+            v |= 1 << (offset + self.k * self.count)
         self.count += 1
-        v, comb = self._reduce(v, comb, False)
-        if not v:
-            return None, comb
+        v = self._reduce(v, False)
+        if not v & self._vector_mask:
+            return None, 0 if offset is None else v >> offset
         k = self.k
         p = ((v & -v).bit_length() - 1) // k
         if k != 1:  # over GF(2) the leading coefficient is 1
             c = (v >> (k * p)) & self._mask
             if c != 1:
-                c = self.spec.inv(c)
-                v, comb = self.scale(v, c), self.scale(comb, c)
+                v = self.scale(v, self.spec.inv(c))
         self.rows[p] = v
-        if self.track:
-            self.combs[p] = comb
-        return p, comb
+        return p, 0 if offset is None else v >> offset
 
     def insert_all(self, vectors: Iterable[int]) -> list[int]:
         """Insert in order; returns the relations of the dependent vectors."""
@@ -451,18 +447,23 @@ class Echelon:
     def reduce(self, v: int) -> tuple[int, int]:
         """(r, comb): the normal form r of v, zero at every pivot, and the
         combination of inserted vectors equal to v - r (0 unless tracking)."""
-        return self._reduce(v, 0, True)
+        offset = self._offset
+        if offset is None:
+            return self._reduce(v, True), 0
+        self._check(v)
+        v = self._reduce(v, True)
+        return v & self._vector_mask, v >> offset
 
     def reduced_row(self, p: int) -> int:
         """The row of pivot p in reduced echelon form (zero at the other pivots)."""
         unit = 1 << (self.k * p)
-        return unit ^ self.reduce(self.rows[p] ^ unit)[0]
+        return unit ^ self.reduce((self.rows[p] & self._vector_mask) ^ unit)[0]
 
 
 def _column_echelon(m: FieldMatrix, track: bool = False) -> tuple[Echelon, list[int]]:
     """Echelon of m's columns in order, with the relation of each column
-    that depends on the earlier ones."""
-    ech = Echelon(m.spec, track)
+    that depends on the earlier ones (tracked when `track`)."""
+    ech = Echelon(m.spec, m.rows if track else None)
     relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
     return ech, relations
 
@@ -479,8 +480,9 @@ def gf2_rank(rows: list[int]) -> int:
 
 def gf2_solve_combination(rows: list[int], target: int, width: int) -> Optional[list[int]]:
     """Coefficients c with xor of c_i * rows_i == target, or None; the
-    coefficient of every row that depends on earlier rows is zero."""
-    ech = Echelon(GF2, track=True)
+    coefficient of every row that depends on earlier rows is zero.  `width`
+    is the number of rows; the combination sits above the widest vector."""
+    ech = Echelon(GF2, max(v.bit_length() for v in (*rows, target)))
     ech.insert_all(rows)
     rest, comb = ech.reduce(target)
     return None if rest else ech.unpack(comb, width)

@@ -10,10 +10,24 @@ TIME_LIMIT_S seconds.  A fault that makes a loop run forever (a Groebner
 division that never cancels its leading term, say) then fails instead of
 hanging the suite.  The limit is a SIGALRM timer and is skipped on
 platforms without SIGALRM.
+
+The test process's address space is capped at MEMORY_LIMIT_BYTES (a soft
+RLIMIT_AS, set before collection, never above an existing lower limit), so
+a fault that makes memory grow without bound raises MemoryError instead
+of exhausting the machine before the time limit fires: a hung Groebner
+division grows by about 15 MB/s.  The tier-1 run, and each run of
+tests/mutants.py, peaks below 140 MB of address space (VmPeak), so the
+cap leaves a margin of more than 7x.  The cap is skipped on platforms
+without the resource module.
 """
 
 import contextlib
 import signal
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 from hypothesis import settings
@@ -22,6 +36,16 @@ settings.register_profile("mf2", deadline=None, derandomize=True, database=None)
 settings.load_profile("mf2")
 
 TIME_LIMIT_S = 120
+MEMORY_LIMIT_BYTES = 1 << 30
+
+
+def pytest_configure(config):
+    if resource is None:
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = MEMORY_LIMIT_BYTES if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT_BYTES, hard)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 class TimeLimitExceeded(BaseException):

@@ -131,6 +131,16 @@ MUTANTS = (
      "cleared.add(pivot)",
      "cleared.add(pivot + 1)",
      "tests/test_cohomwin.py::test_cohomology_rp2_stabilizes_at_three"),
+    # the inverse table is built one element off: entry a holds 1/(a + 1)
+    ("src/mf2/gf2k.py",
+     "for a in range(1, order)",
+     "for a in range(2, order + 1)",
+     "tests/test_gf2k.py::test_table_inverse_matches_fermat_for_every_irreducible_modulus"),
+    # the tracked combination starts one slot short, inside the vector's last slot
+    ("src/mf2/ringmat.py",
+     "else spec.k * width",
+     "else spec.k * (width - 1)",
+     f"{ECHELON}::test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span"),
 )
 
 

@@ -5,6 +5,9 @@ lists Gauss-Jordan elimination with one field multiplication per cell,
 the per-radius window definition of h_d, the fully reduced echelon of the
 point certificate, and the incremental minimal-polynomial loop.  Each
 fast path must reproduce them exactly, not just up to a change of basis.
+The per-radius definition and the solvability of tracked `reduce` take
+their ranks from sympy's GF(2) elimination instead, which shares no code
+with Echelon: a GF(2^k) matrix enters it by its regular representation.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from importlib.resources import files
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from mf2.cohomwin import Window, _delta_columns, certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
@@ -70,9 +75,34 @@ def dense_rank(m):
     return len(dense_echelon([list(m.row(i)) for i in range(m.rows)], m.spec)[1])
 
 
+def sympy_rank(spec, entries, shape):
+    """Rank of the GF(2^k) matrix of the given shape and nonzero entries
+    {(row, col): value}, from sympy's sparse GF(2) elimination.  Entry a
+    becomes the k x k matrix of multiplication by a in the power basis
+    (column j holds the coordinates of a * t^j); the GF(2) rank of that
+    regular representation is k times the GF(2^k) rank."""
+    k = spec.k
+    one = GF(2)(1)
+    rows = {}
+    for (i, j), a in entries.items():
+        for jj in range(k):
+            image = spec.mul(a, 1 << jj)
+            for ii in range(k):
+                if image >> ii & 1:
+                    rows.setdefault(i * k + ii, {})[j * k + jj] = one
+    r = DomainMatrix(rows, (shape[0] * k, shape[1] * k), GF(2)).rank()
+    assert r % k == 0
+    return r // k
+
+
+def sympy_matrix_rank(m):
+    return sympy_rank(m.spec, {divmod(i, m.cols): a for i, a in enumerate(m.entries) if a},
+                      (m.rows, m.cols))
+
+
 def kernel_basis(m):
     """One kernel vector per column that depends on the columns before it."""
-    ech = Echelon(m.spec, track=True)
+    ech = Echelon(m.spec, m.rows)
     relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
     return [ech.unpack(rel, m.cols) for rel in relations]
 
@@ -167,8 +197,8 @@ def dense_class_coordinates(dmat, vec):
 
 
 @st.composite
-def field_matrices(draw, max_dim=6, square=False):
-    spec = draw(st.sampled_from(FIELDS))
+def field_matrices(draw, max_dim=6, square=False, fields=FIELDS):
+    spec = draw(st.sampled_from(fields))
     rows = draw(st.integers(1, max_dim))
     cols = rows if square else draw(st.integers(1, max_dim))
     density = draw(st.sampled_from((0.2, 0.5, 1.0)))
@@ -222,6 +252,47 @@ def test_solve_matches_dense_elimination(m, data):
 
 
 @PROPERTY
+@given(field_matrices(fields=FIELDS[:3]), st.data())
+def test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span(m, data):
+    """Over GF(2), GF(4) and GF(8): a solution x from the [M | I] tracking
+    satisfies M x = b, and none comes back exactly when appending b raises
+    sympy's rank of M."""
+    spec = m.spec
+    elems = st.integers(0, spec.order - 1)
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(st.lists(elems, min_size=m.cols, max_size=m.cols)))
+    else:
+        b = data.draw(st.lists(elems, min_size=m.rows, max_size=m.rows))
+    ech = Echelon(spec, m.rows)
+    ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    rest, comb = ech.reduce(ech.pack(b))
+    augmented = FieldMatrix(spec, m.rows, m.cols + 1,
+                            [v for i in range(m.rows) for v in (*m.row(i), b[i])])
+    solvable = sympy_matrix_rank(augmented) == sympy_matrix_rank(m)
+    assert (rest == 0) == solvable
+    if solvable:
+        x = ech.unpack(comb, m.cols)
+        assert comb == ech.pack(x)
+        assert m.apply(x) == b
+        assert solve(m, b) == x
+    else:
+        assert solve(m, b) is None
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_tracked_echelon_refuses_a_vector_that_reaches_its_offset(spec):
+    ech = Echelon(spec, 3)
+    top = spec.order - 1
+    assert ech.insert(ech.pack([0, 0, top]))[0] == 2
+    for v in (ech.pack([0, 0, 0, 1]), ech.pack([1, 0, 0, top]), 1 << (5 * spec.k)):
+        with pytest.raises(ValueError, match="tracked width"):
+            ech.insert(v)
+        with pytest.raises(ValueError, match="tracked width"):
+            ech.reduce(v)
+    assert ech.count == 1
+
+
+@PROPERTY
 @given(field_matrices(square=True))
 def test_minimal_polynomial_matches_dense_loop(m):
     assert minimal_polynomial(m) == dense_minimal_polynomial(m)
@@ -265,35 +336,45 @@ def test_gf2_rank_survives_embedding_into_gf4(rows, cols, data):
 # -- one-pass window cohomology against the per-radius definition ----------------------
 
 
-def delta_as_field_matrix(src, tgt, win_in, win_out):
-    """Dense matrix of d(E_ij x^e) = qt E_ij x^e + E_ij x^e qs, one RingMatrix
-    product pair per column.  Columns run over (cell, monomial of win_in)
-    and rows over (cell, monomial of win_out), cell-major, with cell i*n + j
-    for n = src.size and monomials in window order."""
+def delta_entries(src, tgt, win_in, win_out):
+    """Nonzero entries {(row, col): value} and shape of the matrix of
+    d(E_ij x^e) = qt E_ij x^e + E_ij x^e qs, one RingMatrix product pair per
+    column.  Columns run over (cell, monomial of win_in) and rows over
+    (cell, monomial of win_out), cell-major, with cell i*n + j for
+    n = src.size and monomials in window order."""
     ring = src.ring
     m, n = tgt.size, src.size
     mons_out = win_out.monomials()
     row_of = {(cell, e): cell * len(mons_out) + b
               for cell in range(m * n) for b, e in enumerate(mons_out)}
-    cols = []
+    entries = {}
+    col = 0
     for cell in range(m * n):
         for e in win_in.monomials():
             unit = RingMatrix(ring, m, n, [
                 RingPoly.monomial(ring, e) if c == cell else RingPoly.zero(ring)
                 for c in range(m * n)
             ])
-            col = [0] * len(row_of)
             for c, entry in enumerate((tgt.q * unit + unit * src.q).entries):
                 for x, v in entry.terms.items():
-                    col[row_of[c, x]] = v
-            cols.append(col)
-    return FieldMatrix(ring.field, len(row_of), len(cols),
-                       [col[r] for r in range(len(row_of)) for col in cols])
+                    entries[row_of[c, x], col] = v
+            col += 1
+    return entries, (len(row_of), col)
+
+
+def delta_as_field_matrix(src, tgt, win_in, win_out):
+    """delta_entries as a dense FieldMatrix."""
+    entries, (rows, cols) = delta_entries(src, tgt, win_in, win_out)
+    dense = [0] * (rows * cols)
+    for (r, c), v in entries.items():
+        dense[r * cols + c] = v
+    return FieldMatrix(src.ring.field, rows, cols, dense)
 
 
 def per_radius_dims(src, tgt, d_max):
     """h_d = n_d - rank(d|B_d) - (rank(d|B_{d+1}) - rank of its rows outside B_d)."""
     ring = src.ring
+    spec = ring.field
     hull = [(min(a, c), max(b, d)) for (a, b), (c, d)
             in zip(src.q.support_hull(), tgt.q.support_hull())]
     cells = src.size * tgt.size
@@ -303,14 +384,15 @@ def per_radius_dims(src, tgt, d_max):
         win_next = Window.symmetric(ring, d + 1)
         win_out = win_next.expanded(hull)
         n_d = cells * win_d.size
-        rank_d = rank(delta_as_field_matrix(src, tgt, win_d, win_d.expanded(hull)))
-        big = delta_as_field_matrix(src, tgt, win_next, win_out)
+        rank_d = sympy_rank(spec, *delta_entries(src, tgt, win_d, win_d.expanded(hull)))
+        big, (_, big_cols) = delta_entries(src, tgt, win_next, win_out)
         inside = set(win_d.monomials())
         out_basis = [e for _ in range(cells) for e in win_out.monomials()]
         outside = [r for r, e in enumerate(out_basis) if e not in inside]
-        outer = FieldMatrix(big.spec, len(outside), big.cols,
-                            [v for r in outside for v in big.row(r)])
-        dims[d] = n_d - rank_d - (rank(big) - rank(outer))
+        outer_row = {r: i for i, r in enumerate(outside)}
+        outer = {(outer_row[r], c): v for (r, c), v in big.items() if r in outer_row}
+        dims[d] = n_d - rank_d - (sympy_rank(spec, big, (len(out_basis), big_cols))
+                                  - sympy_rank(spec, outer, (len(outside), big_cols)))
     return dims
 
 

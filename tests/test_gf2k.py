@@ -13,8 +13,10 @@ import pytest
 
 from mf2.gf2k import (
     GF2,
+    INV_TABLE_MAX_DEGREE,
     MAX_DEGREE,
     FieldSpec,
+    _INV_TABLES,
     _gf2_poly_mod,
     _is_irreducible,
     default_spec,
@@ -120,6 +122,34 @@ def test_gf2_is_plain_boolean_arithmetic():
     assert GF2.inv(1) == 1
     with pytest.raises(ZeroDivisionError):
         GF2.inv(0)
+
+
+@pytest.mark.parametrize("k", range(1, INV_TABLE_MAX_DEGREE + 1))
+def test_table_inverse_matches_fermat_for_every_irreducible_modulus(k):
+    moduli = [m for m in range(1 << k, 2 << k) if _is_irreducible(m)]
+    assert moduli
+    for m in moduli:
+        spec = FieldSpec(k, m)
+        for a in range(1, spec.order):
+            inv = spec.inv(a)
+            assert inv == spec.pow(a, spec.order - 2)  # Fermat: a^(2^k - 2)
+            assert spec.mul(a, inv) == 1
+        with pytest.raises(ZeroDivisionError):
+            spec.inv(0)
+
+
+def test_euclid_inverse_at_degree_64():
+    spec = FieldSpec(64, 0x1000000000000001B)
+    rng = random.Random(6401)
+    for _ in range(500):
+        a = rng.randrange(1, spec.order)
+        inv = spec.inv(a)
+        assert 0 < inv < spec.order  # reduced, so mul's own reduction hides nothing
+        assert spec.mul(a, inv) == 1
+    assert spec.inv(1) == 1
+    assert spec.modulus not in _INV_TABLES  # no 2^64-entry table
+    with pytest.raises(ZeroDivisionError):
+        spec.inv(0)
 
 
 def test_enumeration_order_is_serialized_integer_order():

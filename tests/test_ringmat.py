@@ -31,7 +31,7 @@ from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
 
 def kernel_basis(m):
     """One kernel vector per column that depends on the columns before it."""
-    ech = Echelon(m.spec, track=True)
+    ech = Echelon(m.spec, m.rows)
     relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
     return [ech.unpack(rel, m.cols) for rel in relations]
 
