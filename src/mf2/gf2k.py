@@ -249,11 +249,6 @@ class FieldElem(Immutable):
         if self.spec != other.spec:
             raise ValueError("field mismatch: operands from different field specs")
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Power-basis coordinates, constant term first."""
-        return tuple((self.value >> i) & 1 for i in range(self.spec.k))
-
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
         return FieldElem(self.spec, self.value ^ other.value)

@@ -64,10 +64,6 @@ class TermOrder(Immutable):
         return grevlex_key(arranged)
 
     @classmethod
-    def grevlex(cls, nvars: int) -> "TermOrder":
-        return cls(tuple(range(nvars)))
-
-    @classmethod
     def eliminate_first(cls, nvars: int, block: int) -> "TermOrder":
         return cls(tuple(range(nvars)), block)
 

@@ -45,7 +45,6 @@ __all__ = [
     "GradedMorphism",
     "HomotopyWitness",
     "verify_mf",
-    "euler_identity_check",
     "jacobian_action_witness",
     "double",
     "forget",
@@ -156,13 +155,6 @@ class Morphism(Immutable):
     def is_closed(self) -> bool:
         return self.differential().f.is_zero()
 
-    def __add__(self, other: "Morphism") -> "Morphism":
-        if self.source is not other.source and self.source != other.source:
-            raise ValueError("morphism sum needs matching source")
-        if self.target is not other.target and self.target != other.target:
-            raise ValueError("morphism sum needs matching target")
-        return Morphism(self.source, self.target, self.f + other.f)
-
 
 class GradedMorphism(Immutable):
     """A map between graded factorizations, stored on the total modules."""
@@ -195,14 +187,6 @@ class HomotopyWitness(Immutable):
 
 
 # -- differential geometry of the potential -------------------------------------
-
-
-def euler_identity_check(x: UngradedMF, var: int | str) -> VerifyReport:
-    """dQ*Q + Q*dQ == dW * Id, the derivative of Q^2 = W*Id."""
-    lhs = commutator(matrix_partial(x.q, var), x.q)
-    rhs = RingMatrix.identity(x.ring, x.size).scale(x.w.partial(var))
-    residual = lhs + rhs
-    return VerifyReport(residual.is_zero(), residual)
 
 
 def jacobian_action_witness(f: Morphism, var: int | str) -> HomotopyWitness:

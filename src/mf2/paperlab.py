@@ -16,7 +16,7 @@ x^3 + 1) these certify that alpha -> alpha*Id is an isomorphism from the
 Jacobian ring onto the cohomology endomorphism ring.  Each returned
 result carries one certificate, its defining identity re-checked
 symbolically before it is returned (for a reduction, the HomotopyWitness
-delta(g) = f + alpha*Id; for a decomposition, the reassembly of f);
+delta(g) = f + alpha*Id; for an obstruction, the cofactor identity);
 intermediate stages are not re-checked, since a wrong stage breaks that
 identity and raises instead of propagating.
 
@@ -62,7 +62,6 @@ __all__ = [
     "ALPHA_HOMOTOPY_TEXT",
     "Check",
     "Report",
-    "ClosedDecomposition",
     "ReductionResult",
     "Rp2Context",
     "tr",
@@ -242,26 +241,7 @@ def random_matrix(ring: RingDescriptor, rng: random.Random, rows: int, cols: int
     )
 
 
-# -- decomposition and reduction results ----------------------------------------
-
-
-class ClosedDecomposition(Immutable):
-    """Blocks of a closed endomorphism f = [[a, b], [c, d]] together with the
-    commutator preimages: d = a + [U, t] and c = x*b + [U, s]."""
-
-    __slots__ = ("a", "b", "s", "t")
-
-    @property
-    def c(self) -> RingMatrix:
-        x = RingPoly.variable(self.a.ring, "x")
-        return self.b.scale(x) + delta_u(self.s)
-
-    @property
-    def d(self) -> RingMatrix:
-        return self.a + delta_u(self.t)
-
-    def reassembled(self) -> RingMatrix:
-        return block2(self.a, self.b, self.c, self.d)
+# -- reduction results ----------------------------------------------------------
 
 
 class ReductionResult(Immutable):
@@ -474,33 +454,6 @@ class Rp2Context(Immutable):
         if alpha.ring != self.ring:
             raise ValueError("alpha is not in the context ring")
         return self._fold(alpha)[0]
-
-    def jacobian_cofactors(self, target: RingPoly) -> tuple[RingPoly, RingPoly]:
-        """Explicit c1, c2 with target = c1*dW/dx + c2*dW/dy, from _fold:
-        the canonical form of target must vanish.  The cofactor identity is
-        this answer's certificate and is re-checked."""
-        if target.ring != self.ring:
-            raise ValueError("target is not in the context ring")
-        alpha, c1, c2 = self._fold(target)
-        if not alpha.is_zero():
-            raise ValueError("target is not in the Jacobian ideal")
-        if c1 * self.dwdx + c2 * self.dwdy != target:
-            raise ValueError("cofactor identity failed")
-        return c1, c2
-
-    # -- decomposition --------------------------------------------------------
-
-    def decompose_closed(self, f: Union[Morphism, RingMatrix]) -> ClosedDecomposition:
-        """Split a closed endomorphism into blocks [[a, b], [c, d]] with
-        d = a + [U, t] and c = x*b + [U, s].  The decomposition's one
-        certificate is its defining identity: the blocks reassemble to f."""
-        mat = self._coerce(f)
-        if not commutator(self.q, mat).is_zero():
-            raise ValueError("decomposition needs a closed endomorphism")
-        dec = ClosedDecomposition(*self._split(mat))
-        if dec.reassembled() != mat:
-            raise ValueError("internal consistency: reassembly mismatch")
-        return dec
 
     # -- reduction to a canonical scalar ---------------------------------------
 

@@ -7,9 +7,9 @@ ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
 entry again.  A product keeps one accumulator per output entry across the
 inner index and fills it with ringpoly's multiply-accumulate kernel.
-FieldMatrix holds serialized field values.  Rank and solving run
-through Echelon, one elimination kernel for every GF(2^k) that packs
-a whole vector into one int (a bitset when k = 1).
+FieldMatrix holds serialized field values.  Rank runs through
+Echelon, one elimination kernel for every GF(2^k) that packs a whole
+vector into one int (a bitset when k = 1).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "parse_matrix",
     "Echelon",
     "rank",
-    "solve",
 ]
 
 
@@ -500,11 +499,3 @@ def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[
 def rank(m: FieldMatrix) -> int:
     return len(_column_echelon(m)[0].rows)
 
-
-def solve(m: FieldMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """One solution of m x = b with free variables set to zero, or None."""
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    ech, _ = _column_echelon(m, track=True)
-    rest, comb = ech.reduce(ech.pack(b))
-    return None if rest else ech.unpack(comb, m.cols)

@@ -90,12 +90,11 @@ MUTANTS = (
      "top, off = row.at(0, 0), row.at(0, 1)",
      "top, off = row.at(0, 0), row.at(0, 0)",
      "tests/test_paperlab.py::test_reduce_random_round_trips"),
-    # decompose_closed returns without its reassembly certificate
+    # _split hands back t as the preimage s: the reduction witness must reject it
     ("src/mf2/paperlab.py",
-     "        if dec.reassembled() != mat:\n"
-     "            raise ValueError(\"internal consistency: reassembly mismatch\")\n",
-     "",
-     "tests/test_paperlab.py::test_decompose_reassembly_rejects_a_wrong_preimage"),
+     "        return a, b, s, t\n",
+     "        return a, b, t, t\n",
+     "tests/test_paperlab.py::test_reduce_random_round_trips"),
     # exact division no longer checks the shifted keys against the guard at entry
     ("src/mf2/ringpoly.py",
      "    for key in (*rem, *dd):\n"
@@ -131,6 +130,12 @@ MUTANTS = (
      "cleared.add(pivot)",
      "cleared.add(pivot + 1)",
      "tests/test_cohomwin.py::test_cohomology_rp2_stabilizes_at_three"),
+    # the same clearing fault against the per-radius oracle, which must
+    # report a counterexample well inside the time limit
+    ("src/mf2/cohomwin.py",
+     "cleared.add(pivot)",
+     "cleared.add(pivot + 1)",
+     f"{ECHELON}::test_one_pass_dims_match_per_radius_definition"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",
      "for a in range(1, order)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -26,12 +26,12 @@ from mf2.groebner import minimal_polynomial
 from mf2.mfcore import UngradedMF, parse_mf_text
 from mf2.ringmat import (
     Echelon,
+    _column_echelon,
     _generic_echelon,
     FieldMatrix,
     RingMatrix,
     matrix_partial,
     rank,
-    solve,
     specialize,
 )
 from mf2.ringpoly import RingDescriptor, RingPoly
@@ -105,6 +105,14 @@ def kernel_basis(m):
     ech = Echelon(m.spec, m.rows)
     relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
     return [ech.unpack(rel, m.cols) for rel in relations]
+
+
+def echelon_solve(m, b):
+    """One solution of m x = b with free variables at zero, or None, from
+    the tracked column echelon of m."""
+    ech, _ = _column_echelon(m, track=True)
+    rest, comb = ech.reduce(ech.pack(b))
+    return None if rest else ech.unpack(comb, m.cols)
 
 
 def dense_kernel_basis(m):
@@ -248,7 +256,7 @@ def test_solve_matches_dense_elimination(m, data):
         b = m.apply(data.draw(st.lists(elems, min_size=m.cols, max_size=m.cols)))
     else:
         b = data.draw(st.lists(elems, min_size=m.rows, max_size=m.rows))
-    assert solve(m, b) == dense_solve(m, b)
+    assert echelon_solve(m, b) == dense_solve(m, b)
 
 
 @PROPERTY
@@ -274,9 +282,6 @@ def test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span(m, data):
         x = ech.unpack(comb, m.cols)
         assert comb == ech.pack(x)
         assert m.apply(x) == b
-        assert solve(m, b) == x
-    else:
-        assert solve(m, b) is None
 
 
 @pytest.mark.parametrize("spec", FIELDS)
@@ -426,7 +431,10 @@ def elementary_conjugate(mf, k, data):
     return UngradedMF(mf.w, p * mf.q * p)
 
 
-@SLOW
+# No shrinking: with a fault in the window pass, shrinking these slow
+# examples used up the whole per-test time limit, so the fault showed only
+# as a time-out.  Every drawn example still runs.
+@settings(SLOW, phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.sampled_from(CASES + BETWEEN_FIXTURES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
     src_name, tgt_name, k, d_max = case

@@ -31,14 +31,14 @@ L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 
 
 def test_grevlex_order_basics():
-    o = TermOrder.grevlex(2)
+    o = TermOrder((0, 1))
     assert o.key((1, 0)) > o.key((0, 1))  # x > y
     assert o.key((0, 2)) > o.key((1, 0))  # degree dominates
     assert o.key((2, 1)) > o.key((1, 2))
 
 
 def test_grevlex_and_elimination_orders_disagree():
-    grevlex = TermOrder.grevlex(2)
+    grevlex = TermOrder((0, 1))
     eliminate_x = TermOrder.eliminate_first(2, 1)
     # x^3 vs x*y: both prefer x^3
     assert grevlex.key((3, 0)) > grevlex.key((1, 1))
@@ -52,20 +52,20 @@ def test_grevlex_and_elimination_orders_disagree():
 
 def test_buchberger_projective_plane_generators():
     gens = [parse_poly("x^2*y + 1", P2), parse_poly("x*y^2 + 1", P2)]
-    gb = buchberger(gens, TermOrder.grevlex(2))
+    gb = buchberger(gens, TermOrder((0, 1)))
     assert parse_poly("x + y", P2) in gb
     # every S-polynomial reduces to zero over the basis
     for g in gens:
-        assert normal_form(g, gb, TermOrder.grevlex(2)).is_zero()
+        assert normal_form(g, gb, TermOrder((0, 1))).is_zero()
 
 
 def test_buchberger_rejects_laurent_input():
     with pytest.raises(ValueError, match="clear denominators"):
-        buchberger([parse_poly("x^-1 + y", L2)], TermOrder.grevlex(2))
+        buchberger([parse_poly("x^-1 + y", L2)], TermOrder((0, 1)))
 
 
 def test_normal_form_is_idempotent_and_linear():
-    order = TermOrder.grevlex(2)
+    order = TermOrder((0, 1))
     gb = buchberger([parse_poly("x^2 + y", P2), parse_poly("y^2 + x", P2)], order)
     rng = random.Random(11)
     for _ in range(30):
@@ -128,13 +128,13 @@ def test_a_series_jacobian_ideals():
 
 def test_unit_ideal_quotient():
     from mf2.groebner import QuotientRing
-    q = QuotientRing(P2, [RingPoly.one(P2)], TermOrder.grevlex(2))
+    q = QuotientRing(P2, [RingPoly.one(P2)], TermOrder((0, 1)))
     assert q.dimension == 0
 
 
 def test_quotient_is_finite_only_with_a_pure_power_of_every_variable():
     from mf2.groebner import QuotientRing
-    order = TermOrder.grevlex(2)
+    order = TermOrder((0, 1))
     assert QuotientRing(P2, [parse_poly("x^2", P2)], order).dimension is None
     q = QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)], order)
     assert q.dimension == 6

@@ -4,11 +4,12 @@ Layers, bottom up: gf2k < ringpoly < ringmat < mfcore < {cohomwin,
 groebner} < paperlab < cli.  A module imports from layers below its own
 and from none at or above it, so reading an MF file and verifying a
 factorization load neither the command line, nor the lab, nor the window
-and Groebner machinery.
+and Groebner machinery.  Every name in a module's __all__ exists.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import subprocess
@@ -33,6 +34,14 @@ def test_every_import_points_down():
         text = (SRC / f"{module}.py").read_text()
         for target in re.findall(r"^\s*from \.(\w*) import", text, re.MULTILINE):
             assert LAYER.get(target, layer) < layer, f"{module} imports .{target}"
+
+
+def test_every_exported_name_exists():
+    """A name deleted from a module must leave its __all__ too."""
+    for module in LAYER:
+        mod = importlib.import_module(f"mf2.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"mf2.{module}.__all__ names {missing}"
 
 
 def test_core_reads_and_verifies_a_fixture_alone():

@@ -29,7 +29,6 @@ from mf2.mfcore import (
     contract_at_noncritical,
     double,
     emit_mf_text,
-    euler_identity_check,
     forget,
     from_graded,
     jacobian_action_witness,
@@ -38,7 +37,7 @@ from mf2.mfcore import (
     to_graded,
     verify_mf,
 )
-from mf2.ringmat import RingMatrix, block2, parse_matrix
+from mf2.ringmat import RingMatrix, block2, matrix_partial, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
@@ -126,12 +125,14 @@ def test_hom_users_state_one_contract(user, source, message):
 
 
 def test_euler_identity_both_variables():
-    x = rp2()
-    for v in ("x", "y"):
-        assert euler_identity_check(x, v).ok
-    q = an_q(2)
-    for v in ("x", "y", "z"):
-        assert euler_identity_check(q, v).ok
+    """dQ*Q + Q*dQ = dW*Id, the derivative of Q^2 = W*Id: the Jacobian
+    action on the identity is exact with witness dQ."""
+    for mf, variables in ((rp2(), ("x", "y")), (an_q(2), ("x", "y", "z"))):
+        ident = RingMatrix.identity(mf.ring, mf.size)
+        for v in variables:
+            wit = jacobian_action_witness(Morphism(mf, mf, ident), v)
+            assert wit.g == matrix_partial(mf.q, v)
+            assert wit.claim.f == ident.scale(mf.w.partial(v))
 
 
 def test_jacobian_action_on_identity():

@@ -12,7 +12,7 @@ import pytest
 
 from mf2.gf2k import default_spec
 from mf2.ringpoly import RingPoly, parse_poly
-from mf2.ringmat import RingMatrix, commutator
+from mf2.ringmat import RingMatrix, blocks_of, commutator
 from mf2 import paperlab
 from mf2.mfcore import Morphism
 from mf2.paperlab import (
@@ -91,27 +91,21 @@ def test_v_twist_identities():
 def test_decompose_identity_and_scalar():
     id2 = RingMatrix.identity(CTX.ring, 2)
     x = RingPoly.variable(CTX.ring, "x")
-    dec = CTX.decompose_closed(CTX._identity4())
-    assert dec.a == id2 and dec.b.is_zero()
-    assert dec.s.is_zero() and dec.t.is_zero()
-    dec = CTX.decompose_closed(CTX._identity4().scale(x))
-    assert dec.a == id2.scale(x) and dec.b.is_zero()
-    assert dec.s.is_zero() and dec.t.is_zero()
+    for scalar in (RingPoly.one(CTX.ring), x):
+        a, b, s, t = CTX._split(CTX._identity4().scale(scalar))
+        assert a == id2.scale(scalar) and b.is_zero()
+        assert s.is_zero() and t.is_zero()
 
 
 def test_decompose_random_closed():
+    """_split returns the blocks a, b of f = [[a, b], [c, d]] and preimages
+    with c = x*b + [U, s] and d = a + [U, t]."""
+    x = RingPoly.variable(CTX.ring, "x")
     rng = random.Random(44)
     for _ in range(20):
         f = closed_sample(rng, canonical_alpha(rng))
-        dec = CTX.decompose_closed(f)
-        assert dec.reassembled() == f
-
-
-def test_decompose_rejects_non_closed():
-    x = RingPoly.variable(CTX.ring, "x")
-    open_map = RingMatrix.zeros(CTX.ring, 4, 4) + CTX.dqdx.scale(x)
-    with pytest.raises(ValueError, match="closed"):
-        CTX.decompose_closed(open_map)
+        a, b, s, t = CTX._split(f)
+        assert blocks_of(f) == (a, b, b.scale(x) + delta_u(s), a + delta_u(t))
 
 
 def test_reduce_identity_and_canonical_scalars():
@@ -226,16 +220,6 @@ def test_reduce_witness_rejects_stage_faults(monkeypatch, fault, k):
         ctx.reduce_endomorphism(f)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_decompose_reassembly_rejects_a_wrong_preimage(monkeypatch, k):
-    ctx = CONTEXTS[k]
-    _, f = ctx.random_closed(random.Random(55))
-    ctx.decompose_closed(f)
-    _perturb_s(monkeypatch)
-    with pytest.raises(ValueError, match="internal consistency: reassembly mismatch"):
-        ctx.decompose_closed(f)
-
-
 def test_reduce_accepts_morphisms():
     x = RingPoly.variable(CTX.ring, "x")
     phi = Morphism(CTX.mf, CTX.mf, CTX._identity4().scale(x))
@@ -267,25 +251,29 @@ def test_normal_form_alpha_rule():
 
 
 def test_jacobian_cofactors_frozen_pairs():
+    """_fold(target) = (alpha, c1, c2) with target = alpha + c1*dW/dx + c2*dW/dy."""
     ring = CTX.ring
+    zero, one = RingPoly.zero(ring), RingPoly.one(ring)
     x = RingPoly.variable(ring, "x")
     y = RingPoly.variable(ring, "y")
-    assert CTX.jacobian_cofactors(x + y) == (x, y)
-    assert CTX.jacobian_cofactors(parse_poly("x^3 + 1", ring)) == (
+    assert CTX._fold(x + y) == (zero, x, y)
+    assert CTX._fold(parse_poly("x^3 + 1", ring)) == (
+        zero,
         parse_poly("x^2*y + x^3", ring),
         parse_poly("x^2*y", ring),
     )
-    with pytest.raises(ValueError, match="Jacobian ideal"):
-        CTX.jacobian_cofactors(RingPoly.one(ring))
+    assert CTX._fold(one) == (one, zero, zero)
 
 
 def test_jacobian_cofactors_random():
+    """A member of the Jacobian ideal folds to alpha = 0 and cofactors."""
     rng = random.Random(49)
     for _ in range(20):
         c1 = random_poly(CTX.ring, rng)
         c2 = random_poly(CTX.ring, rng)
         target = c1 * CTX.dwdx + c2 * CTX.dwdy
-        d1, d2 = CTX.jacobian_cofactors(target)
+        alpha, d1, d2 = CTX._fold(target)
+        assert alpha.is_zero()
         assert d1 * CTX.dwdx + d2 * CTX.dwdy == target
 
 

@@ -30,7 +30,7 @@ from mf2.mfcore import (
     UngradedMF,
     verify_mf,
 )
-from mf2.paperlab import Check, ClosedDecomposition, ReductionResult, Report, Rp2Context
+from mf2.paperlab import Check, ReductionResult, Report, Rp2Context
 from mf2.ringmat import FieldMatrix, RingMatrix, parse_matrix
 from mf2.ringpoly import (
     Immutable,
@@ -336,9 +336,6 @@ IMMUTABLE_INSTANCES = {
     "QuotientRing": lambda: quotient_ring(laurent_jacobian_ideal(P("x + y + x^-1*y^-1"))),
     "Check": lambda: Check("an_forced", False, "forced failure"),
     "Report": lambda: Report((Check("ok", True),), 2024),
-    "ClosedDecomposition": lambda: ClosedDecomposition(
-        *(RingMatrix.identity(LAURENT2, 2).scale(P(t)) for t in ("x", "y", "1", "0"))
-    ),
     "ReductionResult": lambda: ReductionResult(P("x^2"), _zero_witness()),
 }
 
