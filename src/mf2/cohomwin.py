@@ -20,15 +20,13 @@ the point certification below.
 A column of d is one packed Echelon int.  With n = src.size and
 cells = tgt.size * n, the output coordinate of E_rc x^m is
 block[m] * cells + r * n + c, where block numbers the monomials of the
-output window; a domain column is a (cell, monomial) pair.  The images
-of one domain cell are folded once into a small int per shift s, with
-every output cell in its own slot, so terms that meet at one cell and
-shift cancel there.  The column of (cell, x^e) is the sum of those ints,
-each moved to the block of x^(e+s): one big shift per distinct shift,
-not one per term.  Shifts are the packed keys of Q's terms and the
-output window is looked up by packed key, so x^(e+s) is one int add.
-The folded images and each monomial's block offsets are computed once;
-a column is built from them only when it is asked for.
+output window by packed key (ringpoly); a domain column is a (cell,
+packed key) pair.  The image of one domain cell is one small int per
+shift s, with every output cell in its own slot, so terms that meet at
+one cell and shift cancel there.  The column of (cell, x^e) is the sum
+of those ints, each moved to the block of key e + s, one int add away:
+one big shift per distinct shift, not one per term, and only when the
+column is asked for.  Point certificates use the same slot layout.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
@@ -65,7 +63,7 @@ from typing import Callable, Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
 from .mfcore import HomotopyWitness, Morphism, UngradedMF, _check_hom
-from .ringmat import Echelon, FieldMatrix, RingMatrix, _column_echelon, specialize
+from .ringmat import Echelon, RingMatrix, specialize
 from .ringpoly import RingDescriptor, RingPoly
 
 __all__ = [
@@ -140,79 +138,50 @@ class Window(Immutable):
         ))
 
 
-def _combined_hull(a: RingMatrix, b: RingMatrix) -> list[tuple[int, int]]:
-    ha = a.support_hull()
-    hb = b.support_hull()
-    return [(min(x, u), max(y, v)) for (x, y), (u, v) in zip(ha, hb)]
-
-
 def _delta_columns(src: UngradedMF, tgt: UngradedMF,
-                   domain: Sequence[tuple[int, tuple[int, ...]]],
-                   out_block: dict[tuple[int, ...], int]) -> Callable[[int], int]:
+                   domain: Sequence[tuple[int, int]],
+                   out_block: dict[int, int]) -> Callable[[int], int]:
     """A builder column(t) of the packed Echelon column of d at domain[t],
-    a (cell, monomial) pair; raises here, before any column is built, if
-    an image term falls outside the output window.
+    a (cell, packed key) pair.  The domain cell i*n + j stands for E_ij
+    (n = src.size); out_block numbers the output window's monomials by
+    packed key, and the coefficient of E_rc x^m sits in slot
+    out_block[m]*cells + r*n + c.
 
-    The domain cell i*n + j stands for E_ij (n = src.size); out_block
-    numbers the output window's monomials, and the coefficient of
-    E_rc x^m sits in slot out_block[m]*cells + r*n + c."""
+    Raises, before any column is built, if a domain key moved by the shift
+    of any cell's image leaves the output window.  That is exactly a column
+    that overflows when the domain holds every cell for each of its keys,
+    as both window passes do."""
     m, n = tgt.size, src.size
-    ring = src.ring
-    k, one = ring.field.k, ring.one_key
-    stride = k * m * n
+    k, one = src.ring.field.k, src.ring.one_key
     qs = [e.packed for e in src.q.entries]
     qt = [e.packed for e in tgt.q.entries]
     # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
     # shift key s, one small int holds every output cell (slot k*cell).
-    # Column i of qt and row j of qs are folded once each (their terms sit
-    # in distinct slots, so OR adds them); the image of E_ij moves the one
-    # to column j and the other to row i, and the two meet only at cell
-    # i*n + j, where terms of one shift cancel
-    left = []  # per i: qt[r, i] in the slot of cell r*n
-    for i in range(m):
-        acc: dict[int, int] = {}
-        for r in range(m):
-            for s, c in qt[r * m + i].items():
-                acc[s] = acc.get(s, 0) | c << (k * r * n)
-        left.append(acc)
-    right = []  # per j: qs[j, c] in the slot of cell c
-    for j in range(n):
-        acc = {}
-        for col in range(n):
-            for s, c in qs[j * n + col].items():
-                acc[s] = acc.get(s, 0) | c << (k * col)
-        right.append(acc)
+    # The two sums meet only at cell i*n + j, where terms of one shift cancel
     images = []
     for i in range(m):
         for j in range(n):
-            acc = {s: v << (k * j) for s, v in left[i].items()}
-            for s, v in right[j].items():
-                acc[s] = acc.get(s, 0) ^ v << (k * i * n)
-            images.append([(s, v) for s, v in acc.items() if v])
-    shifts = {s for cell in images for s, _ in cell}
-    # the output window by packed key: x^e shifted by s has key e + s - one
-    block = {ring.pack(e): b * stride for e, b in out_block.items()}
-    offsets: dict[tuple[int, ...], dict[int, int]] = {}
-    pieces = []  # per domain column: its cell's images and its block offsets
-    for cell, e in domain:
-        off = offsets.get(e)
-        if off is None:
-            base = ring.pack(e) - one
-            off = offsets[e] = {s: block[base + s] for s in shifts if base + s in block}
-        pieces.append((images[cell], off))
-    # only a monomial that misses some shift can have an image term outside
-    if any(len(off) < len(shifts) for off in offsets.values()):
-        for image, off in pieces:
-            if not all(s in off for s, _ in image):
-                raise ValueError("window overflow: differential image leaves the output window")
+            acc: dict[int, int] = {}
+            for r in range(m):
+                for s, c in qt[r * m + i].items():
+                    acc[s] = acc.get(s, 0) ^ c << (k * (r * n + j))
+            for col in range(n):
+                for s, c in qs[j * n + col].items():
+                    acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))
+            # x^e shifted by s has key e + s - one
+            images.append([(s - one, v) for s, v in acc.items() if v])
+    block = {e: b * k * m * n for e, b in out_block.items()}
+    shifts = {s for image in images for s, _ in image}
+    if any(e + s not in block for e in {e for _, e in domain} for s in shifts):
+        raise ValueError("window overflow: differential image leaves the output window")
 
     def column(t: int) -> int:
-        image, off = pieces[t]
+        cell, e = domain[t]
         # out_block is a bijection, so the shifted images are disjoint
         # and OR adds them
         col = 0
-        for s, v in image:
-            col |= v << off[s]
+        for s, v in images[cell]:
+            col |= v << block[e + s]
         return col
 
     return column
@@ -233,13 +202,15 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     cells = tgt.size * src.size
     dom = Window.symmetric(ring, d_max + 1)
     _check_columns(cells, dom)
-    out = sorted(dom.expanded(_combined_hull(src.q, tgt.q)).monomials(), key=_radius, reverse=True)
+    win_out = dom.expanded(src.q.support_hull()).union(dom.expanded(tgt.q.support_hull()))
+    out = sorted(win_out.monomials(), key=_radius, reverse=True)
     out_radius = [_radius(e) for e in out]
+    keys = [ring.pack(e) for e in out]
     # domain column t is output coordinate last - t: the window's own
     # monomials are the trailing blocks of out, entered back to front
     last = len(out) * cells - 1
-    domain = [(cell, e) for e in reversed(out[len(out) - dom.size:]) for cell in reversed(range(cells))]
-    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(out)})
+    domain = [(cell, e) for e in reversed(keys[len(keys) - dom.size:]) for cell in reversed(range(cells))]
+    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(keys)})
     # B_r holds the first cells * |Window.symmetric(ring, r)| columns
     ends = [cells * Window.symmetric(ring, r).size for r in range(d_max + 2)]
     ech = Echelon(ring.field)
@@ -270,24 +241,24 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
         raise ValueError("window ring does not match the morphism")
     cells = tgt.size * src.size
     _check_columns(cells, window)
-    win_out = window.expanded(_combined_hull(src.q, tgt.q)).union(
-        Window(ring, tuple(f.f.support_hull())))
-    block = {e: b for b, e in enumerate(win_out.monomials())}
-    domain = list(itertools.product(range(cells), window.monomials()))
+    win_out = window.expanded(src.q.support_hull()).union(window.expanded(tgt.q.support_hull()))
+    win_out = win_out.union(Window(ring, tuple(f.f.support_hull())))
+    block = {ring.pack(e): b for b, e in enumerate(win_out.monomials())}
+    domain = list(itertools.product(range(cells), map(ring.pack, window.monomials())))
     ech = Echelon(ring.field, len(block) * cells)
     ech.insert_all(map(_delta_columns(src, tgt, domain, block), range(len(domain))))
     rest, comb = ech.reduce(sum(
-        c << ech.k * (block[ring.unpack(key)] * cells + cell)
+        c << ech.k * (block[key] * cells + cell)
         for cell, entry in enumerate(f.f.entries)
         for key, c in entry.packed.items()
     ))
     if rest:
         return None
-    gterms: list[dict[tuple[int, ...], int]] = [{} for _ in range(cells)]
+    gterms: list[dict[int, int]] = [{} for _ in range(cells)]
     for (cell, e), c in zip(domain, ech.unpack(comb, len(domain))):
         if c:
             gterms[cell][e] = c
-    g = RingMatrix(ring, tgt.size, src.size, [RingPoly(ring, t) for t in gterms])
+    g = RingMatrix(ring, tgt.size, src.size, [RingPoly._raw(ring, t) for t in gterms])
     return HomotopyWitness(f, g)
 
 
@@ -338,25 +309,21 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
     qs = specialize(src.q, point)
     qt = specialize(tgt.q, point)
     spec = qs.spec
+    k = spec.k
     m, n = tgt.size, src.size
     ncols = m * n
-    entries = [0] * (ncols * ncols)
-    # column (r, c) is d(e_rc) = qt e_rc + e_rc qs, stored row-major
-    for r in range(m):
-        for c in range(n):
-            col = r * n + c
-            for i in range(m):
-                v = qt.at(i, r)
-                if v:
-                    row = i * n + c
-                    entries[row * ncols + col] ^= v
-            for j in range(n):
-                v = qs.at(c, j)
-                if v:
-                    row = r * n + j
-                    entries[row * ncols + col] ^= v
-    dmat = FieldMatrix(spec, ncols, ncols, entries)
-    image, relations = _column_echelon(dmat, track=True)
+
+    def column(r: int, c: int) -> int:
+        """d(E_rc) = qt E_rc + E_rc qs, the coefficient of E_ij in slot i*n + j."""
+        col = 0
+        for i in range(m):
+            col ^= qt.at(i, r) << k * (i * n + c)
+        for j in range(n):
+            col ^= qs.at(c, j) << k * (r * n + j)
+        return col
+
+    image = Echelon(spec, ncols)
+    relations = image.insert_all(column(r, c) for r in range(m) for c in range(n))
     image_dim = len(image.rows)
     # kernel vectors modulo the image span the local cohomology; a class's
     # coordinates are its normal form read at that span's pivots
@@ -368,10 +335,9 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
         fp = specialize(cls, point)
         if (fp.rows, fp.cols) != (m, n):
             raise ValueError("class shape does not match the hom space")
-        vec = list(fp.entries)
-        if any(dmat.apply(vec)):
+        if any((qt * fp + fp * qs).entries):
             raise ValueError("class is not closed at the point")
-        red, _ = image.reduce(image.pack(vec))
+        red, _ = image.reduce(image.pack(fp.entries))
         if local.reduce(red)[0]:
             raise ValueError("class escapes the local kernel decomposition")
         values = image.unpack(red, ncols)

@@ -30,20 +30,21 @@ TIMEOUT_S = 300
 
 ECHELON = "tests/test_echelon_properties.py"
 MUTANTS = (
-    # OR instead of XOR: images that meet at one (cell, shift) no longer cancel
+    # OR instead of XOR: qs terms that meet a qt term at one (cell, shift)
+    # no longer cancel
     ("src/mf2/cohomwin.py",
-     "acc[s] = acc.get(s, 0) ^ v << (k * i * n)",
-     "acc[s] = acc.get(s, 0) | v << (k * i * n)",
+     "acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))",
+     "acc[s] = acc.get(s, 0) | c << (k * (i * n + col))",
      f"{ECHELON}::test_packed_columns_match_dense_products"),
     # a cell's slot ignores the field degree: cells overlap when k > 1
     ("src/mf2/cohomwin.py",
-     "c << (k * col)",
-     "c << col",
+     "c << (k * (i * n + col))",
+     "c << (i * n + col)",
      f"{ECHELON}::test_packed_columns_match_dense_products"),
-    # a swallowed window overflow drops the column
+    # a swallowed window overflow: the builder is returned unchecked
     ("src/mf2/cohomwin.py",
      'raise ValueError("window overflow: differential image leaves the output window")',
-     "continue",
+     "pass",
      f"{ECHELON}::test_delta_columns_reject_a_window_one_step_too_small"),
     # GF(4) rows are no longer made monic
     ("src/mf2/ringmat.py",
@@ -116,14 +117,15 @@ MUTANTS = (
      "tests/test_groebner_oracle.py::test_normal_forms_match_sympy_reduction"),
     # a column shift adds two biased keys without subtracting the key of 1
     ("src/mf2/cohomwin.py",
-     "base = ring.pack(e) - one",
-     "base = ring.pack(e)",
+     "[(s - one, v) for s, v in acc.items() if v]",
+     "[(s, v) for s, v in acc.items() if v]",
      f"{ECHELON}::test_packed_columns_match_dense_products"),
     # within a radius the domain enters in output order, so a pivot's
     # coordinate is no longer the latest inserted one in its row
     ("src/mf2/cohomwin.py",
-     "for e in reversed(out[len(out) - dom.size:]) for cell in reversed(range(cells))]",
-     "for e in sorted(out[len(out) - dom.size:], key=_radius) for cell in range(cells)]",
+     "for e in reversed(keys[len(keys) - dom.size:]) for cell in reversed(range(cells))]",
+     "for e in sorted(keys[len(keys) - dom.size:], key=lambda e: _radius(ring.unpack(e)))"
+     " for cell in range(cells)]",
      "tests/test_cohomwin.py::test_cleared_columns_are_never_inserted"),
     # clearing skips the column next to the dependent one
     ("src/mf2/cohomwin.py",
@@ -141,6 +143,22 @@ MUTANTS = (
      "for a in range(1, order)",
      "for a in range(2, order + 1)",
      "tests/test_gf2k.py::test_table_inverse_matches_fermat_for_every_irreducible_modulus"),
+    # the point certificate lays E_ij out column-major: ranks survive the
+    # permutation, but a coboundary no longer reduces to zero
+    ("src/mf2/cohomwin.py",
+     "col ^= qt.at(i, r) << k * (i * n + c)\n"
+     "        for j in range(n):\n"
+     "            col ^= qs.at(c, j) << k * (r * n + j)",
+     "col ^= qt.at(i, r) << k * (c * m + i)\n"
+     "        for j in range(n):\n"
+     "            col ^= qs.at(c, j) << k * (j * m + r)",
+     f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
+    # the point certificate's row stride is tgt.size where it is src.size:
+    # only a hom space between different sizes shows it
+    ("src/mf2/cohomwin.py",
+     "col ^= qt.at(i, r) << k * (i * n + c)",
+     "col ^= qt.at(i, r) << k * (i * m + c)",
+     f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
     # the tracked combination starts one slot short, inside the vector's last slot
     ("src/mf2/ringmat.py",
      "else spec.k * width",

@@ -90,8 +90,9 @@ def test_window_rejects_negative_bound_on_polynomial_variable():
 
 def delta_columns(src, tgt, win_in, win_out):
     """Packed columns of d, cell-major over win_in, blocks in win_out order."""
-    domain = [(cell, e) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
-    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(win_out.monomials())})
+    pack = src.ring.pack
+    domain = [(cell, pack(e)) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
+    column = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(win_out.monomials())})
     return [column(t) for t in range(len(domain))]
 
 

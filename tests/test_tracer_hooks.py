@@ -13,7 +13,8 @@ from importlib.resources import files
 from pathlib import Path
 
 from mf2 import cli, cohomwin, mfcore
-from mf2.mfcore import UngradedMF, parse_mf_text
+from mf2.mfcore import Morphism, UngradedMF, parse_mf_text
+from mf2.ringmat import RingMatrix
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,6 +45,27 @@ def test_tracer_counts_one_column_build_per_cohomology_call():
     # the output window grows by the unit hull of Q: 9x9 monomials
     assert snap["counts"]["cohomwin.out_width"] == 81
     assert cohomwin._delta_columns is original
+
+
+def test_tracer_counts_the_exactness_window():
+    mff = parse_mf_text((files("mf2") / "fixtures" / "rp2.mf").read_text())
+    rp2 = UngradedMF(mff.w, mff.q)
+    ident = RingMatrix.identity(rp2.ring, 4)
+    window = cohomwin.Window.symmetric(rp2.ring, 1)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        witness = cohomwin.solve_exactness(Morphism(rp2, rp2, ident), window)
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert witness is None  # the identity is not exact
+    assert snap["calls"]["cohomwin.op"] == 1
+    assert snap["calls"]["cohomwin.columns"] == 1
+    # one column per matrix entry and monomial of the 3x3 window
+    assert snap["counts"]["cohomwin.columns"] == 16 * window.size == 16 * 9
+    # the window grows by the unit hull of Q (the identity adds nothing): 5x5
+    assert snap["counts"]["cohomwin.out_width"] == 25
 
 
 def test_tracer_times_the_parser_the_cli_reexports():
