@@ -149,7 +149,7 @@ class Morphism(Immutable):
     def differential(self) -> "Morphism":
         return Morphism(
             self.source, self.target,
-            self.target.q * self.f + self.f * self.source.q,
+            RingMatrix._sum_of_products(((self.target.q, self.f), (self.f, self.source.q))),
         )
 
     def is_closed(self) -> bool:

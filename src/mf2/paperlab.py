@@ -18,7 +18,9 @@ result carries one certificate, its defining identity re-checked
 symbolically before it is returned (for a reduction, the HomotopyWitness
 delta(g) = f + alpha*Id; for an obstruction, the cofactor identity);
 intermediate stages are not re-checked, since a wrong stage breaks that
-identity and raises instead of propagating.
+identity and raises instead of propagating.  A reduction's witness also
+proves f closed, because delta squares to zero, so f's closedness is
+checked only when its reduction fails.
 
 Each identity has one implementation: an Rp2Context.check_* method (run
 at construction and again by the batteries) or a module helper; the
@@ -467,10 +469,19 @@ class Rp2Context(Immutable):
         non-canonical part into the Jacobian cofactors of _fold.  The stages
         are not checked one by one: the answer's one certificate is the
         returned HomotopyWitness, delta(g) = f + alpha*Id, which a wrong
-        stage would break."""
+        stage would break.  It also proves f closed, since
+        delta(delta(g)) = Q^2*g + g*Q^2 = 2W*g = 0 (Q^2 = W*Id was verified
+        when the factorization was built) and delta(alpha*Id) = 2*alpha*Q = 0,
+        so closedness is checked only to name the error of a failed one."""
         mat = self._coerce(f)
-        if not commutator(self.q, mat).is_zero():
-            raise ValueError("reduction needs a closed endomorphism")
+        try:
+            return self._reduce_closed(mat)
+        except ValueError:
+            if not commutator(self.q, mat).is_zero():
+                raise ValueError("reduction needs a closed endomorphism") from None
+            raise
+
+    def _reduce_closed(self, mat: RingMatrix) -> ReductionResult:
         _, b, s, _ = self._split(mat)
         ring = self.ring
         y = RingPoly.variable(ring, "y")

@@ -5,7 +5,8 @@ the block algebra the factorization layer is built on: one slice,
 RingMatrix.block, and one assembly of a 2x2 grid, block2.  Entries are
 ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
-entry again.  A product keeps one accumulator per output entry across the
+entry again.  A product, or a sum of products such as the commutator
+ab + ba, keeps one accumulator per output entry across every product and
 inner index and fills it with ringpoly's multiply-accumulate kernel.
 FieldMatrix holds serialized field values.  Rank runs through
 Echelon, one elimination kernel for every GF(2^k) that packs a whole
@@ -119,23 +120,31 @@ class RingMatrix(Immutable):
     __sub__ = __add__
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
-        """One term accumulator per output entry, summed over the inner index."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        self._check_ring(other.ring)
-        ring = self.ring
-        n = other.cols
-        columns = [[e.packed for e in other.entries[j::n]] for j in range(n)]
+        return RingMatrix._sum_of_products(((self, other),))
+
+    @staticmethod
+    def _sum_of_products(pairs: Sequence[tuple["RingMatrix", "RingMatrix"]]) -> "RingMatrix":
+        """The sum of left*right over pairs of one output shape, formed as
+        the one product [left_1 | left_2 | ...] * [right_1; right_2; ...]."""
+        first = pairs[0][0]
+        ring, rows, cols = first.ring, first.rows, pairs[0][1].cols
+        for left, right in pairs:
+            if left.cols != right.rows or left.rows != rows or right.cols != cols:
+                raise ValueError("dimension mismatch in matrix product")
+            first._check_ring(left.ring)
+            first._check_ring(right.ring)
+        lefts = [[e.packed for left, _ in pairs for e in left.row(i)] for i in range(rows)]
+        columns = [[e.packed for _, right in pairs for e in right.entries[j::cols]]
+                   for j in range(cols)]
         out = []
-        for i in range(self.rows):
-            left = [e.packed for e in self.row(i)]
+        for left in lefts:
             for column in columns:
                 acc: dict[int, int] = {}
                 for a, b in zip(left, column):
                     if a and b:
                         _mul_into(acc, a, b, ring)
                 out.append(RingPoly._raw(ring, acc))
-        return RingMatrix._raw(ring, self.rows, n, out)
+        return RingMatrix._raw(ring, rows, cols, out)
 
     def scale(self, c: RingPoly) -> "RingMatrix":
         self._check_ring(c.ring)
@@ -169,6 +178,8 @@ _set_ring, _set_rows, _set_cols, _set_entries = (
 
 def commutator(a: RingMatrix | FieldMatrix, b: RingMatrix | FieldMatrix) -> RingMatrix | FieldMatrix:
     """[a, b] = ab + ba, which in characteristic 2 is also the anticommutator."""
+    if isinstance(a, RingMatrix):
+        return RingMatrix._sum_of_products(((a, b), (b, a)))
     return a * b + b * a
 
 

@@ -159,6 +159,19 @@ MUTANTS = (
      "col ^= qt.at(i, r) << k * (i * n + c)",
      "col ^= qt.at(i, r) << k * (i * m + c)",
      f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
+    # the sum-of-products kernel drops every pair after the first: zip stops
+    # at the first pair's inner index, so ab + cd becomes ab
+    ("src/mf2/ringmat.py",
+     "for left, _ in pairs for e in left.row(i)",
+     "for left, _ in pairs[:1] for e in left.row(i)",
+     "tests/test_ring_kernel_properties.py::test_sum_of_products_equals_sympy_products_summed"),
+    # a failed reduction re-raises the pipeline's error without checking
+    # whether its input was closed
+    ("src/mf2/paperlab.py",
+     "            if not commutator(self.q, mat).is_zero():\n"
+     "                raise ValueError(\"reduction needs a closed endomorphism\") from None\n",
+     "",
+     "tests/test_paperlab.py::test_reduce_rejects_non_closed"),
     # the tracked combination starts one slot short, inside the vector's last slot
     ("src/mf2/ringmat.py",
      "else spec.k * width",

@@ -152,6 +152,8 @@ def test_reduce_rejects_non_closed():
 
 
 def test_reduce_makes_one_commutator_call(monkeypatch):
+    """A closed input is reduced with no commutator call (its witness proves
+    it closed); a non-closed one is rejected after exactly one."""
     calls = []
 
     def counted(a, b):
@@ -164,6 +166,11 @@ def test_reduce_makes_one_commutator_call(monkeypatch):
         _, f = ctx.random_closed(random.Random(53))
         calls.clear()
         ctx.reduce_endomorphism(f)
+        assert len(calls) == 0
+        x = RingPoly.variable(ctx.ring, "x")
+        calls.clear()
+        with pytest.raises(ValueError, match="closed"):
+            ctx.reduce_endomorphism(ctx.dqdx.scale(x))
         assert len(calls) == 1
 
 

@@ -10,6 +10,9 @@ Jacobian ring, so alpha*Id is not exact on any window.
 
 The reduction no longer re-checks the Jacobian fold it uses; the fold's
 identity target = alpha + c1*dW/dx + c2*dW/dy is a property test here.
+Nor does it check its input's closedness unless it fails, since its witness
+implies it: a property test pins that the "closed" error is raised exactly
+for the inputs with a nonzero commutator.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from __future__ import annotations
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mf2.cohomwin import Window, solve_exactness
 from mf2.gf2k import default_spec
-from mf2.mfcore import Morphism
+from mf2.mfcore import HomotopyWitness, Morphism
 from mf2.paperlab import Rp2Context, random_matrix
-from mf2.ringmat import commutator
+from mf2.ringmat import RingMatrix, commutator
 from mf2.ringpoly import RingPoly
 
 CONTEXTS = {k: Rp2Context(default_spec(k)) for k in (1, 2)}
@@ -55,6 +59,32 @@ def test_reduction_witness_agrees_with_window_elimination(sample):
     assert witness.claim.f == shifted.f
     if not result.alpha.is_zero():
         assert solve_exactness(Morphism(ctx.mf, ctx.mf, f), window) is None
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((1, 2)), st.integers(0, 2**32 - 1))
+def test_reduction_rejects_exactly_the_non_closed_inputs(k, seed):
+    """random_closed plus m*E_ij for a random monomial m whose coefficient
+    may be 0: reduce_endomorphism raises "closed" exactly when [Q, f] is
+    nonzero, and otherwise returns a closed claim whose witness re-verifies."""
+    ctx = CONTEXTS[k]
+    rng = random.Random(seed)
+    _, f = ctx.random_closed(rng)
+    i, j = rng.randrange(4), rng.randrange(4)
+    exps = (rng.randint(-2, 2), rng.randint(-2, 2))
+    m = RingPoly(ctx.ring, {exps: rng.randrange(ctx.spec.order)})
+    zero = RingPoly.zero(ctx.ring)
+    f = f + RingMatrix.from_rows(
+        ctx.ring, [[m if (r, c) == (i, j) else zero for c in range(4)] for r in range(4)])
+    if not commutator(ctx.q, f).is_zero():
+        with pytest.raises(ValueError, match="closed"):
+            ctx.reduce_endomorphism(f)
+        return
+    result = ctx.reduce_endomorphism(f)
+    claim = result.witness.claim
+    assert claim.f == f + ctx._identity4().scale(result.alpha)
+    assert claim.is_closed()
+    assert HomotopyWitness(claim, result.witness.g) == result.witness
 
 
 @st.composite

@@ -9,6 +9,12 @@ non-square shapes, unit monomials with any coefficient, and sums that
 cancel.  At the exponent bound the packed product must equal the oracle
 whenever every exponent sum is in range and raise otherwise, and the
 products, sums and scalings must never unpack a key.
+
+Sums of products (commutator, Morphism.differential, and the kernel they
+share with the matrix product) are checked against sympy, which shares no
+code with the kernel: over GF(2)[t, x, ...] with a GF(2^k) coefficient's
+bit i carried by t^i, each entry is the sum of its products reduced modulo
+the field's modulus in t.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ import random
 from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mf2.gf2k import default_spec
-from mf2.mfcore import parse_mf_text
+from mf2.mfcore import Morphism, UngradedMF, double, forget, parse_mf_text
 from mf2.paperlab import Rp2Context, random_matrix, random_poly
 from mf2.ringmat import RingMatrix, commutator
 from mf2.ringpoly import EXP_BOUND, RingDescriptor, RingPoly
@@ -64,8 +71,8 @@ def oracle_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
 
 
 @st.composite
-def rings(draw):
-    spec = draw(st.sampled_from(FIELDS))
+def rings(draw, fields=FIELDS):
+    spec = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 3))
     laurent = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     return RingDescriptor(spec, ("x", "y", "z")[:n], laurent)
@@ -186,17 +193,114 @@ FIXTURES = {
 }
 
 
+def lifted(name: str, spec) -> UngradedMF:
+    """A GF(2) fixture with its ring's field replaced by spec."""
+    mff = FIXTURES[name]
+    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
+    n = mff.q.rows
+    q = RingMatrix(ring, n, n, [RingPoly(ring, dict(e.terms)) for e in mff.q.entries])
+    return UngradedMF(RingPoly(ring, dict(mff.w.terms)), q)
+
+
 @settings(max_examples=30)
 @given(st.sampled_from(sorted(FIXTURES)), st.sampled_from(FIELDS[:2]), st.data())
 def test_delta_squares_to_zero(name, spec, data):
     """d(d(g)) = Q^2 g + g Q^2 = 2W g = 0 because Q^2 = W*Id, over GF(2)
     and lifted to GF(4)."""
-    mff = FIXTURES[name]
-    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
-    n = mff.q.rows
-    q = RingMatrix(ring, n, n, [RingPoly(ring, dict(e.terms)) for e in mff.q.entries])
-    g = data.draw(matrices(ring, n, n))
+    q = lifted(name, spec).q
+    g = data.draw(matrices(q.ring, q.rows, q.rows))
     assert commutator(q, commutator(q, g)).is_zero()
+
+
+# -- sums of products against sympy ---------------------------------------------------
+
+
+# No shrinking: each example runs the sympy oracle, and shrinking the
+# counterexample of a kernel fault took most of the per-test time limit.
+SUMS = settings(max_examples=40, phases=[p for p in Phase if p is not Phase.shrink])
+
+
+def to_sympy(p: RingPoly, gens, shift) -> sympy.Poly:
+    """p times the monomial x^shift over GF(2)[t, x, ...]: bit i of a
+    coefficient becomes t^i."""
+    terms = {(i, *(a + s for a, s in zip(e, shift))): 1
+             for e, c in p.terms.items() for i in range(c.bit_length()) if c >> i & 1}
+    return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, *gens, modulus=2)
+
+
+def sympy_sum_of_products(pairs) -> RingMatrix:
+    """Each entry of sum(left*right) summed in sympy, reduced modulo the
+    field's modulus in t, and shifted back."""
+    ring = pairs[0][0].ring
+    gens = sympy.symbols(("t",) + ring.vars)
+    shift = [1 if flag else 0 for flag in ring.laurent]  # polys() exponents are >= -1
+    modulus = sympy.Poly.from_dict(
+        {(i,) + (0,) * len(ring.vars): 1 for i in range(ring.field.modulus.bit_length())
+         if ring.field.modulus >> i & 1}, *gens, modulus=2)
+    rows, cols = pairs[0][0].rows, pairs[0][1].cols
+    converted = [([to_sympy(e, gens, shift) for e in left.entries],
+                  [to_sympy(e, gens, shift) for e in right.entries], left.cols)
+                 for left, right in pairs]
+    out = []
+    for i in range(rows):
+        for j in range(cols):
+            total = to_sympy(RingPoly.zero(ring), gens, shift)
+            for left, right, inner in converted:
+                for k in range(inner):
+                    total += left[i * inner + k] * right[k * cols + j]
+            terms: dict[tuple[int, ...], int] = {}
+            for (bit, *exps), c in total.rem(modulus).as_dict().items():
+                if int(c) % 2:
+                    e = tuple(a - 2 * s for a, s in zip(exps, shift))
+                    terms[e] = terms.get(e, 0) ^ 1 << bit
+            out.append(RingPoly(ring, terms))
+    return RingMatrix(ring, rows, cols, out)
+
+
+def assert_sum_matches(got: RingMatrix, pairs) -> None:
+    assert got == sympy_sum_of_products(pairs)
+    for e in got.entries:
+        assert_clean(e, got.ring)
+
+
+@SUMS
+@given(st.data())
+def test_sum_of_products_equals_sympy_products_summed(data):
+    """Two pairs of any shapes that meet in one r x c output, and the
+    square commutator [a, b] = ab + ba, over GF(2) and GF(4)."""
+    ring = data.draw(rings(FIELDS[:2]))
+    r, k1, k2, c = (data.draw(st.integers(1, 4)) for _ in range(4))
+    pairs = ((data.draw(matrices(ring, r, k1)), data.draw(matrices(ring, k1, c))),
+             (data.draw(matrices(ring, r, k2)), data.draw(matrices(ring, k2, c))))
+    assert_sum_matches(RingMatrix._sum_of_products(pairs), pairs)
+    a, b = data.draw(matrices(ring, r, r)), data.draw(matrices(ring, r, r))
+    assert_sum_matches(commutator(a, b), ((a, b), (b, a)))
+
+
+@SUMS
+@given(st.sampled_from(FIELDS[:2]), st.booleans(), st.data())
+def test_hom_differential_equals_sympy_products_summed(spec, outward, data):
+    """d(f) = Q_t*f + f*Q_s between a 2x2 factorization and its 4x4
+    fold: 4x4 * 4x2 + 4x2 * 2x2, and 2x4 * 4x4 + 2x2 * 2x4."""
+    small = lifted("an_r_1", spec)
+    source, target = (small, forget(double(small))) if outward else (forget(double(small)), small)
+    f = data.draw(matrices(small.ring, target.size, source.size))
+    got = Morphism(source, target, f).differential().f
+    assert_sum_matches(got, ((target.q, f), (f, source.q)))
+
+
+@PROPERTY
+@given(st.data())
+def test_sums_of_products_that_cancel_leave_empty_entries(data):
+    """(c*m)*n + m*(c*n) = 2c*mn and [a, a] = 2a^2 vanish term by term."""
+    ring = data.draw(rings(FIELDS[:2]))
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    m, n = data.draw(matrices(ring, r, k)), data.draw(matrices(ring, k, c))
+    scalar = data.draw(polys(ring))
+    a = data.draw(matrices(ring, r, r))
+    for got in (RingMatrix._sum_of_products(((m.scale(scalar), n), (m, n.scale(scalar)))),
+                commutator(a, a)):
+        assert all(e.packed == {} for e in got.entries)
 
 
 # -- the packed layout at the exponent bound -------------------------------------------
@@ -244,12 +348,17 @@ def test_packed_product_at_the_bound_equals_oracle_or_raises(data):
     n = data.draw(st.integers(1, 4))
     laurent = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     ring = RingDescriptor(spec, NAMES[:n], laurent)
-    a, b = data.draw(edge_polys(ring)), data.draw(edge_polys(ring))
-    in_range = all(-EXP_BOUND <= x + y < EXP_BOUND
-                   for e1 in a.terms for e2 in b.terms for x, y in zip(e1, e2))
+    a, b, c = (data.draw(edge_polys(ring)) for _ in range(3))
+
+    def in_range(p, q):
+        return all(-EXP_BOUND <= x + y < EXP_BOUND
+                   for e1 in p.terms for e2 in q.terms for x, y in zip(e1, e2))
+
     row = RingMatrix(ring, 1, 2, [a, RingPoly.zero(ring)])
     col = RingMatrix(ring, 2, 1, [b, b])
-    if in_range:
+    one_by_one = RingMatrix(ring, 1, 1, [c])
+    pairs = ((row, col), (one_by_one, one_by_one))  # a*b + c*c
+    if in_range(a, b):
         assert (a * b).terms == oracle_mul(a, b).terms
         assert row * col == oracle_matmul(row, col)
         assert row.scale(b).entries[0] == oracle_mul(a, b)
@@ -257,6 +366,13 @@ def test_packed_product_at_the_bound_equals_oracle_or_raises(data):
         for product in (lambda: a * b, lambda: row * col, lambda: row.scale(b)):
             with pytest.raises(ValueError, match="exponent overflow"):
                 product()
+    if in_range(a, b) and in_range(c, c):
+        got = RingMatrix._sum_of_products(pairs).entries[0]
+        assert got == oracle_mul(a, b) + oracle_mul(c, c)
+        assert_clean(got, ring)
+    else:
+        with pytest.raises(ValueError, match="exponent overflow"):
+            RingMatrix._sum_of_products(pairs)
 
 
 def test_products_sums_and_scalings_never_unpack(monkeypatch):
@@ -269,7 +385,9 @@ def test_products_sums_and_scalings_never_unpack(monkeypatch):
     monkeypatch.setattr(RingDescriptor, "unpack",
                         lambda ring, key: unpacked.append(key) or unpack(ring, key))
     d = commutator(ctx.q, g)
-    results = [d, g * h, g.scale(c), g + h, d + g]
+    f = h.block(0, 4, 0, 2)
+    hom = RingMatrix._sum_of_products(((g, f), (f, g.block(0, 2, 0, 2))))
+    results = [d, hom, g * h, g.scale(c), g + h, d + g]
     a, b = g.at(0, 0), h.at(1, 2)
     assert a * b + b * a == RingPoly.zero(ctx.ring)
     assert len({hash(e) for m in results for e in m.entries}) > 1
