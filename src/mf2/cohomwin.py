@@ -215,17 +215,15 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     ends = [cells * Window.symmetric(ring, r).size for r in range(d_max + 2)]
     ech = Echelon(ring.field)
     pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
-    cleared: set[int] = set()  # pivots; a domain column at one is dependent
     ranks, inner = [], []
     start = 0
     for r, end in enumerate(ends):
         for t in range(start, end):
-            if last - t in cleared:
+            if last - t in ech.rows:  # a domain column at a pivot is dependent
                 continue
             pivot, _ = ech.insert(column(t))
             if pivot is not None:
                 pivots_at[out_radius[pivot // cells]] += 1
-                cleared.add(pivot)
         start = end
         ranks.append(len(ech.rows))
         inner.append(sum(pivots_at[:r]))

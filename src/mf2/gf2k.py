@@ -5,7 +5,10 @@ modulus m of degree k.  An element is serialized as the integer whose
 binary expansion lists its coordinates, constant term in the least
 significant bit, so GF(4) with modulus t^2+t+1 (integer 7) consists of
 0, 1, t = 2 and t+1 = 3.  Addition is XOR in every GF(2^k); that fact
-is relied on throughout the package.
+is relied on throughout the package, which writes it as ^ on the
+serialized values and multiplies with FieldSpec.mul.  FieldElem pairs a
+value with its spec: it is the coordinate type of points and carries
+no operators.
 
 Default moduli:
 
@@ -185,9 +188,6 @@ class FieldSpec(Immutable):
 
     # -- arithmetic on serialized values ------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a & b
@@ -228,12 +228,6 @@ class FieldSpec(Immutable):
     def element(self, value: int) -> "FieldElem":
         return FieldElem(self, self.validate(value))
 
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, 0)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(self, 1)
-
     def elements(self) -> Iterator["FieldElem"]:
         """All field elements, ascending in the serialized integer."""
         for v in range(self.order):
@@ -241,37 +235,16 @@ class FieldSpec(Immutable):
 
 
 class FieldElem(Immutable):
-    """A field element tied to its FieldSpec; operators stay inside one spec."""
+    """A field element tied to its FieldSpec: a coordinate of a point.
+    Arithmetic runs on the serialized values, through the spec."""
 
     __slots__ = ("spec", "value")
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.spec != other.spec:
-            raise ValueError("field mismatch: operands from different field specs")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.spec, self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.value, other.value))
-
-    def __pow__(self, e: int) -> "FieldElem":
-        return FieldElem(self.spec, self.spec.pow(self.value, e))
 
     def inverse(self) -> "FieldElem":
         return FieldElem(self.spec, self.spec.inv(self.value))
 
     def __bool__(self) -> bool:
         return self.value != 0
-
-    def __str__(self) -> str:
-        if self.spec.k == 1:
-            return str(self.value)
-        return "{%d}" % self.value
 
 
 GF2 = FieldSpec(1, DEFAULT_MODULI[1])

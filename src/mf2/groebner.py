@@ -297,7 +297,7 @@ class QuotientRing(Immutable):
             for _ in range(e):
                 vec = m.apply(vec)
             if e < 0:  # one column echelon of the matrix serves every step
-                ech, _ = _column_echelon(m, track=True)
+                ech = _column_echelon(m, track=True)
             for _ in range(-e):
                 rest, comb = ech.reduce(ech.pack(vec))
                 if rest or not self.invertible[v]:

@@ -171,9 +171,6 @@ class GradedMorphism(Immutable):
         d = Morphism(self.source.folded, self.target.folded, self.g).differential()
         return GradedMorphism(self.source, self.target, d.f)
 
-    def is_closed(self) -> bool:
-        return self.differential().g.is_zero()
-
 
 class HomotopyWitness(Immutable):
     """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f."""

@@ -470,12 +470,11 @@ class Echelon:
         return unit ^ self.reduce((self.rows[p] & self._vector_mask) ^ unit)[0]
 
 
-def _column_echelon(m: FieldMatrix, track: bool = False) -> tuple[Echelon, list[int]]:
-    """Echelon of m's columns in order, with the relation of each column
-    that depends on the earlier ones (tracked when `track`)."""
+def _column_echelon(m: FieldMatrix, track: bool = False) -> Echelon:
+    """Echelon of m's columns in order (combinations tracked when `track`)."""
     ech = Echelon(m.spec, m.rows if track else None)
-    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
-    return ech, relations
+    ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    return ech
 
 
 # Packed entry points kept for profilers that hook elimination by name.
@@ -508,5 +507,5 @@ def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[
 
 
 def rank(m: FieldMatrix) -> int:
-    return len(_column_echelon(m)[0].rows)
+    return len(_column_echelon(m).rows)
 

@@ -31,10 +31,10 @@ heap).  RingPoly products, RingMatrix products and scaling (one
 accumulator per matrix entry), exact division and Groebner normal forms
 all call it, so no product builds a temporary polynomial to add.
 
-RingDescriptor and RingPoly are gf2k.Immutable values, and Immutable is
-re-exported here.  RingPoly writes its two slots itself and defines its
-own equality and hash, because it is built once per product entry and
-its packed terms are a dict.
+RingDescriptor and RingPoly are gf2k.Immutable values (import Immutable
+from gf2k).  RingPoly writes its two slots itself and defines its own
+equality and hash, because it is built once per product entry and its
+packed terms are a dict.
 
 Text form (whitespace insignificant):
 
@@ -56,7 +56,6 @@ from typing import Optional, Sequence
 from .gf2k import FieldElem, FieldSpec, Immutable, embed
 
 __all__ = [
-    "Immutable",
     "RingDescriptor",
     "RingPoly",
     "ParseError",
@@ -300,19 +299,6 @@ class RingPoly(Immutable):
             self.ring,
             {key: field.mul(c, coeff) for key, c in self.packed.items()},
         )
-
-    def __pow__(self, e: int) -> "RingPoly":
-        if e < 0:
-            raise ValueError("negative power of a general polynomial")
-        result = RingPoly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:  # no square past the last bit: it could overflow unused
-                base = base * base
-        return result
 
     # Own equality and hash: packed is a dict, which cannot be hashed as a field.
     def __eq__(self, other) -> bool:

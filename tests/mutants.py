@@ -129,14 +129,14 @@ MUTANTS = (
      "tests/test_cohomwin.py::test_cleared_columns_are_never_inserted"),
     # clearing skips the column next to the dependent one
     ("src/mf2/cohomwin.py",
-     "cleared.add(pivot)",
-     "cleared.add(pivot + 1)",
+     "last - t in ech.rows",
+     "last - t - 1 in ech.rows",
      "tests/test_cohomwin.py::test_cohomology_rp2_stabilizes_at_three"),
     # the same clearing fault against the per-radius oracle, which must
     # report a counterexample well inside the time limit
     ("src/mf2/cohomwin.py",
-     "cleared.add(pivot)",
-     "cleared.add(pivot + 1)",
+     "last - t in ech.rows",
+     "last - t - 1 in ech.rows",
      f"{ECHELON}::test_one_pass_dims_match_per_radius_definition"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",

@@ -212,7 +212,7 @@ def test_critical_points():
     assert len(pts) == 3
     for p in pts:
         assert p[0] == p[1]
-        assert (p[0] * p[0] * p[0]).value == 1
+        assert gf4.mul(gf4.mul(p[0].value, p[0].value), p[0].value) == 1
 
 
 def test_critical_point_search_refuses_huge_point_sets_fast():
@@ -229,7 +229,7 @@ def test_certify_at_critical_point():
     x = rp2()
     ident = RingMatrix.identity(L2, 4)
     exact = x.q * ident + ident * x.q  # zero, stand-in for an exact class
-    one = GF2.one()
+    one = GF2.element(1)
     rep = certify_at_point(x, x, (one, one), [ident, exact])
     assert rep.local_dim == rep.kernel_dim - rep.image_dim
     assert rep.local_dim > 0
@@ -280,6 +280,6 @@ def test_certify_rejects_nonclosed_class():
         RingPoly.one(P2), RingPoly.zero(P2),
         RingPoly.zero(P2), RingPoly.zero(P2),
     ])
-    one = GF2.one()
+    one = GF2.element(1)
     with pytest.raises(ValueError, match="not closed"):
         certify_at_point(x, x, (one, one), [bad])

@@ -111,7 +111,7 @@ def kernel_basis(m):
 def echelon_solve(m, b):
     """One solution of m x = b with free variables at zero, or None, from
     the tracked column echelon of m."""
-    ech, _ = _column_echelon(m, track=True)
+    ech = _column_echelon(m, track=True)
     rest, comb = ech.reduce(ech.pack(b))
     return None if rest else ech.unpack(comb, m.cols)
 

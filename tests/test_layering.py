@@ -4,11 +4,13 @@ Layers, bottom up: gf2k < ringpoly < ringmat < mfcore < {cohomwin,
 groebner} < paperlab < cli.  A module imports from layers below its own
 and from none at or above it, so reading an MF file and verifying a
 factorization load neither the command line, nor the lab, nor the window
-and Groebner machinery.  Every name in a module's __all__ exists.
+and Groebner machinery.  Every name in a module's __all__ exists, and
+every name a module imports is used there or listed in its __all__.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -42,6 +44,32 @@ def test_every_exported_name_exists():
         mod = importlib.import_module(f"mf2.{module}")
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"mf2.{module}.__all__ names {missing}"
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_no_unused_imports():
+    """An import that nothing in its module reads, and that the module
+    does not re-export through __all__, is dead."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = {
+            name
+            for node in tree.body if isinstance(node, ast.Assign)
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead = sorted(_imported_names(tree) - used - exported)
+        assert not dead, f"mf2/{path.name} imports {dead} and never uses them"
 
 
 def test_core_reads_and_verifies_a_fixture_alone():

@@ -108,7 +108,7 @@ HOM_USERS = {
     "GradedMorphism": lambda x, y: GradedMorphism(
         double(x), double(y), RingMatrix.identity(y.ring, 4)),
     "cohomology_dims": lambda x, y: cohomology_dims(x, y, 1),
-    "certify_at_point": lambda x, y: certify_at_point(x, y, (GF2.one(), GF2.one())),
+    "certify_at_point": lambda x, y: certify_at_point(x, y, (GF2.element(1), GF2.element(1))),
 }
 
 

@@ -38,7 +38,7 @@ def kernel_basis(m):
 
 def echelon_solve(m, b):
     """One solution of m x = b with free variables at zero, or None."""
-    ech, _ = _column_echelon(m, track=True)
+    ech = _column_echelon(m, track=True)
     rest, comb = ech.reduce(ech.pack(b))
     return None if rest else ech.unpack(comb, m.cols)
 
@@ -168,7 +168,7 @@ def test_matrix_partial_entrywise():
 
 def test_specialize_at_ones():
     q = M(RP2_TEXT)
-    one = GF2.one()
+    one = GF2.element(1)
     s = specialize(q, (one, one))
     assert s.entries == (0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 0)
     assert rank(s) == 4

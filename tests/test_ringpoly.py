@@ -18,7 +18,7 @@ import pytest
 
 import mf2
 from mf2.cohomwin import LocalCohomologyReport, Window
-from mf2.gf2k import GF2, FieldSpec, default_spec
+from mf2.gf2k import GF2, FieldSpec, Immutable, default_spec
 from mf2.groebner import TermOrder, laurent_jacobian_ideal, quotient_ring
 from mf2.mfcore import (
     FieldHomotopy,
@@ -33,7 +33,6 @@ from mf2.mfcore import (
 from mf2.paperlab import Check, ReductionResult, Report, Rp2Context
 from mf2.ringmat import FieldMatrix, RingMatrix, parse_matrix
 from mf2.ringpoly import (
-    Immutable,
     ParseError,
     RingDescriptor,
     RingPoly,
@@ -60,7 +59,7 @@ def test_mul_and_frobenius():
     y = RingPoly.variable(LAURENT2, "y")
     s = x + y
     assert s * s == x * x + y * y
-    assert str(s ** 2) == "x^2 + y^2"
+    assert str(s * s) == "x^2 + y^2"
 
 
 def test_laurent_flags_enforced():
@@ -136,13 +135,13 @@ def test_formal_partial_square_rule():
 
 def test_evaluate_gf2_and_gf4():
     w = P("x + y + x^-1*y^-1")
-    one = GF2.one()
+    one = GF2.element(1)
     assert w.evaluate((one, one)).value == 1
     gf4 = default_spec(2)
     t = gf4.element(2)
     assert w.evaluate((t, t)).value == 2  # t + t + t^-2 = t^-2 = t
     with pytest.raises(ValueError, match="pole"):
-        w.evaluate((GF2.zero(), one))
+        w.evaluate((GF2.element(0), one))
 
 
 def test_evaluate_is_ring_homomorphism():
@@ -159,8 +158,9 @@ def test_evaluate_is_ring_homomorphism():
             {(rng.randrange(-3, 4), rng.randrange(-3, 4)): 1 for _ in range(rng.randrange(1, 5))},
         )
         pt = pts[rng.randrange(len(pts))]
-        assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
-        assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
+        a, b = p.evaluate(pt).value, q.evaluate(pt).value
+        assert (p * q).evaluate(pt) == gf4.element(gf4.mul(a, b))
+        assert (p + q).evaluate(pt) == gf4.element(a ^ b)
 
 
 def test_exact_divide_basic():
@@ -289,11 +289,6 @@ def test_products_that_leave_the_bound_raise_instead_of_wrapping(var):
                  (top + one, P("x*y")), (RingMatrix.identity(LAURENT2, 2).scale(top), one)):
         with pytest.raises(ValueError, match="exponent overflow"):
             a.scale(b) if isinstance(a, RingMatrix) else a * b
-    with pytest.raises(ValueError, match="exponent overflow"):
-        RingPoly.variable(LAURENT2, var, 2 ** 15) ** (2 ** 15)
-    assert RingPoly.variable(LAURENT2, var, 2 ** 15) ** (2 ** 15 - 1) == \
-        RingPoly.variable(LAURENT2, var, 2 ** 30 - 2 ** 15)
-    assert (top ** 1) == top
 
 
 def _xy_mf():
@@ -330,7 +325,7 @@ IMMUTABLE_INSTANCES = {
     "MFFile": lambda: MFFile(LAURENT2, P("x"), RingMatrix.identity(LAURENT2, 1)),
     "VerifyReport": lambda: verify_mf(RingMatrix.identity(LAURENT2, 1), P("x")),
     "Window": lambda: Window.symmetric(LAURENT2, 2),
-    "LocalCohomologyReport": lambda: LocalCohomologyReport((GF2.one(), GF2.one()), 2, 1, ((1, 0),)),
+    "LocalCohomologyReport": lambda: LocalCohomologyReport((GF2.element(1), GF2.element(1)), 2, 1, ((1, 0),)),
     "TermOrder": lambda: TermOrder.eliminate_first(3, 1),
     "JacobianPresentation": lambda: laurent_jacobian_ideal(P("x + y + x^-1*y^-1")),
     "QuotientRing": lambda: quotient_ring(laurent_jacobian_ideal(P("x + y + x^-1*y^-1"))),
