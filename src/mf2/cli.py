@@ -6,7 +6,8 @@ format mfcore reads and writes.
 
 Exit codes: 0 on success (all checks pass), 1 when a verification fails,
 2 on usage or parse errors, 3 on an internal error (a bug in mf2, reported
-with its traceback).  Output is deterministic; the only randomized
+with its traceback; in `suite` the check that hit it reports ERROR and the
+rest still run).  Output is deterministic; the only randomized
 command is `suite`, whose seed is printed in its report.
 """
 
@@ -245,15 +246,16 @@ def cmd_search(args) -> int:
 
 def cmd_suite(args) -> int:
     report = run_suite(seed=args.seed, spec=args.field)
-    records = [(f"check[{c.check_id}]", "PASS" if c.passed else "FAIL")
-               for c in report.checks]
+    records = [(f"check[{c.check_id}]", c.verdict) for c in report.checks]
     records.extend([
         ("passed", str(report.passed_count)),
         ("total", str(len(report.checks))),
         ("seed", str(report.seed)),
     ])
     _emit(args, report.lines(), records)
-    return 0 if report.ok else 1
+    for check in report.errors:
+        print(f"error: internal: {check.detail}\n{check.trace}", end="", file=sys.stderr)
+    return 3 if report.errors else 0 if report.ok else 1
 
 
 def cmd_parse_check(args) -> int:

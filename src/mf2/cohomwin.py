@@ -49,6 +49,9 @@ When p lies in the domain, all of R lies there, and d(R) = d^2(u) = 0
 writes the column of p as a combination of columns inserted before it.
 So that column is never built or inserted: it would add no pivot, and
 neither the rank of any prefix nor the pivot count per radius changes.
+Each radius is one Echelon.insert_all run over a lazy generator, so the
+filter sees a pivot as soon as it is inserted, and the radius's new
+pivots are the tail of the echelon's rows, which keep insertion order.
 
 Specializing at a field point collapses d to a finite operator; local
 reports carry kernel/image dimensions and deterministic coordinates of
@@ -218,12 +221,12 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     ranks, inner = [], []
     start = 0
     for r, end in enumerate(ends):
-        for t in range(start, end):
-            if last - t in ech.rows:  # a domain column at a pivot is dependent
-                continue
-            pivot, _ = ech.insert(column(t))
-            if pivot is not None:
-                pivots_at[out_radius[pivot // cells]] += 1
+        before = len(ech.rows)
+        # a domain column at a pivot is dependent; the generator is lazy,
+        # so it sees the pivots of the columns before it in this radius
+        ech.insert_all(column(t) for t in range(start, end) if last - t not in ech.rows)
+        for pivot in itertools.islice(ech.rows, before, None):
+            pivots_at[out_radius[pivot // cells]] += 1
         start = end
         ranks.append(len(ech.rows))
         inner.append(sum(pivots_at[:r]))

@@ -27,13 +27,14 @@ at construction and again by the batteries) or a module helper; the
 Jacobian fold into span{1, x, x^2} and its cofactors is Rp2Context._fold.
 The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
 of check functions, each named by its check id and run in order; a check
-signals a mathematical failure with ValueError, and any other exception
-is a bug that propagates.
+signals a mathematical failure with ValueError.  Any other exception is a
+bug: its check reports ERROR with the traceback, and the battery runs on.
 """
 
 from __future__ import annotations
 
 import random
+import traceback
 from typing import Callable, Optional
 
 from .gf2k import FieldSpec, Immutable, default_spec
@@ -88,16 +89,20 @@ ALPHA_HOMOTOPY_TEXT = "0, 0, 0, 0; x^-1, 0, 0, 0; 0, 0, 0, x^-1*y^-1; 0, 0, 0, 0
 
 
 class Check(Immutable):
-    """One certified fact: an id, a verdict, and a short detail string."""
+    """One certified fact: an id, a verdict, and a short detail string.
+    A check that hit a bug (not a ValueError) has its traceback in `trace`."""
 
-    __slots__ = ("check_id", "passed", "detail")
+    __slots__ = ("check_id", "passed", "detail", "trace")
 
-    def __init__(self, check_id: str, passed: bool, detail: str = ""):
-        super().__init__(check_id, passed, detail)
+    def __init__(self, check_id: str, passed: bool, detail: str = "", trace: str = ""):
+        super().__init__(check_id, passed, detail, trace)
+
+    @property
+    def verdict(self) -> str:
+        return "ERROR" if self.trace else "PASS" if self.passed else "FAIL"
 
     def line(self) -> str:
-        word = "PASS" if self.passed else "FAIL"
-        return f"{word} {self.check_id} {self.detail}".rstrip()
+        return f"{self.verdict} {self.check_id} {self.detail}".rstrip()
 
 
 class Report(Immutable):
@@ -116,6 +121,10 @@ class Report(Immutable):
     def passed_count(self) -> int:
         return sum(1 for c in self.checks if c.passed)
 
+    @property
+    def errors(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if c.trace)
+
     def summary(self) -> str:
         text = f"{self.passed_count}/{len(self.checks)} checks passed"
         if self.seed is not None:
@@ -131,11 +140,13 @@ class Report(Immutable):
 
 def _run_check(check_id: str, fn: Callable[[], str]) -> Check:
     """Run fn; it returns a detail string or raises ValueError with the
-    failed identity.  Any other exception is a bug and propagates."""
+    failed identity.  Any other exception is a bug, recorded as an ERROR."""
     try:
         detail = fn()
     except ValueError as exc:
         return Check(check_id, False, str(exc))
+    except Exception as exc:
+        return Check(check_id, False, f"{type(exc).__name__}: {exc}", traceback.format_exc())
     return Check(check_id, True, detail)
 
 

@@ -10,7 +10,8 @@ ab + ba, keeps one accumulator per output entry across every product and
 inner index and fills it with ringpoly's multiply-accumulate kernel.
 FieldMatrix holds serialized field values.  Rank runs through
 Echelon, one elimination kernel for every GF(2^k) that packs a whole
-vector into one int (a bitset when k = 1).
+vector into one int (a bitset when k = 1), with one elimination loop,
+Echelon.insert_all, that keeps new pivots in insertion order.
 """
 
 from __future__ import annotations
@@ -334,8 +335,10 @@ class FieldMatrix(Immutable):
 class Echelon:
     """Incremental lowest-index echelon form of packed GF(2^k) vectors.
 
-    `insert` reduces a vector by the pivot rows and keeps a nonzero
-    remainder, scaled to be monic, as the row of a new pivot.
+    `insert_all` is the one elimination loop (`insert` is its one-vector
+    case): it reduces each vector by the pivot rows and keeps a nonzero
+    remainder, scaled to be monic, as the row of a new pivot, which `rows`
+    appends before the next vector is read.
 
     With `width` set (None means untracked), a vector has at most `width`
     slots, and every row also carries the combination of inserted vectors
@@ -391,40 +394,24 @@ class Echelon:
             c >>= 1
         return acc
 
-    def _check(self, v: int) -> None:
-        if v >> self._offset:
-            raise ValueError(f"vector has a slot at or beyond the tracked width {self.width}")
+    def _too_wide(self) -> ValueError:
+        return ValueError(f"vector has a slot at or beyond the tracked width {self.width}")
 
-    def _reduce(self, v: int, full: bool) -> int:
-        """Eliminate pivots from the bottom of v's vector part up; stop at
-        the first non-pivot slot unless `full`, which carries on past it."""
+    def _reduce(self, v: int) -> int:
+        """Eliminate every pivot from v's vector part, from the bottom up,
+        keeping the non-pivot slots."""
         rows, k, vector = self.rows, self.k, self._vector_mask
-        kept = 0
-        if k == 1 and self.width is None:
-            while v:
-                bit = v & -v
-                p = bit.bit_length() - 1
-                row = rows.get(p)
-                if row is not None:
-                    v ^= row
-                elif full:
-                    kept |= bit
-                    v ^= bit
-                else:
-                    break
-            return kept | v
         scale, mask = self.scale, self._mask
+        kept = 0
         while v & vector:
             p = ((v & -v).bit_length() - 1) // k
             row = rows.get(p)
             if row is not None:
                 v ^= scale(row, (v >> (k * p)) & mask)
-            elif full:
+            else:
                 slot = v & (mask << (k * p))
                 kept |= slot
                 v ^= slot
-            else:
-                break
         return kept | v
 
     def insert(self, v: int) -> tuple[Optional[int], int]:
@@ -433,35 +420,61 @@ class Echelon:
         Returns (pivot, comb): the new pivot index and the combination
         equal to its row, or (None, relation) when v lies in the span.
         comb is 0 unless tracking."""
-        offset = self._offset
-        if offset is not None:
-            self._check(v)
-            v |= 1 << (offset + self.k * self.count)
-        self.count += 1
-        v = self._reduce(v, False)
-        if not v & self._vector_mask:
-            return None, 0 if offset is None else v >> offset
-        k = self.k
-        p = ((v & -v).bit_length() - 1) // k
-        if k != 1:  # over GF(2) the leading coefficient is 1
-            c = (v >> (k * p)) & self._mask
-            if c != 1:
-                v = self.scale(v, self.spec.inv(c))
-        self.rows[p] = v
-        return p, 0 if offset is None else v >> offset
+        relations = self.insert_all((v,))
+        if relations:
+            return None, relations[0]
+        p = next(reversed(self.rows))  # the newest pivot
+        return p, 0 if self._offset is None else self.rows[p] >> self._offset
 
     def insert_all(self, vectors: Iterable[int]) -> list[int]:
-        """Insert in order; returns the relations of the dependent vectors."""
-        return [comb for p, comb in map(self.insert, vectors) if p is None]
+        """Insert in order, reading `vectors` one at a time; returns the
+        relations of the dependent vectors."""
+        rows, k = self.rows, self.k
+        relations = []
+        if k == 1 and self.width is None:
+            for v in vectors:  # bitsets, with no call per vector
+                self.count += 1
+                while v:
+                    p = (v & -v).bit_length() - 1
+                    row = rows.get(p)
+                    if row is None:
+                        rows[p] = v
+                        break
+                    v ^= row
+                else:
+                    relations.append(0)
+            return relations
+        offset, vector, mask = self._offset, self._vector_mask, self._mask
+        scale, inv = self.scale, self.spec.inv
+        for v in vectors:
+            if offset is not None:
+                if v >> offset:
+                    raise self._too_wide()
+                v |= 1 << (offset + k * self.count)
+            self.count += 1
+            while v & vector:
+                p = ((v & -v).bit_length() - 1) // k
+                row = rows.get(p)
+                c = (v >> (k * p)) & mask
+                if row is None:
+                    if c != 1:  # the new row is made monic
+                        v = scale(v, inv(c))
+                    rows[p] = v
+                    break
+                v ^= row if c == 1 else scale(row, c)
+            else:
+                relations.append(0 if offset is None else v >> offset)
+        return relations
 
     def reduce(self, v: int) -> tuple[int, int]:
         """(r, comb): the normal form r of v, zero at every pivot, and the
         combination of inserted vectors equal to v - r (0 unless tracking)."""
         offset = self._offset
         if offset is None:
-            return self._reduce(v, True), 0
-        self._check(v)
-        v = self._reduce(v, True)
+            return self._reduce(v), 0
+        if v >> offset:
+            raise self._too_wide()
+        v = self._reduce(v)
         return v & self._vector_mask, v >> offset
 
     def reduced_row(self, p: int) -> int:

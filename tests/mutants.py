@@ -46,11 +46,18 @@ MUTANTS = (
      'raise ValueError("window overflow: differential image leaves the output window")',
      "pass",
      f"{ECHELON}::test_delta_columns_reject_a_window_one_step_too_small"),
-    # GF(4) rows are no longer made monic
+    # GF(4) rows with leading coefficient t are no longer made monic
     ("src/mf2/ringmat.py",
-     "if k != 1:  # over GF(2) the leading coefficient is 1",
-     "if k > 2:",
+     "if c != 1:  # the new row is made monic",
+     "if c > 2:",
      f"{ECHELON}::test_insert_scales_a_new_row_to_be_monic"),
+    # the GF(2) bitset loop stores v at an occupied pivot in place of
+    # adding the pivot row: the earlier row is lost and the rank drops
+    ("src/mf2/ringmat.py",
+     "                    v ^= row\n                else:\n                    relations.append(0)\n",
+     "                    rows[p] = v\n                    break\n"
+     "                else:\n                    relations.append(0)\n",
+     f"{ECHELON}::test_insert_all_reads_lazily_and_appends_pivots_in_insertion_order"),
     # the unit-shift path of the product kernel forgets the exponent guard
     ("src/mf2/ringpoly.py",
      "                if e & guard:\n                    raise _overflow()\n",
@@ -129,14 +136,14 @@ MUTANTS = (
      "tests/test_cohomwin.py::test_cleared_columns_are_never_inserted"),
     # clearing skips the column next to the dependent one
     ("src/mf2/cohomwin.py",
-     "last - t in ech.rows",
-     "last - t - 1 in ech.rows",
+     "last - t not in ech.rows",
+     "last - t - 1 not in ech.rows",
      "tests/test_cohomwin.py::test_cohomology_rp2_stabilizes_at_three"),
     # the same clearing fault against the per-radius oracle, which must
     # report a counterexample well inside the time limit
     ("src/mf2/cohomwin.py",
-     "last - t in ech.rows",
-     "last - t - 1 in ech.rows",
+     "last - t not in ech.rows",
+     "last - t - 1 not in ech.rows",
      f"{ECHELON}::test_one_pass_dims_match_per_radius_definition"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",

@@ -404,15 +404,31 @@ def test_suite_text_report(capsys):
 
 
 def test_bug_in_lab_code_is_an_internal_error(monkeypatch, capsys):
-    def broken(n):
+    """A bug inside a check reports ERROR in that check's place: the rest
+    of the battery still runs and prints, the tracebacks go to stderr and
+    the exit code is 3.  Two checks share the broken method."""
+    def broken(self):
         raise TypeError("broken lab code")
 
-    monkeypatch.setattr(paperlab, "an_corpus", broken)
-    code, out, err = run(capsys, ["suite"])
+    monkeypatch.setattr(paperlab.Rp2Context, "check_alpha_reduction", broken)
+    code, out, err = run(capsys, ["suite", "--seed", "9"])
     assert code == 3
-    assert out == ""
-    assert err.startswith("error: internal: TypeError: broken lab code\nTraceback")
-    assert err.rstrip().endswith("TypeError: broken lab code")
+    error = "TypeError: broken lab code"
+    assert out == (SUITE_SEED_9
+                   .replace("PASS reduce_alpha_matrix the alpha matrix reduces to x^2",
+                            f"ERROR reduce_alpha_matrix {error}")
+                   .replace("PASS co_alpha_matrix [Q, M] = F + x^-1*Id and F reduces to x^2",
+                            f"ERROR co_alpha_matrix {error}")
+                   .replace("31/31 checks passed", "29/31 checks passed"))
+    blocks = err.split("error: internal: ")
+    assert blocks[0] == "" and len(blocks) == 3
+    for block in blocks[1:]:
+        assert block.startswith(f"{error}\nTraceback")
+        assert block.rstrip().endswith(error)
+    code, out, _ = run(capsys, ["suite", "--seed", "9", "--format", "records"])
+    assert code == 3
+    assert "check[co_alpha_matrix]=ERROR" in out.splitlines()
+    assert "passed=29" in out.splitlines()
 
 
 def test_failed_suite_check_exits_1(monkeypatch, capsys):

@@ -144,13 +144,20 @@ def test_cohomology_rp2_stabilizes_at_three():
 def test_cleared_columns_are_never_inserted(monkeypatch, d_max, inserts):
     """Of the 16 * (2*d_max + 3)^2 columns (784, 1936, 3600), those whose
     output coordinate is already a pivot are dependent (d^2 = 0) and are
-    skipped; the dimensions stay those of the full elimination."""
-    calls = []
-    insert = Echelon.insert
-    monkeypatch.setattr(Echelon, "insert", lambda self, v: calls.append(1) or insert(self, v))
+    skipped; the dimensions stay those of the full elimination.  Counted
+    are the vectors insert_all reads, and the echelon's own count agrees."""
+    consumed, echelons = [], set()
+    insert_all = Echelon.insert_all
+
+    def counting(self, vectors):
+        echelons.add(self)
+        return insert_all(self, (consumed.append(v) or v for v in vectors))
+
+    monkeypatch.setattr(Echelon, "insert_all", counting)
     x = rp2()
     assert cohomology_dims(x, x, d_max) == {d: 3 for d in range(1, d_max + 1)}
-    assert len(calls) == inserts
+    assert len(consumed) == inserts
+    assert [ech.count for ech in echelons] == [inserts]
 
 
 def test_solve_exactness_round_trip():

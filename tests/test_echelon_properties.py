@@ -285,6 +285,47 @@ def test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span(m, data):
         assert m.apply(x) == b
 
 
+@PROPERTY
+@given(field_matrices(fields=FIELDS[:3]), st.booleans())
+def test_insert_all_reads_lazily_and_appends_pivots_in_insertion_order(m, track):
+    """The batch contract over GF(2), GF(4) and GF(8), tracked and untracked:
+    a generator that reads `rows` before each yield sees the pivot of every
+    vector before it, and pivots only ever append, one per independent
+    vector.  Against sympy: the pivot count after j vectors is the rank of
+    the first j columns, the final pivot set is where the rank of the
+    leading coordinates grows (lowest-index pivots), and the relation of a
+    dependent vector j is a kernel vector with a 1 in slot j and nothing after."""
+    spec = m.spec
+    ech = Echelon(spec, m.rows if track else None)
+    seen = []  # the pivots in rows as each vector is read, then at the end
+
+    def columns():
+        for j in range(m.cols):
+            seen.append(list(ech.rows))
+            yield ech.pack(m.entries[j::m.cols])
+
+    relations = ech.insert_all(columns())
+    seen.append(list(ech.rows))
+
+    def rank_of(rows, cols):
+        """sympy's rank of the leading rows x cols submatrix of m."""
+        entries = {(i, j): m.at(i, j) for i in range(rows) for j in range(cols) if m.at(i, j)}
+        return sympy_rank(spec, entries, (rows, cols)) if entries else 0
+
+    assert [len(pivots) for pivots in seen] == [rank_of(m.rows, j) for j in range(m.cols + 1)]
+    assert all(after[:len(before)] == before for before, after in zip(seen, seen[1:]))
+    assert sorted(seen[-1]) == [p for p in range(m.rows) if rank_of(p + 1, m.cols) > rank_of(p, m.cols)]
+    dependent = [j for j in range(m.cols) if len(seen[j + 1]) == len(seen[j])]
+    assert len(relations) == len(dependent)
+    if not track:
+        assert relations == [0] * len(dependent)
+    for j, rel in zip(dependent, relations if track else ()):
+        x = ech.unpack(rel, m.cols)
+        assert x[j] == 1 and not any(x[j + 1:])
+        assert not any(m.apply(x))
+    assert ech.count == m.cols
+
+
 @pytest.mark.parametrize("spec", FIELDS)
 def test_tracked_echelon_refuses_a_vector_that_reaches_its_offset(spec):
     ech = Echelon(spec, 3)

@@ -16,6 +16,7 @@ from mf2.ringmat import RingMatrix, blocks_of, commutator
 from mf2 import paperlab
 from mf2.paperlab import (
     Check,
+    Report,
     Rp2Context,
     _run_check,
     an_corpus,
@@ -336,7 +337,7 @@ def test_run_suite_green():
     assert report.summary().endswith("(seed 11)")
 
 
-def test_run_check_reports_value_errors_and_propagates_bugs():
+def test_run_check_reports_value_errors_and_records_bugs():
     def failed_identity():
         raise ValueError("identity failed")
 
@@ -345,5 +346,10 @@ def test_run_check_reports_value_errors_and_propagates_bugs():
 
     assert _run_check("ok", lambda: "fine") == Check("ok", True, "fine")
     assert _run_check("math", failed_identity) == Check("math", False, "identity failed")
-    with pytest.raises(TypeError):
-        _run_check("bug", buggy)
+    bug = _run_check("bug", buggy)
+    assert (bug.check_id, bug.passed, bug.verdict) == ("bug", False, "ERROR")
+    assert bug.detail == "TypeError: unsupported operand type(s) for +: 'NoneType' and 'int'"
+    assert bug.trace.startswith("Traceback") and "return None + 1" in bug.trace
+    assert bug.line() == f"ERROR bug {bug.detail}"
+    report = Report((bug, Check("ok", True)))
+    assert report.errors == (bug,) and not report.ok and report.passed_count == 1

@@ -395,7 +395,7 @@ def test_value_class_equality_needs_the_same_type_and_repr_names_fields():
     assert repr(LAURENT2) == (
         "RingDescriptor(field=FieldSpec(k=1, modulus=3), vars=('x', 'y'), laurent=(True, True))"
     )
-    assert repr(Check("a", True)) == "Check(check_id='a', passed=True, detail='')"
+    assert repr(Check("a", True)) == "Check(check_id='a', passed=True, detail='', trace='')"
     assert len({IMMUTABLE_INSTANCES["GradedMorphism"]() for _ in range(2)}) == 1
     with pytest.raises(TypeError, match="MFFile takes 3 values, got 2"):
         MFFile(LAURENT2, w)
