@@ -20,12 +20,17 @@ the point certification below.
 A column of d is one packed Echelon int.  With n = src.size and
 cells = tgt.size * n, the output coordinate of E_rc x^m is
 block[m] * cells + r * n + c, where block numbers the monomials of the
-output window by packed key (ringpoly); a domain column is a (cell,
-packed key) pair.  The image of one domain cell is one small int per
-shift s, with every output cell in its own slot, so terms that meet at
-one cell and shift cancel there.  The column of (cell, x^e) is the sum
-of those ints, each moved to the block of key e + s, one int add away:
-one big shift per distinct shift, not one per term, and only when the
+output window by packed key; a window's keys are sums of one term per
+lane (RingDescriptor.box_keys), and a domain column is a (packed key,
+cell) pair.  The image of one domain cell is one small int per shift s,
+with every output cell in its own slot, so terms that meet at one cell
+and shift cancel there.  The builder gives each distinct shift an index
+and each domain key e one offset row, the bit offset of the block of
+e + s per shift index; a key whose shifts leave the output window
+raises while the rows are built, before any column.  The column of
+(x^e, cell) is then one loop over the cell's (shift index, small int)
+pairs, each int shifted by its offset and ORed in: one big shift per
+distinct shift, with no key addition or dict lookup, and only when the
 column is asked for.  Point certificates use the same slot layout.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
@@ -49,8 +54,10 @@ When p lies in the domain, all of R lies there, and d(R) = d^2(u) = 0
 writes the column of p as a combination of columns inserted before it.
 So that column is never built or inserted: it would add no pivot, and
 neither the rank of any prefix nor the pivot count per radius changes.
-Each radius is one Echelon.insert_all run over a lazy generator, so the
-filter sees a pivot as soon as it is inserted, and the radius's new
+Each radius is one Echelon.insert_all run over one lazy generator, which
+finds a column's offset row and image by its index, tests the column's
+coordinate against the pivots and builds only the columns that pass, so
+the filter sees a pivot as soon as it is inserted; the radius's new
 pivots are the tail of the echelon's rows, which keep insertion order.
 
 Specializing at a field point collapses d to a finite operator; local
@@ -62,7 +69,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
 from .mfcore import HomotopyWitness, Morphism, UngradedMF, _check_hom
@@ -116,11 +124,19 @@ class Window(Immutable):
             n *= max(hi - lo + 1, 0)
         return n
 
-    def monomials(self) -> list[tuple[int, ...]]:
+    def _check_size(self) -> None:
         n = self.size
         if n > MAX_WINDOW_MONOMIALS:
             raise ValueError(f"window has {n} monomials, above the limit of {MAX_WINDOW_MONOMIALS}")
+
+    def monomials(self) -> list[tuple[int, ...]]:
+        self._check_size()
         return list(itertools.product(*[range(lo, hi + 1) for lo, hi in self.bounds]))
+
+    def keys(self) -> list[int]:
+        """The packed keys of monomials(), in the same order."""
+        self._check_size()
+        return self.ring.box_keys(self.bounds)
 
     def expanded(self, hull: Sequence[tuple[int, int]]) -> "Window":
         """Grow the window so that shifting by any hull exponent stays inside."""
@@ -143,12 +159,16 @@ class Window(Immutable):
 
 def _delta_columns(src: UngradedMF, tgt: UngradedMF,
                    domain: Sequence[tuple[int, int]],
-                   out_block: dict[int, int]) -> Callable[[int], int]:
-    """A builder column(t) of the packed Echelon column of d at domain[t],
-    a (cell, packed key) pair.  The domain cell i*n + j stands for E_ij
+                   out_block: dict[int, int]) -> tuple[list[list[tuple[int, int]]], dict[int, list[int]]]:
+    """The offset tables (images, offsets) of d on the domain columns,
+    (packed key, cell) pairs.  The domain cell i*n + j stands for E_ij
     (n = src.size); out_block numbers the output window's monomials by
     packed key, and the coefficient of E_rc x^m sits in slot
-    out_block[m]*cells + r*n + c.
+    out_block[m]*cells + r*n + c.  images[cell] is the image of the cell's
+    unit matrix as (shift index, small int) pairs; offsets[e], for each
+    domain key e, lists per shift index the bit offset of the block of
+    e moved by that shift.  The column of (e, cell) is the OR of
+    v << offsets[e][s] over the (s, v) in images[cell].
 
     Raises, before any column is built, if a domain key moved by the shift
     of any cell's image leaves the output window.  That is exactly a column
@@ -161,6 +181,7 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
     # shift key s, one small int holds every output cell (slot k*cell).
     # The two sums meet only at cell i*n + j, where terms of one shift cancel
+    shift_index: dict[int, int] = {}
     images = []
     for i in range(m):
         for j in range(n):
@@ -171,23 +192,26 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
             for col in range(n):
                 for s, c in qs[j * n + col].items():
                     acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))
-            # x^e shifted by s has key e + s - one
-            images.append([(s - one, v) for s, v in acc.items() if v])
-    block = {e: b * k * m * n for e, b in out_block.items()}
-    shifts = {s for image in images for s, _ in image}
-    if any(e + s not in block for e in {e for _, e in domain} for s in shifts):
-        raise ValueError("window overflow: differential image leaves the output window")
+            images.append([(shift_index.setdefault(s, len(shift_index)), v)
+                           for s, v in acc.items() if v])
+    # x^e shifted by s has key e + s - one; out_block is a bijection, so the
+    # shifted images of one column are disjoint and OR adds them
+    shifts = [s - one for s in shift_index]
+    width = k * m * n
+    try:
+        offsets = {e: [out_block[e + s] * width for s in shifts]
+                   for e in dict.fromkeys(map(itemgetter(0), domain))}
+    except KeyError:
+        raise ValueError("window overflow: differential image leaves the output window") from None
+    return images, offsets
 
-    def column(t: int) -> int:
-        cell, e = domain[t]
-        # out_block is a bijection, so the shifted images are disjoint
-        # and OR adds them
-        col = 0
-        for s, v in images[cell]:
-            col |= v << block[e + s]
-        return col
 
-    return column
+def _column(image: list[tuple[int, int]], row: list[int]) -> int:
+    """The packed column of a cell's image at the domain key with offset row row."""
+    col = 0
+    for s, v in image:
+        col |= v << row[s]
+    return col
 
 
 def _radius(exps: Sequence[int]) -> int:
@@ -206,31 +230,51 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     dom = Window.symmetric(ring, d_max + 1)
     _check_columns(cells, dom)
     win_out = dom.expanded(src.q.support_hull()).union(dom.expanded(tgt.q.support_hull()))
-    out = sorted(win_out.monomials(), key=_radius, reverse=True)
-    out_radius = [_radius(e) for e in out]
-    keys = [ring.pack(e) for e in out]
+    radii = list(map(_radius, win_out.monomials()))
+    keys = win_out.keys()
+    # outermost first; the sort is stable, so each radius keeps window order
+    order = sorted(range(len(keys)), key=radii.__getitem__, reverse=True)
+    out = [keys[b] for b in order]
+    out_radius = [radii[b] for b in order]
     # domain column t is output coordinate last - t: the window's own
-    # monomials are the trailing blocks of out, entered back to front
+    # monomials are the trailing blocks of out, entered back to front, so
+    # key index t // cells holds cell cells - 1 - t % cells
     last = len(out) * cells - 1
-    domain = [(cell, e) for e in reversed(keys[len(keys) - dom.size:]) for cell in reversed(range(cells))]
-    column = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(keys)})
-    # B_r holds the first cells * |Window.symmetric(ring, r)| columns
-    ends = [cells * Window.symmetric(ring, r).size for r in range(d_max + 2)]
+    dom_keys = out[len(out) - dom.size:][::-1]
+    domain = list(itertools.product(dom_keys, reversed(range(cells))))
+    images, offsets = _delta_columns(src, tgt, domain, {e: b for b, e in enumerate(out)})
+    images.reverse()
+    rows = [offsets[e] for e in dom_keys]
     ech = Echelon(ring.field)
+    pivots = ech.rows
+
+    def columns(lo: int, hi: int):
+        """The columns of domain keys lo..hi-1, skipping those at a pivot:
+        they are dependent.  Lazy, so it sees each pivot once inserted."""
+        coord = last - lo * cells
+        for row in itertools.islice(rows, lo, hi):
+            for image in images:
+                if coord not in pivots:
+                    col = 0  # _column inlined: a call per column costs 3-4%
+                    for s, v in image:
+                        col |= v << row[s]
+                    yield col
+                coord -= 1
+
+    # B_r holds the first |Window.symmetric(ring, r)| domain keys
+    ends = [Window.symmetric(ring, r).size for r in range(d_max + 2)]
     pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
     ranks, inner = [], []
     start = 0
     for r, end in enumerate(ends):
-        before = len(ech.rows)
-        # a domain column at a pivot is dependent; the generator is lazy,
-        # so it sees the pivots of the columns before it in this radius
-        ech.insert_all(column(t) for t in range(start, end) if last - t not in ech.rows)
-        for pivot in itertools.islice(ech.rows, before, None):
+        before = len(pivots)
+        ech.insert_all(columns(start, end))
+        for pivot in itertools.islice(pivots, before, None):
             pivots_at[out_radius[pivot // cells]] += 1
         start = end
-        ranks.append(len(ech.rows))
+        ranks.append(len(pivots))
         inner.append(sum(pivots_at[:r]))
-    return {d: ends[d] - ranks[d] - inner[d + 1] for d in range(1, d_max + 1)}
+    return {d: cells * ends[d] - ranks[d] - inner[d + 1] for d in range(1, d_max + 1)}
 
 
 def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
@@ -244,10 +288,13 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     _check_columns(cells, window)
     win_out = window.expanded(src.q.support_hull()).union(window.expanded(tgt.q.support_hull()))
     win_out = win_out.union(Window(ring, tuple(f.f.support_hull())))
-    block = {ring.pack(e): b for b, e in enumerate(win_out.monomials())}
-    domain = list(itertools.product(range(cells), map(ring.pack, window.monomials())))
+    block = {e: b for b, e in enumerate(win_out.keys())}
+    keys = window.keys()
+    domain = [(e, cell) for cell in range(cells) for e in keys]
+    images, offsets = _delta_columns(src, tgt, domain, block)
+    rows = [offsets[e] for e in keys]
     ech = Echelon(ring.field, len(block) * cells)
-    ech.insert_all(map(_delta_columns(src, tgt, domain, block), range(len(domain))))
+    ech.insert_all(_column(image, row) for image in images for row in rows)
     rest, comb = ech.reduce(sum(
         c << ech.k * (block[key] * cells + cell)
         for cell, entry in enumerate(f.f.entries)
@@ -256,7 +303,7 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     if rest:
         return None
     gterms: list[dict[int, int]] = [{} for _ in range(cells)]
-    for (cell, e), c in zip(domain, ech.unpack(comb, len(domain))):
+    for (e, cell), c in zip(domain, ech.unpack(comb, len(domain))):
         if c:
             gterms[cell][e] = c
     g = RingMatrix(ring, tgt.size, src.size, [RingPoly._raw(ring, t) for t in gterms])

@@ -29,6 +29,8 @@ The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
 of check functions, each named by its check id and run in order; a check
 signals a mathematical failure with ValueError.  Any other exception is a
 bug: its check reports ERROR with the traceback, and the battery runs on.
+In run_suite, a bug in the set-up of an_corpus or closed_open_certify
+reports one ERROR check named after that battery, and the rest run on.
 """
 
 from __future__ import annotations
@@ -138,6 +140,11 @@ class Report(Immutable):
         return "\n".join(self.lines())
 
 
+def _error(check_id: str, exc: Exception) -> Check:
+    """The ERROR check for a bug (not a ValueError) caught while handling exc."""
+    return Check(check_id, False, f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
 def _run_check(check_id: str, fn: Callable[[], str]) -> Check:
     """Run fn; it returns a detail string or raises ValueError with the
     failed identity.  Any other exception is a bug, recorded as an ERROR."""
@@ -146,8 +153,19 @@ def _run_check(check_id: str, fn: Callable[[], str]) -> Check:
     except ValueError as exc:
         return Check(check_id, False, str(exc))
     except Exception as exc:
-        return Check(check_id, False, f"{type(exc).__name__}: {exc}", traceback.format_exc())
+        return _error(check_id, exc)
     return Check(check_id, True, detail)
+
+
+def _run_battery(name: str, battery: Callable[[], Report]) -> tuple[Check, ...]:
+    """The checks of a battery.  A bug in its set-up, which runs outside
+    any check, is recorded as one ERROR check named after the battery."""
+    try:
+        return battery().checks
+    except ValueError:
+        raise
+    except Exception as exc:
+        return (_error(name, exc),)
 
 
 def _run_checks(*fns: Callable[[], str]) -> tuple[Check, ...]:
@@ -854,4 +872,5 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None) -> Report:
         reduce_alpha_matrix, reduce_alpha_cubed, reduce_retraction, reduce_random,
         reduce_ring_map, obstruction_partials, jacobian_quotient,
     )
-    return Report(checks + an_corpus(1).checks + closed_open_certify(seed).checks, seed)
+    return Report(checks + _run_battery("an_corpus", lambda: an_corpus(1))
+                  + _run_battery("closed_open_certify", lambda: closed_open_certify(seed)), seed)

@@ -19,9 +19,10 @@ negative, which sets the guard too), and the kernel tests every product
 key against the guard mask, so an exponent that leaves the range raises
 ValueError instead of wrapping into a wrong term.  The same mask tests
 divisibility: (a - b) & GUARD is 0 exactly when key b's monomial divides
-key a's.  RingPoly.packed holds the packed dict; RingPoly.terms is a
-read-only view keyed by exponent tuples, for the printer, the command
-line and the maps between rings.
+key a's.  RingDescriptor.box_keys lists the keys of a box of exponent
+bounds as sums of one term per lane.  RingPoly.packed holds the packed
+dict; RingPoly.terms is a read-only view keyed by exponent tuples, for
+the printer, the command line and the maps between rings.
 
 Every sparse product runs through one multiply-accumulate kernel,
 `_mul_into`, which XORs the product of two term dicts into an accumulator
@@ -128,6 +129,21 @@ class RingDescriptor(Immutable):
             shift += LANE_BITS
         return key
 
+    def box_keys(self, bounds: Sequence[tuple[int, int]]) -> list[int]:
+        """The packed keys of every exponent vector with lo <= e_i <= hi for
+        each (lo, hi) in bounds, in itertools.product order.  Each key is a
+        sum of one precomputed term per lane.  An empty box (some lo > hi)
+        has no keys; otherwise pack checks the box's two corners, so every
+        lane's range is validated once, with pack's messages."""
+        if any(lo > hi for lo, hi in bounds):
+            return []
+        keys = [self.pack([lo for lo, _ in bounds])]
+        self.pack([hi for _, hi in bounds])
+        for i, (lo, hi) in enumerate(bounds):
+            lane = [j << (LANE_BITS * i) for j in range(hi - lo + 1)]
+            keys = [key + term for key in keys for term in lane]
+        return keys
+
     @property
     def one_key(self) -> int:
         """The key of 1: a monomial product's key is a + b - one_key."""
@@ -161,13 +177,16 @@ def _mul_into(acc: dict, a: dict, b: dict, ring: RingDescriptor) -> dict:
 
     acc holds only nonzero coefficients before and after: a sum that
     cancels to 0 deletes its key.  Terms of a and b must be nonzero, so no
-    single product is 0.  A side that is one monomial with coefficient 1
-    only shifts the other side's keys, with no field multiplication.
+    single product is 0.  An empty side returns acc at once; a side that is
+    one monomial with coefficient 1 only shifts the other side's keys, with
+    no field multiplication.
     Every product key is tested against the guard bits; an exponent out of
     range raises ValueError."""
     bias, guard = _lanes(len(ring.vars))
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return acc
     if len(b) == 1:
         (shift, scale), = b.items()
         if scale == 1:

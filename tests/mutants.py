@@ -41,11 +41,18 @@ MUTANTS = (
      "c << (k * (i * n + col))",
      "c << (i * n + col)",
      f"{ECHELON}::test_packed_columns_match_dense_products"),
-    # a swallowed window overflow: the builder is returned unchecked
+    # a swallowed window overflow: a block missing from the output window
+    # reads as block 0, and the tables are returned unchecked
     ("src/mf2/cohomwin.py",
-     'raise ValueError("window overflow: differential image leaves the output window")',
-     "pass",
+     "[out_block[e + s] * width for s in shifts]",
+     "[out_block.get(e + s, 0) * width for s in shifts]",
      f"{ECHELON}::test_delta_columns_reject_a_window_one_step_too_small"),
+    # an offset table not scaled by the block width: every shifted image
+    # lands in slot block instead of block * cells
+    ("src/mf2/cohomwin.py",
+     "[out_block[e + s] * width for s in shifts]",
+     "[out_block[e + s] * k for s in shifts]",
+     f"{ECHELON}::test_packed_columns_match_dense_products"),
     # GF(4) rows with leading coefficient t are no longer made monic
     ("src/mf2/ringmat.py",
      "if c != 1:  # the new row is made monic",
@@ -58,6 +65,12 @@ MUTANTS = (
      "                    rows[p] = v\n                    break\n"
      "                else:\n                    relations.append(0)\n",
      f"{ECHELON}::test_insert_all_reads_lazily_and_appends_pivots_in_insertion_order"),
+    # box keys list the lanes in the wrong nesting: the last variable
+    # varies slowest, not fastest as in itertools.product
+    ("src/mf2/ringpoly.py",
+     "keys = [key + term for key in keys for term in lane]",
+     "keys = [key + term for term in lane for key in keys]",
+     "tests/test_ring_kernel_properties.py::test_box_keys_equal_one_pack_per_monomial"),
     # the unit-shift path of the product kernel forgets the exponent guard
     ("src/mf2/ringpoly.py",
      "                if e & guard:\n                    raise _overflow()\n",
@@ -124,26 +137,25 @@ MUTANTS = (
      "tests/test_groebner_oracle.py::test_normal_forms_match_sympy_reduction"),
     # a column shift adds two biased keys without subtracting the key of 1
     ("src/mf2/cohomwin.py",
-     "[(s - one, v) for s, v in acc.items() if v]",
-     "[(s, v) for s, v in acc.items() if v]",
+     "shifts = [s - one for s in shift_index]",
+     "shifts = [s for s in shift_index]",
      f"{ECHELON}::test_packed_columns_match_dense_products"),
-    # within a radius the domain enters in output order, so a pivot's
+    # within a radius the domain keys enter in output order, so a pivot's
     # coordinate is no longer the latest inserted one in its row
     ("src/mf2/cohomwin.py",
-     "for e in reversed(keys[len(keys) - dom.size:]) for cell in reversed(range(cells))]",
-     "for e in sorted(keys[len(keys) - dom.size:], key=lambda e: _radius(ring.unpack(e)))"
-     " for cell in range(cells)]",
+     "dom_keys = out[len(out) - dom.size:][::-1]",
+     "dom_keys = sorted(out[len(out) - dom.size:], key=lambda e: _radius(ring.unpack(e)))",
      "tests/test_cohomwin.py::test_cleared_columns_are_never_inserted"),
     # clearing skips the column next to the dependent one
     ("src/mf2/cohomwin.py",
-     "last - t not in ech.rows",
-     "last - t - 1 not in ech.rows",
+     "if coord not in pivots:",
+     "if coord - 1 not in pivots:",
      "tests/test_cohomwin.py::test_cohomology_rp2_stabilizes_at_three"),
     # the same clearing fault against the per-radius oracle, which must
     # report a counterexample well inside the time limit
     ("src/mf2/cohomwin.py",
-     "last - t not in ech.rows",
-     "last - t - 1 not in ech.rows",
+     "if coord not in pivots:",
+     "if coord - 1 not in pivots:",
      f"{ECHELON}::test_one_pass_dims_match_per_radius_definition"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",

@@ -431,6 +431,32 @@ def test_bug_in_lab_code_is_an_internal_error(monkeypatch, capsys):
     assert "passed=29" in out.splitlines()
 
 
+def test_bug_in_a_battery_set_up_is_one_error_check(monkeypatch, capsys):
+    """A bug in an_corpus's set-up, outside any of its checks, reports one
+    ERROR check named after the battery; the other batteries still run."""
+    real = paperlab.UngradedMF
+
+    def broken(w, q):
+        if w.ring.nvars == 3:  # only the A-series corpus has three variables
+            raise TypeError("broken set-up")
+        return real(w, q)
+
+    monkeypatch.setattr(paperlab, "UngradedMF", broken)
+    code, out, err = run(capsys, ["suite", "--seed", "9"])
+    assert code == 3
+    lines = SUITE_SEED_9.splitlines()
+    corpus = [i for i, line in enumerate(lines) if line.startswith("PASS an_")]
+    assert len(corpus) == 8 and corpus == list(range(corpus[0], corpus[0] + 8))
+    lines[corpus[0]:corpus[-1] + 1] = ["ERROR an_corpus TypeError: broken set-up"]
+    lines[-1] = "23/24 checks passed (seed 9)"
+    assert out == "\n".join(lines) + "\n"
+    blocks = err.split("error: internal: ")
+    assert blocks[0] == "" and len(blocks) == 2
+    assert blocks[1].startswith("TypeError: broken set-up\nTraceback")
+    assert "in an_corpus" in blocks[1]
+    assert blocks[1].rstrip().endswith("TypeError: broken set-up")
+
+
 def test_failed_suite_check_exits_1(monkeypatch, capsys):
     failed = Report((Check("an_forced", False, "forced failure"),))
     monkeypatch.setattr(paperlab, "an_corpus", lambda n: failed)

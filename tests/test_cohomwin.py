@@ -19,6 +19,7 @@ import pytest
 
 from mf2.cohomwin import (
     Window,
+    _column,
     _delta_columns,
     certify_at_point,
     cohomology_dims,
@@ -91,9 +92,10 @@ def test_window_rejects_negative_bound_on_polynomial_variable():
 def delta_columns(src, tgt, win_in, win_out):
     """Packed columns of d, cell-major over win_in, blocks in win_out order."""
     pack = src.ring.pack
-    domain = [(cell, pack(e)) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
-    column = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(win_out.monomials())})
-    return [column(t) for t in range(len(domain))]
+    domain = [(pack(e), cell) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
+    out_block = {pack(e): b for b, e in enumerate(win_out.monomials())}
+    images, offsets = _delta_columns(src, tgt, domain, out_block)
+    return [_column(images[cell], offsets[e]) for e, cell in domain]
 
 
 def test_delta_matrix_small_oracle():
@@ -131,6 +133,15 @@ def test_cohomology_scalar_line():
 def test_cohomology_a1():
     x = a1()
     assert cohomology_dims(x, x, 3) == {d: 2 * d + 2 for d in (1, 2, 3)}
+
+
+def test_cohomology_of_a_constant_factorization_is_zero():
+    """Q = [[0, 1], [1, 0]] squares to 1 and is invertible, so Hom is
+    contractible.  Its support hull is {0}: the output window is the
+    domain window itself, and every output monomial is a domain key."""
+    for ring in (P2, L2):
+        x = UngradedMF(parse_poly("1", ring), parse_matrix("0, 1; 1, 0", ring))
+        assert cohomology_dims(x, x, 3) == {1: 0, 2: 0, 3: 0}
 
 
 def test_cohomology_rp2_stabilizes_at_three():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from mf2.cohomwin import Window, _delta_columns, certify_at_point, cohomology_dims
+from mf2.cohomwin import Window, _column, _delta_columns, certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import minimal_polynomial
 from mf2.mfcore import UngradedMF, parse_mf_text
@@ -508,9 +508,9 @@ def test_packed_columns_match_dense_products(case, radius, data):
     cells = src.size * tgt.size
     mons_out = win_out.monomials()
     pack = src.ring.pack
-    domain = [(cell, pack(e)) for cell in range(cells) for e in win_in.monomials()]
-    column = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(mons_out)})
-    cols = [column(t) for t in range(len(domain))]
+    domain = [(pack(e), cell) for cell in range(cells) for e in win_in.monomials()]
+    images, offsets = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(mons_out)})
+    cols = [_column(images[cell], offsets[e]) for e, cell in domain]
     dense = delta_as_field_matrix(src, tgt, win_in, win_out)
     ech = Echelon(src.ring.field)
     assert len(cols) == dense.cols
@@ -529,7 +529,7 @@ def test_delta_columns_reject_a_window_one_step_too_small(k):
     win_in = Window.symmetric(mf.ring, 1)
     win_out = win_in.expanded(mf.q.support_hull())
     pack = mf.ring.pack
-    domain = [(cell, pack(e)) for cell in range(mf.size ** 2) for e in win_in.monomials()]
+    domain = [(pack(e), cell) for cell in range(mf.size ** 2) for e in win_in.monomials()]
     assert _delta_columns(mf, mf, domain, {pack(e): b for b, e in enumerate(win_out.monomials())})
     for var in range(mf.ring.nvars):
         for side, step in ((0, 1), (1, -1)):

@@ -8,7 +8,9 @@ zero coefficient, over GF(2)..GF(16), Laurent and non-Laurent rings,
 non-square shapes, unit monomials with any coefficient, and sums that
 cancel.  At the exponent bound the packed product must equal the oracle
 whenever every exponent sum is in range and raise otherwise, and the
-products, sums and scalings must never unpack a key.
+products, sums and scalings must never unpack a key.  The keys of a box of
+exponent bounds must equal one pack per vector, in itertools.product
+order, and raise pack's errors where pack does.
 
 Sums of products (commutator, Morphism.differential, and the kernel they
 share with the matrix product) are checked against sympy, which shares no
@@ -330,6 +332,48 @@ def test_pack_unpack_round_trip_at_the_bound(nvars):
     assert polynomial.unpack(polynomial.pack([EXP_BOUND - 1] * nvars)) == (EXP_BOUND - 1,) * nvars
     with pytest.raises(ValueError, match="non-Laurent"):
         polynomial.pack([-1] * nvars)
+
+
+PACK_ERRORS = (r"^(negative exponent on non-Laurent variable '\w'"
+               r"|exponent -?\d+ of '\w' outside \[-2\^30, 2\^30\))$")
+
+
+@PROPERTY
+@given(st.data())
+def test_box_keys_equal_one_pack_per_monomial(data):
+    """box_keys lists pack(e) for every e of itertools.product over the
+    bounds, in that order, with bounds at and next to +-EXP_BOUND and
+    empty boxes; where one of those packs raises, box_keys raises pack's
+    ValueError."""
+    nvars = data.draw(st.integers(1, 3))
+    laurent = tuple(data.draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars)))
+    ring = RingDescriptor(default_spec(1), NAMES[:nvars], laurent)
+    anchors = st.sampled_from((-EXP_BOUND - 1, -EXP_BOUND, -2, 0, EXP_BOUND - 3, EXP_BOUND))
+    bounds = []
+    for _ in range(nvars):
+        lo = data.draw(anchors) + data.draw(st.integers(-1, 2))
+        bounds.append((lo, lo + data.draw(st.integers(-1, 3))))
+    try:
+        want = [ring.pack(e) for e in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))]
+    except ValueError:
+        with pytest.raises(ValueError, match=PACK_ERRORS):
+            ring.box_keys(bounds)
+    else:
+        assert ring.box_keys(bounds) == want
+
+
+def test_box_keys_refuse_what_pack_refuses():
+    ring = RingDescriptor(default_spec(1), ("x", "y"), (False, True))
+    with pytest.raises(ValueError, match="^negative exponent on non-Laurent variable 'x'$"):
+        ring.box_keys([(-1, 1), (0, 0)])
+    with pytest.raises(ValueError, match=r"^exponent 1073741824 of 'y' outside \[-2\^30, 2\^30\)$"):
+        ring.box_keys([(0, 1), (EXP_BOUND - 2, EXP_BOUND)])
+    with pytest.raises(ValueError, match=r"^exponent -1073741825 of 'y' outside"):
+        ring.box_keys([(0, 0), (-EXP_BOUND - 1, 0)])
+    # an empty box lists nothing, so nothing is refused
+    assert ring.box_keys([(-5, 1), (EXP_BOUND, EXP_BOUND - 1)]) == []
+    assert ring.box_keys([(0, 1), (-EXP_BOUND, -EXP_BOUND)]) == [ring.pack((0, -EXP_BOUND)),
+                                                                 ring.pack((1, -EXP_BOUND))]
 
 
 @st.composite
