@@ -55,10 +55,22 @@ writes the column of p as a combination of columns inserted before it.
 So that column is never built or inserted: it would add no pivot, and
 neither the rank of any prefix nor the pivot count per radius changes.
 Each radius is one Echelon.insert_all run over one lazy generator, which
-finds a column's offset row and image by its index, tests the column's
+takes the domain keys' offset rows in order, tests each column's
 coordinate against the pivots and builds only the columns that pass, so
 the filter sees a pivot as soon as it is inserted; the radius's new
 pivots are the tail of the echelon's rows, which keep insertion order.
+
+solve_exactness runs the same cleared pass on any box, symmetric or not.
+Its output numbering lists the output window's keys outside the box
+first, then the box's own keys in reverse, so its column t is again
+output coordinate last - t, and the argument above holds for any
+Hom(src, tgt), where d^2 = 0 as well.  The whole box is one run of the
+same generator, which records the coordinate of each column it builds:
+slot j of the tracked Echelon's combinations is the j-th of them, a
+(key, cell) pair.  The witness g is read from the inserted columns only.
+A cleared column gets coefficient 0, as in a full elimination in the same
+order, where it is a free variable (see the note on unique solutions in
+ringmat); so g depends on the order, not on the clearing.
 
 Specializing at a field point collapses d to a finite operator; local
 reports carry kernel/image dimensions and deterministic coordinates of
@@ -206,12 +218,23 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     return images, offsets
 
 
-def _column(image: list[tuple[int, int]], row: list[int]) -> int:
-    """The packed column of a cell's image at the domain key with offset row row."""
-    col = 0
-    for s, v in image:
-        col |= v << row[s]
-    return col
+def _cleared_columns(images: list[list[tuple[int, int]]], rows: Sequence[list[int]],
+                     pivots: dict[int, int], coord: int, taken: Optional[list[int]] = None):
+    """The columns of the domain keys whose offset rows are `rows`, each
+    key's cells in the order of `images`, at output coordinates coord,
+    coord - 1, ...; a column whose coordinate is already in `pivots` is
+    dependent (d^2 = 0) and is skipped.  Lazy, so it sees each pivot once
+    inserted.  `taken` receives the coordinate of every column built."""
+    for row in rows:
+        for image in images:
+            if coord not in pivots:
+                col = 0  # one loop per column, inlined: a call per column costs 3-4%
+                for s, v in image:
+                    col |= v << row[s]
+                if taken is not None:
+                    taken.append(coord)
+                yield col
+            coord -= 1
 
 
 def _radius(exps: Sequence[int]) -> int:
@@ -247,20 +270,6 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     rows = [offsets[e] for e in dom_keys]
     ech = Echelon(ring.field)
     pivots = ech.rows
-
-    def columns(lo: int, hi: int):
-        """The columns of domain keys lo..hi-1, skipping those at a pivot:
-        they are dependent.  Lazy, so it sees each pivot once inserted."""
-        coord = last - lo * cells
-        for row in itertools.islice(rows, lo, hi):
-            for image in images:
-                if coord not in pivots:
-                    col = 0  # _column inlined: a call per column costs 3-4%
-                    for s, v in image:
-                        col |= v << row[s]
-                    yield col
-                coord -= 1
-
     # B_r holds the first |Window.symmetric(ring, r)| domain keys
     ends = [Window.symmetric(ring, r).size for r in range(d_max + 2)]
     pivots_at = [0] * (out_radius[0] + 1)  # pivot count per output radius
@@ -268,7 +277,7 @@ def cohomology_dims(src: UngradedMF, tgt: UngradedMF, d_max: int) -> dict[int, i
     start = 0
     for r, end in enumerate(ends):
         before = len(pivots)
-        ech.insert_all(columns(start, end))
+        ech.insert_all(_cleared_columns(images, rows[start:end], pivots, last - start * cells))
         for pivot in itertools.islice(pivots, before, None):
             pivots_at[out_radius[pivot // cells]] += 1
         start = end
@@ -288,13 +297,19 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     _check_columns(cells, window)
     win_out = window.expanded(src.q.support_hull()).union(window.expanded(tgt.q.support_hull()))
     win_out = win_out.union(Window(ring, tuple(f.f.support_hull())))
-    block = {e: b for b, e in enumerate(win_out.keys())}
+    # the output keys outside the window first, then the window's keys
+    # reversed: domain column t is output coordinate last - t
     keys = window.keys()
-    domain = [(e, cell) for cell in range(cells) for e in keys]
+    inner = set(keys)
+    out = [e for e in win_out.keys() if e not in inner] + keys[::-1]
+    block = {e: b for b, e in enumerate(out)}
+    last = len(out) * cells - 1
+    domain = list(itertools.product(keys, reversed(range(cells))))
     images, offsets = _delta_columns(src, tgt, domain, block)
-    rows = [offsets[e] for e in keys]
-    ech = Echelon(ring.field, len(block) * cells)
-    ech.insert_all(_column(image, row) for image in images for row in rows)
+    images.reverse()
+    ech = Echelon(ring.field, len(out) * cells)
+    taken: list[int] = []  # the output coordinate of each combination slot
+    ech.insert_all(_cleared_columns(images, [offsets[e] for e in keys], ech.rows, last, taken))
     rest, comb = ech.reduce(sum(
         c << ech.k * (block[key] * cells + cell)
         for cell, entry in enumerate(f.f.entries)
@@ -302,10 +317,12 @@ def solve_exactness(f: Morphism, window: Window) -> Optional[HomotopyWitness]:
     ))
     if rest:
         return None
+    # a cleared column depends on columns inserted before it: coefficient 0
     gterms: list[dict[int, int]] = [{} for _ in range(cells)]
-    for (e, cell), c in zip(domain, ech.unpack(comb, len(domain))):
+    for coord, c in zip(taken, ech.unpack(comb, len(taken))):
         if c:
-            gterms[cell][e] = c
+            b, cell = divmod(coord, cells)
+            gterms[cell][out[b]] = c
     g = RingMatrix(ring, tgt.size, src.size, [RingPoly._raw(ring, t) for t in gterms])
     return HomotopyWitness(f, g)
 

@@ -29,8 +29,10 @@ The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
 of check functions, each named by its check id and run in order; a check
 signals a mathematical failure with ValueError.  Any other exception is a
 bug: its check reports ERROR with the traceback, and the battery runs on.
-In run_suite, a bug in the set-up of an_corpus or closed_open_certify
-reports one ERROR check named after that battery, and the rest run on.
+In run_suite, a bug in the set-up of a battery (its own Rp2Context build,
+an_corpus's parses, closed_open_certify's GF(4) context) reports one ERROR
+check named after that battery, rp2_context for the first, and the rest
+run on.
 """
 
 from __future__ import annotations
@@ -745,7 +747,16 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None) -> Report:
     Covers the block identities and trace calculus (randomized), the
     constructive reduction and its ring-map property, the exactness
     obstruction, the Jacobian quotient, the A-series corpus at n = 1, and
-    the full isomorphism certification over GF(4)."""
+    the full isomorphism certification over GF(4).  A bug in the set-up of
+    one of the three batteries, the Rp2Context over spec of the first one
+    included, is one ERROR check named after it, and the others still run."""
+    return Report(_run_battery("rp2_context", lambda: _rp2_battery(seed, spec))
+                  + _run_battery("an_corpus", lambda: an_corpus(1))
+                  + _run_battery("closed_open_certify", lambda: closed_open_certify(seed)), seed)
+
+
+def _rp2_battery(seed: int, spec: Optional[FieldSpec]) -> Report:
+    """The checks of run_suite on the projective-plane context over spec."""
     ctx = Rp2Context(spec)
     rng = random.Random(seed)
     ring = ctx.ring
@@ -866,11 +877,9 @@ def run_suite(seed: int = 2024, spec: Optional[FieldSpec] = None) -> Report:
             raise ValueError(f"staircase {ctx.jacobian.staircase}")
         return "dimension 3, basis {1, x, x^2}, minimal polynomial x^3 + 1"
 
-    checks = _run_checks(
+    return Report(_run_checks(
         factorization, block_identities, delta_formula, delta_preimage, v_twist,
         central_commutant, alpha_rule, alpha_matrix_homotopy, reduce_identity,
         reduce_alpha_matrix, reduce_alpha_cubed, reduce_retraction, reduce_random,
         reduce_ring_map, obstruction_partials, jacobian_quotient,
-    )
-    return Report(checks + _run_battery("an_corpus", lambda: an_corpus(1))
-                  + _run_battery("closed_open_certify", lambda: closed_open_certify(seed)), seed)
+    ), seed)

@@ -329,7 +329,11 @@ class FieldMatrix(Immutable):
 # and with it every normal form, depends on the span of the inserted
 # vectors alone.  Kernel bases and solutions fix each free variable (a
 # column that depends on the columns before it) at zero, which makes them
-# unique too: any correct elimination returns the same vectors.
+# unique too, for a given column order: any correct elimination in that
+# order returns the same vectors.  The exactness solve of cohomwin enters
+# its columns in reverse output order and never inserts the ones that
+# d^2 = 0 makes dependent on earlier columns; they are free variables of
+# that order, so its witness is the one a full elimination in it returns.
 
 
 class Echelon:

@@ -19,6 +19,9 @@ division grows by about 15 MB/s.  The tier-1 run, and each run of
 tests/mutants.py, peaks below 140 MB of address space (VmPeak), so the
 cap leaves a margin of more than 7x.  The cap is skipped on platforms
 without the resource module.
+
+column(image, row) is the packed column of one cell image of
+cohomwin._delta_columns at one domain key, for the window tests.
 """
 
 import contextlib
@@ -46,6 +49,14 @@ def pytest_configure(config):
     cap = MEMORY_LIMIT_BYTES if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT_BYTES, hard)
     if soft == resource.RLIM_INFINITY or soft > cap:
         resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def column(image, row):
+    """The packed column of a cell's image at the domain key with offset row `row`."""
+    col = 0
+    for s, v in image:
+        col |= v << row[s]
+    return col
 
 
 class TimeLimitExceeded(BaseException):

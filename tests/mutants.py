@@ -157,6 +157,18 @@ MUTANTS = (
      "if coord not in pivots:",
      "if coord - 1 not in pivots:",
      f"{ECHELON}::test_one_pass_dims_match_per_radius_definition"),
+    # a cleared column does not advance the coordinate: every later column
+    # is tested against, and recorded at, the coordinate of an earlier one
+    ("src/mf2/cohomwin.py",
+     "                yield col\n            coord -= 1\n",
+     "                yield col\n                coord -= 1\n",
+     f"{ECHELON}::test_cleared_solve_matches_cell_major_elimination"),
+    # the witness reads a combination slot's cell in the reversed order the
+    # images are entered in: d(g) misses f and HomotopyWitness refuses g
+    ("src/mf2/cohomwin.py",
+     "gterms[cell][out[b]] = c",
+     "gterms[cells - 1 - cell][out[b]] = c",
+     f"{ECHELON}::test_cleared_solve_matches_cell_major_elimination"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",
      "for a in range(1, order)",

@@ -457,6 +457,33 @@ def test_bug_in_a_battery_set_up_is_one_error_check(monkeypatch, capsys):
     assert blocks[1].rstrip().endswith("TypeError: broken set-up")
 
 
+def test_bug_in_the_suite_context_is_one_error_check(monkeypatch, capsys):
+    """A bug in run_suite's own Rp2Context build over GF(2) reports one
+    ERROR check, rp2_context, in place of the 16 checks that need it; the
+    A-series corpus and the GF(4) certification build their own contexts
+    and still run and print."""
+    real = paperlab.Rp2Context
+
+    def broken(spec=None):
+        if spec is None or spec.k == 1:
+            raise TypeError("broken context")
+        return real(spec)
+
+    monkeypatch.setattr(paperlab, "Rp2Context", broken)
+    code, out, err = run(capsys, ["suite", "--seed", "9"])
+    assert code == 3
+    lines = SUITE_SEED_9.splitlines()
+    assert lines[16].startswith("PASS an_q_factorization")
+    lines[:16] = ["ERROR rp2_context TypeError: broken context"]
+    lines[-1] = "15/16 checks passed (seed 9)"
+    assert out == "\n".join(lines) + "\n"
+    blocks = err.split("error: internal: ")
+    assert blocks[0] == "" and len(blocks) == 2
+    assert blocks[1].startswith("TypeError: broken context\nTraceback")
+    assert "in _rp2_battery" in blocks[1]
+    assert blocks[1].rstrip().endswith("TypeError: broken context")
+
+
 def test_failed_suite_check_exits_1(monkeypatch, capsys):
     failed = Report((Check("an_forced", False, "forced failure"),))
     monkeypatch.setattr(paperlab, "an_corpus", lambda n: failed)

@@ -17,9 +17,10 @@ import time
 
 import pytest
 
+from conftest import column
+
 from mf2.cohomwin import (
     Window,
-    _column,
     _delta_columns,
     certify_at_point,
     cohomology_dims,
@@ -95,7 +96,7 @@ def delta_columns(src, tgt, win_in, win_out):
     domain = [(pack(e), cell) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
     out_block = {pack(e): b for b, e in enumerate(win_out.monomials())}
     images, offsets = _delta_columns(src, tgt, domain, out_block)
-    return [_column(images[cell], offsets[e]) for e, cell in domain]
+    return [column(images[cell], offsets[e]) for e, cell in domain]
 
 
 def test_delta_matrix_small_oracle():
@@ -169,6 +170,41 @@ def test_cleared_columns_are_never_inserted(monkeypatch, d_max, inserts):
     assert cohomology_dims(x, x, d_max) == {d: 3 for d in range(1, d_max + 1)}
     assert len(consumed) == inserts
     assert [ech.count for ech in echelons] == [inserts]
+
+
+@pytest.mark.parametrize("radius, inserts", [(1, 115), (2, 279), (3, 507)])
+def test_solve_exactness_skips_cleared_columns(monkeypatch, radius, inserts):
+    """Of the 16 * (2*radius + 1)^2 columns (144, 400, 784), the solve
+    builds and inserts only those whose output coordinate is not yet a
+    pivot, whether or not f is exact.  Counted are the vectors insert_all
+    reads, and the echelon's own count agrees."""
+    consumed, echelons = [], []
+    insert_all = Echelon.insert_all
+
+    def counting(self, vectors):
+        echelons.append(self)
+        return insert_all(self, (consumed.append(v) or v for v in vectors))
+
+    monkeypatch.setattr(Echelon, "insert_all", counting)
+    x = rp2()
+    ident = RingMatrix.identity(L2, 4)
+    for f, exact in ((ident, False), (ident.scale(x.w.partial("x")), True)):
+        consumed.clear()
+        echelons.clear()
+        wit = solve_exactness(Morphism(x, x, f), Window.symmetric(L2, radius))
+        assert (wit is not None) == exact
+        assert len(consumed) == inserts
+        assert [ech.count for ech in echelons] == [inserts]
+
+
+def test_solve_exactness_on_an_empty_window():
+    """An empty window holds only g = 0, which solves f = 0 alone."""
+    x = rp2()
+    empty = Window(L2, ((1, 0), (0, 0)))
+    assert empty.size == 0
+    wit = solve_exactness(Morphism(x, x, RingMatrix.zeros(L2, 4, 4)), empty)
+    assert wit is not None and wit.g.is_zero()
+    assert solve_exactness(Morphism(x, x, RingMatrix.identity(L2, 4)), empty) is None
 
 
 def test_solve_exactness_round_trip():

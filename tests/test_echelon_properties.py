@@ -3,7 +3,8 @@
 The oracles are the dense routines the packed Echelon replaced: list-of-
 lists Gauss-Jordan elimination with one field multiplication per cell,
 the per-radius window definition of h_d, the fully reduced echelon of the
-point certificate, and the incremental minimal-polynomial loop.  Each
+point certificate, the incremental minimal-polynomial loop, and the
+exactness solve that inserted every column, cell-major, before it cleared.  Each
 fast path must reproduce them exactly, not just up to a change of basis.
 The per-radius definition, the solvability of tracked `reduce` and the
 kernel and image dimensions of the point certificate take their ranks
@@ -21,10 +22,18 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from mf2.cohomwin import Window, _column, _delta_columns, certify_at_point, cohomology_dims
+from conftest import column
+
+from mf2.cohomwin import (
+    Window,
+    _delta_columns,
+    certify_at_point,
+    cohomology_dims,
+    solve_exactness,
+)
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import minimal_polynomial
-from mf2.mfcore import UngradedMF, parse_mf_text
+from mf2.mfcore import Morphism, UngradedMF, parse_mf_text
 from mf2.ringmat import (
     Echelon,
     _column_echelon,
@@ -510,7 +519,7 @@ def test_packed_columns_match_dense_products(case, radius, data):
     pack = src.ring.pack
     domain = [(pack(e), cell) for cell in range(cells) for e in win_in.monomials()]
     images, offsets = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(mons_out)})
-    cols = [_column(images[cell], offsets[e]) for e, cell in domain]
+    cols = [column(images[cell], offsets[e]) for e, cell in domain]
     dense = delta_as_field_matrix(src, tgt, win_in, win_out)
     ech = Echelon(src.ring.field)
     assert len(cols) == dense.cols
@@ -538,6 +547,111 @@ def test_delta_columns_reject_a_window_one_step_too_small(k):
             small = Window(mf.ring, tuple(map(tuple, bounds)))
             with pytest.raises(ValueError, match="window overflow"):
                 _delta_columns(mf, mf, domain, {pack(e): b for b, e in enumerate(small.monomials())})
+
+
+# -- exactness witnesses against the cell-major elimination --------------------------
+
+
+def uncleared_witness(f, window, reverse):
+    """The witness g with d(g) = f of a full elimination, or None: every
+    column goes into one tracked Echelon, and g is read from the
+    combination that reduces f to zero.  Cell-major over the window's keys
+    with output blocks in window order, as solve_exactness ran before it
+    cleared; or, with `reverse`, in the exact reverse of the cleared
+    solve's output numbering (the window's keys last, reversed)."""
+    src, tgt = f.source, f.target
+    ring = src.ring
+    cells = tgt.size * src.size
+    win_out = window.expanded(src.q.support_hull()).union(window.expanded(tgt.q.support_hull()))
+    win_out = win_out.union(Window(ring, tuple(f.f.support_hull())))
+    keys = window.keys()
+    out = win_out.keys()
+    if reverse:
+        out = [e for e in out if e not in set(keys)] + keys[::-1]
+        domain = [(e, cell) for e in keys for cell in reversed(range(cells))]
+    else:
+        domain = [(e, cell) for cell in range(cells) for e in keys]
+    block = {e: b for b, e in enumerate(out)}
+    images, offsets = _delta_columns(src, tgt, domain, block)
+    ech = Echelon(ring.field, len(block) * cells)
+    ech.insert_all(column(images[cell], offsets[e]) for e, cell in domain)
+    rest, comb = ech.reduce(sum(c << ech.k * (block[key] * cells + cell)
+                                for cell, entry in enumerate(f.f.entries)
+                                for key, c in entry.packed.items()))
+    if rest:
+        return None
+    gterms = [{} for _ in range(cells)]
+    for (e, cell), c in zip(domain, ech.unpack(comb, len(domain))):
+        if c:
+            gterms[cell][e] = c
+    return RingMatrix(ring, tgt.size, src.size, [RingPoly._raw(ring, t) for t in gterms])
+
+
+@st.composite
+def boxes(draw, ring):
+    """A window of one to three exponents per variable, not centred at 0."""
+    bounds = []
+    for laurent in ring.laurent:
+        lo = draw(st.integers(-2 if laurent else 0, 1))
+        bounds.append((lo, draw(st.integers(lo, lo + 2))))
+    return Window(ring, tuple(bounds))
+
+
+def random_matrix_in(window, rows, cols, data):
+    """Up to three terms per entry, with exponents inside the window."""
+    ring = window.ring
+    monomial = st.sampled_from(window.monomials())
+    coeff = st.integers(1, ring.field.order - 1)
+    return RingMatrix(ring, rows, cols, [
+        RingPoly(ring, data.draw(st.dictionaries(monomial, coeff, max_size=3)))
+        for _ in range(rows * cols)
+    ])
+
+
+# (source, target, k); rp2 -> double_rp2 is a hom space between different sizes
+SOLVE_CASES = (
+    ("rp2", "rp2", 1), ("rp2", "rp2", 2), ("rp2", "rp2", 3), ("an_q_1", "an_q_1", 1),
+    ("an_q_2", "an_q_2", 2), ("an_r_2", "an_r_2", 3), ("rp2", "double_rp2", 2),
+)
+
+
+@pytest.mark.parametrize("case", SOLVE_CASES, ids=["-".join(map(str, c)) for c in SOLVE_CASES])
+@settings(max_examples=25, report_multiple_bugs=False)
+@given(st.sampled_from(("inside", "beyond", "random", "jacobian", "identity")), st.data())
+def test_cleared_solve_matches_cell_major_elimination(case, kind, data):
+    """solve_exactness answers None exactly when the cell-major elimination
+    does, its witness g satisfies d(g) = f, and g is the witness of the
+    full elimination in its own column order.  f is d(g0) for g0 inside
+    the window (exact) or one step beyond it, random terms, a Jacobian
+    multiple of Id or Id itself, on a window that need not be symmetric."""
+    src_name, tgt_name, k = case
+    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
+    tgt = src if tgt_name == src_name else random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
+    ring = src.ring
+    window = data.draw(boxes(ring))
+    shape = (tgt.size, src.size)
+    if kind in ("jacobian", "identity") and src is tgt:
+        f = RingMatrix.identity(ring, src.size)
+        if kind == "jacobian":
+            f = f.scale(src.w.partial(data.draw(st.integers(0, ring.nvars - 1))))
+    elif kind == "random":
+        f = random_matrix_in(window, *shape, data)
+    else:
+        grown = window if kind == "inside" else Window(ring, tuple(
+            (max(lo - 1, 0) if not laurent else lo - 1, hi + 1)
+            for (lo, hi), laurent in zip(window.bounds, ring.laurent)))
+        f = Morphism(src, tgt, random_matrix_in(grown, *shape, data)).differential().f
+    morphism = Morphism(src, tgt, f)
+    want = uncleared_witness(morphism, window, reverse=False)
+    got = solve_exactness(morphism, window)
+    assert (got is None) == (want is None)
+    if kind == "inside":
+        assert got is not None
+    if got is not None:
+        assert Morphism(src, tgt, got.g).differential().f == f
+        assert Morphism(src, tgt, want).differential().f == f
+        # the cleared columns are free variables of the reverse order
+        assert got.g == uncleared_witness(morphism, window, reverse=True)
 
 
 # -- point certificates ------------------------------------------------------------------

@@ -12,6 +12,9 @@ remainder is zero exactly when the divisor divides.
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,3 +90,23 @@ def test_exact_divide_matches_sympy_division(data):
         assert got is None
     else:
         assert got == from_sympy(q, ring, [a - b for a, b in zip(sp, sd)])
+
+
+def test_exact_divide_of_a_large_sparse_product_matches_sympy():
+    """A quotient of 2,000 random terms, scattered over a 121 x 61 box,
+    times a three-term divisor: exact division returns it, sympy agrees,
+    and one more term makes both refuse."""
+    rng = random.Random(2000)
+    ring = RingDescriptor(GF2, ("x", "y"), (True, False))
+    box = list(itertools.product(range(-60, 61), range(61)))
+    q = RingPoly(ring, dict.fromkeys(rng.sample(box, 2000), 1))
+    d = RingPoly(ring, {(0, 0): 1, (1, 1): 1, (-1, 2): 1})
+    p = q * d
+    assert exact_divide(p, d) == q
+    sp, sd = content_shift(p), content_shift(d)
+    quotient, rest = to_sympy(p, sp).div(to_sympy(d, sd))
+    assert rest.is_zero
+    assert from_sympy(quotient, ring, [a - b for a, b in zip(sp, sd)]) == q
+    bumped = p + RingPoly(ring, {(61, 61): 1})
+    assert exact_divide(bumped, d) is None
+    assert not to_sympy(bumped, content_shift(bumped)).div(to_sympy(d, sd))[1].is_zero
