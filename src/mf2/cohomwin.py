@@ -24,14 +24,18 @@ output window by packed key; a window's keys are sums of one term per
 lane (RingDescriptor.box_keys), and a domain column is a (packed key,
 cell) pair.  The image of one domain cell is one small int per shift s,
 with every output cell in its own slot, so terms that meet at one cell
-and shift cancel there.  The builder gives each distinct shift an index
-and each domain key e one offset row, the bit offset of the block of
-e + s per shift index; a key whose shifts leave the output window
-raises while the rows are built, before any column.  The column of
-(x^e, cell) is then one loop over the cell's (shift index, small int)
-pairs, each int shifted by its offset and ORed in: one big shift per
-distinct shift, with no key addition or dict lookup, and only when the
-column is asked for.  Point certificates use the same slot layout.
+and shift cancel there.  One builder, _cell_images, makes these images
+from the entries of Q_X and Q_Y as {shift key: coefficient} dicts.
+Point certificates pass it the specialized entries, each a polynomial
+of one shift, so their columns are the same cell images, and a class is
+closed at the point when its entries weight those columns to zero.
+_delta_columns gives each distinct shift an index and each domain key e
+one offset row, the bit offset of the block of e + s per shift index; a
+key whose shifts leave the output window raises while the rows are
+built, before any column.  The column of (x^e, cell) is then one loop
+over the cell's (shift index, small int) pairs, each int shifted by its
+offset and ORed in: one big shift per distinct shift, with no key
+addition or dict lookup, and only when the column is asked for.
 
 All h_1..h_dmax come from one elimination over B_{dmax+1}, in the
 manner of persistence reduction (Zomorodian & Carlsson, "Computing
@@ -169,6 +173,29 @@ class Window(Immutable):
         ))
 
 
+def _cell_images(qs: Sequence[dict[int, int]], qt: Sequence[dict[int, int]],
+                 m: int, n: int, k: int) -> list[dict[int, int]]:
+    """The image d(E_ij) = Q_Y E_ij + E_ij Q_X of each cell i*n + j of
+    Hom(X, Y), m = Y.size and n = X.size, from the row-major entries of Q_X
+    (qs) and Q_Y (qt) as {shift key: coefficient} dicts over GF(2^k).  A
+    cell's image maps each shift key to one small int that holds the
+    coefficient of E_rc in slot k*(r*n + c)."""
+    images = []
+    for i in range(m):
+        for j in range(n):
+            # sum_r qt[r, i] E_rj + sum_c qs[j, c] E_ic: the two sums meet
+            # only at cell i*n + j, where terms of one shift cancel
+            acc: dict[int, int] = {}
+            for r in range(m):
+                for s, c in qt[r * m + i].items():
+                    acc[s] = acc.get(s, 0) ^ c << (k * (r * n + j))
+            for col in range(n):
+                for s, c in qs[j * n + col].items():
+                    acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))
+            images.append(acc)
+    return images
+
+
 def _delta_columns(src: UngradedMF, tgt: UngradedMF,
                    domain: Sequence[tuple[int, int]],
                    out_block: dict[int, int]) -> tuple[list[list[tuple[int, int]]], dict[int, list[int]]]:
@@ -188,24 +215,11 @@ def _delta_columns(src: UngradedMF, tgt: UngradedMF,
     as both window passes do."""
     m, n = tgt.size, src.size
     k, one = src.ring.field.k, src.ring.one_key
-    qs = [e.packed for e in src.q.entries]
-    qt = [e.packed for e in tgt.q.entries]
-    # d(E_ij x^e) = sum_r qt[r, i] x^e E_rj + sum_c qs[j, c] x^e E_ic: per
-    # shift key s, one small int holds every output cell (slot k*cell).
-    # The two sums meet only at cell i*n + j, where terms of one shift cancel
+    # d(E_ij x^e) is x^e d(E_ij): the entries' packed keys are the shifts
     shift_index: dict[int, int] = {}
-    images = []
-    for i in range(m):
-        for j in range(n):
-            acc: dict[int, int] = {}
-            for r in range(m):
-                for s, c in qt[r * m + i].items():
-                    acc[s] = acc.get(s, 0) ^ c << (k * (r * n + j))
-            for col in range(n):
-                for s, c in qs[j * n + col].items():
-                    acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))
-            images.append([(shift_index.setdefault(s, len(shift_index)), v)
-                           for s, v in acc.items() if v])
+    images = [[(shift_index.setdefault(s, len(shift_index)), v) for s, v in image.items() if v]
+              for image in _cell_images([e.packed for e in src.q.entries],
+                                        [e.packed for e in tgt.q.entries], m, n, k)]
     # x^e shifted by s has key e + s - one; out_block is a bijection, so the
     # shifted images of one column are disjoint and OR adds them
     shifts = [s - one for s in shift_index]
@@ -374,21 +388,13 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
     qs = specialize(src.q, point)
     qt = specialize(tgt.q, point)
     spec = qs.spec
-    k = spec.k
     m, n = tgt.size, src.size
     ncols = m * n
-
-    def column(r: int, c: int) -> int:
-        """d(E_rc) = qt E_rc + E_rc qs, the coefficient of E_ij in slot i*n + j."""
-        col = 0
-        for i in range(m):
-            col ^= qt.at(i, r) << k * (i * n + c)
-        for j in range(n):
-            col ^= qs.at(c, j) << k * (r * n + j)
-        return col
-
+    # a specialized entry is a polynomial of the one shift 0
+    columns = [by_shift[0] for by_shift in
+               _cell_images([{0: v} for v in qs.entries], [{0: v} for v in qt.entries], m, n, spec.k)]
     image = Echelon(spec, ncols)
-    relations = image.insert_all(column(r, c) for r in range(m) for c in range(n))
+    relations = image.insert_all(columns)
     image_dim = len(image.rows)
     # kernel vectors modulo the image span the local cohomology; a class's
     # coordinates are its normal form read at that span's pivots
@@ -400,7 +406,10 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
         fp = specialize(cls, point)
         if (fp.rows, fp.cols) != (m, n):
             raise ValueError("class shape does not match the hom space")
-        if any((qt * fp + fp * qs).entries):
+        d_cls = 0  # d(cls) = sum of cls[cell] * d(E_cell)
+        for column, c in zip(columns, fp.entries):
+            d_cls ^= image.scale(column, c)
+        if d_cls:
             raise ValueError("class is not closed at the point")
         red, _ = image.reduce(image.pack(fp.entries))
         if local.reduce(red)[0]:

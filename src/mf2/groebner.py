@@ -324,9 +324,9 @@ def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
     power = FieldMatrix.identity(spec, n)
     degree = 0
     while True:
-        pivot, comb = ech.insert(ech.pack(power.entries))
-        if pivot is None:
-            coeffs = ech.unpack(comb, degree + 1)
+        relations = ech.insert_all((ech.pack(power.entries),))
+        if relations:
+            coeffs = ech.unpack(relations[0], degree + 1)
             return RingPoly(uni, {(d,): c for d, c in enumerate(coeffs) if c})
         power = power * m
         degree += 1

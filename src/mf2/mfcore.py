@@ -30,7 +30,7 @@ import re
 from typing import Iterable, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
-from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2, commutator,
+from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2,
                       matrix_partial, specialize)
 from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, grevlex_key
 
@@ -272,7 +272,7 @@ class FieldHomotopy(Immutable):
     __slots__ = ("q", "h")
 
     def __init__(self, q: FieldMatrix, h: FieldMatrix):
-        if commutator(q, h) != FieldMatrix.identity(q.spec, q.rows):
+        if q * h + h * q != FieldMatrix.identity(q.spec, q.rows):
             raise ValueError("contraction identity Q h + h Q = Id failed")
         super().__init__(q, h)
 

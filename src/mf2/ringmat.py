@@ -8,10 +8,13 @@ two operands' rings once and builds its result without checking each
 entry again.  A product, or a sum of products such as the commutator
 ab + ba, keeps one accumulator per output entry across every product and
 inner index and fills it with ringpoly's multiply-accumulate kernel.
-FieldMatrix holds serialized field values.  Rank runs through
-Echelon, one elimination kernel for every GF(2^k) that packs a whole
-vector into one int (a bitset when k = 1), with one elimination loop,
-Echelon.insert_all, that keeps new pivots in insertion order.
+FieldMatrix holds serialized field values; its product applies the left
+factor to each column of the right one.  Rank runs through Echelon, one
+elimination kernel for every GF(2^k) that packs a whole vector into one
+int (a bitset when k = 1), with two operations: one elimination loop,
+Echelon.insert_all, that keeps new pivots in insertion order and returns
+the relation of each dependent vector, and Echelon.reduce, the normal
+form of a vector and the combination that reaches it.
 """
 
 from __future__ import annotations
@@ -177,11 +180,9 @@ _set_ring, _set_rows, _set_cols, _set_entries = (
     getattr(RingMatrix, name).__set__ for name in RingMatrix.__slots__)
 
 
-def commutator(a: RingMatrix | FieldMatrix, b: RingMatrix | FieldMatrix) -> RingMatrix | FieldMatrix:
+def commutator(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     """[a, b] = ab + ba, which in characteristic 2 is also the anticommutator."""
-    if isinstance(a, RingMatrix):
-        return RingMatrix._sum_of_products(((a, b), (b, a)))
-    return a * b + b * a
+    return RingMatrix._sum_of_products(((a, b), (b, a)))
 
 
 def block2(a: RingMatrix, b: RingMatrix, c: RingMatrix, d: RingMatrix) -> RingMatrix:
@@ -286,37 +287,22 @@ class FieldMatrix(Immutable):
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        mul = self.spec.mul
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    if r[k]:
-                        acc ^= mul(r[k], other.at(k, j))
-                out.append(acc)
-        return FieldMatrix(self.spec, self.rows, other.cols, out)
+        columns = [self.apply(other.entries[j::other.cols]) for j in range(other.cols)]
+        return FieldMatrix(self.spec, self.rows, other.cols, [v for row in zip(*columns) for v in row])
 
     def apply(self, vec: Sequence[int]) -> list[int]:
+        """The product with vec as a column, the one product loop: the sum
+        of column j of self times vec[j] over the nonzero vec[j]."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         mul = self.spec.mul
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            acc = 0
-            for k in range(self.cols):
-                if r[k] and vec[k]:
-                    acc ^= mul(r[k], vec[k])
-            out.append(acc)
+        out = [0] * self.rows
+        for j, b in enumerate(vec):
+            if b:
+                for i, a in enumerate(self.entries[j::self.cols]):
+                    if a:
+                        out[i] ^= mul(a, b)
         return out
-
-    def __str__(self) -> str:
-        return "; ".join(
-            ", ".join(str(self.at(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
 
 
 # -- elimination ---------------------------------------------------------------
@@ -339,10 +325,11 @@ class FieldMatrix(Immutable):
 class Echelon:
     """Incremental lowest-index echelon form of packed GF(2^k) vectors.
 
-    `insert_all` is the one elimination loop (`insert` is its one-vector
-    case): it reduces each vector by the pivot rows and keeps a nonzero
-    remainder, scaled to be monic, as the row of a new pivot, which `rows`
-    appends before the next vector is read.
+    It has two operations.  `insert_all` is the one elimination loop: it
+    reduces each vector by the pivot rows and keeps a nonzero remainder,
+    scaled to be monic, as the row of a new pivot, which `rows` appends
+    before the next vector is read.  `reduce` gives a vector's normal form
+    and changes nothing.
 
     With `width` set (None means untracked), a vector has at most `width`
     slots, and every row also carries the combination of inserted vectors
@@ -401,35 +388,6 @@ class Echelon:
     def _too_wide(self) -> ValueError:
         return ValueError(f"vector has a slot at or beyond the tracked width {self.width}")
 
-    def _reduce(self, v: int) -> int:
-        """Eliminate every pivot from v's vector part, from the bottom up,
-        keeping the non-pivot slots."""
-        rows, k, vector = self.rows, self.k, self._vector_mask
-        scale, mask = self.scale, self._mask
-        kept = 0
-        while v & vector:
-            p = ((v & -v).bit_length() - 1) // k
-            row = rows.get(p)
-            if row is not None:
-                v ^= scale(row, (v >> (k * p)) & mask)
-            else:
-                slot = v & (mask << (k * p))
-                kept |= slot
-                v ^= slot
-        return kept | v
-
-    def insert(self, v: int) -> tuple[Optional[int], int]:
-        """Reduce v and keep the remainder as a new pivot row.
-
-        Returns (pivot, comb): the new pivot index and the combination
-        equal to its row, or (None, relation) when v lies in the span.
-        comb is 0 unless tracking."""
-        relations = self.insert_all((v,))
-        if relations:
-            return None, relations[0]
-        p = next(reversed(self.rows))  # the newest pivot
-        return p, 0 if self._offset is None else self.rows[p] >> self._offset
-
     def insert_all(self, vectors: Iterable[int]) -> list[int]:
         """Insert in order, reading `vectors` one at a time; returns the
         relations of the dependent vectors."""
@@ -472,19 +430,24 @@ class Echelon:
 
     def reduce(self, v: int) -> tuple[int, int]:
         """(r, comb): the normal form r of v, zero at every pivot, and the
-        combination of inserted vectors equal to v - r (0 unless tracking)."""
-        offset = self._offset
-        if offset is None:
-            return self._reduce(v), 0
-        if v >> offset:
+        combination of inserted vectors equal to v - r (0 unless tracking).
+        Pivots are eliminated from the bottom up; the other slots are kept."""
+        offset, vector = self._offset, self._vector_mask
+        if offset is not None and v >> offset:
             raise self._too_wide()
-        v = self._reduce(v)
-        return v & self._vector_mask, v >> offset
-
-    def reduced_row(self, p: int) -> int:
-        """The row of pivot p in reduced echelon form (zero at the other pivots)."""
-        unit = 1 << (self.k * p)
-        return unit ^ self.reduce((self.rows[p] & self._vector_mask) ^ unit)[0]
+        rows, k, scale, mask = self.rows, self.k, self.scale, self._mask
+        kept = 0
+        while v & vector:
+            p = ((v & -v).bit_length() - 1) // k
+            row = rows.get(p)
+            if row is not None:
+                v ^= scale(row, (v >> (k * p)) & mask)
+            else:
+                slot = v & (mask << (k * p))
+                kept |= slot
+                v ^= slot
+        # untracked, v is 0 here; tracked, v holds the combination alone
+        return kept, 0 if offset is None else v >> offset
 
 
 def _column_echelon(m: FieldMatrix, track: bool = False) -> Echelon:
@@ -519,7 +482,10 @@ def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[
     ech, width = Echelon(spec), len(rows[0]) if rows else 0
     ech.insert_all(ech.pack(row) for row in rows)
     pivots = sorted(ech.rows)
-    red = [ech.unpack(ech.reduced_row(p), width) for p in pivots]
+    red = []
+    for p in pivots:  # the row of p with every other pivot eliminated
+        unit = 1 << (ech.k * p)
+        red.append(ech.unpack(unit ^ ech.reduce(ech.rows[p] ^ unit)[0], width))
     return red + [[0] * width for _ in range(len(rows) - len(red))], pivots
 
 

@@ -57,7 +57,7 @@ MUTANTS = (
     ("src/mf2/ringmat.py",
      "if c != 1:  # the new row is made monic",
      "if c > 2:",
-     f"{ECHELON}::test_insert_scales_a_new_row_to_be_monic"),
+     f"{ECHELON}::test_insert_all_scales_a_new_row_to_be_monic"),
     # the GF(2) bitset loop stores v at an occupied pivot in place of
     # adding the pivot row: the earlier row is lost and the rank drops
     ("src/mf2/ringmat.py",
@@ -174,21 +174,23 @@ MUTANTS = (
      "for a in range(1, order)",
      "for a in range(2, order + 1)",
      "tests/test_gf2k.py::test_table_inverse_matches_fermat_for_every_irreducible_modulus"),
-    # the point certificate lays E_ij out column-major: ranks survive the
-    # permutation, but a coboundary no longer reduces to zero
+    # the cell images lay E_rc out column-major: the point certificate's
+    # ranks survive the permutation, but a coboundary no longer reduces to zero
     ("src/mf2/cohomwin.py",
-     "col ^= qt.at(i, r) << k * (i * n + c)\n"
-     "        for j in range(n):\n"
-     "            col ^= qs.at(c, j) << k * (r * n + j)",
-     "col ^= qt.at(i, r) << k * (c * m + i)\n"
-     "        for j in range(n):\n"
-     "            col ^= qs.at(c, j) << k * (j * m + r)",
+     "acc[s] = acc.get(s, 0) ^ c << (k * (r * n + j))\n"
+     "            for col in range(n):\n"
+     "                for s, c in qs[j * n + col].items():\n"
+     "                    acc[s] = acc.get(s, 0) ^ c << (k * (i * n + col))",
+     "acc[s] = acc.get(s, 0) ^ c << (k * (j * m + r))\n"
+     "            for col in range(n):\n"
+     "                for s, c in qs[j * n + col].items():\n"
+     "                    acc[s] = acc.get(s, 0) ^ c << (k * (col * m + i))",
      f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
-    # the point certificate's row stride is tgt.size where it is src.size:
-    # only a hom space between different sizes shows it
+    # the cell images' row stride is tgt.size where it is src.size: only a
+    # hom space between different sizes shows it
     ("src/mf2/cohomwin.py",
-     "col ^= qt.at(i, r) << k * (i * n + c)",
-     "col ^= qt.at(i, r) << k * (i * m + c)",
+     "c << (k * (r * n + j))",
+     "c << (k * (r * m + j))",
      f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
     # the sum-of-products kernel drops every pair after the first: zip stops
     # at the first pair's inner index, so ab + cd becomes ab
@@ -203,6 +205,12 @@ MUTANTS = (
      "                raise ValueError(\"reduction needs a closed endomorphism\") from None\n",
      "",
      "tests/test_paperlab.py::test_reduce_rejects_non_closed"),
+    # the field product loop reads column j of a non-square matrix with the
+    # row count as stride
+    ("src/mf2/ringmat.py",
+     "self.entries[j::self.cols]",
+     "self.entries[j::self.rows]",
+     f"{ECHELON}::test_field_matrix_product_matches_the_inner_index_sum"),
     # the tracked combination starts one slot short, inside the vector's last slot
     ("src/mf2/ringmat.py",
      "else spec.k * width",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import time
+from importlib.resources import files
 
 import pytest
 
@@ -28,7 +29,7 @@ from mf2.cohomwin import (
     solve_exactness,
 )
 from mf2.gf2k import GF2, FieldSpec, default_spec
-from mf2.mfcore import Morphism, UngradedMF, contract_at_noncritical
+from mf2.mfcore import HomotopyWitness, Morphism, UngradedMF, contract_at_noncritical, parse_mf_text
 from mf2.ringmat import Echelon, RingMatrix, parse_matrix
 from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 
@@ -242,12 +243,30 @@ def test_solve_exactness_matches_closed_form_witness():
     assert x.q * wit.g + wit.g * x.q == f.f
 
 
+@pytest.mark.parametrize("field", ["2^1 modulus 11", "2^2 modulus 111"])
+def test_double_rp2_identity_has_a_null_homotopy_at_radius_one(field):
+    """A second route to h_d(double_rp2) = 0, beside the rank pass: the
+    identity of double_rp2 is exact with a witness inside the radius-1
+    window, over GF(2) and over GF(4), and with none inside radius 0.  The
+    witness is checked symbolically, d(g) = Id through Morphism.differential."""
+    text = (files("mf2") / "fixtures" / "double_rp2.mf").read_text()
+    mff = parse_mf_text(text.replace("field: 2^1 modulus 11", f"field: {field}", 1))
+    x = UngradedMF(mff.w, mff.q)
+    assert f"2^{x.ring.field.k}" == field.split()[0]
+    ident = Morphism(x, x, RingMatrix.identity(x.ring, x.size))
+    assert solve_exactness(ident, Window.symmetric(x.ring, 0)) is None
+    wit = solve_exactness(ident, Window.symmetric(x.ring, 1))
+    assert isinstance(wit, HomotopyWitness)
+    assert Morphism(x, x, wit.g).differential().f == ident.f
+
+
 def test_column_limit_refuses_before_listing_any_monomial(monkeypatch):
     # radius 131: 263^2 = 69169 domain monomials pass the window limit,
     # but 16 cells make 1106704 columns, above 2^20
     x = rp2()
     listed = []
     monkeypatch.setattr(Window, "monomials", lambda self: listed.append(self) or [])
+    monkeypatch.setattr(Window, "keys", lambda self: listed.append(self) or [])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="differential has 1106704 columns, above the limit of 1048576"):
         cohomology_dims(x, x, 130)

@@ -259,6 +259,27 @@ def test_rank_and_kernel_match_dense_elimination(m):
 
 @PROPERTY
 @given(field_matrices(), st.data())
+def test_field_matrix_product_matches_the_inner_index_sum(a, data):
+    """The one product loop (apply, summed column by column of a over the
+    nonzero entries of a vector) against sum_k a[i, k] b[k, j], any shapes."""
+    spec = a.spec
+    cols = data.draw(st.integers(1, 6))
+    size = a.cols * cols
+    b = FieldMatrix(spec, a.cols, cols,
+                    data.draw(st.lists(st.integers(0, spec.order - 1), min_size=size, max_size=size)))
+    want = []
+    for i in range(a.rows):
+        for j in range(cols):
+            acc = 0
+            for k in range(a.cols):
+                acc ^= spec.mul(a.at(i, k), b.at(k, j))
+            want.append(acc)
+    assert list((a * b).entries) == want
+    assert a.apply(b.entries[::cols]) == want[::cols]
+
+
+@PROPERTY
+@given(field_matrices(), st.data())
 def test_solve_matches_dense_elimination(m, data):
     spec = m.spec
     elems = st.integers(0, spec.order - 1)
@@ -339,10 +360,11 @@ def test_insert_all_reads_lazily_and_appends_pivots_in_insertion_order(m, track)
 def test_tracked_echelon_refuses_a_vector_that_reaches_its_offset(spec):
     ech = Echelon(spec, 3)
     top = spec.order - 1
-    assert ech.insert(ech.pack([0, 0, top]))[0] == 2
+    assert ech.insert_all((ech.pack([0, 0, top]),)) == []
+    assert list(ech.rows) == [2]
     for v in (ech.pack([0, 0, 0, 1]), ech.pack([1, 0, 0, top]), 1 << (5 * spec.k)):
         with pytest.raises(ValueError, match="tracked width"):
-            ech.insert(v)
+            ech.insert_all((v,))
         with pytest.raises(ValueError, match="tracked width"):
             ech.reduce(v)
     assert ech.count == 1
@@ -366,11 +388,12 @@ def test_scale_is_slotwise_field_product(spec, data):
 
 @PROPERTY
 @given(st.sampled_from(FIELDS), st.data())
-def test_insert_scales_a_new_row_to_be_monic(spec, data):
+def test_insert_all_scales_a_new_row_to_be_monic(spec, data):
     n = data.draw(st.integers(1, 8))
     values = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n))
     ech = Echelon(spec)
-    pivot, _ = ech.insert(ech.pack(values))
+    relations = ech.insert_all((ech.pack(values),))
+    pivot = None if relations else next(iter(ech.rows))
     lead = next((v for v in values if v), None)
     if lead is None:
         assert pivot is None
