@@ -386,7 +386,7 @@ def certify_at_point(src: UngradedMF, tgt: UngradedMF,
     the local cohomology ker/im."""
     _check_hom(src, tgt)
     qs = specialize(src.q, point)
-    qt = specialize(tgt.q, point)
+    qt = qs if tgt is src else specialize(tgt.q, point)
     spec = qs.spec
     m, n = tgt.size, src.size
     ncols = m * n

@@ -259,18 +259,24 @@ def default_spec(k: int) -> FieldSpec:
 _EMBED_CACHE: dict[tuple[FieldSpec, FieldSpec], int] = {}
 
 
+def _evaluate_bits(bits: int, x: int, dst: FieldSpec) -> int:
+    """The GF(2)[t] polynomial whose coefficients are the bits of `bits`,
+    evaluated at the element x of dst."""
+    acc, p = 0, 1
+    while bits:
+        if bits & 1:
+            acc ^= p
+        bits >>= 1
+        p = dst.mul(p, x)
+    return acc
+
+
 def _embedding_root(src: FieldSpec, dst: FieldSpec) -> int:
     """Smallest root of src's modulus inside dst; defines the embedding."""
     key = (src, dst)
     if key not in _EMBED_CACHE:
-        mod_coeffs = [(src.modulus >> i) & 1 for i in range(src.k + 1)]
         for r in range(dst.order):
-            acc, p = 0, 1
-            for c in mod_coeffs:
-                if c:
-                    acc ^= p
-                p = dst.mul(p, r)
-            if acc == 0:
+            if not _evaluate_bits(src.modulus, r, dst):
                 _EMBED_CACHE[key] = r
                 break
         else:
@@ -285,10 +291,4 @@ def embed(value: int, src: FieldSpec, dst: FieldSpec) -> int:
     src.validate(value)
     if src.k == 1:
         return value
-    root = _embedding_root(src, dst)
-    acc, p = 0, 1
-    for i in range(src.k):
-        if (value >> i) & 1:
-            acc ^= p
-        p = dst.mul(p, root)
-    return acc
+    return _evaluate_bits(value, _embedding_root(src, dst), dst)

@@ -1,9 +1,12 @@
 """Groebner bases over GF(2^k) and Jacobian quotient rings.
 
 Buchberger's algorithm with the product criterion and full
-inter-reduction; term orders are grevlex, or an elimination order
-(block-lex between blocks, grevlex inside each block).  Sizes here are
-tiny, so clarity wins over pairing heuristics.
+inter-reduction.  A term order is a sort key on exponent tuples; there
+are two.  `quotient_order`, grevlex with later variables compared
+larger, orders every quotient ring.  The saturation below compares its
+auxiliary variable, the last, before `quotient_order` on the rest, which
+eliminates it.  Sizes here are tiny, so clarity wins over pairing
+heuristics.
 
 Division runs on the packed keys of ringpoly: a head is a monic
 polynomial with the packed key of its leading term; it divides a term
@@ -16,23 +19,23 @@ The Jacobian pipeline turns a (Laurent) potential into an honest
 polynomial ideal: partial derivatives are cleared of denominators by
 their monomial content, and when Laurent variables are present the
 ideal is saturated at the product of those variables with one auxiliary
-inverse variable and an elimination order.  The resulting quotient ring
-carries multiplication matrices, so classes of genuine Laurent
-monomials (negative exponents included) are computed by inverting the
-variable action.
+inverse variable, placed last, and the order eliminating it.  The
+resulting quotient ring carries multiplication matrices, so classes of
+genuine Laurent monomials (negative exponents included) are computed by
+inverting the variable action.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .gf2k import Immutable
 from .ringmat import Echelon, FieldMatrix, _column_echelon
 from .ringpoly import RingDescriptor, RingPoly, _mul_into, grevlex_key
 
 __all__ = [
-    "TermOrder",
+    "quotient_order",
     "buchberger",
     "normal_form",
     "laurent_jacobian_ideal",
@@ -43,48 +46,39 @@ __all__ = [
 ]
 
 
-class TermOrder(Immutable):
-    """Grevlex on the variables ranked by priority; block > 0 makes the
-    first `block` priority variables an elimination block, compared by
-    grevlex before the rest."""
+# A term order: a sort key on exponent tuples, larger key = larger term.
+Order = Callable[[Sequence[int]], tuple]
 
-    __slots__ = ("priority", "block")
 
-    def __init__(self, priority: tuple[int, ...], block: int = 0):
-        super().__init__(priority, block)
-        if sorted(self.priority) != list(range(len(self.priority))):
-            raise ValueError("priority must be a permutation of the variable indices")
-        if not 0 <= self.block <= len(self.priority):
-            raise ValueError("invalid block split")
+def quotient_order(exps: Sequence[int]) -> tuple:
+    """Grevlex with later variables compared larger, so earlier-listed ones
+    survive into staircases: the order of every quotient ring."""
+    return grevlex_key(exps[::-1])
 
-    def key(self, exps: Sequence[int]):
-        arranged = tuple(exps[p] for p in self.priority)
-        if self.block:
-            return grevlex_key(arranged[:self.block]), grevlex_key(arranged[self.block:])
-        return grevlex_key(arranged)
 
-    @classmethod
-    def eliminate_first(cls, nvars: int, block: int) -> "TermOrder":
-        return cls(tuple(range(nvars)), block)
+def _eliminate_last(exps: Sequence[int]) -> tuple:
+    """Block order eliminating the last variable: its exponent decides
+    before quotient_order on the others."""
+    return exps[-1], quotient_order(exps[:-1])
 
 
 # A monic polynomial with the packed key of its leading term, computed once.
 Head = tuple[int, RingPoly]
 
 
-def _monic_head(p: RingPoly, order: TermOrder) -> Head:
+def _monic_head(p: RingPoly, order: Order) -> Head:
     """The head (leading key, p / leading coefficient)."""
-    lt = max(p.packed, key=lambda key: order.key(p.ring.unpack(key)))
+    lt = max(p.packed, key=lambda key: order(p.ring.unpack(key)))
     if p.packed[lt] != 1:
         p = p.scale(p.ring.field.inv(p.packed[lt]))
     return lt, p
 
 
-def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
+def _reduce(p: RingPoly, heads: Sequence[Head], order: Order) -> RingPoly:
     """Remainder of full multivariate division of p by the polynomials of the heads."""
     ring = p.ring
     one, guard = ring.one_key, ring.guard
-    order_key = cache(lambda key: order.key(ring.unpack(key)))  # once per key, not per step
+    order_key = cache(lambda key: order(ring.unpack(key)))  # once per key, not per step
     rem: dict[int, int] = {}
     work = dict(p.packed)
     while work:
@@ -98,7 +92,7 @@ def _reduce(p: RingPoly, heads: Sequence[Head], order: TermOrder) -> RingPoly:
     return RingPoly._raw(ring, rem)
 
 
-def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: TermOrder) -> RingPoly:
+def normal_form(p: RingPoly, basis: Sequence[RingPoly], order: Order) -> RingPoly:
     """Remainder of full multivariate division of p by the basis."""
     return _reduce(p, [_monic_head(g, order) for g in basis if not g.is_zero()], order)
 
@@ -111,7 +105,7 @@ def _spoly(hf: Head, hg: Head) -> RingPoly:
     return RingPoly._raw(ring, _mul_into(acc, g.packed, {lcm - lg: 1}, ring))
 
 
-def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
+def buchberger(gens: Sequence[RingPoly], order: Order) -> list[RingPoly]:
     """The reduced Groebner basis of the ideal generated by gens."""
     heads = [_monic_head(g, order) for g in gens if not g.is_zero()]
     if not heads:
@@ -151,7 +145,7 @@ def buchberger(gens: Sequence[RingPoly], order: TermOrder) -> list[RingPoly]:
         r = _reduce(h[1], reduced[:idx] + reduced[idx + 1:], order)
         if not r.is_zero():
             final.append(_monic_head(r, order))
-    final.sort(key=lambda h: order.key(unpack(h[0])))
+    final.sort(key=lambda h: order(unpack(h[0])))
     return [h[1] for h in final]
 
 
@@ -172,7 +166,6 @@ class JacobianPresentation(Immutable):
         "ring",        # polynomial ring on the original variables
         "generators",  # tuple of RingPoly
         "laurent",     # which original variables are invertible
-        "order",       # TermOrder
     )
 
 
@@ -181,8 +174,8 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
 
     Partials are cleared of denominators; if any variable is Laurent the
     ideal is saturated at the product of the Laurent variables via one
-    auxiliary variable u (u * prod = 1) and an elimination order, keeping
-    the u-free part of the basis.
+    auxiliary last variable u (u * prod = 1) and an order eliminating it,
+    keeping the u-free part of the basis.  Every basis is in quotient_order.
     """
     ring = w.ring
     poly_ring = ring.polynomialized()
@@ -190,30 +183,27 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
     cleared = [
         _clear_monomial_content(p, poly_ring) for p in partials if not p.is_zero()
     ]
-    # later variables compare larger, so earlier-listed ones survive into staircases
-    order = TermOrder(tuple(reversed(range(ring.nvars))))
     if not cleared or not any(ring.laurent):
-        gens = buchberger(cleared, order) if cleared else []
-        return JacobianPresentation(poly_ring, tuple(gens), ring.laurent, order)
+        return JacobianPresentation(poly_ring, tuple(buchberger(cleared, quotient_order)),
+                                    ring.laurent)
     aux = "u"
     while aux in ring.vars:
         aux += "_"
-    ext_ring = RingDescriptor(ring.field, (aux,) + ring.vars, (False,) * (ring.nvars + 1))
+    ext_ring = RingDescriptor(ring.field, ring.vars + (aux,), (False,) * (ring.nvars + 1))
 
     def lift(p: RingPoly) -> RingPoly:
-        return RingPoly(ext_ring, {(0,) + e: c for e, c in p.terms.items()})
+        return RingPoly(ext_ring, {e + (0,): c for e, c in p.terms.items()})
 
-    prod_exps = (1,) + tuple(1 if f else 0 for f in ring.laurent)
+    prod_exps = tuple(1 if f else 0 for f in ring.laurent) + (1,)
     sat = RingPoly(ext_ring, {prod_exps: 1, (0,) * (ring.nvars + 1): 1})
-    ext_order = TermOrder.eliminate_first(ring.nvars + 1, 1)
-    gb = buchberger([lift(p) for p in cleared] + [sat], ext_order)
+    gb = buchberger([lift(p) for p in cleared] + [sat], _eliminate_last)
     kept = [
-        RingPoly(poly_ring, {e[1:]: c for e, c in g.terms.items()})
+        RingPoly(poly_ring, {e[:-1]: c for e, c in g.terms.items()})
         for g in gb
-        if all(e[0] == 0 for e in g.terms)
+        if all(e[-1] == 0 for e in g.terms)
     ]
-    gens = buchberger(kept, order)
-    return JacobianPresentation(poly_ring, tuple(gens), ring.laurent, order)
+    gens = buchberger(kept, quotient_order)
+    return JacobianPresentation(poly_ring, tuple(gens), ring.laurent)
 
 
 # -- quotient rings ---------------------------------------------------------------
@@ -227,7 +217,7 @@ def _coordinates(nf: RingPoly, index: dict[int, int]) -> list[int]:
     return vec
 
 
-def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head], order: TermOrder):
+def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head]):
     """The standard monomials of a finite quotient in term order and the
     matrix of each variable's action on them; (None, None) when infinite."""
     pack, guard = ring.pack, ring.guard
@@ -244,33 +234,33 @@ def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head], order: Te
         found.add(exps)
         for i in range(ring.nvars):
             frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
-    stair = tuple(sorted(found, key=order.key))
+    stair = tuple(sorted(found, key=quotient_order))
     index = {pack(e): i for i, e in enumerate(stair)}
     mats = []
     for v in range(ring.nvars):
         cols = [_coordinates(_reduce(RingPoly.monomial(ring, e[:v] + (e[v] + 1,) + e[v + 1:]),
-                                     heads, order), index) for e in stair]
+                                     heads, quotient_order), index) for e in stair]
         entries = [cols[j][i] for i in range(len(stair)) for j in range(len(stair))]
         mats.append(FieldMatrix(ring.field, len(stair), len(stair), entries))
     return stair, tuple(mats)
 
 
 class QuotientRing(Immutable):
-    """K[x_1..x_n]/I for a Groebner basis of I; finite quotients carry a
-    monomial staircase basis and multiplication matrices (both None when
-    the quotient is infinite dimensional).  heads holds the basis's monic
-    leading terms, derived once for every normal form."""
+    """K[x_1..x_n]/I for a Groebner basis of I in quotient_order; finite
+    quotients carry a monomial staircase basis and multiplication matrices
+    (both None when the quotient is infinite dimensional).  heads holds the
+    basis's monic leading terms, derived once for every normal form."""
 
-    __slots__ = ("ring", "basis", "heads", "order", "invertible", "staircase", "mult_matrices")
+    __slots__ = ("ring", "basis", "heads", "invertible", "staircase", "mult_matrices")
 
-    def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly], order: TermOrder,
+    def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly],
                  invertible: Optional[Sequence[bool]] = None):
         basis = tuple(basis)
-        heads = tuple(_monic_head(g, order) for g in basis if not g.is_zero())
+        heads = tuple(_monic_head(g, quotient_order) for g in basis if not g.is_zero())
         super().__init__(
-            ring, basis, heads, order,
+            ring, basis, heads,
             tuple(invertible) if invertible is not None else (False,) * ring.nvars,
-            *_staircase_and_action(ring, heads, order),
+            *_staircase_and_action(ring, heads),
         )
 
     @property
@@ -282,7 +272,7 @@ class QuotientRing(Immutable):
         if self.staircase is None:
             raise ValueError("quotient is infinite dimensional")
         index = {self.ring.pack(e): i for i, e in enumerate(self.staircase)}
-        return _coordinates(_reduce(p, self.heads, self.order), index)
+        return _coordinates(_reduce(p, self.heads, quotient_order), index)
 
     def laurent_monomial_class(self, exps: Sequence[int]) -> list[int]:
         """Class of x^exps, negative exponents resolved through the
@@ -307,7 +297,7 @@ class QuotientRing(Immutable):
 
 
 def quotient_ring(pres: JacobianPresentation) -> QuotientRing:
-    return QuotientRing(pres.ring, pres.generators, pres.order, pres.laurent)
+    return QuotientRing(pres.ring, pres.generators, pres.laurent)
 
 
 def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
@@ -319,14 +309,16 @@ def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
     n = m.rows
     if n == 0:
         return RingPoly.one(uni)
-    # vectorized powers enter the echelon until one depends on the ones before
+    # vectorized powers, column after column, enter the echelon until one
+    # depends on the ones before; a power is kept as its n columns
     ech = Echelon(spec, n * n)
-    power = FieldMatrix.identity(spec, n)
+    stride = spec.k * n
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
     degree = 0
     while True:
-        relations = ech.insert_all((ech.pack(power.entries),))
+        relations = ech.insert_all((sum(ech.pack(c) << (stride * j) for j, c in enumerate(cols)),))
         if relations:
             coeffs = ech.unpack(relations[0], degree + 1)
             return RingPoly(uni, {(d,): c for d, c in enumerate(coeffs) if c})
-        power = power * m
+        cols = [m.apply(c) for c in cols]
         degree += 1

@@ -135,6 +135,18 @@ MUTANTS = (
      "if not (lt - head) & guard:",
      "if not (lt - head):",
      "tests/test_groebner_oracle.py::test_normal_forms_match_sympy_reduction"),
+    # the saturation's order no longer eliminates its auxiliary variable u,
+    # so the u-free part of the basis need not generate the saturation
+    ("src/mf2/groebner.py",
+     "return exps[-1], quotient_order(exps[:-1])",
+     "return quotient_order(exps)",
+     "tests/test_groebner.py::test_saturated_presentations_are_pinned"),
+    # the columns of a vectorized power overlap: column j starts at slot j
+    # instead of slot j * n
+    ("src/mf2/groebner.py",
+     "sum(ech.pack(c) << (stride * j)",
+     "sum(ech.pack(c) << (spec.k * j)",
+     f"{ECHELON}::test_minimal_polynomial_annihilates_and_has_the_rank_of_the_powers"),
     # a column shift adds two biased keys without subtracting the key of 1
     ("src/mf2/cohomwin.py",
      "shifts = [s - one for s in shift_index]",

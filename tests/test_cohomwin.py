@@ -310,6 +310,22 @@ def test_certify_at_critical_point():
     assert rep.is_exact(1)
 
 
+def test_end_certificate_specializes_q_once(monkeypatch):
+    x = rp2()
+    calls = []
+    evaluate = RingPoly.evaluate
+
+    def counting(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(RingPoly, "evaluate", counting)
+    one = GF2.element(1)
+    rep = certify_at_point(x, x, (one, one), [RingMatrix.identity(L2, 4)])
+    assert not rep.is_exact(0)
+    assert len(calls) == 32  # the 16 entries of Q once, then the 16 of the class
+
+
 def test_certify_at_noncritical_point_is_trivial():
     x = rp2()
     gf4 = default_spec(2)

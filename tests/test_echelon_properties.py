@@ -377,6 +377,25 @@ def test_minimal_polynomial_matches_dense_loop(m):
 
 
 @PROPERTY
+@given(field_matrices(max_dim=7, square=True))
+def test_minimal_polynomial_annihilates_and_has_the_rank_of_the_powers(m):
+    """p(M) = 0, and deg p is sympy's rank of vec(I), vec(M), ..., vec(M^n)."""
+    spec, n = m.spec, m.rows
+    p = minimal_polynomial(m)
+    degree = max(d for (d,) in p.terms)
+    powers = [FieldMatrix.identity(spec, n)]
+    for _ in range(max(degree, n)):
+        powers.append(powers[-1] * m)
+    value = [0] * (n * n)
+    for (d,), c in p.terms.items():
+        value = [a ^ spec.mul(c, b) for a, b in zip(value, powers[d].entries)]
+    entries = {(d, i): a for d, power in enumerate(powers[:n + 1])
+               for i, a in enumerate(power.entries) if a}
+    # one assertion, so a fault shrinks to one failure
+    assert not any(value) and degree == sympy_rank(spec, entries, (n + 1, n * n))
+
+
+@PROPERTY
 @given(st.sampled_from(FIELDS), st.data())
 def test_scale_is_slotwise_field_product(spec, data):
     n = data.draw(st.integers(1, 12))

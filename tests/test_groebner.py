@@ -15,15 +15,16 @@ import pytest
 
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import (
-    TermOrder,
+    QuotientRing,
     buchberger,
     laurent_jacobian_ideal,
     minimal_polynomial,
     normal_form,
+    quotient_order,
     quotient_ring,
 )
 from mf2.ringmat import FieldMatrix
-from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
+from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
 P2 = RingDescriptor(GF2, ("x", "y"), (False, False))
 P3 = RingDescriptor(GF2, ("x", "y", "z"), (False, False, False))
@@ -31,41 +32,48 @@ L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 
 
 def test_grevlex_order_basics():
-    o = TermOrder((0, 1))
-    assert o.key((1, 0)) > o.key((0, 1))  # x > y
-    assert o.key((0, 2)) > o.key((1, 0))  # degree dominates
-    assert o.key((2, 1)) > o.key((1, 2))
+    o = grevlex_key
+    assert o((1, 0)) > o((0, 1))  # x > y
+    assert o((0, 2)) > o((1, 0))  # degree dominates
+    assert o((2, 1)) > o((1, 2))
+    # the quotient order compares later variables larger
+    assert quotient_order((0, 1)) > quotient_order((1, 0))
+    assert quotient_order((1, 0, 2)) == grevlex_key((2, 0, 1))
 
 
 def test_grevlex_and_elimination_orders_disagree():
-    grevlex = TermOrder((0, 1))
-    eliminate_x = TermOrder.eliminate_first(2, 1)
+    def eliminate_x(exps):
+        return exps[0], grevlex_key(exps[1:])
+
     # x^3 vs x*y: both prefer x^3
-    assert grevlex.key((3, 0)) > grevlex.key((1, 1))
-    assert eliminate_x.key((3, 0)) > eliminate_x.key((1, 1))
+    assert grevlex_key((3, 0)) > grevlex_key((1, 1))
+    assert eliminate_x((3, 0)) > eliminate_x((1, 1))
     # x vs y^2: grevlex says y^2 bigger (degree first), eliminating x says x
-    assert grevlex.key((0, 2)) > grevlex.key((1, 0))
-    assert eliminate_x.key((1, 0)) > eliminate_x.key((0, 2))
+    assert grevlex_key((0, 2)) > grevlex_key((1, 0))
+    assert eliminate_x((1, 0)) > eliminate_x((0, 2))
     # within the block of y alone, the order is by degree
-    assert eliminate_x.key((1, 2)) > eliminate_x.key((1, 1))
+    assert eliminate_x((1, 2)) > eliminate_x((1, 1))
+    # an elimination basis: its x-free part generates the ideal's x-free part
+    gb = buchberger([parse_poly("x + y^2", P2), parse_poly("x*y + 1", P2)], eliminate_x)
+    assert [str(g) for g in gb if all(e[0] == 0 for e in g.terms)] == ["y^3 + 1"]
 
 
 def test_buchberger_projective_plane_generators():
     gens = [parse_poly("x^2*y + 1", P2), parse_poly("x*y^2 + 1", P2)]
-    gb = buchberger(gens, TermOrder((0, 1)))
+    gb = buchberger(gens, grevlex_key)
     assert parse_poly("x + y", P2) in gb
     # every S-polynomial reduces to zero over the basis
     for g in gens:
-        assert normal_form(g, gb, TermOrder((0, 1))).is_zero()
+        assert normal_form(g, gb, grevlex_key).is_zero()
 
 
 def test_buchberger_rejects_laurent_input():
     with pytest.raises(ValueError, match="clear denominators"):
-        buchberger([parse_poly("x^-1 + y", L2)], TermOrder((0, 1)))
+        buchberger([parse_poly("x^-1 + y", L2)], grevlex_key)
 
 
 def test_normal_form_is_idempotent_and_linear():
-    order = TermOrder((0, 1))
+    order = grevlex_key
     gb = buchberger([parse_poly("x^2 + y", P2), parse_poly("y^2 + x", P2)], order)
     rng = random.Random(11)
     for _ in range(30):
@@ -112,6 +120,33 @@ def test_laurent_monomial_classes_use_inverses():
         assert got == want
 
 
+# Saturated presentations recorded before term orders became plain sort
+# keys: (potential, Laurent flags, generators, staircase or None).  The
+# first three saturate to the unit ideal; the last two keep a proper ideal
+# only when the auxiliary variable is eliminated.
+SATURATIONS = [
+    ("x^2*y^-1 + y^3 + x^-3", "11", ["1"], ()),
+    ("x^7 + y^4 + x^-1*y^-1", "11", ["1"], ()),
+    ("x*y*z + x^-2 + z^3 + y", "101", ["1"], ()),
+    ("x^3 + y^3 + x^-1*y^-1", "11", ["x^3 + y^3", "x^4*y + 1", "x^7 + y^2"],
+     ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
+      (4, 0), (3, 1), (2, 2), (5, 0), (3, 2), (6, 0))),
+    ("x^4 + y^4 + x^-1*y^-1 + x*y", "11", ["x^2*y^2 + 1"], None),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("text, flags, gens, staircase", SATURATIONS)
+def test_saturated_presentations_are_pinned(text, flags, gens, staircase, k):
+    ring = RingDescriptor(default_spec(k), ("x", "y", "z")[:len(flags)],
+                          tuple(f == "1" for f in flags))
+    pres = laurent_jacobian_ideal(parse_poly(text, ring))
+    assert [str(g) for g in pres.generators] == gens
+    q = quotient_ring(pres)
+    assert q.staircase == staircase
+    assert q.dimension == (None if staircase is None else len(staircase))
+
+
 def test_a_series_jacobian_ideals():
     # W = x^2n + y^2 + xyz: the even-power terms die, partials are yz, xz, xy
     w = parse_poly("x^4 + y^2 + x*y*z", P3)
@@ -127,19 +162,17 @@ def test_a_series_jacobian_ideals():
 
 
 def test_unit_ideal_quotient():
-    from mf2.groebner import QuotientRing
-    q = QuotientRing(P2, [RingPoly.one(P2)], TermOrder((0, 1)))
+    q = QuotientRing(P2, [RingPoly.one(P2)])
     assert q.dimension == 0
 
 
 def test_quotient_is_finite_only_with_a_pure_power_of_every_variable():
-    from mf2.groebner import QuotientRing
-    order = TermOrder((0, 1))
-    assert QuotientRing(P2, [parse_poly("x^2", P2)], order).dimension is None
-    q = QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)], order)
+    assert QuotientRing(P2, [parse_poly("x^2", P2)]).dimension is None
+    q = QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)])
     assert q.dimension == 6
-    assert q.staircase == tuple(sorted(((a, b) for a in range(2) for b in range(3)), key=order.key))
-    assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)], order) == q
+    assert q.staircase == tuple(sorted(((a, b) for a in range(2) for b in range(3)),
+                                       key=quotient_order))
+    assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)]) == q
 
 
 def test_minimal_polynomial_examples():

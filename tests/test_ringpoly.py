@@ -19,7 +19,7 @@ import pytest
 import mf2
 from mf2.cohomwin import LocalCohomologyReport, Window
 from mf2.gf2k import GF2, FieldSpec, Immutable, default_spec
-from mf2.groebner import TermOrder, laurent_jacobian_ideal, quotient_ring
+from mf2.groebner import laurent_jacobian_ideal, quotient_ring
 from mf2.mfcore import (
     FieldHomotopy,
     GradedMF,
@@ -326,7 +326,6 @@ IMMUTABLE_INSTANCES = {
     "VerifyReport": lambda: verify_mf(RingMatrix.identity(LAURENT2, 1), P("x")),
     "Window": lambda: Window.symmetric(LAURENT2, 2),
     "LocalCohomologyReport": lambda: LocalCohomologyReport((GF2.element(1), GF2.element(1)), 2, 1, ((1, 0),)),
-    "TermOrder": lambda: TermOrder.eliminate_first(3, 1),
     "JacobianPresentation": lambda: laurent_jacobian_ideal(P("x + y + x^-1*y^-1")),
     "QuotientRing": lambda: quotient_ring(laurent_jacobian_ideal(P("x + y + x^-1*y^-1"))),
     "Check": lambda: Check("an_forced", False, "forced failure"),
