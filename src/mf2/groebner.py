@@ -20,9 +20,9 @@ polynomial ideal: partial derivatives are cleared of denominators by
 their monomial content, and when Laurent variables are present the
 ideal is saturated at the product of those variables with one auxiliary
 inverse variable, placed last, and the order eliminating it.  The
-resulting quotient ring carries multiplication matrices, so classes of
-genuine Laurent monomials (negative exponents included) are computed by
-inverting the variable action.
+resulting quotient ring carries multiplication matrices, and a class is
+the normal form of a polynomial: a Laurent monomial, a unit of a finite
+saturated quotient, is compared through a polynomial multiple of it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .gf2k import Immutable
-from .ringmat import Echelon, FieldMatrix, _column_echelon
+from .ringmat import Echelon, FieldMatrix
 from .ringpoly import RingDescriptor, RingPoly, _mul_into, grevlex_key
 
 __all__ = [
@@ -165,7 +165,6 @@ class JacobianPresentation(Immutable):
     __slots__ = (
         "ring",        # polynomial ring on the original variables
         "generators",  # tuple of RingPoly
-        "laurent",     # which original variables are invertible
     )
 
 
@@ -184,8 +183,7 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
         _clear_monomial_content(p, poly_ring) for p in partials if not p.is_zero()
     ]
     if not cleared or not any(ring.laurent):
-        return JacobianPresentation(poly_ring, tuple(buchberger(cleared, quotient_order)),
-                                    ring.laurent)
+        return JacobianPresentation(poly_ring, tuple(buchberger(cleared, quotient_order)))
     aux = "u"
     while aux in ring.vars:
         aux += "_"
@@ -203,7 +201,7 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
         if all(e[-1] == 0 for e in g.terms)
     ]
     gens = buchberger(kept, quotient_order)
-    return JacobianPresentation(poly_ring, tuple(gens), ring.laurent)
+    return JacobianPresentation(poly_ring, tuple(gens))
 
 
 # -- quotient rings ---------------------------------------------------------------
@@ -251,17 +249,12 @@ class QuotientRing(Immutable):
     (both None when the quotient is infinite dimensional).  heads holds the
     basis's monic leading terms, derived once for every normal form."""
 
-    __slots__ = ("ring", "basis", "heads", "invertible", "staircase", "mult_matrices")
+    __slots__ = ("ring", "basis", "heads", "staircase", "mult_matrices")
 
-    def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly],
-                 invertible: Optional[Sequence[bool]] = None):
+    def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly]):
         basis = tuple(basis)
         heads = tuple(_monic_head(g, quotient_order) for g in basis if not g.is_zero())
-        super().__init__(
-            ring, basis, heads,
-            tuple(invertible) if invertible is not None else (False,) * ring.nvars,
-            *_staircase_and_action(ring, heads),
-        )
+        super().__init__(ring, basis, heads, *_staircase_and_action(ring, heads))
 
     @property
     def dimension(self) -> Optional[int]:
@@ -274,30 +267,9 @@ class QuotientRing(Immutable):
         index = {self.ring.pack(e): i for i, e in enumerate(self.staircase)}
         return _coordinates(_reduce(p, self.heads, quotient_order), index)
 
-    def laurent_monomial_class(self, exps: Sequence[int]) -> list[int]:
-        """Class of x^exps, negative exponents resolved through the
-        multiplication matrices (requires the variable to be invertible)."""
-        if self.staircase is None:
-            raise ValueError("quotient is infinite dimensional")
-        if self.dimension == 0:
-            return []
-        vec = self.class_vector(RingPoly.one(self.ring))
-        for v, e in enumerate(exps):
-            m = self.mult_matrices[v]
-            for _ in range(e):
-                vec = m.apply(vec)
-            if e < 0:  # one column echelon of the matrix serves every step
-                ech = _column_echelon(m, track=True)
-            for _ in range(-e):
-                rest, comb = ech.reduce(ech.pack(vec))
-                if rest or not self.invertible[v]:
-                    raise ValueError(f"variable '{self.ring.vars[v]}' is not invertible in the quotient")
-                vec = ech.unpack(comb, m.cols)
-        return vec
-
 
 def quotient_ring(pres: JacobianPresentation) -> QuotientRing:
-    return QuotientRing(pres.ring, pres.generators, pres.laurent)
+    return QuotientRing(pres.ring, pres.generators)
 
 
 def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:

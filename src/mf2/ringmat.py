@@ -450,13 +450,6 @@ class Echelon:
         return kept, 0 if offset is None else v >> offset
 
 
-def _column_echelon(m: FieldMatrix, track: bool = False) -> Echelon:
-    """Echelon of m's columns in order (combinations tracked when `track`)."""
-    ech = Echelon(m.spec, m.rows if track else None)
-    ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
-    return ech
-
-
 # Packed entry points kept for profilers that hook elimination by name.
 
 
@@ -490,5 +483,7 @@ def _generic_echelon(rows: list[list[int]], spec: FieldSpec) -> tuple[list[list[
 
 
 def rank(m: FieldMatrix) -> int:
-    return len(_column_echelon(m).rows)
+    ech = Echelon(m.spec)
+    ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+    return len(ech.rows)
 

@@ -2,7 +2,12 @@
 
 Every hypothesis property test runs derandomized, without an example
 database and without a deadline, so a run is reproducible and writes
-nothing; each test sets its own max_examples.
+nothing; each test sets its own max_examples.  That is the profile "mf2".
+The profile "mf2-no-explain" drops hypothesis's explain phase, which only
+prints and never decides pass or fail; tests/mutants.py selects it, so
+the time limit below cannot fire while a failing example is explained
+and turn a killed mutant into a pytest internal error.  A test that sets
+its own phases takes them from the loaded profile.
 
 Every test, and the import of every test module (some build an
 Rp2Context, and so a Groebner basis, at import), fails after
@@ -22,6 +27,9 @@ without the resource module.
 
 column(image, row) is the packed column of one cell image of
 cohomwin._delta_columns at one domain key, for the window tests.
+kernel_basis(m) and echelon_solve(m, b) read a kernel basis and a
+solution of a FieldMatrix off the tracked Echelon of its columns, for the
+elimination tests.
 """
 
 import contextlib
@@ -33,9 +41,13 @@ except ImportError:  # not on every platform
     resource = None
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
+
+from mf2.ringmat import Echelon
 
 settings.register_profile("mf2", deadline=None, derandomize=True, database=None)
+settings.register_profile("mf2-no-explain", settings.get_profile("mf2"),
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("mf2")
 
 TIME_LIMIT_S = 120
@@ -57,6 +69,26 @@ def column(image, row):
     for s, v in image:
         col |= v << row[s]
     return col
+
+
+def _tracked_columns(m):
+    """A tracked Echelon holding m's columns in order, and the relations
+    of the columns that depend on the ones before them."""
+    ech = Echelon(m.spec, m.rows)
+    return ech, ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
+
+
+def kernel_basis(m):
+    """One kernel vector per column that depends on the columns before it."""
+    ech, relations = _tracked_columns(m)
+    return [ech.unpack(rel, m.cols) for rel in relations]
+
+
+def echelon_solve(m, b):
+    """One solution of m x = b with free variables at zero, or None."""
+    ech, _ = _tracked_columns(m)
+    rest, comb = ech.reduce(ech.pack(b))
+    return None if rest else ech.unpack(comb, m.cols)
 
 
 class TimeLimitExceeded(BaseException):

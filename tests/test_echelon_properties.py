@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import column
+from conftest import column, echelon_solve, kernel_basis
 
 from mf2.cohomwin import (
     Window,
@@ -36,7 +36,6 @@ from mf2.groebner import minimal_polynomial
 from mf2.mfcore import Morphism, UngradedMF, parse_mf_text
 from mf2.ringmat import (
     Echelon,
-    _column_echelon,
     _generic_echelon,
     FieldMatrix,
     RingMatrix,
@@ -108,21 +107,6 @@ def sympy_rank(spec, entries, shape):
 def sympy_matrix_rank(m):
     return sympy_rank(m.spec, {divmod(i, m.cols): a for i, a in enumerate(m.entries) if a},
                       (m.rows, m.cols))
-
-
-def kernel_basis(m):
-    """One kernel vector per column that depends on the columns before it."""
-    ech = Echelon(m.spec, m.rows)
-    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
-    return [ech.unpack(rel, m.cols) for rel in relations]
-
-
-def echelon_solve(m, b):
-    """One solution of m x = b with free variables at zero, or None, from
-    the tracked column echelon of m."""
-    ech = _column_echelon(m, track=True)
-    rest, comb = ech.reduce(ech.pack(b))
-    return None if rest else ech.unpack(comb, m.cols)
 
 
 def dense_kernel_basis(m):
@@ -527,7 +511,7 @@ def elementary_conjugate(mf, k, data):
 # No shrinking: with a fault in the window pass, shrinking these slow
 # examples used up the whole per-test time limit, so the fault showed only
 # as a time-out.  Every drawn example still runs.
-@settings(SLOW, phases=[p for p in Phase if p is not Phase.shrink])
+@settings(SLOW, phases=[p for p in settings.default.phases if p is not Phase.shrink])
 @given(st.sampled_from(CASES + BETWEEN_FIXTURES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
     src_name, tgt_name, k, d_max = case

@@ -23,6 +23,7 @@ from mf2.groebner import (
     quotient_order,
     quotient_ring,
 )
+from mf2.paperlab import Rp2Context
 from mf2.ringmat import FieldMatrix
 from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
@@ -108,16 +109,11 @@ def test_jacobian_ideal_relations():
     assert q.class_vector(parse_poly("x^3", P2)) == q.class_vector(parse_poly("1", P2))
 
 
-def test_laurent_monomial_classes_use_inverses():
-    w = parse_poly("x + y + x^-1*y^-1", L2)
-    q = quotient_ring(laurent_jacobian_ideal(w))
-    rng = random.Random(271828)
-    for _ in range(50):
-        a = rng.randrange(-6, 7)
-        b = rng.randrange(-6, 7)
-        got = q.laurent_monomial_class((a, b))
-        want = q.class_vector(RingPoly.monomial(P2, ((a + b) % 3, 0)))
-        assert got == want
+def test_rp2_quotient_folds_laurent_exponents_mod_3():
+    """x^a*y^b = x^((a+b) mod 3) in the rp2 quotient at negative exponents,
+    through Rp2Context.check_folding.  The context is built here, not at
+    import, so a fault in the check fails this test, not the collection."""
+    Rp2Context().check_folding(random.Random(271828))
 
 
 # Saturated presentations recorded before term orders became plain sort

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from mf2.gf2k import default_spec
+from mf2.gf2k import Immutable, default_spec
+from mf2.groebner import laurent_jacobian_ideal, quotient_ring
 from mf2.ringpoly import RingPoly, parse_poly
 from mf2.ringmat import RingMatrix, blocks_of, commutator
 from mf2 import paperlab
@@ -312,6 +313,38 @@ def test_context_over_gf4():
     g = random_matrix(ctx.ring, rng, 4, 4)
     f = RingMatrix.identity(ctx.ring, 4).scale(alpha) + commutator(ctx.q, g)
     assert ctx.reduce_endomorphism(f).alpha == alpha
+
+
+def _with_jacobian(text):
+    """A copy of CTX whose Jacobian quotient is that of the potential text,
+    built by the base constructor, so the construction checks do not run."""
+    jacobian = quotient_ring(laurent_jacobian_ideal(parse_poly(text, CTX.ring)))
+    copy = object.__new__(Rp2Context)
+    Immutable.__init__(copy, *(jacobian if name == "jacobian" else getattr(CTX, name)
+                               for name in Rp2Context.__slots__))
+    return copy
+
+
+def test_check_folding_rejects_a_quotient_that_folds_otherwise():
+    """x and y are units of this 15-dimensional quotient, but the rule fails."""
+    ctx = _with_jacobian("x^3 + y^3 + x^-1*y^-1")
+    assert ctx.jacobian.dimension == 15
+    message = r"^exponent folding disagrees with the quotient at x\^-4\*y\^3$"
+    with pytest.raises(ValueError, match=message):
+        ctx.check_folding(random.Random(1))
+
+
+def test_check_folding_requires_x_and_y_to_act_invertibly(monkeypatch):
+    monkeypatch.setattr(paperlab, "rank", lambda m: m.rows - 1)
+    with pytest.raises(ValueError, match="^variable 'x' is not invertible in the quotient$"):
+        CTX.check_folding(random.Random(1))
+
+
+def test_check_folding_rejects_an_infinite_quotient():
+    ctx = _with_jacobian("x^3*y + x^-1*y^-1")
+    assert ctx.jacobian.dimension is None
+    with pytest.raises(ValueError, match="^quotient is infinite dimensional$"):
+        ctx.check_folding(random.Random(1))
 
 
 def test_closed_open_certify_report():

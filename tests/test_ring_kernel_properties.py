@@ -219,7 +219,8 @@ def test_delta_squares_to_zero(name, spec, data):
 
 # No shrinking: each example runs the sympy oracle, and shrinking the
 # counterexample of a kernel fault took most of the per-test time limit.
-SUMS = settings(max_examples=40, phases=[p for p in Phase if p is not Phase.shrink])
+SUMS = settings(max_examples=40,
+                phases=[p for p in settings.default.phases if p is not Phase.shrink])
 
 
 def to_sympy(p: RingPoly, gens, shift) -> sympy.Poly:

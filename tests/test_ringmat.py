@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import echelon_solve, kernel_basis
+
 from mf2.gf2k import GF2, default_spec
 from mf2.ringmat import (
-    Echelon,
-    _column_echelon,
     FieldMatrix,
     RingMatrix,
     block2,
@@ -27,20 +27,6 @@ from mf2.ringmat import (
     specialize,
 )
 from mf2.ringpoly import ParseError, RingDescriptor, RingPoly, parse_poly
-
-
-def kernel_basis(m):
-    """One kernel vector per column that depends on the columns before it."""
-    ech = Echelon(m.spec, m.rows)
-    relations = ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
-    return [ech.unpack(rel, m.cols) for rel in relations]
-
-
-def echelon_solve(m, b):
-    """One solution of m x = b with free variables at zero, or None."""
-    ech = _column_echelon(m, track=True)
-    rest, comb = ech.reduce(ech.pack(b))
-    return None if rest else ech.unpack(comb, m.cols)
 
 
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
