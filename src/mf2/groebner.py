@@ -19,10 +19,10 @@ The Jacobian pipeline turns a (Laurent) potential into an honest
 polynomial ideal: partial derivatives are cleared of denominators by
 their monomial content, and when Laurent variables are present the
 ideal is saturated at the product of those variables with one auxiliary
-inverse variable, placed last, and the order eliminating it.  The
-resulting quotient ring carries multiplication matrices, and a class is
-the normal form of a polynomial: a Laurent monomial, a unit of a finite
-saturated quotient, is compared through a polynomial multiple of it.
+inverse variable, placed last, and the order eliminating it; one
+Buchberger run gives the quotient's basis.  The resulting quotient ring,
+refused above MAX_QUOTIENT_DIMENSION, carries multiplication matrices,
+and a class is the normal form of a polynomial.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ __all__ = [
     "quotient_ring",
     "minimal_polynomial",
 ]
+
+# Largest quotient built: a longer staircase is refused before any matrix.
+MAX_QUOTIENT_DIMENSION = 1 << 11
 
 
 # A term order: a sort key on exponent tuples, larger key = larger term.
@@ -174,7 +177,8 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
     Partials are cleared of denominators; if any variable is Laurent the
     ideal is saturated at the product of the Laurent variables via one
     auxiliary last variable u (u * prod = 1) and an order eliminating it,
-    keeping the u-free part of the basis.  Every basis is in quotient_order.
+    keeping the u-free part of the basis: by the elimination theorem it is
+    already reduced and sorted in quotient_order, like every basis here.
     """
     ring = w.ring
     poly_ring = ring.polynomialized()
@@ -195,13 +199,12 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
     prod_exps = tuple(1 if f else 0 for f in ring.laurent) + (1,)
     sat = RingPoly(ext_ring, {prod_exps: 1, (0,) * (ring.nvars + 1): 1})
     gb = buchberger([lift(p) for p in cleared] + [sat], _eliminate_last)
-    kept = [
+    kept = tuple(
         RingPoly(poly_ring, {e[:-1]: c for e, c in g.terms.items()})
         for g in gb
         if all(e[-1] == 0 for e in g.terms)
-    ]
-    gens = buchberger(kept, quotient_order)
-    return JacobianPresentation(poly_ring, tuple(gens))
+    )
+    return JacobianPresentation(poly_ring, kept)
 
 
 # -- quotient rings ---------------------------------------------------------------
@@ -230,6 +233,8 @@ def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head]):
         if exps in found or any(not (pack(exps) - lt) & guard for lt, _ in heads):
             continue
         found.add(exps)
+        if len(found) > MAX_QUOTIENT_DIMENSION:
+            raise ValueError(f"quotient dimension above the limit of {MAX_QUOTIENT_DIMENSION}")
         for i in range(ring.nvars):
             frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
     stair = tuple(sorted(found, key=quotient_order))

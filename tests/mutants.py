@@ -119,18 +119,17 @@ MUTANTS = (
      "        return a, b, s, t\n",
      "        return a, b, t, t\n",
      "tests/test_paperlab.py::test_reduce_random_round_trips"),
-    # the folding check no longer asks x and y to act invertibly: rank
-    # never exceeds the dimension
+    # the folding check no longer tests y = x: a quotient where y != x
+    # fails at x^3 = 1 instead, with the other message
     ("src/mf2/paperlab.py",
-     "if rank(m) != jac.dimension:",
-     "if rank(m) > jac.dimension:",
+     "if cls(0, 1) != cls(1, 0):",
+     "if cls(0, 1) != cls(0, 1):",
+     "tests/test_paperlab.py::test_check_folding_rejects_a_quotient_that_folds_otherwise"),
+    # the folding check no longer tests x^3 = 1: a nilpotent x passes
+    ("src/mf2/paperlab.py",
+     "if cls(3, 0) != cls(0, 0):",
+     "if cls(0, 0) != cls(0, 0):",
      "tests/test_paperlab.py::test_check_folding_requires_x_and_y_to_act_invertibly"),
-    # the folding rule subtracts the exponents: every Rp2Context build fails,
-    # so the killing test builds its context inside the test
-    ("src/mf2/paperlab.py",
-     "folded[(a + b) % 3]",
-     "folded[(a - b) % 3]",
-     "tests/test_groebner.py::test_rp2_quotient_folds_laurent_exponents_mod_3"),
     # exact division no longer checks the shifted keys against the guard at entry
     ("src/mf2/ringpoly.py",
      "    for key in (*rem, *dd):\n"
@@ -156,6 +155,11 @@ MUTANTS = (
      "return exps[-1], quotient_order(exps[:-1])",
      "return quotient_order(exps)",
      "tests/test_groebner.py::test_saturated_presentations_are_pinned"),
+    # the staircase is listed without the dimension limit
+    ("src/mf2/groebner.py",
+     "if len(found) > MAX_QUOTIENT_DIMENSION:",
+     "if len(found) < 0:",
+     "tests/test_groebner.py::test_quotient_dimension_limit"),
     # the columns of a vectorized power overlap: column j starts at slot j
     # instead of slot j * n
     ("src/mf2/groebner.py",

@@ -2,10 +2,10 @@
 
 Exit-code contract: 0 when every check passes, 1 when a verification fails
 (bad factorization, non-closed endomorphism, failed suite check, a
-search result failing its re-verification) or a window exceeds its size
-limit, 2 for usage and parse errors (malformed files, missing files, bad
-points, exceeded search budgets), 3 for an internal error, i.e. a bug in
-mf2.
+search result failing its re-verification) or a window or a Jacobian
+quotient exceeds its size limit, 2 for usage and parse errors (malformed
+files, missing files, bad points, exceeded search budgets), 3 for an
+internal error, i.e. a bug in mf2.
 parse-check must be byte-stable: emitting a parsed canonical file reproduces
 it exactly.
 """
@@ -167,6 +167,16 @@ def test_window_above_the_limit_fails_fast(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: window has 4000012 monomials, above the limit of 1048576\n"
+
+
+def test_jacobian_above_the_dimension_limit_fails_fast(capsys):
+    # dimension 300^2: refused while the staircase is listed, before any matrix
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["jacobian", "--potential", "x^301 + y^301"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: quotient dimension above the limit of 2048\n"
 
 
 def test_double_output_is_consumable(tmp_path, capsys):
@@ -368,7 +378,7 @@ PASS delta_formula [U, f] = [[at, tr], [y*tr, at]] on 50 random matrices
 PASS delta_preimage 50 random round trips, plus rejection outside the image
 PASS v_twist tr/at twist identities on 100 random matrices
 PASS central_commutant tr(Vf) = at(Vf) = 0 forces [U, f] = 0 on 100 samples
-PASS alpha_rule x^a*y^b -> x^((a+b) mod 3) matches the quotient on 50 monomials
+PASS alpha_rule x^a*y^b -> x^((a+b) mod 3) for all a, b: y = x and x^3 = 1 in the quotient
 PASS alpha_matrix_homotopy [Q, M] = F + x^-1*Id
 PASS reduce_identity Id reduces to 1 with zero witness
 PASS reduce_alpha_matrix the alpha matrix reduces to x^2

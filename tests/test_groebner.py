@@ -12,7 +12,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mf2 import groebner
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import (
     QuotientRing,
@@ -110,10 +113,37 @@ def test_jacobian_ideal_relations():
 
 
 def test_rp2_quotient_folds_laurent_exponents_mod_3():
-    """x^a*y^b = x^((a+b) mod 3) in the rp2 quotient at negative exponents,
-    through Rp2Context.check_folding.  The context is built here, not at
+    """x^a*y^b = x^((a+b) mod 3) in the rp2 quotient for every a, b in
+    [-6, 6], an oracle for Rp2Context.check_folding: both sides are compared
+    after multiplying by the unit (xy)^6.  The context is built here, not at
     import, so a fault in the check fails this test, not the collection."""
-    Rp2Context().check_folding(random.Random(271828))
+    q = Rp2Context().jacobian
+
+    def shifted(a, b):  # the class of (xy)^6 * x^a*y^b
+        return q.class_vector(RingPoly.monomial(q.ring, (a + 6, b + 6)))
+
+    folded = [shifted(r, 0) for r in range(3)]
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            assert shifted(a, b) == folded[(a + b) % 3], (a, b)
+
+
+@st.composite
+def laurent_potentials(draw):
+    """A potential in x, y over GF(2) or GF(4), Laurent in at least one variable."""
+    ring = RingDescriptor(default_spec(draw(st.sampled_from((1, 2)))), ("x", "y"),
+                          draw(st.sampled_from(((True, True), (True, False), (False, True)))))
+    exps = st.tuples(*(st.integers(-2 if f else 0, 3) for f in ring.laurent))
+    terms = draw(st.dictionaries(exps, st.integers(1, ring.field.order - 1), min_size=2, max_size=5))
+    return RingPoly(ring, terms)
+
+
+@settings(max_examples=100)
+@given(laurent_potentials())
+def test_saturated_generators_are_a_reduced_basis_in_quotient_order(w):
+    """The u-free part of the eliminating basis needs no second Buchberger run."""
+    gens = list(laurent_jacobian_ideal(w).generators)
+    assert buchberger(gens, quotient_order) == gens
 
 
 # Saturated presentations recorded before term orders became plain sort
@@ -169,6 +199,14 @@ def test_quotient_is_finite_only_with_a_pure_power_of_every_variable():
     assert q.staircase == tuple(sorted(((a, b) for a in range(2) for b in range(3)),
                                        key=quotient_order))
     assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)]) == q
+
+
+def test_quotient_dimension_limit(monkeypatch):
+    """A staircase longer than the limit is refused while it is listed."""
+    monkeypatch.setattr(groebner, "MAX_QUOTIENT_DIMENSION", 6)
+    assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)]).dimension == 6
+    with pytest.raises(ValueError, match="^quotient dimension above the limit of 6$"):
+        QuotientRing(P2, [parse_poly("x^7", P2), parse_poly("y", P2)])
 
 
 def test_minimal_polynomial_examples():

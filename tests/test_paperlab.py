@@ -11,7 +11,7 @@ import random
 import pytest
 
 from mf2.gf2k import Immutable, default_spec
-from mf2.groebner import laurent_jacobian_ideal, quotient_ring
+from mf2.groebner import QuotientRing, laurent_jacobian_ideal, quotient_ring
 from mf2.ringpoly import RingPoly, parse_poly
 from mf2.ringmat import RingMatrix, blocks_of, commutator
 from mf2 import paperlab
@@ -315,36 +315,41 @@ def test_context_over_gf4():
     assert ctx.reduce_endomorphism(f).alpha == alpha
 
 
-def _with_jacobian(text):
-    """A copy of CTX whose Jacobian quotient is that of the potential text,
-    built by the base constructor, so the construction checks do not run."""
-    jacobian = quotient_ring(laurent_jacobian_ideal(parse_poly(text, CTX.ring)))
+def _with_jacobian(jacobian):
+    """A copy of CTX with another Jacobian quotient, built by the base
+    constructor, so the construction checks do not run."""
     copy = object.__new__(Rp2Context)
     Immutable.__init__(copy, *(jacobian if name == "jacobian" else getattr(CTX, name)
                                for name in Rp2Context.__slots__))
     return copy
 
 
+def _potential_quotient(text):
+    return quotient_ring(laurent_jacobian_ideal(parse_poly(text, CTX.ring)))
+
+
 def test_check_folding_rejects_a_quotient_that_folds_otherwise():
-    """x and y are units of this 15-dimensional quotient, but the rule fails."""
-    ctx = _with_jacobian("x^3 + y^3 + x^-1*y^-1")
+    """x and y are units of this 15-dimensional quotient, but y != x."""
+    ctx = _with_jacobian(_potential_quotient("x^3 + y^3 + x^-1*y^-1"))
     assert ctx.jacobian.dimension == 15
-    message = r"^exponent folding disagrees with the quotient at x\^-4\*y\^3$"
-    with pytest.raises(ValueError, match=message):
-        ctx.check_folding(random.Random(1))
+    with pytest.raises(ValueError, match=r"^y = x fails in the quotient$"):
+        ctx.check_folding()
 
 
-def test_check_folding_requires_x_and_y_to_act_invertibly(monkeypatch):
-    monkeypatch.setattr(paperlab, "rank", lambda m: m.rows - 1)
-    with pytest.raises(ValueError, match="^variable 'x' is not invertible in the quotient$"):
-        CTX.check_folding(random.Random(1))
+def test_check_folding_requires_x_and_y_to_act_invertibly():
+    """y = x holds in K[x, y]/(y + x, x^2), but x is nilpotent: x^3 = 0, not 1."""
+    ring = CTX.jacobian.ring
+    ctx = _with_jacobian(QuotientRing(ring, [parse_poly("y + x", ring), parse_poly("x^2", ring)]))
+    assert ctx.jacobian.dimension == 2
+    with pytest.raises(ValueError, match=r"^x\^3 = 1 fails in the quotient$"):
+        ctx.check_folding()
 
 
 def test_check_folding_rejects_an_infinite_quotient():
-    ctx = _with_jacobian("x^3*y + x^-1*y^-1")
+    ctx = _with_jacobian(_potential_quotient("x^3*y + x^-1*y^-1"))
     assert ctx.jacobian.dimension is None
     with pytest.raises(ValueError, match="^quotient is infinite dimensional$"):
-        ctx.check_folding(random.Random(1))
+        ctx.check_folding()
 
 
 def test_closed_open_certify_report():
