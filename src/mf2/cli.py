@@ -35,7 +35,7 @@ from .mfcore import (
     verify_mf,
 )
 from .cohomwin import certify_at_point, cohomology_dims
-from .groebner import laurent_jacobian_ideal, minimal_polynomial, quotient_ring
+from .groebner import laurent_jacobian_ideal, quotient_ring
 from .paperlab import Rp2Context, run_suite
 
 __all__ = ["main"]
@@ -153,7 +153,7 @@ def cmd_jacobian(args) -> int:
     text = [f"dimension {dim}"]
     records = [("dimension", str(dim))]
     if dim > 0:
-        minpoly = minimal_polynomial(quotient.mult_matrices[0], var=ring.vars[0])
+        minpoly = quotient.minimal_polynomial()
         text.append(f"minimal polynomial of {ring.vars[0]}: {minpoly}")
         records.append(("minpoly", str(minpoly)))
     _emit(args, text, records)

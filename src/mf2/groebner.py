@@ -20,9 +20,9 @@ polynomial ideal: partial derivatives are cleared of denominators by
 their monomial content, and when Laurent variables are present the
 ideal is saturated at the product of those variables with one auxiliary
 inverse variable, placed last, and the order eliminating it; one
-Buchberger run gives the quotient's basis.  The resulting quotient ring,
-refused above MAX_QUOTIENT_DIMENSION, carries multiplication matrices,
-and a class is the normal form of a polynomial.
+Buchberger run gives the quotient's basis.  The quotient ring, refused
+above MAX_QUOTIENT_DIMENSION, is its staircase: a class is a normal form,
+and a minimal polynomial the first relation among classes of powers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
     "minimal_polynomial",
 ]
 
-# Largest quotient built: a longer staircase is refused before any matrix.
+# Largest quotient built: a longer staircase is refused while it is listed.
 MAX_QUOTIENT_DIMENSION = 1 << 11
 
 
@@ -210,22 +210,13 @@ def laurent_jacobian_ideal(w: RingPoly) -> JacobianPresentation:
 # -- quotient rings ---------------------------------------------------------------
 
 
-def _coordinates(nf: RingPoly, index: dict[int, int]) -> list[int]:
-    """The coefficients of a normal form at the staircase positions of its keys."""
-    vec = [0] * len(index)
-    for key, c in nf.packed.items():
-        vec[index[key]] = c
-    return vec
-
-
-def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head]):
-    """The standard monomials of a finite quotient in term order and the
-    matrix of each variable's action on them; (None, None) when infinite."""
+def _staircase(ring: RingDescriptor, heads: Sequence[Head]) -> Optional[tuple]:
+    """The standard monomials of a finite quotient in term order; None when infinite."""
     pack, guard = ring.pack, ring.guard
     supports = [[i for i, e in enumerate(ring.unpack(lt)) if e] for lt, _ in heads]
     # finite: the unit ideal, or a pure power of every variable leads some generator
     if [] not in supports and any([i] not in supports for i in range(ring.nvars)):
-        return None, None
+        return None
     found: set[tuple[int, ...]] = set()
     frontier = [(0,) * ring.nvars]
     while frontier:
@@ -237,40 +228,57 @@ def _staircase_and_action(ring: RingDescriptor, heads: Sequence[Head]):
             raise ValueError(f"quotient dimension above the limit of {MAX_QUOTIENT_DIMENSION}")
         for i in range(ring.nvars):
             frontier.append(exps[:i] + (exps[i] + 1,) + exps[i + 1:])
-    stair = tuple(sorted(found, key=quotient_order))
-    index = {pack(e): i for i, e in enumerate(stair)}
-    mats = []
-    for v in range(ring.nvars):
-        cols = [_coordinates(_reduce(RingPoly.monomial(ring, e[:v] + (e[v] + 1,) + e[v + 1:]),
-                                     heads, quotient_order), index) for e in stair]
-        entries = [cols[j][i] for i in range(len(stair)) for j in range(len(stair))]
-        mats.append(FieldMatrix(ring.field, len(stair), len(stair), entries))
-    return stair, tuple(mats)
+    return tuple(sorted(found, key=quotient_order))
 
 
 class QuotientRing(Immutable):
-    """K[x_1..x_n]/I for a Groebner basis of I in quotient_order; finite
-    quotients carry a monomial staircase basis and multiplication matrices
-    (both None when the quotient is infinite dimensional).  heads holds the
-    basis's monic leading terms, derived once for every normal form."""
+    """K[x_1..x_n]/I for a Groebner basis of I in quotient_order, with its
+    monomial staircase basis (None when infinite) and the basis's monic
+    leading terms, derived once for every normal form."""
 
-    __slots__ = ("ring", "basis", "heads", "staircase", "mult_matrices")
+    __slots__ = ("ring", "basis", "heads", "staircase")
 
     def __init__(self, ring: RingDescriptor, basis: Sequence[RingPoly]):
         basis = tuple(basis)
         heads = tuple(_monic_head(g, quotient_order) for g in basis if not g.is_zero())
-        super().__init__(ring, basis, heads, *_staircase_and_action(ring, heads))
+        super().__init__(ring, basis, heads, _staircase(ring, heads))
 
     @property
     def dimension(self) -> Optional[int]:
         """Vector-space dimension over the field, None when infinite."""
         return None if self.staircase is None else len(self.staircase)
 
-    def class_vector(self, p: RingPoly) -> list[int]:
+    def _keys(self) -> list[int]:
         if self.staircase is None:
             raise ValueError("quotient is infinite dimensional")
-        index = {self.ring.pack(e): i for i, e in enumerate(self.staircase)}
-        return _coordinates(_reduce(p, self.heads, quotient_order), index)
+        return [self.ring.pack(e) for e in self.staircase]
+
+    def class_vector(self, p: RingPoly) -> list[int]:
+        if p.ring is not self.ring and p.ring != self.ring:
+            raise ValueError("ring mismatch")
+        nf = _reduce(p, self.heads, quotient_order).packed
+        return [nf.get(key, 0) for key in self._keys()]
+
+    def minimal_polynomial(self) -> RingPoly:
+        """Monic minimal polynomial of multiplication by the first variable x: the
+        first relation among the classes of 1, x, x^2, ... (FGLM's univariate step)."""
+        ring, ech = self.ring, Echelon(self.ring.field, self.dimension)
+        slot = {key: ech.k * i for i, key in enumerate(self._keys())}
+        x = RingPoly.variable(ring, ring.vars[0])
+        power = _reduce(RingPoly.one(ring), self.heads, quotient_order)
+        while not (rels := ech.insert_all((sum(c << slot[key] for key, c in power.packed.items()),))):
+            power = _reduce(power * x, self.heads, quotient_order)
+        uni = RingDescriptor(ring.field, ring.vars[:1], (False,))
+        return RingPoly(uni, {(d,): c for d, c in enumerate(ech.unpack(rels[0], ech.count)) if c})
+
+    @property
+    def mult_matrices(self) -> tuple[FieldMatrix, ...]:
+        """Each variable's action (column j: x_v times staircase monomial j), for tests only."""
+        ring, n = self.ring, self.dimension
+        cols = [[self.class_vector(RingPoly.variable(ring, x) * RingPoly.monomial(ring, e))
+                 for e in self.staircase] for x in ring.vars]
+        return tuple(FieldMatrix(ring.field, n, n, [c[i] for i in range(n) for c in xc])
+                     for xc in cols)
 
 
 def quotient_ring(pres: JacobianPresentation) -> QuotientRing:
@@ -278,7 +286,9 @@ def quotient_ring(pres: JacobianPresentation) -> QuotientRing:
 
 
 def minimal_polynomial(m: FieldMatrix, var: str = "x") -> RingPoly:
-    """Monic minimal polynomial of a square matrix, as a univariate polynomial."""
+    """Monic minimal polynomial of a square matrix, as a univariate polynomial.
+    No program path calls it (a quotient computes its own); it stays for the
+    acceptance test and as the reference for QuotientRing.minimal_polynomial."""
     if m.rows != m.cols:
         raise ValueError("minimal polynomial needs a square matrix")
     spec = m.spec

@@ -59,7 +59,7 @@ from .mfcore import (
     UngradedMF,
     jacobian_action_witness,
 )
-from .groebner import laurent_jacobian_ideal, minimal_polynomial, quotient_ring
+from .groebner import laurent_jacobian_ideal, quotient_ring
 from .cohomwin import certify_at_point, cohomology_dims, find_critical_points
 
 __all__ = [
@@ -352,7 +352,7 @@ class Rp2Context(Immutable):
         dim = self.jacobian.dimension
         if dim != 3:
             raise ValueError(f"jacobian dimension {dim}")
-        minpoly = minimal_polynomial(self.jacobian.mult_matrices[0])
+        minpoly = self.jacobian.minimal_polynomial()
         if str(minpoly) != "x^3 + 1":
             raise ValueError(f"multiplication minimal polynomial {minpoly}")
 

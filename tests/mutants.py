@@ -160,6 +160,17 @@ MUTANTS = (
      "if len(found) > MAX_QUOTIENT_DIMENSION:",
      "if len(found) < 0:",
      "tests/test_groebner.py::test_quotient_dimension_limit"),
+    # the power sequence starts at x instead of 1: a nilpotent x loses a degree
+    ("src/mf2/groebner.py",
+     "power = _reduce(RingPoly.one(ring), self.heads, quotient_order)",
+     "power = _reduce(x, self.heads, quotient_order)",
+     "tests/test_groebner.py::test_quotient_minimal_polynomial_matches_the_matrix_route"),
+    # multiplication matrices written transposed: same minimal polynomial,
+    # but row j is the class of x_v times the j-th standard monomial
+    ("src/mf2/groebner.py",
+     "[c[i] for i in range(n) for c in xc]",
+     "[c[i] for c in xc for i in range(n)]",
+     "tests/test_groebner.py::test_multiplication_matrices_act_on_classes"),
     # the columns of a vectorized power overlap: column j starts at slot j
     # instead of slot j * n
     ("src/mf2/groebner.py",

@@ -170,13 +170,33 @@ def test_window_above_the_limit_fails_fast(tmp_path, capsys):
 
 
 def test_jacobian_above_the_dimension_limit_fails_fast(capsys):
-    # dimension 300^2: refused while the staircase is listed, before any matrix
+    # dimension 300^2: refused while the staircase is listed
     start = time.perf_counter()
     code, out, err = run(capsys, ["jacobian", "--potential", "x^301 + y^301"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert out == ""
     assert err == "error: quotient dimension above the limit of 2048\n"
+
+
+def test_jacobian_just_below_the_dimension_limit_is_fast(capsys):
+    # dimension 44^2 of 2048: the minimal polynomial is the first relation
+    # among the classes of 1, x, ..., x^44, with no multiplication matrix
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["jacobian", "--potential", "x^45 + y^45"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.splitlines() == ["dimension 1936", "minimal polynomial of x: x^44"]
+
+
+def test_jacobian_with_a_dense_minimal_polynomial_is_fast(capsys):
+    # dimension 46*44 - 1 = 2023 of 2048, and the quotient is K[x]/(x^2023 + 1):
+    # 2024 powers enter the echelon, each a normal form packed into its slots
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["jacobian", "--potential", "x^45 + y^43 + x^-1*y^-1"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.splitlines() == ["dimension 2023", "minimal polynomial of x: x^2023 + 1"]
 
 
 def test_double_output_is_consumable(tmp_path, capsys):

@@ -10,9 +10,10 @@ minimal polynomial of the x-action is x^3+1.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mf2 import groebner
@@ -99,6 +100,7 @@ def test_jacobian_ideal_projective_plane():
     assert q.staircase == ((0, 0), (1, 0), (2, 0))  # 1, x, x^2
     mp = minimal_polynomial(q.mult_matrices[0], "x")
     assert str(mp) == "x^3 + 1"
+    assert q.minimal_polynomial() == mp
     # y acts exactly like x in the quotient
     assert q.mult_matrices[0] == q.mult_matrices[1]
 
@@ -207,6 +209,89 @@ def test_quotient_dimension_limit(monkeypatch):
     assert QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)]).dimension == 6
     with pytest.raises(ValueError, match="^quotient dimension above the limit of 6$"):
         QuotientRing(P2, [parse_poly("x^7", P2), parse_poly("y", P2)])
+
+
+def test_class_vector_rejects_a_polynomial_from_another_ring():
+    ctx = Rp2Context()
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        ctx.jacobian.class_vector(RingPoly.monomial(ctx.ring, (-1, 0)))  # Laurent ring
+    assert ctx.jacobian.ring is not P2  # an equal ring built apart is accepted
+    assert ctx.jacobian.class_vector(RingPoly.monomial(P2, (3, 1))) == [0, 1, 0]
+
+
+def test_quotient_minimal_polynomial_edge_cases():
+    assert QuotientRing(P2, [RingPoly.one(P2)]).minimal_polynomial() == RingPoly.one(
+        RingDescriptor(GF2, ("x",), (False,)))
+    with pytest.raises(ValueError, match="^quotient is infinite dimensional$"):
+        QuotientRing(P2, [parse_poly("x^2", P2)]).minimal_polynomial()
+    q = QuotientRing(P2, [parse_poly("x^2", P2), parse_poly("y^3", P2)])
+    assert str(q.minimal_polynomial()) == "x^2"
+
+
+def test_building_a_quotient_and_its_minimal_polynomial_builds_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a FieldMatrix was built")
+
+    monkeypatch.setattr(groebner, "FieldMatrix", refuse)
+    q = quotient_ring(laurent_jacobian_ideal(parse_poly("x^31 + y^31", P2)))
+    assert q.dimension == 900
+    assert str(q.minimal_polynomial()) == "x^30"
+
+
+@st.composite
+def finite_quotients(draw):
+    """A finite Jacobian quotient of x^a + y^b (a, b odd) plus up to three
+    terms, in x, y over GF(2), GF(4) or GF(8), Laurent in no, one or both
+    variables.  With no term added, x and y are nilpotent."""
+    ring = RingDescriptor(default_spec(draw(st.sampled_from((1, 2, 3)))), ("x", "y"),
+                          draw(st.sampled_from(((False, False), (True, False), (False, True),
+                                                (True, True)))))
+    exps = st.tuples(*(st.integers(-2 if f else 0, 4) for f in ring.laurent))
+    terms = draw(st.dictionaries(exps, st.integers(1, ring.field.order - 1), max_size=3))
+    terms.update({(draw(st.sampled_from((3, 5, 7))), 0): 1, (0, draw(st.sampled_from((3, 5, 7)))): 1})
+    q = quotient_ring(laurent_jacobian_ideal(RingPoly(ring, terms)))
+    assume(q.dimension)  # finite, and not the unit ideal
+    return q
+
+
+@settings(max_examples=120)
+@given(finite_quotients())
+@example(quotient_ring(laurent_jacobian_ideal(parse_poly("x^5 + y^7", P2))))
+def test_quotient_minimal_polynomial_matches_the_matrix_route(q):
+    """The first relation among the classes of 1, x, x^2, ... is the minimal
+    polynomial of the multiplication matrix; a nilpotent x shows a power
+    sequence that starts anywhere but 1."""
+    assert q.minimal_polynomial() == minimal_polynomial(q.mult_matrices[0], q.ring.vars[0])
+
+
+# Finite quotients whose multiplication matrices are not symmetric, so a
+# transposed matrix acts differently: (potential, field degree, Laurent flags).
+ACTIONS = [
+    ("x^3 + y^3 + x^-1*y^-1", 1, (True, True)),
+    ("x^5 + {2}*y^3 + x^-1*y", 2, (True, False)),
+    ("x^5 + y^3 + {3}*x^2*y^2", 3, (False, False)),
+]
+
+
+@cache
+def action_quotient(index):
+    text, k, flags = ACTIONS[index]
+    return quotient_ring(laurent_jacobian_ideal(
+        parse_poly(text, RingDescriptor(default_spec(k), ("x", "y"), flags))))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(range(len(ACTIONS))), st.sampled_from((0, 1)), st.data())
+def test_multiplication_matrices_act_on_classes(index, v, data):
+    """Column j of the matrix of x_v is the class of x_v times the j-th
+    standard monomial, so the matrix maps the class of p to that of x_v * p."""
+    q = action_quotient(index)
+    m = q.mult_matrices[v]
+    assert any(m.at(i, j) != m.at(j, i) for i in range(m.rows) for j in range(i))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    p = RingPoly(q.ring, data.draw(st.dictionaries(exps, st.integers(1, q.ring.field.order - 1),
+                                                   max_size=5)))
+    assert m.apply(q.class_vector(p)) == q.class_vector(RingPoly.variable(q.ring, q.ring.vars[v]) * p)
 
 
 def test_minimal_polynomial_examples():
