@@ -280,6 +280,18 @@ class FieldHomotopy(Immutable):
 # -- factorization search ----------------------------------------------------------
 
 
+def _fill_order(size: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """The slots, row t then column t for t = 0..size-1, each entry where it
+    first appears; completes[n], the (a, b) whose row a and column b are both
+    filled at slot n and not before."""
+    lines = [[(t, m) for m in range(size)] + [(m, t) for m in range(size)] for t in range(size)]
+    slots = list(dict.fromkeys(s for line in lines for s in line))
+    when = {s: n for n, s in enumerate(slots)}
+    last = {(a, b): max(when[s] for s in lines[a][:size] + lines[b][size:])
+            for a in range(size) for b in range(size)}
+    return slots, [[ab for ab in last if last[ab] == n] for n in range(len(slots))]
+
+
 def search_factorizations(
     w: RingPoly,
     size: int,
@@ -293,15 +305,12 @@ def search_factorizations(
     support in descending canonical order, field elements in serialized
     order.  Refuses to run if the assignment space exceeds 2^budget_bits.
 
-    The search backtracks row and column together.  Step t = 0..size-1
-    assigns the entries (t, j) for j >= t, then (i, t) for i > t, and then
-    checks (Q^2)_ij against W (diagonal) or 0 (off-diagonal) for every pair
-    with max(i, j) = t.  Entry (a, b) is assigned at step min(a, b), so
-    both factors of every product Q_im * Q_mj in (Q^2)_ij with i, j <= t
-    are assigned by step t.  Each check is therefore final: a partial
-    assignment that fails it extends to no solution, so none is lost, and
-    a leaf that passes every check satisfies Q^2 = W*Id.  Every result is
-    still re-verified as a RingMatrix.
+    The search backtracks over the slots of _fill_order by two rules:
+    - every entry of Q^2 lies in the span of products of two support
+      monomials, so a W with a term outside it has no factorization;
+    - (Q^2)_ab is row a of Q times column b, so it is checked against W
+      (a == b) or 0 at the slot that completes both, where it is final.
+    Every result is still re-verified as a RingMatrix.
     """
     if size < 1:
         raise ValueError("search size must be positive")
@@ -337,8 +346,7 @@ def search_factorizations(
     for key, c in w.packed.items():
         e = ring.unpack(key)
         if e not in place:
-            w_packed = -1  # no diagonal entry of Q^2 can equal W
-            break
+            return []
         w_packed ^= c << (k * place[e])
 
     q = [[0] * size for _ in range(size)]  # entry values of the current node
@@ -360,16 +368,8 @@ def search_factorizations(
             out ^= product(q[i][m], q[m][j])
         return out
 
-    # Slots list the entries in step order; the last slot of step t
-    # carries that step's checks.
-    slots: list[tuple[int, int]] = []
-    checks: list[list[tuple[int, int, int]]] = []
-    for t in range(size):
-        step = [(t, j) for j in range(t, size)] + [(i, t) for i in range(t + 1, size)]
-        slots += step
-        checks += [[] for _ in step]
-        checks[-1] = ([(t, j, 0) for j in range(t)] + [(i, t, 0) for i in range(t)]
-                      + [(t, t, w_packed)])
+    slots, completes = _fill_order(size)
+    checks = [[(a, b, w_packed if a == b else 0) for a, b in done] for done in completes]
     leaves = []
     stack = [iter(range(nvalues))]
     while stack:

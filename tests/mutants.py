@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 
 ECHELON = "tests/test_echelon_properties.py"
+SEARCH = "tests/test_search_properties.py"
 MUTANTS = (
     # OR instead of XOR: qs terms that meet a qt term at one (cell, shift)
     # no longer cancel
@@ -258,6 +259,24 @@ MUTANTS = (
      "else spec.k * width",
      "else spec.k * (width - 1)",
      f"{ECHELON}::test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span"),
+    # an entry of Q^2 is checked at the first slot of its row and column,
+    # on factors left over from other branches
+    ("src/mf2/mfcore.py",
+     "max(when[s]",
+     "min(when[s]",
+     f"{SEARCH}::test_search_matches_brute_force"),
+    # every entry of Q^2 is checked at the last slot only: no pruning is lost
+    # from the results, so only the schedule test sees it
+    ("src/mf2/mfcore.py",
+     "if last[ab] == n]",
+     "if n == len(slots) - 1]",
+     f"{SEARCH}::test_fill_order_checks_each_entry_of_the_square_once_when_final"),
+    # a term of W outside the span is dropped instead of emptying the
+    # search: leaves square to the rest of W and fail re-verification
+    ("src/mf2/mfcore.py",
+     "            return []\n",
+     "            continue\n",
+     f"{SEARCH}::test_search_matches_brute_force"),
 )
 
 

@@ -361,6 +361,18 @@ def test_search_budget_and_support_errors(capsys):
     assert "monomial" in err
 
 
+def test_search_outside_the_span_still_checks_the_budget(capsys):
+    argv = ["search", "--potential", "x^3", "--size", "3", "--support", "x,y",
+            "--vars", "x y", "--laurent", "00", "--format", "records", "--budget-bits"]
+    code, out, err = run(capsys, argv + ["4"])
+    assert code == 2
+    assert out == ""
+    assert "search budget exceeded" in err
+    code, out, _ = run(capsys, argv + ["18"])
+    assert code == 0
+    assert out == "count=0\n"
+
+
 def test_search_result_failing_reverification_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(RingMatrix, "__ne__", lambda self, other: True)
     code, out, err = run(capsys, ["search", "--potential", "x^2 + y^2",

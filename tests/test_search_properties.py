@@ -3,21 +3,29 @@
 The oracle is the exhaustive enumerator the backtracking search replaced:
 it builds every coefficient assignment as a RingMatrix and squares it.
 The search must return the same matrices in the same order.  Random
-potentials almost never factor, so half of the cases use W = a^2 + b*c
-with a, b, c in the span of the support; then [[a, b], [c, a]] squares
-to W*Id and the size-2 result is not empty.
+potentials almost never lie in the span of products of two support
+monomials, so they mostly take the search's empty rule.  The other half
+of the cases use W = a^2 + b*c with a, b, c in the span of the support;
+then [[a, b], [c, a]] squares to W*Id, the size-2 result is not empty,
+and these cases exercise the backtracking.
+
+The oracle reaches only small assignment spaces, so the schedule of the
+checks is tested on its own, and two size-3 searches beyond the oracle
+are pinned by count and digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Iterable, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mf2.gf2k import GF2, default_spec
-from mf2.mfcore import search_factorizations
+from mf2.mfcore import _fill_order, search_factorizations
 from mf2.ringmat import RingMatrix
 from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
@@ -110,3 +118,39 @@ def test_search_x2_plus_y2_over_four_monomials():
     supp = sorted(support, key=grevlex_key, reverse=True)
     keys = [tuple(e.terms.get(m, 0) for e in q.entries for m in supp) for q in found]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_fill_order_checks_each_entry_of_the_square_once_when_final(size):
+    slots, completes = _fill_order(size)
+    entries = list(itertools.product(range(size), repeat=2))
+    # row 0, column 0, row 1, column 1, ...: by the first line through the
+    # entry, a row before a column, then along the line
+    assert slots == sorted(entries, key=lambda ab: (min(ab), ab[0] > ab[1], max(ab)))
+    assert len(completes) == len(slots)
+    listed = [ab for done in completes for ab in done]
+    assert sorted(listed) == entries
+    for n, done in enumerate(completes):
+        for a, b in done:
+            needed = {(a, m) for m in range(size)} | {(m, b) for m in range(size)}
+            assert needed <= set(slots[:n + 1])
+            assert not needed <= set(slots[:n])
+
+
+@pytest.mark.parametrize("potential, count, digest", [
+    ("x^2 + y^2", 736, "e3f91ec747c3d220de5711cb876eb388b7c798e0a7ec0822e0ffe6d7d892e546"),
+    ("x^2 + x*y + y^2", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+])
+def test_size_three_searches_beyond_the_oracle_are_pinned(potential, count, digest):
+    ring = RingDescriptor(GF2, ("x", "y"), (False, False))
+    found = search_factorizations(parse_poly(potential, ring), 3, [(1, 0), (0, 1), (0, 0)], 27)
+    assert len(found) == count
+    assert hashlib.sha256("\n".join(map(str, found)).encode()).hexdigest() == digest
+
+
+def test_a_potential_outside_the_span_is_empty_only_within_the_budget():
+    ring = RingDescriptor(GF2, ("x", "y"), (False, False))
+    w = parse_poly("x^3", ring)
+    with pytest.raises(ValueError, match="search budget exceeded"):
+        search_factorizations(w, 3, [(1, 0), (0, 1)], budget_bits=4)
+    assert search_factorizations(w, 3, [(1, 0), (0, 1)], budget_bits=18) == []
