@@ -225,9 +225,10 @@ def cmd_search(args) -> int:
     start = 0
     for token in args.support.split(","):
         p = _parse_span(args.support, start, start + len(token), ring)
-        if len(p.terms) != 1:
+        terms = p.terms
+        if list(terms.values()) != [1]:
             raise CliError(f"support entry '{token.strip()}' is not a monomial")
-        support.append(next(iter(p.terms)))
+        support.append(next(iter(terms)))
         start += len(token) + 1
     try:
         results = search_factorizations(w, args.size, support, args.budget_bits)

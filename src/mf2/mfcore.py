@@ -310,7 +310,12 @@ def search_factorizations(
       monomials, so a W with a term outside it has no factorization;
     - (Q^2)_ab is row a of Q times column b, so it is checked against W
       (a == b) or 0 at the slot that completes both, where it is final.
-    Every result is still re-verified as a RingMatrix.
+    The products q_am q_mb of that check come in two parts: those without
+    the slot's own entry are summed once, when the search enters the slot,
+    and kept on a stack beside the slot's value iterator; those with it
+    are summed for each value.  Each distinct entry value's polynomial is
+    built once per call and shared by the results that hold it.  Every
+    result is still re-verified as a RingMatrix.
     """
     if size < 1:
         raise ValueError("search size must be positive")
@@ -349,8 +354,6 @@ def search_factorizations(
             return []
         w_packed ^= c << (k * place[e])
 
-    q = [[0] * size for _ in range(size)]  # entry values of the current node
-
     # Bounded: a size-1 search may square 2^budget_bits distinct values.
     @functools.lru_cache(maxsize=1 << 16)
     def product(a: int, b: int) -> int:
@@ -362,39 +365,64 @@ def search_factorizations(
                 out ^= mul(ca, cb) << row[j]
         return out
 
-    def square_at(i: int, j: int) -> int:
-        out = 0
-        for m in range(size):
-            out ^= product(q[i][m], q[m][j])
+    q = [0] * (size * size)  # entry values of the current node, row-major
+
+    # Per slot, per (a, b) it completes: the pairs (q_am, q_mb) as flat
+    # indices that hold the slot's own entry, the other pairs, and the
+    # value (Q^2)_ab must take.
+    slots, completes = _fill_order(size)
+    flat = [i * size + j for i, j in slots]
+    checks = []
+    for f, done in zip(flat, completes):
+        step = []
+        for a, b in done:
+            pairs = [(a * size + m, m * size + b) for m in range(size)]
+            step.append(([p for p in pairs if f in p], [p for p in pairs if f not in p],
+                         w_packed if a == b else 0))
+        checks.append(step)
+
+    def entered(n: int) -> list[tuple[list[tuple[int, int]], int]]:
+        """Slot n's checks as (own pairs, what they must sum to): the other
+        pairs, whose factors are fixed before slot n, are summed once."""
+        out = []
+        for own, others, want in checks[n]:
+            for left, right in others:
+                want ^= product(q[left], q[right])
+            out.append((own, want))
         return out
 
-    slots, completes = _fill_order(size)
-    checks = [[(a, b, w_packed if a == b else 0) for a, b in done] for done in completes]
+    last = len(slots) - 1
     leaves = []
     stack = [iter(range(nvalues))]
+    targets = [entered(0)]
     while stack:
         v = next(stack[-1], None)
         if v is None:
             stack.pop()
+            targets.pop()
             continue
         slot = len(stack) - 1
-        i, j = slots[slot]
-        q[i][j] = v
-        for a, b, want in checks[slot]:
-            if square_at(a, b) != want:
+        q[flat[slot]] = v
+        for own, target in targets[-1]:
+            for left, right in own:
+                target ^= product(q[left], q[right])
+            if target:
                 break
         else:
-            if len(stack) < len(slots):
+            if slot < last:
                 stack.append(iter(range(nvalues)))
+                targets.append(entered(slot + 1))
             else:
-                leaves.append(tuple(x for row in q for x in row))
+                leaves.append(tuple(q))
     # Row-major value tuples sort like the brute-force assignment tuples.
     leaves.sort()
+    keys = [ring.pack(s) for s in supp]
+    entry = {v: RingPoly._raw(ring, {keys[i]: c for i, c in digits(v)})
+             for v in set().union(*leaves)}
     wid = RingMatrix.identity(ring, size).scale(w)
     found = []
     for leaf in leaves:
-        entries = [RingPoly(ring, {supp[i]: c for i, c in digits(v)}) for v in leaf]
-        m = RingMatrix(ring, size, size, entries)
+        m = RingMatrix._raw(ring, size, size, [entry[v] for v in leaf])
         if m * m != wid:
             raise VerificationError("search result failed re-verification: Q^2 != W*Id")
         found.append(m)

@@ -277,6 +277,18 @@ MUTANTS = (
      "            return []\n",
      "            continue\n",
      f"{SEARCH}::test_search_matches_brute_force"),
+    # the products summed once on entering a slot are dropped: each check
+    # sees only the products that hold the slot's own entry
+    ("src/mf2/mfcore.py",
+     "for left, right in others:",
+     "for left, right in ():",
+     f"{SEARCH}::test_search_matches_brute_force"),
+    # the slot's own entry is summed with the others on entering the slot,
+    # so the check reads the value a sibling branch left there
+    ("src/mf2/mfcore.py",
+     "[p for p in pairs if f in p], [p for p in pairs if f not in p]",
+     "[], pairs",
+     f"{SEARCH}::test_search_matches_brute_force"),
 )
 
 

@@ -359,6 +359,11 @@ def test_search_budget_and_support_errors(capsys):
                                 "--vars", "x y", "--laurent", "00"])
     assert code == 2
     assert "monomial" in err
+    code, out, err = run(capsys, ["search", "--potential", "x^2 + y^2",
+                                  "--size", "1", "--support", "{3}*x,y", "--field", "2^2"])
+    assert code == 2
+    assert out == ""
+    assert "support entry '{3}*x' is not a monomial" in err
 
 
 def test_search_outside_the_span_still_checks_the_budget(capsys):

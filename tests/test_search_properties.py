@@ -10,8 +10,8 @@ then [[a, b], [c, a]] squares to W*Id, the size-2 result is not empty,
 and these cases exercise the backtracking.
 
 The oracle reaches only small assignment spaces, so the schedule of the
-checks is tested on its own, and two size-3 searches beyond the oracle
-are pinned by count and digest.
+checks is tested on its own, and searches beyond the oracle, three of
+size 3 and one of size 4, are pinned by count and digest.
 """
 
 from __future__ import annotations
@@ -137,13 +137,23 @@ def test_fill_order_checks_each_entry_of_the_square_once_when_final(size):
             assert not needed <= set(slots[:n])
 
 
-@pytest.mark.parametrize("potential, count, digest", [
-    ("x^2 + y^2", 736, "e3f91ec747c3d220de5711cb876eb388b7c798e0a7ec0822e0ffe6d7d892e546"),
-    ("x^2 + x*y + y^2", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+SUPPORT_XY1 = [(1, 0), (0, 1), (0, 0)]
+
+
+@pytest.mark.parametrize("potential, count, digest, size, support, budget", [
+    ("x^2 + y^2", 736, "e3f91ec747c3d220de5711cb876eb388b7c798e0a7ec0822e0ffe6d7d892e546",
+     3, SUPPORT_XY1, 27),
+    ("x^2 + x*y + y^2", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     3, SUPPORT_XY1, 27),
+    ("x^2 + y^2", 148, "80c4f3a879f3878b896a98630e086369e36b65dd9e8442c5ff55b49ce7232fd1",
+     3, [(1, 0), (0, 1)], 18),
+    ("x^2", 316, "1f5e2b9fbfd0126f4f4f200200c3acd240ada093dcd8a8cbf68fe9dfb620fd7e",
+     4, [(1, 0)], 16),
 ])
-def test_size_three_searches_beyond_the_oracle_are_pinned(potential, count, digest):
+def test_size_three_searches_beyond_the_oracle_are_pinned(potential, count, digest,
+                                                          size, support, budget):
     ring = RingDescriptor(GF2, ("x", "y"), (False, False))
-    found = search_factorizations(parse_poly(potential, ring), 3, [(1, 0), (0, 1), (0, 0)], 27)
+    found = search_factorizations(parse_poly(potential, ring), size, support, budget)
     assert len(found) == count
     assert hashlib.sha256("\n".join(map(str, found)).encode()).hexdigest() == digest
 
