@@ -25,15 +25,21 @@ tests/mutants.py, peaks below 140 MB of address space (VmPeak), so the
 cap leaves a margin of more than 7x.  The cap is skipped on platforms
 without the resource module.
 
-column(image, row) is the packed column of one cell image of
-cohomwin._delta_columns at one domain key, for the window tests.
-kernel_basis(m) and echelon_solve(m, b) read a kernel basis and a
-solution of a FieldMatrix off the tracked Echelon of its columns, for the
-elimination tests.
+The inputs the test files share are defined here, once each: fixture
+loads a shipped fixture over any field, rings and polys draw rings and
+polynomials, rows_of gives the plain rows the oracles take and matrix_of
+turns the rows an oracle returns back into a RingMatrix, column and
+delta_columns build packed window columns, and kernel_basis and
+echelon_solve read a FieldMatrix's kernel and solutions off its tracked
+Echelon.  The slow references the tests compare against live in
+tests/oracles.py, which imports no mf2 module.
 """
 
 import contextlib
+import functools
+import math
 import signal
+from importlib.resources import files
 
 try:
     import resource
@@ -42,8 +48,13 @@ except ImportError:  # not on every platform
 
 import pytest
 from hypothesis import Phase, settings
+from hypothesis import strategies as st
 
-from mf2.ringmat import Echelon
+from mf2.cohomwin import _delta_columns
+from mf2.gf2k import GF2
+from mf2.mfcore import UngradedMF, parse_mf_text
+from mf2.ringmat import Echelon, RingMatrix
+from mf2.ringpoly import RingDescriptor, RingPoly
 
 settings.register_profile("mf2", deadline=None, derandomize=True, database=None)
 settings.register_profile("mf2-no-explain", settings.get_profile("mf2"),
@@ -63,12 +74,67 @@ def pytest_configure(config):
         resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
+FIXTURES = files("mf2") / "fixtures"
+
+
+@functools.cache
+def fixture(name, spec=GF2):
+    """The shipped fixture name.mf with its ring's field replaced by spec.
+    Built from the packed keys: loading reads no tuple view."""
+    mff = parse_mf_text((FIXTURES / f"{name}.mf").read_text())
+    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
+    w, *q = (RingPoly._raw(ring, dict(p.packed)) for p in (mff.w, *mff.q.entries))
+    return UngradedMF(w, RingMatrix(ring, mff.q.rows, mff.q.cols, q))
+
+
+@st.composite
+def rings(draw, fields=(GF2,), nvars=(1, 3)):
+    """A field from fields, and nvars[0]..nvars[1] variables x, y, z, each Laurent or not."""
+    spec = draw(st.sampled_from(fields))
+    n = draw(st.integers(*nvars))
+    laurent = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return RingDescriptor(spec, ("x", "y", "z")[:n], laurent)
+
+
+@st.composite
+def polys(draw, ring, span=(-1, 2), sizes=(0, 1, 1, 1, 2, 3, 4, 5, 5)):
+    """A polynomial with a number of terms drawn from sizes (at most the
+    number of monomials there are), exponents in span (from 0 when not
+    Laurent) and any nonzero coefficients.  The default keeps exponents
+    small, so products collide and cancel, and one draw in three is a
+    single monomial, with any coefficient."""
+    ranges = [range(span[0] if flag else 0, span[1] + 1) for flag in ring.laurent]
+    size = min(draw(st.sampled_from(sizes)), math.prod(map(len, ranges)))
+    exps = st.tuples(*(st.integers(r.start, r.stop - 1) for r in ranges))
+    coeffs = st.integers(1, ring.field.order - 1)
+    return RingPoly(ring, draw(st.dictionaries(exps, coeffs, min_size=size, max_size=size)))
+
+
+def rows_of(m):
+    """The rows of a FieldMatrix as values, or of a RingMatrix as term dicts."""
+    return [[e if isinstance(e, int) else e.terms for e in m.row(i)] for i in range(m.rows)]
+
+
+def matrix_of(ring, rows):
+    """The RingMatrix over ring with rows of term dicts: rows_of inverted."""
+    return RingMatrix(ring, len(rows), len(rows[0]), [RingPoly(ring, e) for row in rows for e in row])
+
+
 def column(image, row):
     """The packed column of a cell's image at the domain key with offset row `row`."""
     col = 0
     for s, v in image:
         col |= v << row[s]
     return col
+
+
+def delta_columns(src, tgt, win_in, win_out):
+    """Packed columns of d, cell-major over win_in, blocks in win_out order."""
+    pack = src.ring.pack
+    domain = [(pack(e), cell) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
+    out_block = {pack(e): b for b, e in enumerate(win_out.monomials())}
+    images, offsets = _delta_columns(src, tgt, domain, out_block)
+    return [column(images[cell], offsets[e]) for e, cell in domain]
 
 
 def _tracked_columns(m):

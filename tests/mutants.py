@@ -33,6 +33,10 @@ TIMEOUT_S = 300
 
 ECHELON = "tests/test_echelon_properties.py"
 SEARCH = "tests/test_search_properties.py"
+# FieldSpec.mul with one wrong product, 3 * 3 = 1
+WRONG_PRODUCT = ("            return a & b\n        p = 0\n",
+                 "            return a & b\n        if a == b == 3:\n"
+                 "            return 1\n        p = 0\n")
 MUTANTS = (
     # OR instead of XOR: qs terms that meet a qt term at one (cell, shift)
     # no longer cancel
@@ -212,6 +216,12 @@ MUTANTS = (
      "gterms[cell][out[b]] = c",
      "gterms[cells - 1 - cell][out[b]] = c",
      f"{ECHELON}::test_cleared_solve_matches_cell_major_elimination"),
+    # one wrong field product: only an oracle that does not call
+    # FieldSpec.mul sees it
+    ("src/mf2/gf2k.py", *WRONG_PRODUCT,
+     f"{ECHELON}::test_field_matrix_product_matches_the_inner_index_sum"),
+    ("src/mf2/gf2k.py", *WRONG_PRODUCT,
+     "tests/test_ring_kernel_properties.py::test_poly_product_equals_oracle"),
     # the inverse table is built one element off: entry a holds 1/(a + 1)
     ("src/mf2/gf2k.py",
      "for a in range(1, order)",

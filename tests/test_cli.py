@@ -17,10 +17,11 @@ import os
 import subprocess
 import sys
 import time
-from importlib.resources import files
 from pathlib import Path
 
 import pytest
+
+from conftest import FIXTURES
 
 import mf2
 from mf2 import paperlab
@@ -30,7 +31,6 @@ from mf2.paperlab import Check, Report
 from mf2.ringmat import RingMatrix
 from mf2.ringpoly import ParseError
 
-FIXTURES = files("mf2") / "fixtures"
 RP2 = str(FIXTURES / "rp2.mf")
 
 

@@ -6,7 +6,7 @@ h_d = dim B_d = (d+1)^2.  For Q = [[x, y], [y, x]] the differential is
 f -> y*[[b+c, a+d], [a+d, b+c]]: closed means a=d and b=c (kernel
 dimension 2(d+1)^2), and a coboundary y*u lands inside B_d exactly
 when u has y-degree at most d-1 (2d(d+1) of those), so
-h_d = 2(d+1)^2 - 2d(d+1) = 2d+2.  The 4x4 Laurent factorization below
+h_d = 2(d+1)^2 - 2d(d+1) = 2d+2.  The 4x4 Laurent fixture rp2
 has three-dimensional stable cohomology.
 """
 
@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import random
 import time
-from importlib.resources import files
 
 import pytest
 
-from conftest import column
+from conftest import FIXTURES, delta_columns, fixture
 
 from mf2.cohomwin import (
     Window,
-    _delta_columns,
     certify_at_point,
     cohomology_dims,
     find_critical_points,
@@ -36,13 +34,6 @@ from mf2.ringpoly import RingDescriptor, RingPoly, parse_poly
 P2 = RingDescriptor(GF2, ("x", "y"), (False, False))
 L2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 
-RP2_TEXT = (
-    "0, 1, 1, x^-1*y^-1; "
-    "y, 0, x^-1, 1; "
-    "x, y^-1, 0, 1; "
-    "1, x, y, 0"
-)
-
 
 def scalar_line():
     w = parse_poly("x^2 + y^2", P2)
@@ -54,11 +45,6 @@ def a1():
     w = parse_poly("x^2 + y^2", P2)
     q = parse_matrix("x, y; y, x", P2)
     return UngradedMF(w, q)
-
-
-def rp2():
-    w = parse_poly("x + y + x^-1*y^-1", L2)
-    return UngradedMF(w, parse_matrix(RP2_TEXT, L2))
 
 
 def test_window_basics():
@@ -89,15 +75,6 @@ def test_empty_window():
 def test_window_rejects_negative_bound_on_polynomial_variable():
     with pytest.raises(ValueError, match="non-Laurent"):
         Window(P2, ((-1, 1), (0, 1)))
-
-
-def delta_columns(src, tgt, win_in, win_out):
-    """Packed columns of d, cell-major over win_in, blocks in win_out order."""
-    pack = src.ring.pack
-    domain = [(pack(e), cell) for cell in range(src.size * tgt.size) for e in win_in.monomials()]
-    out_block = {pack(e): b for b, e in enumerate(win_out.monomials())}
-    images, offsets = _delta_columns(src, tgt, domain, out_block)
-    return [column(images[cell], offsets[e]) for e, cell in domain]
 
 
 def test_delta_matrix_small_oracle():
@@ -147,7 +124,7 @@ def test_cohomology_of_a_constant_factorization_is_zero():
 
 
 def test_cohomology_rp2_stabilizes_at_three():
-    x = rp2()
+    x = fixture("rp2")
     dims = cohomology_dims(x, x, 3)
     assert dims[2] == 3
     assert dims[3] == 3
@@ -167,7 +144,7 @@ def test_cleared_columns_are_never_inserted(monkeypatch, d_max, inserts):
         return insert_all(self, (consumed.append(v) or v for v in vectors))
 
     monkeypatch.setattr(Echelon, "insert_all", counting)
-    x = rp2()
+    x = fixture("rp2")
     assert cohomology_dims(x, x, d_max) == {d: 3 for d in range(1, d_max + 1)}
     assert len(consumed) == inserts
     assert [ech.count for ech in echelons] == [inserts]
@@ -187,7 +164,7 @@ def test_solve_exactness_skips_cleared_columns(monkeypatch, radius, inserts):
         return insert_all(self, (consumed.append(v) or v for v in vectors))
 
     monkeypatch.setattr(Echelon, "insert_all", counting)
-    x = rp2()
+    x = fixture("rp2")
     ident = RingMatrix.identity(L2, 4)
     for f, exact in ((ident, False), (ident.scale(x.w.partial("x")), True)):
         consumed.clear()
@@ -200,7 +177,7 @@ def test_solve_exactness_skips_cleared_columns(monkeypatch, radius, inserts):
 
 def test_solve_exactness_on_an_empty_window():
     """An empty window holds only g = 0, which solves f = 0 alone."""
-    x = rp2()
+    x = fixture("rp2")
     empty = Window(L2, ((1, 0), (0, 0)))
     assert empty.size == 0
     wit = solve_exactness(Morphism(x, x, RingMatrix.zeros(L2, 4, 4)), empty)
@@ -235,7 +212,7 @@ def test_solve_exactness_rejects_nonexact():
 
 
 def test_solve_exactness_matches_closed_form_witness():
-    x = rp2()
+    x = fixture("rp2")
     dw = x.w.partial("x")
     f = Morphism(x, x, RingMatrix.identity(L2, 4).scale(dw))
     wit = solve_exactness(f, Window.symmetric(L2, 2))
@@ -249,7 +226,7 @@ def test_double_rp2_identity_has_a_null_homotopy_at_radius_one(field):
     identity of double_rp2 is exact with a witness inside the radius-1
     window, over GF(2) and over GF(4), and with none inside radius 0.  The
     witness is checked symbolically, d(g) = Id through Morphism.differential."""
-    text = (files("mf2") / "fixtures" / "double_rp2.mf").read_text()
+    text = (FIXTURES / "double_rp2.mf").read_text()
     mff = parse_mf_text(text.replace("field: 2^1 modulus 11", f"field: {field}", 1))
     x = UngradedMF(mff.w, mff.q)
     assert f"2^{x.ring.field.k}" == field.split()[0]
@@ -263,7 +240,7 @@ def test_double_rp2_identity_has_a_null_homotopy_at_radius_one(field):
 def test_column_limit_refuses_before_listing_any_monomial(monkeypatch):
     # radius 131: 263^2 = 69169 domain monomials pass the window limit,
     # but 16 cells make 1106704 columns, above 2^20
-    x = rp2()
+    x = fixture("rp2")
     listed = []
     monkeypatch.setattr(Window, "monomials", lambda self: listed.append(self) or [])
     monkeypatch.setattr(Window, "keys", lambda self: listed.append(self) or [])
@@ -299,7 +276,7 @@ def test_critical_point_search_refuses_huge_point_sets_fast():
 
 
 def test_certify_at_critical_point():
-    x = rp2()
+    x = fixture("rp2")
     ident = RingMatrix.identity(L2, 4)
     exact = x.q * ident + ident * x.q  # zero, stand-in for an exact class
     one = GF2.element(1)
@@ -311,7 +288,7 @@ def test_certify_at_critical_point():
 
 
 def test_end_certificate_specializes_q_once(monkeypatch):
-    x = rp2()
+    x = fixture("rp2")
     calls = []
     evaluate = RingPoly.evaluate
 
@@ -327,7 +304,7 @@ def test_end_certificate_specializes_q_once(monkeypatch):
 
 
 def test_certify_at_noncritical_point_is_trivial():
-    x = rp2()
+    x = fixture("rp2")
     gf4 = default_spec(2)
     crit = set(find_critical_points(x.w, gf4))
     noncrit = next(
@@ -344,7 +321,7 @@ def test_certify_at_noncritical_point_is_trivial():
 
 
 def test_certify_scalar_classes_scale_coordinates():
-    x = rp2()
+    x = fixture("rp2")
     gf4 = default_spec(2)
     xv = RingPoly.variable(L2, "x")
     classes = [

@@ -1,12 +1,14 @@
 """Property tests of the packed elimination kernel against slow oracles.
 
-The oracles are the dense routines the packed Echelon replaced: list-of-
-lists Gauss-Jordan elimination with one field multiplication per cell,
-the per-radius window definition of h_d, the fully reduced echelon of the
-point certificate, the incremental minimal-polynomial loop, and the
-exactness solve that inserted every column, cell-major, before it cleared.  Each
-fast path must reproduce them exactly, not just up to a change of basis.
-The per-radius definition, the solvability of tracked `reduce` and the
+The oracles, in tests/oracles.py, are the dense routines the packed
+Echelon replaced: Gauss-Jordan elimination over lists with one field
+multiplication per cell and the rank, kernel, solution, minimal polynomial
+and class coordinates read off it, and the per-radius window definition
+of h_d from the term-pair product.  The tests here add the fully reduced
+echelon of the point certificate and the exactness solve that inserted
+every column, cell-major, before it cleared.  Each fast path must
+reproduce them exactly, not just up to a change of basis.  The
+per-radius definition, the solvability of tracked `reduce` and the
 kernel and image dimensions of the point certificate take their ranks
 from sympy's GF(2) elimination instead, which shares no code with
 Echelon: a GF(2^k) matrix enters it by its regular representation.
@@ -14,15 +16,14 @@ Echelon: a GF(2^k) matrix enters it by its regular representation.
 
 from __future__ import annotations
 
-from importlib.resources import files
-
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from sympy import GF
-from sympy.polys.matrices import DomainMatrix
 
-from conftest import column, echelon_solve, kernel_basis
+from conftest import column, delta_columns, echelon_solve, fixture, kernel_basis, rows_of
+from oracles import (delta_entries, dense_class_coordinates, dense_echelon, dense_kernel_basis,
+                     dense_matmul, dense_minimal_polynomial, dense_rank, dense_solve, evaluate,
+                     gf_inv, gf_mul, per_radius_dims, sympy_rank)
 
 from mf2.cohomwin import (
     Window,
@@ -33,7 +34,7 @@ from mf2.cohomwin import (
 )
 from mf2.gf2k import GF2, default_spec
 from mf2.groebner import minimal_polynomial
-from mf2.mfcore import Morphism, UngradedMF, parse_mf_text
+from mf2.mfcore import Morphism, UngradedMF
 from mf2.ringmat import (
     Echelon,
     _generic_echelon,
@@ -41,7 +42,6 @@ from mf2.ringmat import (
     RingMatrix,
     matrix_partial,
     rank,
-    specialize,
 )
 from mf2.ringpoly import RingDescriptor, RingPoly
 
@@ -51,148 +51,9 @@ PROPERTY = settings(max_examples=60)
 SLOW = settings(max_examples=12)
 
 
-# -- dense oracles -------------------------------------------------------------
-
-
-def dense_echelon(rows, spec):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    mul, inv = spec.mul, spec.inv
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols = []
-    pr = 0
-    for c in range(ncols):
-        sel = next((i for i in range(pr, nrows) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        s = inv(rows[pr][c])
-        rows[pr] = piv = [mul(s, v) for v in rows[pr]]
-        for i in range(nrows):
-            if i != pr and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a ^ mul(f, b) for a, b in zip(rows[i], piv)]
-        pivot_cols.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivot_cols
-
-
-def dense_rank(m):
-    return len(dense_echelon([list(m.row(i)) for i in range(m.rows)], m.spec)[1])
-
-
-def sympy_rank(spec, entries, shape):
-    """Rank of the GF(2^k) matrix of the given shape and nonzero entries
-    {(row, col): value}, from sympy's sparse GF(2) elimination.  Entry a
-    becomes the k x k matrix of multiplication by a in the power basis
-    (column j holds the coordinates of a * t^j); the GF(2) rank of that
-    regular representation is k times the GF(2^k) rank."""
-    k = spec.k
-    one = GF(2)(1)
-    rows = {}
-    for (i, j), a in entries.items():
-        for jj in range(k):
-            image = spec.mul(a, 1 << jj)
-            for ii in range(k):
-                if image >> ii & 1:
-                    rows.setdefault(i * k + ii, {})[j * k + jj] = one
-    r = DomainMatrix(rows, (shape[0] * k, shape[1] * k), GF(2)).rank()
-    assert r % k == 0
-    return r // k
-
-
-def sympy_matrix_rank(m):
-    return sympy_rank(m.spec, {divmod(i, m.cols): a for i, a in enumerate(m.entries) if a},
-                      (m.rows, m.cols))
-
-
-def dense_kernel_basis(m):
-    red, pivot_cols = dense_echelon([list(m.row(i)) for i in range(m.rows)], m.spec)
-    pivot_of_col = {c: i for i, c in enumerate(pivot_cols)}
-    basis = []
-    for fc in (c for c in range(m.cols) if c not in pivot_of_col):
-        vec = [0] * m.cols
-        vec[fc] = 1
-        for c, i in pivot_of_col.items():
-            vec[c] = red[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def dense_solve(m, b):
-    red, pivot_cols = dense_echelon([list(m.row(i)) + [b[i]] for i in range(m.rows)], m.spec)
-    x = [0] * m.cols
-    for i, c in enumerate(pivot_cols):
-        if c == m.cols:
-            return None
-        x[c] = red[i][m.cols]
-    return x
-
-
-def dense_minimal_polynomial(m):
-    spec = m.spec
-    uni = RingDescriptor(spec, ("x",), (False,))
-    n = m.rows
-    power = FieldMatrix.identity(spec, n)
-    rows = []
-    degree = 0
-    while True:
-        vec = list(power.entries)
-        comb = [0] * (n * n + 1)
-        comb[degree] = 1
-        for rvec, rcomb in rows:
-            lead = next((i for i, v in enumerate(rvec) if v), None)
-            if lead is not None and vec[lead]:
-                f = spec.mul(vec[lead], spec.inv(rvec[lead]))
-                vec = [a ^ spec.mul(f, b) for a, b in zip(vec, rvec)]
-                comb = [a ^ spec.mul(f, b) for a, b in zip(comb, rcomb)]
-        if not any(vec):
-            return RingPoly(uni, {(d,): c for d, c in enumerate(comb[:degree + 1]) if c})
-        rows.append((vec, comb))
-        rows.sort(key=lambda rc: next(i for i, v in enumerate(rc[0]) if v))
-        power = power * m
-        degree += 1
-
-
-def dense_class_coordinates(dmat, vec):
-    """Coordinates of a closed vector in ker/im from fully reduced dense echelons."""
-    spec = dmat.spec
-    mul = spec.mul
-
-    def reduce_vec(v, ech):
-        for lead, row in ech:
-            if v[lead]:
-                v = [a ^ mul(v[lead], b) for a, b in zip(v, row)]
-        return v
-
-    def insert(v, ech):
-        red = reduce_vec(v, ech)
-        lead = next((i for i, x in enumerate(red) if x), None)
-        if lead is None:
-            return
-        s = spec.inv(red[lead])
-        new = [mul(s, x) for x in red]
-        for k, (l2, row2) in enumerate(ech):
-            if row2[lead]:
-                ech[k] = (l2, [a ^ mul(row2[lead], b) for a, b in zip(row2, new)])
-        ech.append((lead, new))
-        ech.sort(key=lambda lr: lr[0])
-
-    n = dmat.cols
-    image = []
-    for col in range(n):
-        insert([dmat.at(r, col) for r in range(dmat.rows)], image)
-    local = []
-    for v in dense_kernel_basis(dmat):
-        insert(reduce_vec(v, image), local)
-    red = reduce_vec(list(vec), image)
-    coords = tuple(red[lead] for lead, _ in local)
-    if any(reduce_vec(red, local)):
-        raise ValueError("class escapes the local kernel decomposition")
-    return coords
+def sympy_matrix_rank(rows, modulus):
+    entries = {(i, j): a for i, row in enumerate(rows) for j, a in enumerate(row) if a}
+    return sympy_rank(entries, (len(rows), len(rows[0])), modulus)
 
 
 # -- strategies ------------------------------------------------------------------
@@ -211,34 +72,16 @@ def field_matrices(draw, max_dim=6, square=False, fields=FIELDS):
     return FieldMatrix(spec, rows, cols, [v if u < density else 0 for u, v in entries])
 
 
-def load_fixture(name, spec):
-    mff = parse_mf_text((files("mf2") / "fixtures" / f"{name}.mf").read_text())
-    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
-    lift = [RingPoly(ring, dict(e.terms)) for e in mff.q.entries]
-    return UngradedMF(RingPoly(ring, dict(mff.w.terms)), RingMatrix(ring, mff.q.rows, mff.q.cols, lift))
-
-
-def conjugate(mf, perm, units):
-    """D P Q P^T D^-1 for a permutation P and a diagonal D of units."""
-    spec = mf.ring.field
-    n = mf.size
-    entries = [
-        mf.q.at(perm[i], perm[j]).scale(spec.mul(units[i], spec.inv(units[j])))
-        for i in range(n) for j in range(n)
-    ]
-    return UngradedMF(mf.w, RingMatrix(mf.ring, n, n, entries))
-
-
 # -- the kernel against the dense oracle ---------------------------------------------
 
 
 @PROPERTY
 @given(field_matrices())
 def test_rank_and_kernel_match_dense_elimination(m):
-    assert rank(m) == dense_rank(m)
-    assert kernel_basis(m) == dense_kernel_basis(m)
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    assert _generic_echelon(rows, m.spec) == dense_echelon(rows, m.spec)
+    rows, mod = rows_of(m), m.spec.modulus
+    assert rank(m) == dense_rank(rows, mod)
+    assert kernel_basis(m) == dense_kernel_basis(rows, mod)
+    assert _generic_echelon(rows, m.spec) == dense_echelon(rows, mod)
 
 
 @PROPERTY
@@ -251,13 +94,7 @@ def test_field_matrix_product_matches_the_inner_index_sum(a, data):
     size = a.cols * cols
     b = FieldMatrix(spec, a.cols, cols,
                     data.draw(st.lists(st.integers(0, spec.order - 1), min_size=size, max_size=size)))
-    want = []
-    for i in range(a.rows):
-        for j in range(cols):
-            acc = 0
-            for k in range(a.cols):
-                acc ^= spec.mul(a.at(i, k), b.at(k, j))
-            want.append(acc)
+    want = [v for row in dense_matmul(rows_of(a), rows_of(b), spec.modulus) for v in row]
     assert list((a * b).entries) == want
     assert a.apply(b.entries[::cols]) == want[::cols]
 
@@ -271,7 +108,7 @@ def test_solve_matches_dense_elimination(m, data):
         b = m.apply(data.draw(st.lists(elems, min_size=m.cols, max_size=m.cols)))
     else:
         b = data.draw(st.lists(elems, min_size=m.rows, max_size=m.rows))
-    assert echelon_solve(m, b) == dense_solve(m, b)
+    assert echelon_solve(m, b) == dense_solve(rows_of(m), b, spec.modulus)
 
 
 @PROPERTY
@@ -289,9 +126,8 @@ def test_tracked_reduce_solves_exactly_when_sympy_finds_b_in_the_span(m, data):
     ech = Echelon(spec, m.rows)
     ech.insert_all(ech.pack(m.entries[j::m.cols]) for j in range(m.cols))
     rest, comb = ech.reduce(ech.pack(b))
-    augmented = FieldMatrix(spec, m.rows, m.cols + 1,
-                            [v for i in range(m.rows) for v in (*m.row(i), b[i])])
-    solvable = sympy_matrix_rank(augmented) == sympy_matrix_rank(m)
+    augmented = [row + [v] for row, v in zip(rows_of(m), b)]
+    solvable = sympy_matrix_rank(augmented, spec.modulus) == sympy_matrix_rank(rows_of(m), spec.modulus)
     assert (rest == 0) == solvable
     if solvable:
         x = ech.unpack(comb, m.cols)
@@ -324,7 +160,7 @@ def test_insert_all_reads_lazily_and_appends_pivots_in_insertion_order(m, track)
     def rank_of(rows, cols):
         """sympy's rank of the leading rows x cols submatrix of m."""
         entries = {(i, j): m.at(i, j) for i in range(rows) for j in range(cols) if m.at(i, j)}
-        return sympy_rank(spec, entries, (rows, cols)) if entries else 0
+        return sympy_rank(entries, (rows, cols), spec.modulus) if entries else 0
 
     assert [len(pivots) for pivots in seen] == [rank_of(m.rows, j) for j in range(m.cols + 1)]
     assert all(after[:len(before)] == before for before, after in zip(seen, seen[1:]))
@@ -357,26 +193,28 @@ def test_tracked_echelon_refuses_a_vector_that_reaches_its_offset(spec):
 @PROPERTY
 @given(field_matrices(square=True))
 def test_minimal_polynomial_matches_dense_loop(m):
-    assert minimal_polynomial(m) == dense_minimal_polynomial(m)
+    want = dense_minimal_polynomial(rows_of(m), m.spec.modulus)
+    assert minimal_polynomial(m) == RingPoly(RingDescriptor(m.spec, ("x",), (False,)), want)
 
 
 @PROPERTY
 @given(field_matrices(max_dim=7, square=True))
 def test_minimal_polynomial_annihilates_and_has_the_rank_of_the_powers(m):
     """p(M) = 0, and deg p is sympy's rank of vec(I), vec(M), ..., vec(M^n)."""
-    spec, n = m.spec, m.rows
+    mod, n = m.spec.modulus, m.rows
     p = minimal_polynomial(m)
     degree = max(d for (d,) in p.terms)
-    powers = [FieldMatrix.identity(spec, n)]
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(max(degree, n)):
-        powers.append(powers[-1] * m)
+        powers.append(dense_matmul(powers[-1], rows_of(m), mod))
+    powers = [sum(power, []) for power in powers]  # vec(M^d)
     value = [0] * (n * n)
     for (d,), c in p.terms.items():
-        value = [a ^ spec.mul(c, b) for a, b in zip(value, powers[d].entries)]
+        value = [a ^ gf_mul(c, b, mod) for a, b in zip(value, powers[d])]
     entries = {(d, i): a for d, power in enumerate(powers[:n + 1])
-               for i, a in enumerate(power.entries) if a}
+               for i, a in enumerate(power) if a}
     # one assertion, so a fault shrinks to one failure
-    assert not any(value) and degree == sympy_rank(spec, entries, (n + 1, n * n))
+    assert not any(value) and degree == sympy_rank(entries, (n + 1, n * n), mod)
 
 
 @PROPERTY
@@ -386,7 +224,7 @@ def test_scale_is_slotwise_field_product(spec, data):
     values = data.draw(st.lists(st.integers(0, spec.order - 1), min_size=n, max_size=n))
     c = data.draw(st.integers(1, spec.order - 1))
     ech = Echelon(spec)
-    assert ech.unpack(ech.scale(ech.pack(values), c), n) == [spec.mul(c, v) for v in values]
+    assert ech.unpack(ech.scale(ech.pack(values), c), n) == [gf_mul(c, v, spec.modulus) for v in values]
 
 
 @PROPERTY
@@ -402,7 +240,8 @@ def test_insert_all_scales_a_new_row_to_be_monic(spec, data):
         assert pivot is None
     else:
         assert pivot == next(j for j, v in enumerate(values) if v)
-        assert ech.unpack(ech.rows[pivot], n) == [spec.mul(spec.inv(lead), v) for v in values]
+        assert ech.unpack(ech.rows[pivot], n) == [gf_mul(gf_inv(lead, spec.modulus), v, spec.modulus)
+                                                      for v in values]
 
 
 @PROPERTY
@@ -411,71 +250,11 @@ def test_gf2_rank_survives_embedding_into_gf4(rows, cols, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
     m2 = FieldMatrix(GF2, rows, cols, bits)
     m4 = FieldMatrix(GF4, rows, cols, bits)
-    assert rank(m2) == rank(m4) == dense_rank(m4)
+    assert rank(m2) == rank(m4) == dense_rank(rows_of(m4), GF4.modulus)
     assert kernel_basis(m2) == kernel_basis(m4)
 
 
 # -- one-pass window cohomology against the per-radius definition ----------------------
-
-
-def delta_entries(src, tgt, win_in, win_out):
-    """Nonzero entries {(row, col): value} and shape of the matrix of
-    d(E_ij x^e) = qt E_ij x^e + E_ij x^e qs, one RingMatrix product pair per
-    column.  Columns run over (cell, monomial of win_in) and rows over
-    (cell, monomial of win_out), cell-major, with cell i*n + j for
-    n = src.size and monomials in window order."""
-    ring = src.ring
-    m, n = tgt.size, src.size
-    mons_out = win_out.monomials()
-    row_of = {(cell, e): cell * len(mons_out) + b
-              for cell in range(m * n) for b, e in enumerate(mons_out)}
-    entries = {}
-    col = 0
-    for cell in range(m * n):
-        for e in win_in.monomials():
-            unit = RingMatrix(ring, m, n, [
-                RingPoly.monomial(ring, e) if c == cell else RingPoly.zero(ring)
-                for c in range(m * n)
-            ])
-            for c, entry in enumerate((tgt.q * unit + unit * src.q).entries):
-                for x, v in entry.terms.items():
-                    entries[row_of[c, x], col] = v
-            col += 1
-    return entries, (len(row_of), col)
-
-
-def delta_as_field_matrix(src, tgt, win_in, win_out):
-    """delta_entries as a dense FieldMatrix."""
-    entries, (rows, cols) = delta_entries(src, tgt, win_in, win_out)
-    dense = [0] * (rows * cols)
-    for (r, c), v in entries.items():
-        dense[r * cols + c] = v
-    return FieldMatrix(src.ring.field, rows, cols, dense)
-
-
-def per_radius_dims(src, tgt, d_max):
-    """h_d = n_d - rank(d|B_d) - (rank(d|B_{d+1}) - rank of its rows outside B_d)."""
-    ring = src.ring
-    spec = ring.field
-    hull = [(min(a, c), max(b, d)) for (a, b), (c, d)
-            in zip(src.q.support_hull(), tgt.q.support_hull())]
-    cells = src.size * tgt.size
-    dims = {}
-    for d in range(1, d_max + 1):
-        win_d = Window.symmetric(ring, d)
-        win_next = Window.symmetric(ring, d + 1)
-        win_out = win_next.expanded(hull)
-        n_d = cells * win_d.size
-        rank_d = sympy_rank(spec, *delta_entries(src, tgt, win_d, win_d.expanded(hull)))
-        big, (_, big_cols) = delta_entries(src, tgt, win_next, win_out)
-        inside = set(win_d.monomials())
-        out_basis = [e for _ in range(cells) for e in win_out.monomials()]
-        outside = [r for r, e in enumerate(out_basis) if e not in inside]
-        outer_row = {r: i for i, r in enumerate(outside)}
-        outer = {(outer_row[r], c): v for (r, c), v in big.items() if r in outer_row}
-        dims[d] = n_d - rank_d - (sympy_rank(spec, big, (len(out_basis), big_cols))
-                                  - sympy_rank(spec, outer, (len(outside), big_cols)))
-    return dims
 
 
 # (source fixture, target fixture, field degree k, d_max)
@@ -489,9 +268,13 @@ BETWEEN_FIXTURES = tuple((src, tgt, k, 1) for src, tgt in (("rp2", "double_rp2")
 
 
 def random_conjugate(mf, k, data):
+    """D P Q P^T D^-1 for a drawn permutation P and diagonal D of units."""
     perm = data.draw(st.permutations(range(mf.size)))
     units = data.draw(st.lists(st.integers(1, (1 << k) - 1), min_size=mf.size, max_size=mf.size))
-    return conjugate(mf, perm, units)
+    mod, n = mf.ring.field.modulus, mf.size
+    entries = [mf.q.at(perm[i], perm[j]).scale(gf_mul(units[i], gf_inv(units[j], mod), mod))
+               for i in range(n) for j in range(n)]
+    return UngradedMF(mf.w, RingMatrix(mf.ring, n, n, entries))
 
 
 def elementary_conjugate(mf, k, data):
@@ -515,9 +298,10 @@ def elementary_conjugate(mf, k, data):
 @given(st.sampled_from(CASES + BETWEEN_FIXTURES), st.data())
 def test_one_pass_dims_match_per_radius_definition(case, data):
     src_name, tgt_name, k, d_max = case
-    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
-    tgt = random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
-    assert cohomology_dims(src, tgt, d_max) == per_radius_dims(src, tgt, d_max)
+    src = random_conjugate(fixture(src_name, default_spec(k)), k, data)
+    tgt = random_conjugate(fixture(tgt_name, default_spec(k)), k, data)
+    assert cohomology_dims(src, tgt, d_max) == per_radius_dims(
+        rows_of(src.q), rows_of(tgt.q), src.ring.laurent, d_max, src.ring.field.modulus)
 
 
 @SLOW
@@ -531,48 +315,44 @@ def test_packed_columns_match_dense_products(case, radius, data):
     and an endomorphism space (tgt = src) makes qt[i, i] and qs[i, i] meet
     at one output cell and shift and cancel there."""
     k, src_name, tgt_name = case
-    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
+    src = random_conjugate(fixture(src_name, default_spec(k)), k, data)
     src = elementary_conjugate(src, k, data)
     if src_name == tgt_name and data.draw(st.booleans()):
         tgt = src
     else:
-        tgt = elementary_conjugate(random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data),
+        tgt = elementary_conjugate(random_conjugate(fixture(tgt_name, default_spec(k)), k, data),
                                    k, data)
     win_in = Window.symmetric(src.ring, radius)
     win_out = win_in.expanded(src.q.support_hull()).union(win_in.expanded(tgt.q.support_hull()))
     cells = src.size * tgt.size
     mons_out = win_out.monomials()
-    pack = src.ring.pack
-    domain = [(pack(e), cell) for cell in range(cells) for e in win_in.monomials()]
-    images, offsets = _delta_columns(src, tgt, domain, {pack(e): b for b, e in enumerate(mons_out)})
-    cols = [column(images[cell], offsets[e]) for e, cell in domain]
-    dense = delta_as_field_matrix(src, tgt, win_in, win_out)
+    cols = delta_columns(src, tgt, win_in, win_out)
+    dense, (rows, ncols) = delta_entries(rows_of(src.q), rows_of(tgt.q), win_in.monomials(), mons_out,
+                                         src.ring.field.modulus)
     ech = Echelon(src.ring.field)
-    assert len(cols) == dense.cols
+    assert len(cols) == ncols
     for j, col in enumerate(cols):
         slots = ech.unpack(col, len(mons_out) * cells)
         assert col >> (ech.k * len(slots)) == 0
         assert [slots[b * cells + cell] for cell in range(cells) for b in range(len(mons_out))] \
-            == [dense.at(r, j) for r in range(dense.rows)]
+            == [dense.get((r, j), 0) for r in range(rows)]
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_delta_columns_reject_a_window_one_step_too_small(k):
     """Shrinking any bound of the exact output window by one drops the
     monomial some image term lands on."""
-    mf = load_fixture("rp2", default_spec(k))
+    mf = fixture("rp2", default_spec(k))
     win_in = Window.symmetric(mf.ring, 1)
     win_out = win_in.expanded(mf.q.support_hull())
-    pack = mf.ring.pack
-    domain = [(pack(e), cell) for cell in range(mf.size ** 2) for e in win_in.monomials()]
-    assert _delta_columns(mf, mf, domain, {pack(e): b for b, e in enumerate(win_out.monomials())})
+    assert delta_columns(mf, mf, win_in, win_out)
     for var in range(mf.ring.nvars):
         for side, step in ((0, 1), (1, -1)):
             bounds = [list(b) for b in win_out.bounds]
             bounds[var][side] += step
             small = Window(mf.ring, tuple(map(tuple, bounds)))
             with pytest.raises(ValueError, match="window overflow"):
-                _delta_columns(mf, mf, domain, {pack(e): b for b, e in enumerate(small.monomials())})
+                delta_columns(mf, mf, win_in, small)
 
 
 # -- exactness witnesses against the cell-major elimination --------------------------
@@ -651,8 +431,8 @@ def test_cleared_solve_matches_cell_major_elimination(case, kind, data):
     the window (exact) or one step beyond it, random terms, a Jacobian
     multiple of Id or Id itself, on a window that need not be symmetric."""
     src_name, tgt_name, k = case
-    src = random_conjugate(load_fixture(src_name, default_spec(k)), k, data)
-    tgt = src if tgt_name == src_name else random_conjugate(load_fixture(tgt_name, default_spec(k)), k, data)
+    src = random_conjugate(fixture(src_name, default_spec(k)), k, data)
+    tgt = src if tgt_name == src_name else random_conjugate(fixture(tgt_name, default_spec(k)), k, data)
     ring = src.ring
     window = data.draw(boxes(ring))
     shape = (tgt.size, src.size)
@@ -686,23 +466,29 @@ def test_cleared_solve_matches_cell_major_elimination(case, kind, data):
 def dense_certificate(src, tgt, point, cls):
     """(kernel_dim, image_dim, coordinates or error) of the class in
     Hom(src, tgt) at the point.  Column r*n + c of the differential is
-    qt E_rc + E_rc qs as a FieldMatrix product pair, read row-major; its
-    rank comes from sympy, the coordinates from the dense echelons."""
-    qs, qt = specialize(src.q, point), specialize(tgt.q, point)
-    spec = qs.spec
+    qt E_rc + E_rc qs as a dense product pair at the point, read row-major;
+    its rank comes from sympy, the coordinates from the dense echelons."""
+    mod = src.ring.field.modulus
+    values = [p.value for p in point]
+
+    def at_point(m):
+        return [[evaluate(e, values, mod) for e in row] for row in rows_of(m)]
+
+    qs, qt = at_point(src.q), at_point(tgt.q)
     size = tgt.size * src.size
     images = []
     for cell in range(size):
-        unit = FieldMatrix(spec, tgt.size, src.size, [int(c == cell) for c in range(size)])
-        images.append((qt * unit + unit * qs).entries)
-    dmat = FieldMatrix(spec, size, size, [images[c][r] for r in range(size) for c in range(size)])
-    image_dim = sympy_matrix_rank(dmat)
+        unit = [[int(r * src.size + c == cell) for c in range(src.size)] for r in range(tgt.size)]
+        left, right = dense_matmul(qt, unit, mod), dense_matmul(unit, qs, mod)
+        images.append([a ^ b for x, y in zip(left, right) for a, b in zip(x, y)])
+    dmat = [[images[c][r] for c in range(size)] for r in range(size)]
+    image_dim = sympy_matrix_rank(dmat, mod)
     kernel_dim = size - image_dim
-    vec = list(specialize(cls, point).entries)
-    if any(dmat.apply(vec)):
+    vec = [v for row in at_point(cls) for v in row]
+    if any(v for row in dense_matmul(dmat, [[v] for v in vec], mod) for v in row):
         return kernel_dim, image_dim, "class is not closed at the point"
     try:
-        return kernel_dim, image_dim, dense_class_coordinates(dmat, vec)
+        return kernel_dim, image_dim, dense_class_coordinates(dmat, vec, mod)
     except ValueError as exc:
         return kernel_dim, image_dim, str(exc)
 
@@ -717,8 +503,8 @@ def test_point_certificate_matches_dense_echelon(names, data):
     swaps the two sizes shows."""
     src_name, tgt_name = names
     spec = GF4
-    src = random_conjugate(load_fixture(src_name, spec), spec.k, data)
-    tgt = src if tgt_name == src_name else random_conjugate(load_fixture(tgt_name, spec), spec.k, data)
+    src = random_conjugate(fixture(src_name, spec), spec.k, data)
+    tgt = src if tgt_name == src_name else random_conjugate(fixture(tgt_name, spec), spec.k, data)
     ring = src.ring
     # Laurent variables avoid zero
     point = [spec.element(data.draw(st.integers(1 if laur else 0, 3))) for laur in ring.laurent]

@@ -1,7 +1,10 @@
 """Field arithmetic tests.
 
 Expected values for GF(4) were derived by hand from the modulus
-t^2 + t + 1: t*t = t+1 (3), t*(t+1) = t^2+t = 1, so inv(t) = t+1.
+t^2 + t + 1: t*t = t+1 (3), t*(t+1) = t^2+t = 1, so inv(t) = t+1.  The
+other references (the product in GF(2)[t], the Fermat inverse and the
+trial-division irreducibility test) are the ones in tests/oracles.py,
+which share no code with mf2.gf2k.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ import time
 
 import pytest
 
+from oracles import gf_inv, gf_mul, trial_division_irreducible
+
 from mf2.gf2k import (
     GF2,
     INV_TABLE_MAX_DEGREE,
     MAX_DEGREE,
     FieldSpec,
     _INV_TABLES,
-    _gf2_poly_mod,
     _is_irreducible,
     default_spec,
     embed,
@@ -42,33 +46,6 @@ def test_reducible_modulus_rejected():
         FieldSpec(3, 0b1111)  # t^3+t^2+t+1 has root 1
 
 
-def trial_division_irreducible(m: int) -> bool:
-    """The trial-division test Rabin's test replaced; oracle for small degrees."""
-    k = m.bit_length() - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if not m & 1:  # divisible by t
-        return False
-    for deg in range(1, k // 2 + 1):
-        for d in range(1 << deg, 1 << (deg + 1)):
-            if _gf2_poly_mod(m, d) == 0:
-                return False
-    return True
-
-
-def clmul(a: int, b: int) -> int:
-    """Product in GF(2)[t]."""
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        a <<= 1
-        b >>= 1
-    return p
-
-
 def test_rabin_matches_trial_division_up_to_degree_12():
     for m in range(2, 1 << 13):
         assert _is_irreducible(m) == trial_division_irreducible(m), bin(m)
@@ -76,7 +53,7 @@ def test_rabin_matches_trial_division_up_to_degree_12():
 
 def test_large_degree_modulus_is_decided_quickly():
     gcm = (1 << 128) | 0b10000111  # t^128 + t^7 + t^2 + t + 1
-    reducible = clmul(0b11, (1 << 64) | 0b11011)  # (t+1)(t^64 + t^4 + t^3 + t + 1)
+    reducible = gf_mul(0b11, (1 << 64) | 0b11011)  # (t+1)(t^64 + t^4 + t^3 + t + 1)
     start = time.perf_counter()
     spec = FieldSpec(128, gcm)
     assert time.perf_counter() - start < 0.5
@@ -132,7 +109,7 @@ def test_table_inverse_matches_fermat_for_every_irreducible_modulus(k):
         spec = FieldSpec(k, m)
         for a in range(1, spec.order):
             inv = spec.inv(a)
-            assert inv == spec.pow(a, spec.order - 2)  # Fermat: a^(2^k - 2)
+            assert inv == gf_inv(a, m) == spec.pow(a, spec.order - 2)  # Fermat: a^(2^k - 2)
             assert spec.mul(a, inv) == 1
         with pytest.raises(ZeroDivisionError):
             spec.inv(0)
@@ -145,7 +122,7 @@ def test_euclid_inverse_at_degree_64():
         a = rng.randrange(1, spec.order)
         inv = spec.inv(a)
         assert 0 < inv < spec.order  # reduced, so mul's own reduction hides nothing
-        assert spec.mul(a, inv) == 1
+        assert spec.mul(a, inv) == gf_mul(a, inv, spec.modulus) == 1
     assert spec.inv(1) == 1
     assert spec.modulus not in _INV_TABLES  # no 2^64-entry table
     with pytest.raises(ZeroDivisionError):

@@ -1,27 +1,26 @@
 """Buchberger against an independent Groebner engine.
 
-sympy's groebner over GF(2) (modulus=2, grevlex) is the oracle.  A reduced
-Groebner basis is unique for a given ideal and term order, so both sides
-must return the same set of monic polynomials.  sympy takes its generators
-most significant first, which is the order a priority lists the variables
-in; ours is the sort key `priority_order(priority)`.  The inputs are the
-cleared partials of the projective-plane and A-series fixtures, plus
-hypothesis-drawn sets of one to three polynomials in two or three
-variables.
+sympy's groebner over GF(2) (modulus=2, grevlex), through tests/oracles.py,
+is the oracle.  A reduced Groebner basis is unique for a given ideal and
+term order, so both sides must return the same set of monic polynomials.
+sympy takes its generators most significant first, which is the order a
+priority lists the variables in; ours is the sort key
+`priority_order(priority)`.  The inputs are the cleared partials of the
+projective-plane and A-series fixtures, plus hypothesis-drawn sets of one
+to three polynomials in two or three variables.
 """
 
 from __future__ import annotations
 
-from importlib.resources import files
-
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture
+from oracles import sympy_basis, sympy_normal_form
+
 from mf2.gf2k import GF2
 from mf2.groebner import _clear_monomial_content, buchberger, normal_form
-from mf2.mfcore import parse_mf_text
 from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key
 
 
@@ -30,48 +29,23 @@ def priority_order(priority):
     return lambda e: grevlex_key(tuple(e[p] for p in priority))
 
 
-def as_terms(p: RingPoly) -> frozenset:
-    return frozenset(p.terms.items())
-
-
-def to_sympy(p: RingPoly, symbols, priority) -> sympy.Expr:
-    return sympy.Add(*(sympy.Mul(*(s ** e[i] for s, i in zip(symbols, priority)))
-                       for e in p.terms))
-
-
-def from_sympy(g: sympy.Expr, ring: RingDescriptor, symbols, priority) -> frozenset:
-    """The terms of a sympy expression in the ring's variable order."""
-    terms = {}
-    for exps, coeff in sympy.Poly(g, *symbols, modulus=2).terms():
-        ours = [0] * ring.nvars
-        for i, e in zip(priority, exps):
-            ours[i] = e
-        terms[tuple(ours)] = int(coeff) % 2
-    return frozenset((e, c) for e, c in terms.items() if c)
-
-
-def sympy_basis(gens: list[RingPoly], priority) -> set[frozenset]:
-    """The reduced basis sympy computes, as term sets in the ring's variable order."""
-    ring = gens[0].ring
-    symbols = [sympy.Symbol(ring.vars[i]) for i in priority]
-    exprs = [to_sympy(p, symbols, priority) for p in gens]
-    return {from_sympy(g, ring, symbols, priority)
-            for g in sympy.groebner(exprs, *symbols, modulus=2, order="grevlex").exprs}
+def as_terms(terms: dict) -> frozenset:
+    return frozenset(terms.items())
 
 
 def assert_bases_agree(gens: list[RingPoly], priority) -> list[RingPoly]:
     ours = buchberger(gens, priority_order(priority))
-    assert {as_terms(g) for g in ours} == sympy_basis(gens, priority)
+    assert {as_terms(g.terms) for g in ours} == {as_terms(g) for g in
+                                                 sympy_basis([g.terms for g in gens], priority)}
     return ours
 
 
 @pytest.mark.parametrize("name", ["rp2", "an_q_1", "an_q_2", "an_q_3", "an_q_4"])
 def test_fixture_partials_match_sympy(name):
-    mff = parse_mf_text((files("mf2") / "fixtures" / f"{name}.mf").read_text())
-    ring = mff.w.ring
+    w = fixture(name).w
+    ring = w.ring
     poly_ring = ring.polynomialized()
-    cleared = [_clear_monomial_content(mff.w.partial(i), poly_ring)
-               for i in range(ring.nvars)]
+    cleared = [_clear_monomial_content(w.partial(i), poly_ring) for i in range(ring.nvars)]
     # the quotient order, as mf2 uses it
     basis = assert_bases_agree([p for p in cleared if not p.is_zero()],
                                tuple(reversed(range(ring.nvars))))
@@ -105,12 +79,9 @@ def test_normal_forms_match_sympy_reduction(drawn, data):
     # modulo a Groebner basis the remainder of full division is unique
     gens, priority = drawn
     ring = gens[0].ring
-    basis = [RingPoly(ring, dict(g)) for g in sympy_basis(gens, priority)]
+    basis = sympy_basis([g.terms for g in gens], priority)
     monomial = st.tuples(*[st.integers(0, 5)] * ring.nvars)
     p = RingPoly(ring, {e: 1 for e in data.draw(st.sets(monomial, max_size=6))})
-    symbols = [sympy.Symbol(ring.vars[i]) for i in priority]
-    _, rem = sympy.reduced(to_sympy(p, symbols, priority),
-                           [to_sympy(g, symbols, priority) for g in basis],
-                           *symbols, modulus=2, order="grevlex")
-    want = from_sympy(rem, ring, symbols, priority) if rem != 0 else frozenset()
-    assert as_terms(normal_form(p, basis, priority_order(priority))) == want
+    want = as_terms(sympy_normal_form(p.terms, basis, priority))
+    got = normal_form(p, [RingPoly(ring, g) for g in basis], priority_order(priority))
+    assert as_terms(got.terms) == want

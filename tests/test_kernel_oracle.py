@@ -1,13 +1,12 @@
 """The product kernel and exact division against an independent engine.
 
-sympy's Poly over GF(2) (modulus=2) is the oracle; it shares no code with
+The oracles are sympy's, through tests/oracles.py: it shares no code with
 mf2's packed keys.  sympy knows only polynomial rings, so a Laurent input
 is first multiplied by a monomial that clears its negative exponents, and
 the answer is shifted back.  For exact division only the Laurent
 variables are shifted, by the operand's monomial content in them, so that
-sympy alone decides divisibility in the polynomial variables.  One
-divisor is a Groebner basis of the ideal it generates, so sympy's
-remainder is zero exactly when the divisor divides.
+sympy alone decides divisibility in the polynomial variables
+(`sympy_divide`).
 """
 
 from __future__ import annotations
@@ -15,81 +14,45 @@ from __future__ import annotations
 import itertools
 import random
 
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import polys, rings
+from oracles import sympy_divide, sympy_sum_of_products
 
 from mf2.gf2k import GF2
 from mf2.ringpoly import RingDescriptor, RingPoly, _mul_into, exact_divide
 
-SPAN = 4  # exponents lie in [-SPAN, SPAN] for Laurent variables, [0, SPAN] otherwise
-
-
-@st.composite
-def rings(draw):
-    nvars = draw(st.integers(2, 3))
-    laurent = tuple(draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars)))
-    return RingDescriptor(GF2, ("x", "y", "z")[:nvars], laurent)
-
-
-def polys(ring: RingDescriptor, min_size: int = 0, max_size: int = 6):
-    monomial = st.tuples(*[st.integers(-SPAN if flag else 0, SPAN) for flag in ring.laurent])
-    return st.sets(monomial, min_size=min_size, max_size=max_size).map(
-        lambda support: RingPoly(ring, {e: 1 for e in support}))
-
-
-def to_sympy(p: RingPoly, shift) -> sympy.Poly:
-    """p times x^shift, which must be a polynomial, as a sympy Poly."""
-    symbols = sympy.symbols(p.ring.vars)
-    exps = {tuple(a + s for a, s in zip(e, shift)): 1 for e in p.terms}
-    return sympy.Poly.from_dict(exps or {(0,) * len(shift): 0}, *symbols, modulus=2)
-
-
-def from_sympy(q: sympy.Poly, ring: RingDescriptor, shift) -> RingPoly:
-    """q times x^-shift as a polynomial of ring."""
-    terms = {}
-    for exps, c in q.as_dict().items():
-        if int(c) % 2:
-            terms[tuple(a - s for a, s in zip(exps, shift))] = 1
-    return RingPoly(ring, terms)
+SPAN = (-4, 4)  # exponents lie in [-4, 4] for Laurent variables, [0, 4] otherwise
 
 
 @settings(max_examples=150)
 @given(st.data())
 def test_mul_into_matches_sympy_products(data):
-    ring = data.draw(rings())
-    a, b, acc = (data.draw(polys(ring)) for _ in range(3))
-    shift = [SPAN if flag else 0 for flag in ring.laurent]
-    want = from_sympy(to_sympy(acc, [2 * s for s in shift])
-                      + to_sympy(a, shift) * to_sympy(b, shift), ring, [2 * s for s in shift])
+    ring = data.draw(rings(nvars=(2, 3)))
+    a, b, acc = (data.draw(polys(ring, SPAN, range(7))) for _ in range(3))
+    one = {(0,) * ring.nvars: 1}
+    [[want]] = sympy_sum_of_products((([[acc.terms]], [[one]]), ([[a.terms]], [[b.terms]])),
+                                     ring.vars, GF2.modulus)
     got = _mul_into(dict(acc.packed), a.packed, b.packed, ring)
-    assert RingPoly._raw(ring, got) == want
+    assert RingPoly._raw(ring, got) == RingPoly(ring, want)
     assert all(got.values())
-
-
-def content_shift(p: RingPoly) -> list[int]:
-    """The monomial that clears p's negative content in its Laurent variables."""
-    return [-lo if flag else 0 for (lo, _), flag in zip(p.support_bounds(), p.ring.laurent)]
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_exact_divide_matches_sympy_division(data):
-    ring = data.draw(rings())
-    d = data.draw(polys(ring, min_size=1, max_size=3))
-    p = data.draw(polys(ring, max_size=5))
+    ring = data.draw(rings(nvars=(2, 3)))
+    d = data.draw(polys(ring, SPAN, range(1, 4)))
+    p = data.draw(polys(ring, SPAN, range(6)))
     if data.draw(st.booleans()):
         p = p * d  # divisible: half the draws
     got = exact_divide(p, d)
     if p.is_zero():
         assert got == p
         return
-    sp, sd = content_shift(p), content_shift(d)
-    q, r = to_sympy(p, sp).div(to_sympy(d, sd))
-    if not r.is_zero:
-        assert got is None
-    else:
-        assert got == from_sympy(q, ring, [a - b for a, b in zip(sp, sd)])
+    want = sympy_divide(p.terms, d.terms, ring.vars, ring.laurent)
+    assert got == (None if want is None else RingPoly(ring, want))
 
 
 def test_exact_divide_of_a_large_sparse_product_matches_sympy():
@@ -103,10 +66,7 @@ def test_exact_divide_of_a_large_sparse_product_matches_sympy():
     d = RingPoly(ring, {(0, 0): 1, (1, 1): 1, (-1, 2): 1})
     p = q * d
     assert exact_divide(p, d) == q
-    sp, sd = content_shift(p), content_shift(d)
-    quotient, rest = to_sympy(p, sp).div(to_sympy(d, sd))
-    assert rest.is_zero
-    assert from_sympy(quotient, ring, [a - b for a, b in zip(sp, sd)]) == q
+    assert sympy_divide(p.terms, d.terms, ring.vars, ring.laurent) == q.terms
     bumped = p + RingPoly(ring, {(61, 61): 1})
     assert exact_divide(bumped, d) is None
-    assert not to_sympy(bumped, content_shift(bumped)).div(to_sympy(d, sd))[1].is_zero
+    assert sympy_divide(bumped.terms, d.terms, ring.vars, ring.laurent) is None

@@ -6,6 +6,7 @@ and from none at or above it, so reading an MF file and verifying a
 factorization load neither the command line, nor the lab, nor the window
 and Groebner machinery.  Every name in a module's __all__ exists, and
 every name a module imports is used there or listed in its __all__.
+The test oracles in tests/oracles.py import no mf2 module at all.
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead = sorted(_imported_names(tree) - used - exported)
         assert not dead, f"mf2/{path.name} imports {dead} and never uses them"
+
+
+def test_the_oracles_import_no_mf2_module():
+    """A reference that called mf2 would reproduce mf2's faults, not catch
+    them.  The oracles import from an allowlist, so mf2 cannot reach them
+    through conftest or a test module either."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    modules += ["." * node.level + (node.module or "")
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    allowed = {"__future__", "functools", "itertools", "operator", "sympy"}
+    assert modules and not [m for m in modules if m.split(".")[0] not in allowed]
 
 
 def test_core_reads_and_verifies_a_fixture_alone():

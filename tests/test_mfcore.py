@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture
+
 from mf2.cohomwin import certify_at_point, cohomology_dims
 from mf2.gf2k import GF2, default_spec
 from mf2.mfcore import (
@@ -47,10 +49,6 @@ P2 = RingDescriptor(GF2, ("x", "y"), (False, False))
 RP2_TEXT = "0, 1, 1, x^-1*y^-1; y, 0, x^-1, 1; x, y^-1, 0, 1; 1, x, y, 0"
 
 
-def rp2():
-    return UngradedMF(parse_poly("x + y + x^-1*y^-1", L2), parse_matrix(RP2_TEXT, L2))
-
-
 def an_q(n):
     w = parse_poly(f"x^{2 * n} + y^2 + x*y*z", P3)
     q = parse_matrix(f"x^{n}, y; y + x*z, x^{n}", P3)
@@ -64,7 +62,7 @@ def an_r(n):
 
 
 def test_verified_construction_and_rejection():
-    x = rp2()
+    x = fixture("rp2")
     assert x.size == 4
     bad = parse_matrix(RP2_TEXT.replace("x^-1*y^-1", "x^-1"), L2)
     report = verify_mf(bad, x.w)
@@ -81,7 +79,7 @@ def test_a_series_families_verify():
 
 
 def test_differential_squares_to_zero():
-    x = rp2()
+    x = fixture("rp2")
     rng = random.Random(41)
     for _ in range(20):
         f = Morphism(
@@ -127,7 +125,7 @@ def test_hom_users_state_one_contract(user, source, message):
 def test_euler_identity_both_variables():
     """dQ*Q + Q*dQ = dW*Id, the derivative of Q^2 = W*Id: the Jacobian
     action on the identity is exact with witness dQ."""
-    for mf, variables in ((rp2(), ("x", "y")), (an_q(2), ("x", "y", "z"))):
+    for mf, variables in ((fixture("rp2"), ("x", "y")), (an_q(2), ("x", "y", "z"))):
         ident = RingMatrix.identity(mf.ring, mf.size)
         for v in variables:
             wit = jacobian_action_witness(Morphism(mf, mf, ident), v)
@@ -162,7 +160,7 @@ def test_double_and_forget_shapes():
     assert f.size == 4
     assert f.w == x.w
     # folding a doubled projective-plane factorization also verifies
-    assert forget(double(rp2())).size == 8
+    assert forget(double(fixture("rp2"))).size == 8
 
 
 def test_graded_mf_keeps_its_verified_fold():
@@ -237,7 +235,7 @@ def test_adjunction_preserves_closedness():
 
 
 def test_contract_at_noncritical_point():
-    x = rp2()
+    x = fixture("rp2")
     gf4 = default_spec(2)
     pt = (gf4.element(1), gf4.element(2))
     dw = x.w.partial("x").evaluate(pt)

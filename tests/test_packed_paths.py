@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import ast
 import random
-from importlib.resources import files
 from pathlib import Path
 
 import pytest
+
+from conftest import fixture
 
 from mf2 import ringpoly
 from mf2.cohomwin import Window, cohomology_dims, solve_exactness
@@ -28,7 +29,7 @@ from mf2.groebner import (
     normal_form,
     quotient_order,
 )
-from mf2.mfcore import Morphism, UngradedMF, parse_mf_text, search_factorizations
+from mf2.mfcore import Morphism, search_factorizations
 from mf2.paperlab import Rp2Context
 from mf2.ringmat import RingMatrix
 from mf2.ringpoly import RingDescriptor, RingPoly, exact_divide, parse_poly
@@ -52,11 +53,6 @@ def terms_reads(monkeypatch):
     return reads
 
 
-def rp2() -> UngradedMF:
-    mff = parse_mf_text((files("mf2") / "fixtures" / "rp2.mf").read_text())
-    return UngradedMF(mff.w, mff.q)
-
-
 def test_exact_divide_reads_no_tuple_view(terms_reads):
     ring = RingDescriptor(GF2, ("x", "y"), (True, True))
     d = parse_poly("1 + x^-2*y^-1", ring)
@@ -76,10 +72,10 @@ def test_reduce_endomorphism_reads_no_tuple_view(k, terms_reads):
 
 
 def test_groebner_reads_no_tuple_view(terms_reads):
-    mff = parse_mf_text((files("mf2") / "fixtures" / "rp2.mf").read_text())
-    ring = mff.w.ring
+    w = fixture("rp2").w
+    ring = w.ring
     poly_ring = ring.polynomialized()
-    cleared = [_clear_monomial_content(mff.w.partial(i), poly_ring) for i in range(ring.nvars)]
+    cleared = [_clear_monomial_content(w.partial(i), poly_ring) for i in range(ring.nvars)]
     quotient = CONTEXTS[1].jacobian
     terms_reads.clear()  # content clearing is a map between rings
     basis = buchberger(cleared, quotient_order)
@@ -91,7 +87,7 @@ def test_groebner_reads_no_tuple_view(terms_reads):
 
 
 def test_windows_and_search_read_no_tuple_view(terms_reads):
-    x = rp2()
+    x = fixture("rp2")
     ring = x.ring
     assert cohomology_dims(x, x, 3)[3] == 3
     f = Morphism(x, x, RingMatrix.identity(ring, 4).scale(x.w.partial("x")))

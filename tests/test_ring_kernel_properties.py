@@ -1,8 +1,9 @@
 """Property tests of the multiply-accumulate kernel against the old products.
 
-The oracles are the loops the kernel replaced: a polynomial product with
-one field multiplication per term pair on exponent tuples, and a matrix
-product that folds `acc + a*b` entry by entry.  The fused RingPoly and
+The oracles, in tests/oracles.py, are the loops the kernel replaced: a
+polynomial product with one field multiplication per term pair on
+exponent tuples, and a matrix product that folds `acc + a*b` entry by
+entry, both on plain term dicts.  The fused RingPoly and
 RingMatrix products on packed keys must equal them exactly and keep no
 zero coefficient, over GF(2)..GF(16), Laurent and non-Laurent rings,
 non-square shapes, unit monomials with any coefficient, and sums that
@@ -13,25 +14,26 @@ exponent bounds must equal one pack per vector, in itertools.product
 order, and raise pack's errors where pack does.
 
 Sums of products (commutator, Morphism.differential, and the kernel they
-share with the matrix product) are checked against sympy, which shares no
-code with the kernel: over GF(2)[t, x, ...] with a GF(2^k) coefficient's
-bit i carried by t^i, each entry is the sum of its products reduced modulo
-the field's modulus in t.
+share with the matrix product) are checked against the sympy oracle,
+which shares no code with the kernel: over GF(2)[t, x, ...] with a
+GF(2^k) coefficient's bit i carried by t^i, each entry is the sum of its
+products reduced modulo the field's modulus in t.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from importlib.resources import files
 
 import pytest
-import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture, matrix_of, polys, rings, rows_of
+from oracles import oracle_add, oracle_matmul, oracle_mul, sympy_sum_of_products
+
 from mf2.gf2k import default_spec
-from mf2.mfcore import Morphism, UngradedMF, double, forget, parse_mf_text
+from mf2.mfcore import Morphism, double, forget
 from mf2.paperlab import Rp2Context, random_matrix, random_poly
 from mf2.ringmat import RingMatrix, commutator
 from mf2.ringpoly import EXP_BOUND, RingDescriptor, RingPoly
@@ -40,55 +42,7 @@ FIELDS = [default_spec(k) for k in (1, 2, 3, 4)]
 PROPERTY = settings(max_examples=80)
 
 
-# -- the old products ---------------------------------------------------------------
-
-
-def oracle_mul(a: RingPoly, b: RingPoly) -> RingPoly:
-    """Every term pair, one field multiplication each; zero sums dropped."""
-    field = a.ring.field
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) ^ field.mul(c1, c2)
-    return RingPoly(a.ring, {e: c for e, c in out.items() if c})
-
-
-def oracle_matmul(m: RingMatrix, n: RingMatrix) -> RingMatrix:
-    """The per-entry `acc + a*b` loop."""
-    out = []
-    for i in range(m.rows):
-        for j in range(n.cols):
-            acc = RingPoly.zero(m.ring)
-            for k in range(m.cols):
-                a, b = m.at(i, k), n.at(k, j)
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + oracle_mul(a, b)
-            out.append(acc)
-    return RingMatrix(m.ring, m.rows, n.cols, out)
-
-
 # -- strategies -------------------------------------------------------------------------
-
-
-@st.composite
-def rings(draw, fields=FIELDS):
-    spec = draw(st.sampled_from(fields))
-    n = draw(st.integers(1, 3))
-    laurent = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return RingDescriptor(spec, ("x", "y", "z")[:n], laurent)
-
-
-@st.composite
-def polys(draw, ring):
-    """Up to five terms with exponents in -1..2 (0..2 when not Laurent), so
-    products collide and cancel; one draw in three is a single monomial,
-    with any coefficient."""
-    exps = st.tuples(*(st.integers(-1 if flag else 0, 2) for flag in ring.laurent))
-    coeffs = st.integers(1, ring.field.order - 1)
-    size = draw(st.sampled_from((0, 1, 1, 2, 3, 5)))
-    return RingPoly(ring, draw(st.dictionaries(exps, coeffs, max_size=size)))
 
 
 @st.composite
@@ -101,7 +55,7 @@ def matrices(draw, ring, rows, cols):
 
 @st.composite
 def matrix_pairs(draw):
-    ring = draw(rings())
+    ring = draw(rings(FIELDS))
     r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
     return draw(matrices(ring, r, k)), draw(matrices(ring, k, c))
 
@@ -117,10 +71,10 @@ def assert_clean(p: RingPoly, ring: RingDescriptor) -> None:
 @PROPERTY
 @given(st.data())
 def test_poly_product_equals_oracle(data):
-    ring = data.draw(rings())
+    ring = data.draw(rings(FIELDS))
     a, b = data.draw(polys(ring)), data.draw(polys(ring))
     got = a * b
-    assert got.terms == oracle_mul(a, b).terms
+    assert got.terms == oracle_mul(a.terms, b.terms, ring.field.modulus)
     assert_clean(got, ring)
     assert (a + b) * (a + b) == a * a + b * b  # the cross terms cancel in characteristic 2
 
@@ -130,9 +84,9 @@ def test_poly_product_equals_oracle(data):
 def test_matrix_product_equals_oracle(pair):
     m, n = pair
     got = m * n
-    want = oracle_matmul(m, n)
+    want = oracle_matmul(rows_of(m), rows_of(n), m.ring.field.modulus)
     assert (got.rows, got.cols) == (m.rows, n.cols)
-    assert got == want
+    assert got == matrix_of(m.ring, want)
     for e in got.entries:
         assert_clean(e, m.ring)
 
@@ -140,14 +94,16 @@ def test_matrix_product_equals_oracle(pair):
 @PROPERTY
 @given(st.data())
 def test_scale_and_sum_equal_oracle(data):
-    ring = data.draw(rings())
+    ring = data.draw(rings(FIELDS))
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     m = data.draw(matrices(ring, rows, cols))
     n = data.draw(matrices(ring, rows, cols))
     c = data.draw(polys(ring))
     scaled = m.scale(c)
-    assert scaled.entries == tuple(oracle_mul(c, e) for e in m.entries)
-    assert (m + n).entries == tuple(a + b for a, b in zip(m.entries, n.entries))
+    assert scaled.entries == tuple(RingPoly(ring, oracle_mul(c.terms, e.terms, ring.field.modulus))
+                                   for e in m.entries)
+    assert (m + n).entries == tuple(RingPoly(ring, oracle_add(a.terms, b.terms))
+                                    for a, b in zip(m.entries, n.entries))
     assert (m + m).is_zero()
     for e in scaled.entries + (m + n).entries:
         assert_clean(e, ring)
@@ -160,10 +116,10 @@ def test_equal_rings_built_apart_still_multiply():
     assert r1 == r2 and r1 is not r2
     p = RingPoly(r1, {(-1, 0): 2, (0, 1): 1})
     q = RingPoly(r2, {(1, 1): 3})
-    assert (p * q).terms == oracle_mul(p, q).terms
+    assert (p * q).terms == oracle_mul(p.terms, q.terms, spec.modulus)
     m = RingMatrix(r1, 1, 2, [p, q])
     n = RingMatrix(r2, 2, 1, [q, p])
-    assert m * n == oracle_matmul(m, n)
+    assert m * n == matrix_of(r1, oracle_matmul(rows_of(m), rows_of(n), spec.modulus))
     assert (m + RingMatrix(r2, 1, 2, [q, p])).entries == (p + q, p + q)
     assert m.scale(RingPoly.one(r2)) == m
 
@@ -189,27 +145,12 @@ def test_ring_mismatch_is_rejected(op):
 # -- delta squares to zero ----------------------------------------------------------
 
 
-FIXTURES = {
-    name: parse_mf_text((files("mf2") / "fixtures" / f"{name}.mf").read_text())
-    for name in ("rp2", "an_q_1", "an_r_1")
-}
-
-
-def lifted(name: str, spec) -> UngradedMF:
-    """A GF(2) fixture with its ring's field replaced by spec."""
-    mff = FIXTURES[name]
-    ring = RingDescriptor(spec, mff.ring.vars, mff.ring.laurent)
-    n = mff.q.rows
-    q = RingMatrix(ring, n, n, [RingPoly(ring, dict(e.terms)) for e in mff.q.entries])
-    return UngradedMF(RingPoly(ring, dict(mff.w.terms)), q)
-
-
 @settings(max_examples=30)
-@given(st.sampled_from(sorted(FIXTURES)), st.sampled_from(FIELDS[:2]), st.data())
+@given(st.sampled_from(("an_q_1", "an_r_1", "rp2")), st.sampled_from(FIELDS[:2]), st.data())
 def test_delta_squares_to_zero(name, spec, data):
     """d(d(g)) = Q^2 g + g Q^2 = 2W g = 0 because Q^2 = W*Id, over GF(2)
     and lifted to GF(4)."""
-    q = lifted(name, spec).q
+    q = fixture(name, spec).q
     g = data.draw(matrices(q.ring, q.rows, q.rows))
     assert commutator(q, commutator(q, g)).is_zero()
 
@@ -223,45 +164,9 @@ SUMS = settings(max_examples=40,
                 phases=[p for p in settings.default.phases if p is not Phase.shrink])
 
 
-def to_sympy(p: RingPoly, gens, shift) -> sympy.Poly:
-    """p times the monomial x^shift over GF(2)[t, x, ...]: bit i of a
-    coefficient becomes t^i."""
-    terms = {(i, *(a + s for a, s in zip(e, shift))): 1
-             for e, c in p.terms.items() for i in range(c.bit_length()) if c >> i & 1}
-    return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, *gens, modulus=2)
-
-
-def sympy_sum_of_products(pairs) -> RingMatrix:
-    """Each entry of sum(left*right) summed in sympy, reduced modulo the
-    field's modulus in t, and shifted back."""
-    ring = pairs[0][0].ring
-    gens = sympy.symbols(("t",) + ring.vars)
-    shift = [1 if flag else 0 for flag in ring.laurent]  # polys() exponents are >= -1
-    modulus = sympy.Poly.from_dict(
-        {(i,) + (0,) * len(ring.vars): 1 for i in range(ring.field.modulus.bit_length())
-         if ring.field.modulus >> i & 1}, *gens, modulus=2)
-    rows, cols = pairs[0][0].rows, pairs[0][1].cols
-    converted = [([to_sympy(e, gens, shift) for e in left.entries],
-                  [to_sympy(e, gens, shift) for e in right.entries], left.cols)
-                 for left, right in pairs]
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            total = to_sympy(RingPoly.zero(ring), gens, shift)
-            for left, right, inner in converted:
-                for k in range(inner):
-                    total += left[i * inner + k] * right[k * cols + j]
-            terms: dict[tuple[int, ...], int] = {}
-            for (bit, *exps), c in total.rem(modulus).as_dict().items():
-                if int(c) % 2:
-                    e = tuple(a - 2 * s for a, s in zip(exps, shift))
-                    terms[e] = terms.get(e, 0) ^ 1 << bit
-            out.append(RingPoly(ring, terms))
-    return RingMatrix(ring, rows, cols, out)
-
-
 def assert_sum_matches(got: RingMatrix, pairs) -> None:
-    assert got == sympy_sum_of_products(pairs)
+    plain = [(rows_of(left), rows_of(right)) for left, right in pairs]
+    assert got == matrix_of(got.ring, sympy_sum_of_products(plain, got.ring.vars, got.ring.field.modulus))
     for e in got.entries:
         assert_clean(e, got.ring)
 
@@ -285,7 +190,7 @@ def test_sum_of_products_equals_sympy_products_summed(data):
 def test_hom_differential_equals_sympy_products_summed(spec, outward, data):
     """d(f) = Q_t*f + f*Q_s between a 2x2 factorization and its 4x4
     fold: 4x4 * 4x2 + 4x2 * 2x2, and 2x4 * 4x4 + 2x2 * 2x4."""
-    small = lifted("an_r_1", spec)
+    small = fixture("an_r_1", spec)
     source, target = (small, forget(double(small))) if outward else (forget(double(small)), small)
     f = data.draw(matrices(small.ring, target.size, source.size))
     got = Morphism(source, target, f).differential().f
@@ -403,17 +308,19 @@ def test_packed_product_at_the_bound_equals_oracle_or_raises(data):
     col = RingMatrix(ring, 2, 1, [b, b])
     one_by_one = RingMatrix(ring, 1, 1, [c])
     pairs = ((row, col), (one_by_one, one_by_one))  # a*b + c*c
+    mod = spec.modulus
     if in_range(a, b):
-        assert (a * b).terms == oracle_mul(a, b).terms
-        assert row * col == oracle_matmul(row, col)
-        assert row.scale(b).entries[0] == oracle_mul(a, b)
+        assert (a * b).terms == oracle_mul(a.terms, b.terms, mod)
+        assert row * col == matrix_of(ring, oracle_matmul(rows_of(row), rows_of(col), mod))
+        assert row.scale(b).entries[0] == RingPoly(ring, oracle_mul(a.terms, b.terms, mod))
     else:
         for product in (lambda: a * b, lambda: row * col, lambda: row.scale(b)):
             with pytest.raises(ValueError, match="exponent overflow"):
                 product()
     if in_range(a, b) and in_range(c, c):
         got = RingMatrix._sum_of_products(pairs).entries[0]
-        assert got == oracle_mul(a, b) + oracle_mul(c, c)
+        assert got == RingPoly(ring, oracle_add(oracle_mul(a.terms, b.terms, mod),
+                                                oracle_mul(c.terms, c.terms, mod)))
         assert_clean(got, ring)
     else:
         with pytest.raises(ValueError, match="exponent overflow"):

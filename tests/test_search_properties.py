@@ -1,7 +1,8 @@
 """Property tests of the backtracking factorization search against brute force.
 
-The oracle is the exhaustive enumerator the backtracking search replaced:
-it builds every coefficient assignment as a RingMatrix and squares it.
+The oracle, in tests/oracles.py, is the exhaustive enumerator the
+backtracking search replaced: it builds every coefficient assignment as a
+matrix of term dicts and squares it with the term-pair product.
 The search must return the same matrices in the same order.  Random
 potentials almost never lie in the span of products of two support
 monomials, so they mostly take the search's empty rule.  The other half
@@ -18,11 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import matrix_of
+from oracles import brute_force_search
 
 from mf2.gf2k import GF2, default_spec
 from mf2.mfcore import _fill_order, search_factorizations
@@ -32,42 +35,6 @@ from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 FIELDS = (GF2, default_spec(2))
 MAX_BITS = 12
 PROPERTY = settings(max_examples=40)
-
-
-def brute_force_search(
-    w: RingPoly,
-    size: int,
-    support: Iterable[Sequence[int]],
-    budget_bits: int = 24,
-) -> list[RingMatrix]:
-    """The exhaustive enumerator: every assignment, one matrix square each."""
-    ring = w.ring
-    supp = sorted({ring.check_exponents(s) for s in support}, key=grevlex_key, reverse=True)
-    if not supp:
-        raise ValueError("empty support")
-    k = ring.field.k
-    nslots = size * size * len(supp)
-    bits = nslots * k
-    if bits > budget_bits:
-        raise ValueError(
-            f"search budget exceeded: needs {bits} bits, budget is {budget_bits}"
-        )
-    values = list(range(ring.field.order))
-    out = []
-    wid = RingMatrix.identity(ring, size).scale(w)
-    for assignment in itertools.product(values, repeat=nslots):
-        entries = []
-        for slot in range(size * size):
-            terms = {}
-            for m_i, exps in enumerate(supp):
-                c = assignment[slot * len(supp) + m_i]
-                if c:
-                    terms[exps] = c
-            entries.append(RingPoly(ring, terms))
-        q = RingMatrix(ring, size, size, entries)
-        if q * q == wid:
-            out.append(q)
-    return out
 
 
 @st.composite
@@ -100,7 +67,8 @@ def search_cases(draw):
 def test_search_matches_brute_force(case):
     w, size, support, witness = case
     found = search_factorizations(w, size, support, budget_bits=MAX_BITS)
-    assert found == brute_force_search(w, size, support, budget_bits=MAX_BITS)
+    want = brute_force_search(w.terms, size, support, w.ring.field.modulus)
+    assert found == [matrix_of(w.ring, q) for q in want]
     if witness is not None:
         assert witness in found
 

@@ -9,11 +9,12 @@ traced.  The tracer is loaded from its file and left unchanged.
 from __future__ import annotations
 
 import importlib.util
-from importlib.resources import files
 from pathlib import Path
 
+from conftest import FIXTURES, fixture
+
 from mf2 import cli, cohomwin, mfcore
-from mf2.mfcore import Morphism, UngradedMF, parse_mf_text
+from mf2.mfcore import Morphism
 from mf2.ringmat import RingMatrix
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -27,8 +28,7 @@ def load_tracer_module():
 
 
 def test_tracer_counts_one_column_build_per_cohomology_call():
-    mff = parse_mf_text((files("mf2") / "fixtures" / "rp2.mf").read_text())
-    rp2 = UngradedMF(mff.w, mff.q)
+    rp2 = fixture("rp2")
     original = cohomwin._delta_columns
     tracer = load_tracer_module().Tracer()
     tracer.install()
@@ -48,8 +48,7 @@ def test_tracer_counts_one_column_build_per_cohomology_call():
 
 
 def test_tracer_counts_the_exactness_window():
-    mff = parse_mf_text((files("mf2") / "fixtures" / "rp2.mf").read_text())
-    rp2 = UngradedMF(mff.w, mff.q)
+    rp2 = fixture("rp2")
     ident = RingMatrix.identity(rp2.ring, 4)
     window = cohomwin.Window.symmetric(rp2.ring, 1)
     tracer = load_tracer_module().Tracer()
@@ -71,7 +70,7 @@ def test_tracer_counts_the_exactness_window():
 def test_tracer_times_the_parser_the_cli_reexports():
     # the benchmark calls cli.parse_mf_text and times it as cli.parse
     assert cli.parse_mf_text is mfcore.parse_mf_text
-    text = (files("mf2") / "fixtures" / "rp2.mf").read_text()
+    text = (FIXTURES / "rp2.mf").read_text()
     tracer = load_tracer_module().Tracer()
     tracer.install()
     try:
