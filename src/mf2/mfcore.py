@@ -292,6 +292,81 @@ def _fill_order(size: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, 
     return slots, [[ab for ab in last if last[ab] == n] for n in range(len(slots))]
 
 
+_Pairs = tuple[tuple[int, int], ...]
+
+
+@functools.cache
+def _schedule(size: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[_Pairs, _Pairs, bool], ...], ...]]:
+    """_fill_order in flat indices, built once per size: each slot's entry
+    as a row-major index, and per slot, per (a, b) it completes, the pairs
+    (q_am, q_mb) as flat indices that hold the slot's own entry, the other
+    pairs, and whether (Q^2)_ab is on the diagonal."""
+    slots, completes = _fill_order(size)
+    flat = tuple(i * size + j for i, j in slots)
+    checks = []
+    for f, done in zip(flat, completes):
+        step = []
+        for a, b in done:
+            pairs = [(a * size + m, m * size + b) for m in range(size)]
+            step.append((tuple(p for p in pairs if f in p), tuple(p for p in pairs if f not in p),
+                         a == b))
+        checks.append(tuple(step))
+    return flat, tuple(checks)
+
+
+def _reverify(w: RingPoly, found: Sequence[RingMatrix]) -> None:
+    """Raise VerificationError unless every matrix in found, the results of
+    one search (size x size over W's ring), has Q^2 = W*Id: each entry of
+    Q^2 is compared with W or 0.
+
+    (Q^2)_ab is the sum over m of q_am q_mb.  Entries are told apart by
+    identity, and each product of two entries that some (Q^2)_ab needs is
+    formed once per call: one RingMatrix product per distinct left entry,
+    [q_am] times the row of the right entries it meets.  So results that
+    share entry objects share their products, and (Q^2)_ab of each result
+    is the XOR of its cached products, packed into one int, k bits per
+    monomial, as W is."""
+    if not found:
+        return
+    ring, size = w.ring, found[0].rows
+    square = [(a == b, [(a * size + m, m * size + b) for m in range(size)])
+              for a in range(size) for b in range(size)]
+    entries: dict[int, RingPoly] = {}
+    meets: dict[int, dict[int, None]] = {}
+    for q in found:
+        e = q.entries
+        ids = list(map(id, e))
+        entries.update(zip(ids, e))
+        for _, pairs in square:
+            for left, right in pairs:
+                meets.setdefault(ids[left], {})[ids[right]] = None
+
+    k = ring.field.k
+    place: dict[int, int] = {}
+
+    def packed(terms: dict[int, int]) -> int:
+        out = 0
+        for key, c in terms.items():
+            out ^= c << (k * place.setdefault(key, len(place)))
+        return out
+
+    product: dict[tuple[int, int], int] = {}
+    for left, rights in meets.items():
+        row = [entries[r] for r in rights]
+        out = RingMatrix._raw(ring, 1, 1, [entries[left]]) * RingMatrix._raw(ring, 1, len(row), row)
+        for right, p in zip(rights, out.entries):
+            product[left, right] = packed(p.packed)
+    want = packed(w.packed)
+    for q in found:
+        ids = list(map(id, q.entries))
+        for diagonal, pairs in square:
+            s = 0
+            for left, right in pairs:
+                s ^= product[ids[left], ids[right]]
+            if s != (want if diagonal else 0):
+                raise VerificationError("search result failed re-verification: Q^2 != W*Id")
+
+
 def search_factorizations(
     w: RingPoly,
     size: int,
@@ -313,9 +388,14 @@ def search_factorizations(
     The products q_am q_mb of that check come in two parts: those without
     the slot's own entry are summed once, when the search enters the slot,
     and kept on a stack beside the slot's value iterator; those with it
-    are summed for each value.  Each distinct entry value's polynomial is
-    built once per call and shared by the results that hold it.  Every
-    result is still re-verified as a RingMatrix.
+    are summed for each value.  The schedule of these checks is built once
+    per size (_schedule).  Each distinct entry value's polynomial is built
+    once per call and shared by the results that hold it.
+
+    Every result is still re-verified, all in one pass (_reverify): each
+    product of two entries that some (Q^2)_ab needs is formed once, as a
+    RingMatrix product, and every entry of every result's Q^2, the sum of
+    its cached products, is compared with W on the diagonal and 0 off it.
     """
     if size < 1:
         raise ValueError("search size must be positive")
@@ -367,31 +447,20 @@ def search_factorizations(
 
     q = [0] * (size * size)  # entry values of the current node, row-major
 
-    # Per slot, per (a, b) it completes: the pairs (q_am, q_mb) as flat
-    # indices that hold the slot's own entry, the other pairs, and the
-    # value (Q^2)_ab must take.
-    slots, completes = _fill_order(size)
-    flat = [i * size + j for i, j in slots]
-    checks = []
-    for f, done in zip(flat, completes):
-        step = []
-        for a, b in done:
-            pairs = [(a * size + m, m * size + b) for m in range(size)]
-            step.append(([p for p in pairs if f in p], [p for p in pairs if f not in p],
-                         w_packed if a == b else 0))
-        checks.append(step)
+    flat, checks = _schedule(size)
 
-    def entered(n: int) -> list[tuple[list[tuple[int, int]], int]]:
+    def entered(n: int) -> list[tuple[_Pairs, int]]:
         """Slot n's checks as (own pairs, what they must sum to): the other
         pairs, whose factors are fixed before slot n, are summed once."""
         out = []
-        for own, others, want in checks[n]:
+        for own, others, diagonal in checks[n]:
+            want = w_packed if diagonal else 0
             for left, right in others:
                 want ^= product(q[left], q[right])
             out.append((own, want))
         return out
 
-    last = len(slots) - 1
+    last = len(flat) - 1
     leaves = []
     stack = [iter(range(nvalues))]
     targets = [entered(0)]
@@ -419,13 +488,8 @@ def search_factorizations(
     keys = [ring.pack(s) for s in supp]
     entry = {v: RingPoly._raw(ring, {keys[i]: c for i, c in digits(v)})
              for v in set().union(*leaves)}
-    wid = RingMatrix.identity(ring, size).scale(w)
-    found = []
-    for leaf in leaves:
-        m = RingMatrix._raw(ring, size, size, [entry[v] for v in leaf])
-        if m * m != wid:
-            raise VerificationError("search result failed re-verification: Q^2 != W*Id")
-        found.append(m)
+    found = [RingMatrix._raw(ring, size, size, [entry[v] for v in leaf]) for leaf in leaves]
+    _reverify(w, found)
     return found
 
 

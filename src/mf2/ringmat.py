@@ -106,6 +106,20 @@ class RingMatrix(Immutable):
             [e for i in range(r0, r1) for e in entries[i * n + c0:i * n + c1]],
         )
 
+    # Own equality and hash: the generic Immutable ones build two field
+    # tuples per call, and verification compares matrices often.
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, RingMatrix)
+            and (self.ring is other.ring or self.ring == other.ring)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.rows, self.cols, self.entries))
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 

@@ -296,9 +296,20 @@ MUTANTS = (
     # the slot's own entry is summed with the others on entering the slot,
     # so the check reads the value a sibling branch left there
     ("src/mf2/mfcore.py",
-     "[p for p in pairs if f in p], [p for p in pairs if f not in p]",
-     "[], pairs",
+     "tuple(p for p in pairs if f in p), tuple(p for p in pairs if f not in p)",
+     "(), tuple(pairs)",
      f"{SEARCH}::test_search_matches_brute_force"),
+    # the re-verification reads its right factor transposed: it checks
+    # Q Q^T, which differs from Q^2 for most results
+    ("src/mf2/mfcore.py",
+     "(a == b, [(a * size + m, m * size + b)",
+     "(a == b, [(a * size + m, b * size + m)",
+     f"{SEARCH}::test_search_matches_brute_force"),
+    # the re-verification compares only the diagonal of Q^2 with W
+    ("src/mf2/mfcore.py",
+     "if s != (want if diagonal else 0):",
+     "if diagonal and s != want:",
+     f"{SEARCH}::test_reverification_catches_faults_only_an_off_diagonal_entry_sees"),
 )
 
 

@@ -29,7 +29,7 @@ from mf2.cli import main
 from mf2.mfcore import emit_mf_text, parse_mf_text
 from mf2.paperlab import Check, Report
 from mf2.ringmat import RingMatrix
-from mf2.ringpoly import ParseError
+from mf2.ringpoly import ParseError, RingPoly
 
 RP2 = str(FIXTURES / "rp2.mf")
 
@@ -379,7 +379,16 @@ def test_search_outside_the_span_still_checks_the_budget(capsys):
 
 
 def test_search_result_failing_reverification_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(RingMatrix, "__ne__", lambda self, other: True)
+    # The re-verification reads the products of entries that RingMatrix
+    # products form; one extra term in each makes Q^2 differ from W*Id.
+    product = RingMatrix.__mul__
+
+    def faulty(self, other):
+        out = product(self, other)
+        one = RingPoly.one(out.ring)
+        return RingMatrix(out.ring, out.rows, out.cols, [e + one for e in out.entries])
+
+    monkeypatch.setattr(RingMatrix, "__mul__", faulty)
     code, out, err = run(capsys, ["search", "--potential", "x^2 + y^2",
                                   "--size", "1", "--support", "x, y"])
     assert code == 1

@@ -13,10 +13,16 @@ and these cases exercise the backtracking.
 The oracle reaches only small assignment spaces, so the schedule of the
 checks is tested on its own, and searches beyond the oracle, three of
 size 3 and one of size 4, are pinned by count and digest.
+
+The re-verification of the results is tested for soundness on its own:
+pinned results over GF(2) and GF(4) with one coefficient of one entry
+changed must fail it exactly when the oracle's square of the changed
+matrix differs from W*Id, on or off the diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
@@ -24,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import matrix_of
-from oracles import brute_force_search
+from conftest import matrix_of, rows_of
+from oracles import brute_force_search, oracle_matmul
 
 from mf2.gf2k import GF2, default_spec
-from mf2.mfcore import _fill_order, search_factorizations
+from mf2.mfcore import (VerificationError, _fill_order, _reverify, _schedule,
+                        search_factorizations)
 from mf2.ringmat import RingMatrix
 from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
@@ -132,3 +139,133 @@ def test_a_potential_outside_the_span_is_empty_only_within_the_budget():
     with pytest.raises(ValueError, match="search budget exceeded"):
         search_factorizations(w, 3, [(1, 0), (0, 1)], budget_bits=4)
     assert search_factorizations(w, 3, [(1, 0), (0, 1)], budget_bits=18) == []
+
+
+# The searches the soundness tests start from, over GF(2) and GF(4) at
+# sizes 2 and 3: (field, potential, size, support, count, digest).
+SOUNDNESS_SEARCHES = (
+    (GF2, "x^2 + y^2", 2, [(1, 0), (0, 1)], 10,
+     "3ed11fd8132796d4173ccaca140f6e64a698a9b6ed4fefd83cbf7e2a70edd3a3"),
+    (GF2, "x^2 + y^2", 3, [(1, 0), (0, 1)], 148,
+     "80c4f3a879f3878b896a98630e086369e36b65dd9e8442c5ff55b49ce7232fd1"),
+    (default_spec(2), "x^2 + x*y + y^2", 2, [(1, 0), (0, 1)], 60,
+     "494484f9971856a79763681d7542a36e10b0f1b6fb7524e1374ff9e56b6da9d4"),
+    (default_spec(2), "x^2", 3, [(1, 0)], 316,
+     "91c32b9f86b1738b073023d9e841fb506afc6062fa962777718fa781974dd7b0"),
+)
+# Besides the support, a fault may land on the constant or on x*y.
+FAULT_MONOMIALS = ((0, 0), (1, 1))
+
+
+@functools.cache
+def soundness_search(index):
+    field, potential, size, support, _, _ = SOUNDNESS_SEARCHES[index]
+    w = parse_poly(potential, RingDescriptor(field, ("x", "y"), (False, False)))
+    return w, search_factorizations(w, size, support, budget_bits=20)
+
+
+def with_fault(q, cell, monomial, delta):
+    """q with the coefficient of monomial in entry `cell` (row-major) XORed with delta."""
+    terms = dict(q.entries[cell].terms)
+    terms[monomial] = terms.get(monomial, 0) ^ delta
+    entries = list(q.entries)
+    entries[cell] = RingPoly(q.ring, terms)
+    return RingMatrix(q.ring, q.rows, q.cols, entries)
+
+
+def oracle_residue(w, q):
+    """The (a, b) where the oracle's Q^2 differs from W*Id."""
+    square = oracle_matmul(rows_of(q), rows_of(q), w.ring.field.modulus)
+    return {(a, b) for a in range(q.rows) for b in range(q.cols)
+            if square[a][b] != (w.terms if a == b else {})}
+
+
+def reverify_with_fault(w, found, i, faulty):
+    """Re-verify found with result i replaced by faulty, which must fail
+    exactly when the oracle's square of faulty differs from W*Id; returns
+    the oracle's residue."""
+    residue = oracle_residue(w, faulty)
+    results = found[:i] + [faulty] + found[i + 1:]
+    if residue:
+        with pytest.raises(VerificationError, match="failed re-verification"):
+            _reverify(w, results)
+    else:
+        _reverify(w, results)
+    return residue
+
+
+@pytest.mark.parametrize("index", range(len(SOUNDNESS_SEARCHES)))
+def test_the_searches_the_soundness_tests_start_from_are_pinned(index):
+    *_, count, digest = SOUNDNESS_SEARCHES[index]
+    w, found = soundness_search(index)
+    assert len(found) == count
+    assert hashlib.sha256("\n".join(map(str, found)).encode()).hexdigest() == digest
+    assert all(not oracle_residue(w, q) for q in found)
+    _reverify(w, found)
+
+
+@st.composite
+def faults(draw):
+    """(search index, result index, cell, monomial, delta): one coefficient
+    of one entry of one result changed."""
+    index = draw(st.integers(0, len(SOUNDNESS_SEARCHES) - 1))
+    field, _, size, support, count, _ = SOUNDNESS_SEARCHES[index]
+    return (index, draw(st.integers(0, count - 1)), draw(st.integers(0, size * size - 1)),
+            draw(st.sampled_from(support + list(FAULT_MONOMIALS))),
+            draw(st.integers(1, field.order - 1)))
+
+
+@PROPERTY
+@given(faults())
+def test_reverification_fails_exactly_when_the_oracle_square_differs(fault):
+    index, i, cell, monomial, delta = fault
+    w, found = soundness_search(index)
+    reverify_with_fault(w, found, i, with_fault(found[i], cell, monomial, delta))
+
+
+def test_reverification_catches_faults_only_an_off_diagonal_entry_sees():
+    """Every one-coefficient fault of the first three x^2 + y^2 results of
+    size 3 over GF(2): the re-verification fails exactly when the oracle's
+    square differs from W*Id, and some faults change Q^2 only off its
+    diagonal (at size 2, over a domain, none can)."""
+    w, found = soundness_search(1)
+    off_diagonal_only = 0
+    for i, q in enumerate(found[:3]):
+        for cell, monomial in itertools.product(range(9), [(1, 0), (0, 1), *FAULT_MONOMIALS]):
+            residue = reverify_with_fault(w, found, i, with_fault(q, cell, monomial, 1))
+            off_diagonal_only += bool(residue) and all(a != b for a, b in residue)
+    assert off_diagonal_only > 0
+
+
+def test_reverification_forms_each_entry_product_once(monkeypatch):
+    """The products of two entries are formed as RingMatrix products, one
+    per distinct left entry and fewer than there are results, and no
+    ordered pair of entries is multiplied twice."""
+    product, pairs, calls = RingMatrix.__mul__, [], []
+
+    def counted(self, other):
+        calls.append(1)
+        pairs.extend((a, b) for a in self.entries for b in other.entries)
+        return product(self, other)
+
+    monkeypatch.setattr(RingMatrix, "__mul__", counted)
+    w = parse_poly("x^2 + y^2", RingDescriptor(GF2, ("x", "y"), (False, False)))
+    found = search_factorizations(w, 2, [(1, 0), (0, 1)])
+    assert len(found) == 10
+    assert len(calls) == len({e for q in found for e in q.entries}) < len(found)
+    assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("size", range(1, 5))
+def test_the_schedule_is_built_once_per_size_from_the_fill_order(size):
+    flat, checks = schedule = _schedule(size)
+    assert _schedule(size) is schedule
+    slots, completes = _fill_order(size)
+    assert flat == tuple(i * size + j for i, j in slots)
+    assert len(checks) == len(completes)
+    for f, step, done in zip(flat, checks, completes):
+        assert len(step) == len(done)
+        for (own, others, diagonal), (a, b) in zip(step, done):
+            assert set(own) | set(others) == {(a * size + m, m * size + b) for m in range(size)}
+            assert all(f in p for p in own) and not any(f in p for p in others)
+            assert diagonal == (a == b)
