@@ -53,7 +53,7 @@ def _load_mf(path: str) -> MFFile:
 
 
 def _field_flag(text: str) -> FieldSpec:
-    m = re.fullmatch(r"2\^(\d+)(?::([01]+))?", text)
+    m = re.fullmatch(r"2\^([0-9]+)(?::([01]+))?", text)
     if not m:
         raise argparse.ArgumentTypeError(
             "field must look like 2^k or 2^k:modulusbits"

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from typing import Iterable, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
 from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2,
                       matrix_partial, specialize)
-from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, grevlex_key
+from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, _uint, grevlex_key
 
 __all__ = [
     "MFFile",
@@ -514,11 +515,14 @@ def parse_mf_text(text: str) -> MFFile:
             raise ParseError("unexpected end of file", i + 1, 1)
         return lines[i].strip()
 
-    m = re.fullmatch(r"field:\s*2\^(\d+)\s+modulus\s+([01]+)", line_at(0))
+    m = re.fullmatch(r"field:\s*2\^([0-9]+)\s+modulus\s+([01]+)", line_at(0))
     if not m:
         raise ParseError("expected 'field: 2^k modulus <bits>'", 1, 1)
+    k = _uint(m.group(1), sys.maxsize)
+    if k is None:
+        raise ParseError("extension degree is too large", 1, 1)
     try:
-        spec = FieldSpec(int(m.group(1)), int(m.group(2), 2))
+        spec = FieldSpec(k, int(m.group(2), 2))
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
 
@@ -540,10 +544,12 @@ def parse_mf_text(text: str) -> MFFile:
     body = starts[2] + lines[2].index("potential:") + len("potential:")
     w = _parse_span(text, body, starts[3] - 1, ring)
 
-    m = re.fullmatch(r"size:\s*(\d+)", line_at(3))
+    m = re.fullmatch(r"size:\s*([0-9]+)", line_at(3))
     if not m:
         raise ParseError("expected 'size: n'", 4, 1)
-    size = int(m.group(1))
+    size = _uint(m.group(1), sys.maxsize)
+    if size is None:
+        raise ParseError("size is too large", 4, 1)
     if size < 1:
         raise ParseError("size must be positive", 4, 1)
 

@@ -29,10 +29,10 @@ The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
 of check functions, each named by its check id and run in order; a check
 signals a mathematical failure with ValueError.  Any other exception is a
 bug: its check reports ERROR with the traceback, and the battery runs on.
-In run_suite, a bug in the set-up of a battery (its own Rp2Context build,
-an_corpus's parses, closed_open_certify's GF(4) context) reports one ERROR
-check named after that battery, rp2_context for the first, and the rest
-run on.
+In run_suite, a failure in the set-up of a battery (its own Rp2Context
+build, an_corpus's parses, closed_open_certify's GF(4) context) reports
+one check named after that battery, rp2_context for the first: FAIL for a
+ValueError, ERROR for a bug.  The rest run on.
 """
 
 from __future__ import annotations
@@ -159,12 +159,13 @@ def _run_check(check_id: str, fn: Callable[[], str]) -> Check:
 
 
 def _run_battery(name: str, battery: Callable[[], Report]) -> tuple[Check, ...]:
-    """The checks of a battery.  A bug in its set-up, which runs outside
-    any check, is recorded as one ERROR check named after the battery."""
+    """The checks of a battery.  Its set-up runs outside any check: a
+    ValueError there is one FAIL check named after the battery, and a bug
+    one ERROR check."""
     try:
         return battery().checks
-    except ValueError:
-        raise
+    except ValueError as exc:
+        return (Check(name, False, str(exc)),)
     except Exception as exc:
         return (_error(name, exc),)
 

@@ -37,12 +37,16 @@ from gf2k).  RingPoly writes its two slots itself and defines its own
 equality and hash, because it is built once per product entry and its
 packed terms are a dict.
 
-Text form (whitespace insignificant):
+Text form; space, tab, CR and LF may stand around each atom and after '^':
 
     poly   := term ('+' term)*
     term   := atom ('*' atom)*
-    atom   := '{' uint '}' | '0' | '1' | var ('^' int)?
+    atom   := '{' uint '}' | uint | var ('^' '-'? uint)?
+    uint   := [0-9]+
+    var    := a str.isalpha char or '_', then str.isalnum chars or '_'
 
+A bare uint is 0 or 1.  Only ASCII 0-9 are digits, and a number too large
+for its place, of any length, is a ParseError with its position.
 Coefficients in GF(2) are implicit; extension-field coefficients are
 written {n} with n the serialized value, e.g. "{3}*x^-2*y + 1" over
 GF(4).  The canonical printed order is graded reverse lexicographic,
@@ -51,6 +55,7 @@ largest term first.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from typing import Optional, Sequence
 
@@ -77,6 +82,11 @@ def _lanes(nvars: int) -> tuple[int, int]:
     """(BIAS, GUARD) for nvars lanes: EXP_BOUND, and the guard bit, in every lane."""
     bias = sum(EXP_BOUND << (LANE_BITS * i) for i in range(nvars))
     return bias, bias << 1
+
+
+def _outside(e, name: str) -> str:
+    """The message for exponent e (an int, or digits too long for int()) of name."""
+    return f"exponent {e} of '{name}' outside [-2^{LANE_BITS - 2}, 2^{LANE_BITS - 2})"
 
 
 def _overflow() -> ValueError:
@@ -123,8 +133,7 @@ class RingDescriptor(Immutable):
             if e < 0 and not flag:
                 raise ValueError(f"negative exponent on non-Laurent variable '{name}'")
             if not -EXP_BOUND <= e < EXP_BOUND:
-                raise ValueError(f"exponent {e} of '{name}' outside "
-                                 f"[-2^{LANE_BITS - 2}, 2^{LANE_BITS - 2})")
+                raise ValueError(_outside(e, name))
             key |= (e + EXP_BOUND) << shift
             shift += LANE_BITS
         return key
@@ -453,9 +462,7 @@ class ParseError(ValueError):
     """Syntax or semantic error in polynomial / file text, with position."""
 
     def __init__(self, message: str, line: int = 1, col: int = 1):
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
         super().__init__(f"line {line}, col {col}: {message}")
 
 
@@ -464,114 +471,22 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-class _Scanner:
-    """Reads text[pos:end]; errors give positions in the whole text."""
-
-    def __init__(self, text: str, pos: int, end: int):
-        self.text = text
-        self.pos = pos
-        self.end = end
-
-    def error(self, message: str, pos: Optional[int] = None):
-        raise _error_at(self.text, self.pos if pos is None else pos, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.end and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.end else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def take_uint(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a number")
-        return int(self.text[start:self.pos])
-
-    def take_int(self) -> int:
-        neg = False
-        if self.peek() == "-":
-            self.take()
-            neg = True
-        v = self.take_uint()
-        return -v if neg else v
-
-    def take_name(self) -> str:
-        start = self.pos
-        if not (self.peek().isalpha() or self.peek() == "_"):
-            self.error("expected a variable name")
-        while self.peek().isalnum() or self.peek() == "_":
-            self.pos += 1
-        return self.text[start:self.pos]
+def _uint(digits: str, most: int) -> Optional[int]:
+    """The value of an ASCII digit string, or None above most.  int() never
+    reads more digits than most has, however long the string."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(most)) and int(digits) <= most else None
 
 
-def _parse_atom(sc: _Scanner, ring: RingDescriptor) -> tuple[int, list[int]]:
-    """One atom as (coefficient, exponent increments)."""
-    exps = [0] * ring.nvars
-    ch = sc.peek()
-    if ch == "{":
-        start = sc.pos
-        sc.take()
-        v = sc.take_uint()
-        if sc.peek() != "}":
-            sc.error("expected '}'")
-        sc.take()
-        if ring.field.k == 1:
-            sc.error("braced coefficients are for extension fields; GF(2) uses 0/1", start)
-        if v >= ring.field.order:
-            sc.error(f"coefficient {v} outside GF(2^{ring.field.k})", start)
-        return v, exps
-    if ch.isdigit():
-        start = sc.pos
-        v = sc.take_uint()
-        if v > 1:
-            sc.error("bare coefficients must be 0 or 1; use {n} in extension fields", start)
-        return v, exps
-    start = sc.pos
-    name = sc.take_name()
-    try:
-        i = ring.var_index(name)
-    except ValueError:
-        sc.error(f"unknown variable '{name}'", start)
-    power = 1
-    if sc.peek() == "^":
-        sc.take()
-        sc.skip_ws()
-        power = sc.take_int()
-    exps[i] = power
-    _pack_at(sc, ring, exps, start)
-    return 1, exps
-
-
-def _pack_at(sc: _Scanner, ring: RingDescriptor, exps: list[int], pos: int) -> int:
-    """ring.pack, failing as a ParseError at pos."""
-    try:
-        return ring.pack(exps)
-    except ValueError as exc:
-        sc.error(str(exc), pos)
-
-
-def _parse_term(sc: _Scanner, ring: RingDescriptor) -> tuple[int, int]:
-    """One term as (packed key, coefficient); a product of atoms whose
-    exponents leave the range fails at the term's first character."""
-    start = sc.pos
-    coeff, exps = _parse_atom(sc, ring)
-    sc.skip_ws()
-    while sc.peek() == "*":
-        sc.take()
-        sc.skip_ws()
-        c2, e2 = _parse_atom(sc, ring)
-        coeff = ring.field.mul(coeff, c2)
-        exps = [a + b for a, b in zip(exps, e2)]
-        sc.skip_ws()
-    return _pack_at(sc, ring, exps, start), coeff
+# One atom and the operator after it.  A missing number or '}' matches as an
+# empty group, which marks the error's position.  \w is str.isalnum or '_';
+# no class is str.isalpha or '_', so _parse_span checks a name's first character.
+_ATOM = re.compile(r"""
+    (?: \{ (?P<brace>[0-9]*) (?P<close>\}?)
+      | (?P<bare>[0-9]+)
+      | (?P<name>\w+) (?: \^ [ \t\r\n]* (?P<sign>-?) (?P<power>[0-9]*) )? )
+    [ \t\r\n]* (?P<op>[*+]?) [ \t\r\n]*
+""", re.VERBOSE)
 
 
 def parse_poly(text: str, ring: RingDescriptor) -> RingPoly:
@@ -580,26 +495,70 @@ def parse_poly(text: str, ring: RingDescriptor) -> RingPoly:
 
 
 def _parse_span(text: str, start: int, end: int, ring: RingDescriptor) -> RingPoly:
-    """parse_poly of text[start:end], with error positions in the whole text."""
-    sc = _Scanner(text, start, end)
-    sc.skip_ws()
-    if not sc.peek():
-        sc.error("empty polynomial")
+    """parse_poly of text[start:end], with error positions in the whole text.
+
+    An atom's own exponent is checked at the atom's first character, and a
+    term's product of atoms at the term's first character."""
+    pos = end - len(text[start:end].lstrip(" \t\r\n"))
+    if pos == end:
+        raise _error_at(text, pos, "empty polynomial")
+    field = ring.field
     terms: dict[int, int] = {}
+    first, coeff, exps = pos, 1, [0] * ring.nvars
     while True:
-        key, coeff = _parse_term(sc, ring)
-        if coeff:
-            prev = terms.get(key, 0) ^ coeff
-            if prev:
-                terms[key] = prev
-            else:
-                del terms[key]
-        sc.skip_ws()
-        if sc.peek() == "+":
-            sc.take()
-            sc.skip_ws()
+        m = _ATOM.match(text, pos, end)
+        name = m and m["name"]
+        if not m or name and not (name[0].isalpha() or name[0] == "_"):
+            raise _error_at(text, pos, "expected a variable name")
+        if name:
+            if name not in ring.vars:
+                raise _error_at(text, pos, f"unknown variable '{name}'")
+            i, power = ring.vars.index(name), m["power"]
+            if power == "":
+                raise _error_at(text, m.start("power"), "expected a number")
+            e = 1 if power is None else _uint(power, EXP_BOUND)
+            if e is None:  # above 2^30: outside the range whatever the sign
+                if ring.laurent[i] or not m["sign"]:
+                    raise _error_at(text, pos, _outside(m["sign"] + power.lstrip("0"), name))
+                e = 1  # pack names the negative power of a polynomial variable
+            atom = [0] * ring.nvars
+            atom[i] = e = -e if m["sign"] else e
+            try:
+                ring.pack(atom)
+            except ValueError as exc:
+                raise _error_at(text, pos, str(exc)) from None
+            exps[i] += e
+        elif m["bare"]:
+            v = _uint(m["bare"], 1)
+            if v is None:
+                raise _error_at(text, pos, "bare coefficients must be 0 or 1; use {n} in extension fields")
+            coeff = field.mul(coeff, v)
+        else:
+            if not m["brace"]:
+                raise _error_at(text, m.start("brace"), "expected a number")
+            if not m["close"]:
+                raise _error_at(text, m.start("close"), "expected '}'")
+            if field.k == 1:
+                raise _error_at(text, pos, "braced coefficients are for extension fields; GF(2) uses 0/1")
+            v = _uint(m["brace"], field.order - 1)
+            if v is None:
+                raise _error_at(text, pos, f"coefficient {m['brace'].lstrip('0')} outside GF(2^{field.k})")
+            coeff = field.mul(coeff, v)
+        pos = m.end()
+        if m["op"] == "*":
             continue
-        break
-    if sc.pos != end:
-        sc.error(f"unexpected character '{sc.peek()}'")
+        try:
+            key = ring.pack(exps)
+        except ValueError as exc:
+            raise _error_at(text, first, str(exc)) from None
+        c = terms.get(key, 0) ^ coeff
+        if c:
+            terms[key] = c
+        elif key in terms:
+            del terms[key]
+        if m["op"] != "+":
+            break
+        first, coeff, exps = pos, 1, [0] * ring.nvars
+    if pos != end:
+        raise _error_at(text, pos, f"unexpected character '{text[pos]}'")
     return RingPoly._raw(ring, terms)

@@ -94,6 +94,18 @@ MUTANTS = (
      "bias = sum(EXP_BOUND << (LANE_BITS * i) for i in range(nvars))",
      "bias = sum((EXP_BOUND + 1) << (LANE_BITS * i) for i in range(nvars))",
      "tests/test_ring_kernel_properties.py::test_poly_product_equals_oracle"),
+    # the reader checks each atom's exponent only as part of its term's
+    # product: an atom out of range is reported at the term's first character
+    ("src/mf2/ringpoly.py",
+     "                ring.pack(atom)\n",
+     "                pass\n",
+     "tests/test_ringpoly.py::test_parser_rejects_exponents_outside_the_bound_with_a_position"),
+    # an exponent's digits match \d, not only ASCII 0-9: x^ followed by an
+    # Arabic-Indic three reads as x^3
+    ("src/mf2/ringpoly.py",
+     "(?P<power>[0-9]*)",
+     "(?P<power>\\d*)",
+     "tests/test_ringpoly.py::test_reader_returns_a_polynomial_or_raises_a_parse_error"),
     # a transposed Q_Y: qt[i, r] lands on E_rj in place of qt[r, i]
     ("src/mf2/cohomwin.py",
      "qt[r * m + i].items()",

@@ -155,6 +155,23 @@ def test_exponent_above_the_bound_is_a_parse_error(tmp_path, capsys):
     assert err == "error: line 3, col 12: exponent 1073741824 of 'x' outside [-2^30, 2^30)\n"
 
 
+def test_malformed_and_over_long_numbers_are_parse_errors(tmp_path, capsys):
+    long = "9" * 5000
+    for potential, where in (("x^\u00b2 + y", "line 1, col 3: expected a number"),
+                             (f"y + x^{long}", f"line 1, col 5: exponent {long} of 'x'")):
+        code, out, err = run(capsys, ["jacobian", "--potential", potential])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}")
+    mf = tmp_path / "size.mf"
+    for size, message in ((long, "size is too large"), ("\u0663", "expected 'size: n'")):
+        mf.write_text(MF_HEAD + f"potential: x\nsize: {size}\nx\n")
+        code, out, err = run(capsys, ["verify", str(mf)])
+        assert (code, out, err) == (2, "", f"error: line 4, col 1: {message}\n")
+    mf.write_text(f"field: 2^{long} modulus 11\nring: x laurent:1\npotential: x\nsize: 1\nx\n")
+    code, _, err = run(capsys, ["verify", str(mf)])
+    assert (code, err) == (2, "error: line 1, col 1: extension degree is too large\n")
+
+
 def test_window_above_the_limit_fails_fast(tmp_path, capsys):
     huge = tmp_path / "huge.mf"
     huge.write_text(
@@ -511,6 +528,27 @@ def test_bug_in_a_battery_set_up_is_one_error_check(monkeypatch, capsys):
     assert blocks[1].startswith("TypeError: broken set-up\nTraceback")
     assert "in an_corpus" in blocks[1]
     assert blocks[1].rstrip().endswith("TypeError: broken set-up")
+
+
+def test_value_error_in_a_battery_set_up_is_one_fail_check(monkeypatch, capsys):
+    """A ValueError in an_corpus's set-up, outside any of its checks, reports
+    one FAIL check named after the battery; the other batteries still run."""
+    real = paperlab.UngradedMF
+
+    def broken(w, q):
+        if w.ring.nvars == 3:  # only the A-series corpus has three variables
+            raise ValueError("broken set-up")
+        return real(w, q)
+
+    monkeypatch.setattr(paperlab, "UngradedMF", broken)
+    code, out, err = run(capsys, ["suite", "--seed", "9"])
+    assert (code, err) == (1, "")
+    lines = SUITE_SEED_9.splitlines()
+    corpus = [i for i, line in enumerate(lines) if line.startswith("PASS an_")]
+    assert len(corpus) == 8 and corpus == list(range(corpus[0], corpus[0] + 8))
+    lines[corpus[0]:corpus[-1] + 1] = ["FAIL an_corpus broken set-up"]
+    lines[-1] = "23/24 checks passed (seed 9)"
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_bug_in_the_suite_context_is_one_error_check(monkeypatch, capsys):

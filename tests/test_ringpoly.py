@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mf2
 from mf2.cohomwin import LocalCohomologyReport, Window
@@ -42,6 +44,7 @@ from mf2.ringpoly import (
 
 LAURENT2 = RingDescriptor(GF2, ("x", "y"), (True, True))
 POLY2 = RingDescriptor(GF2, ("x", "y"), (False, False))
+LAURENT4 = RingDescriptor(default_spec(2), ("x", "y"), (True, True))
 
 
 def P(text, ring=LAURENT2):
@@ -275,6 +278,78 @@ def test_parser_rejects_exponents_outside_the_bound_with_a_position():
         assert (ei.value.line, ei.value.col) == (1, col), text
     assert P("x^1073741823 + x^-1073741824").terms == {(BOUND - 1, 0): 1, (-BOUND, 0): 1}
     assert P("x^1073741823*x*x^-1").terms == {(BOUND - 1, 0): 1}
+
+
+# One input per error message of the reader, each with its message, line
+# and column pinned.
+READER_ERRORS = [
+    ("  \n\t", LAURENT2, "empty polynomial", 2, 2),
+    ("x + {", LAURENT4, "expected a number", 1, 6),
+    ("x*y^- 1", LAURENT2, "expected a number", 1, 6),
+    ("x^\n", LAURENT2, "expected a number", 2, 1),
+    ("{3 }*x", LAURENT4, "expected '}'", 1, 3),
+    ("x +\n {1}*y", LAURENT2, "braced coefficients are for extension fields; GF(2) uses 0/1", 2, 2),
+    ("y + {4}*x", LAURENT4, "coefficient 4 outside GF(2^2)", 1, 5),
+    ("x +\n  2*y", LAURENT2, "bare coefficients must be 0 or 1; use {n} in extension fields", 2, 3),
+    ("x + * y", LAURENT2, "expected a variable name", 1, 5),
+    ("x*\nz^", LAURENT2, "unknown variable 'z'", 2, 1),
+    ("1 + x^-1", POLY2, "negative exponent on non-Laurent variable 'x'", 1, 5),
+    ("x + y*x^1073741824", LAURENT2, "exponent 1073741824 of 'x' outside [-2^30, 2^30)", 1, 7),
+    ("y +\nx^1073741823*x", LAURENT2, "exponent 1073741824 of 'x' outside [-2^30, 2^30)", 2, 1),
+    ("x y", LAURENT2, "unexpected character 'y'", 1, 3),
+]
+
+
+@pytest.mark.parametrize("text, ring, message, line, col", READER_ERRORS)
+def test_each_reader_error_has_its_message_and_position(text, ring, message, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_poly(text, ring)
+    assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+
+def test_numbers_of_any_length_are_values_or_parse_errors():
+    long = "9" * 5000
+    for text, ring, message, col in (
+        ("x^\u00b2 + y", LAURENT2, "expected a number", 3),  # superscript two
+        ("x^\u0663", LAURENT2, "expected a number", 3),  # Arabic-Indic three
+        ("y + \u00b2", LAURENT2, "expected a variable name", 5),
+        ("{\u0663}*x", LAURENT4, "expected a number", 2),
+        (f"y + x^{long}", LAURENT2, f"exponent {long} of 'x' outside [-2^30, 2^30)", 5),
+        (f"x^-00{long}", LAURENT2, f"exponent -{long} of 'x' outside [-2^30, 2^30)", 1),
+        (f"x^-{long}", POLY2, "negative exponent on non-Laurent variable 'x'", 1),
+        (f"x + {{{long}}}", LAURENT4, f"coefficient {long} outside GF(2^2)", 5),
+        (f"x + {long}", LAURENT2, "bare coefficients must be 0 or 1; use {n} in extension fields", 5),
+    ):
+        with pytest.raises(ParseError) as ei:
+            parse_poly(text, ring)
+        assert (ei.value.message, ei.value.line, ei.value.col) == (message, 1, col), text[:20]
+    zeros = "0" * 5000
+    assert P(f"x^{zeros}3*y^-{zeros}1 + {zeros}1") == P("x^3*y^-1 + 1")
+    assert parse_poly(f"{{{zeros}3}}*x", LAURENT4) == parse_poly("{3}*x", LAURENT4)
+
+
+# The reader's characters, and text it must refuse: digits that are not
+# ASCII (a superscript two, an Arabic-Indic three), and digit runs too long
+# for int() to read.
+READER_TOKENS = ("x", "y", "z", "_", "^", "-", "*", "+", "{", "}", " ", "\n", "$", "x^", "y^-",
+                 "0", "1", "3", "\u00b2", "\u0663", "7" * 4301, "0" * 4400 + "1")
+
+
+@settings(max_examples=300)
+@example("\u00b2", LAURENT2)
+@example("x^\u00b2 + y", LAURENT2)
+@example("x^\u0663", LAURENT2)
+@given(st.lists(st.sampled_from(READER_TOKENS), max_size=12).map("".join),
+       st.sampled_from((LAURENT2, POLY2, LAURENT4)))
+def test_reader_returns_a_polynomial_or_raises_a_parse_error(text, ring):
+    """Nothing but a RingPoly or a ParseError comes out, and since the rings'
+    names are ASCII, only ASCII text reads as a polynomial."""
+    try:
+        p = parse_poly(text, ring)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.col >= 1
+    else:
+        assert isinstance(p, RingPoly) and p.ring == ring and text.isascii()
 
 
 @pytest.mark.parametrize("var", ["x", "y"])  # y owns the top lane, x a lower one
