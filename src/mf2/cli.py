@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .gf2k import FieldSpec, default_spec
-from .ringpoly import ParseError, RingDescriptor, _parse_span, parse_poly
+from .ringpoly import ParseError, RingDescriptor, _parse_span, _uint, parse_poly
 from .ringmat import RingMatrix, parse_matrix
 from .mfcore import (
     MFFile,
@@ -58,10 +58,13 @@ def _field_flag(text: str) -> FieldSpec:
         raise argparse.ArgumentTypeError(
             "field must look like 2^k or 2^k:modulusbits"
         )
+    k = _uint(m.group(1), sys.maxsize)
+    if k is None:
+        raise argparse.ArgumentTypeError("extension degree is too large")
     try:
         if m.group(2):
-            return FieldSpec(int(m.group(1)), int(m.group(2), 2))
-        return default_spec(int(m.group(1)))
+            return FieldSpec(k, int(m.group(2), 2))
+        return default_spec(k)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -73,11 +76,11 @@ def _infer_ring(text: str, spec: FieldSpec, vars_flag: Optional[str],
     if vars_flag:
         names = tuple(vars_flag.replace(",", " ").split())
     else:
-        names = []
-        for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*", text):
-            if m.group(0) not in names:
-                names.append(m.group(0))
-        names = tuple(names)
+        # the words as the reader splits them (\w is str.isalnum or '_', and
+        # a run of ASCII digits is a number); a name starts with a
+        # str.isalpha character or '_'
+        names = tuple(dict.fromkeys(
+            w for w in re.findall(r"[0-9]+|\w+", text) if w[0].isalpha() or w[0] == "_"))
         if not names:
             raise CliError("no variables found in the potential; pass --vars")
     if laurent_flag is not None:

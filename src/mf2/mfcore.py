@@ -33,7 +33,8 @@ from typing import Iterable, Sequence
 from .gf2k import FieldElem, FieldSpec, Immutable
 from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2,
                       matrix_partial, specialize)
-from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, _uint, grevlex_key
+from .ringpoly import (ParseError, RingDescriptor, RingPoly, _mul_into, _parse_span, _uint,
+                       grevlex_key)
 
 __all__ = [
     "MFFile",
@@ -173,14 +174,36 @@ class GradedMorphism(Immutable):
         return GradedMorphism(self.source, self.target, d.f)
 
 
+def _d_entry(acc: dict, qt: RingMatrix, g: RingMatrix, qs: RingMatrix, i: int, j: int) -> dict:
+    """Add entry (i, j) of d(g) = qt * g + g * qs into the packed accumulator acc."""
+    ring = g.ring
+    for a, b in zip(qt.row(i), g.entries[j::g.cols]):
+        if a.packed and b.packed:
+            _mul_into(acc, a.packed, b.packed, ring)
+    for a, b in zip(g.row(i), qs.entries[j::qs.cols]):
+        if a.packed and b.packed:
+            _mul_into(acc, a.packed, b.packed, ring)
+    return acc
+
+
 class HomotopyWitness(Immutable):
-    """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f."""
+    """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f.
+
+    The check runs in place, one entry at a time: the entry's accumulator
+    starts as a copy of claim.f's entry, that entry's products of d(g) are
+    added into it, and a nonempty remainder rejects g.  No d(g) is built."""
 
     __slots__ = ("claim", "g")
 
     def __init__(self, claim: Morphism, g: RingMatrix):
-        if Morphism(claim.source, claim.target, g).differential().f != claim.f:
-            raise ValueError("homotopy witness does not satisfy d(g) = f")
+        source, target, f = claim.source, claim.target, claim.f
+        if g.rows != target.size or g.cols != source.size:
+            raise ValueError("morphism shape does not match source/target sizes")
+        f._check_ring(g.ring)
+        for i in range(g.rows):
+            for j in range(g.cols):
+                if _d_entry(dict(f.at(i, j).packed), target.q, g, source.q, i, j):
+                    raise ValueError("homotopy witness does not satisfy d(g) = f")
         super().__init__(claim, g)
 
 

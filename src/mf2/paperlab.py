@@ -25,6 +25,10 @@ checked only when its reduction fails.
 Each identity has one implementation: an Rp2Context.check_* method (run
 at construction and again by the batteries) or a module helper; the
 Jacobian fold into span{1, x, x^2} and its cofactors is Rp2Context._fold.
+The fold works on packed keys, adding multiples of the unit keys of x and
+y to each target key, and refuses cofactors of more than MAX_FOLD_TERMS
+terms.  A reduction builds each entry of g and of the claim f + alpha*Id
+in one term accumulator, and its HomotopyWitness checks delta(g) in place.
 The batteries -- run_suite, an_corpus and closed_open_certify -- are lists
 of check functions, each named by its check id and run in order; a check
 signals a mathematical failure with ValueError.  Any other exception is a
@@ -42,7 +46,7 @@ import traceback
 from typing import Callable, Optional
 
 from .gf2k import FieldSpec, Immutable, default_spec
-from .ringpoly import RingDescriptor, RingPoly, _mul_into, exact_divide, parse_poly
+from .ringpoly import RingDescriptor, RingPoly, _mul_into, _overflow, exact_divide, parse_poly
 from .ringmat import (
     FieldMatrix,
     RingMatrix,
@@ -57,6 +61,7 @@ from .mfcore import (
     HomotopyWitness,
     Morphism,
     UngradedMF,
+    _d_entry,
     jacobian_action_witness,
 )
 from .groebner import laurent_jacobian_ideal, quotient_ring
@@ -86,6 +91,23 @@ __all__ = [
 RP2_MATRIX_TEXT = "0, 1, 1, x^-1*y^-1; y, 0, x^-1, 1; x, y^-1, 0, 1; 1, x, y, 0"
 ALPHA_MATRIX_TEXT = "0, 0, 0, x^-1*y^-1; 0, 0, x^-1, 0; 0, y^-1, 0, 0; 1, 0, 0, 0"
 ALPHA_HOMOTOPY_TEXT = "0, 0, 0, 0; x^-1, 0, 0, 0; 0, 0, 0, x^-1*y^-1; 0, 0, 0, 0"
+
+
+# A fold whose cofactors would hold more terms than this is refused:
+# reducing x^n*Id telescopes x^n in steps of three, in time and memory
+# linear in n.
+MAX_FOLD_TERMS = 1 << 16
+
+
+def _xor_keys(terms: dict[int, int], keys, coeff: int) -> None:
+    """Add coeff*m into terms for the monomial m of each key in keys,
+    deleting the keys that cancel."""
+    for key in keys:
+        c = terms.get(key, 0) ^ coeff
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
 
 
 # -- check/report plumbing ---------------------------------------------------
@@ -435,46 +457,54 @@ class Rp2Context(Immutable):
 
         Stage one rewrites x^a*y^b to x^(a+b) along multiples of
         x + y = x*dW/dx + y*dW/dy; stage two folds exponents mod 3 along
-        x^3 + 1 = (x^2*y + x^3)*dW/dx + x^2*y*dW/dy."""
+        x^3 + 1 = (x^2*y + x^3)*dW/dx + x^2*y*dW/dy.  Both work on keys:
+        each cofactor key is its target key plus multiples of the unit keys
+        of x and y, and only x^(a+b) is range-checked, once per target term.
+        The cofactor terms are counted first: more than MAX_FOLD_TERMS
+        raise ValueError before any is built."""
         ring = self.ring
-        pack, unpack = ring.pack, ring.unpack
-        x = {pack((1, 0)): 1}
-        y = {pack((0, 1)): 1}
-        c1_terms: dict[int, int] = {}
-        c2_terms: dict[int, int] = {}
-        powers: dict[int, int] = {}
+        one, unpack = ring.one_key, ring.unpack
+        ux, uy = ring.pack((1, 0)) - one, ring.pack((0, 1)) - one
+        d = ux - uy  # from x^a*y^b to x^(a+1)*y^(b-1)
+        chains = []
+        powers: dict[int, int] = {}  # the key of x^(a+b) -> its coefficient
+        count = 0
         for key, coeff in target.packed.items():
-            a, b = unpack(key)
+            b = unpack(key)[1]
+            end = key + b * d
+            if end & ring.guard:
+                raise _overflow()
             if b:
-                # y^b + x^b = (x + y) * h with h explicit for either sign of b;
-                # k is x^a * h
-                if b > 0:
-                    k = {pack((a + b - 1 - i, i)): coeff for i in range(b)}
-                else:
-                    k = {pack((a - 1 - i, b + i)): coeff for i in range(-b)}
-                _mul_into(c1_terms, k, x, ring)
-                _mul_into(c2_terms, k, y, ring)
-            n = a + b
-            powers[n] = powers.get(n, 0) ^ coeff
-        remainder: dict[int, int] = {}
-        cof1 = {pack((2, 1)): 1, pack((3, 0)): 1}  # x^2*y + x^3
-        cof2 = {pack((2, 1)): 1}  # x^2*y
-        for n, coeff in powers.items():
+                # y^b + x^b = (x + y) * h for either sign of b; the keys from
+                # x^a*y^b to x^(a+b), x ascending, are x^a*h*x but the first
+                # and x^a*h*y but the last
+                lo = min(b, 0)
+                chains.append((range(key + lo * d, key + (lo + abs(b) + 1) * d, d), coeff))
+                count += 2 * abs(b)
+            powers[end] = powers.get(end, 0) ^ coeff
+        count += sum(3 * abs(unpack(end)[0] // 3) for end, coeff in powers.items() if coeff)
+        if count > MAX_FOLD_TERMS:
+            raise ValueError(f"the fold's cofactors have {count} terms, "
+                             f"above the limit of {MAX_FOLD_TERMS}")
+        alpha: dict[int, int] = {}
+        c1: dict[int, int] = {}
+        c2: dict[int, int] = {}
+        for chain, coeff in chains:
+            _xor_keys(c1, chain[1:], coeff)
+            _xor_keys(c2, chain[:-1], coeff)
+        for end, coeff in powers.items():
             if not coeff:
                 continue
-            r = n % 3
-            steps = (n - r) // 3
-            if steps:
-                # x^n + x^r = (x^3 + 1) * l, telescoping in steps of three
-                if steps > 0:
-                    l = {pack((r + 3 * i, 0)): coeff for i in range(steps)}
-                else:
-                    l = {pack((n + 3 * i, 0)): coeff for i in range(-steps)}
-                _mul_into(c1_terms, cof1, l, ring)
-                _mul_into(c2_terms, cof2, l, ring)
-            remainder[r] = remainder.get(r, 0) ^ coeff
-        alpha = RingPoly._raw(ring, {pack((r, 0)): c for r, c in remainder.items() if c})
-        return alpha, RingPoly._raw(ring, c1_terms), RingPoly._raw(ring, c2_terms)
+            steps = unpack(end)[0] // 3
+            low = end - 3 * steps * ux  # x^r with r = (a+b) mod 3
+            _xor_keys(alpha, (low,), coeff)
+            # x^n + x^r = (x^3 + 1) * l, l = x^min(n, r) * (1 + x^3 + ...) in |steps| terms
+            base, stop = min(end, low), 3 * abs(steps) * ux
+            both = range(base + 2 * ux + uy, base + 2 * ux + uy + stop, 3 * ux)  # x^2*y * l
+            _xor_keys(c1, range(base + 3 * ux, base + 3 * ux + stop, 3 * ux), coeff)
+            _xor_keys(c1, both, coeff)
+            _xor_keys(c2, both, coeff)
+        return RingPoly._raw(ring, alpha), RingPoly._raw(ring, c1), RingPoly._raw(ring, c2)
 
     # -- reduction to a canonical scalar ---------------------------------------
 
@@ -501,6 +531,9 @@ class Rp2Context(Immutable):
             raise
 
     def _reduce_closed(self, mat: RingMatrix) -> ReductionResult:
+        """The stages of reduce_endomorphism.  g = g1 + g3 + c1*dQ/dx + c2*dQ/dy
+        and the claim f + alpha*Id are built one entry at a time, each in one
+        accumulator, and HomotopyWitness checks delta(g) in place."""
         _, b, s, _ = self._split(mat)
         ring = self.ring
         y = RingPoly.variable(ring, "y")
@@ -509,40 +542,41 @@ class Rp2Context(Immutable):
         xyinv = RingPoly.monomial(ring, (-1, -1))
         xyyinv = RingPoly.monomial(ring, (-1, -2))
         zero = RingPoly.zero(ring)
-        zeros2 = RingMatrix.zeros(ring, 2, 2)
 
         # stage one: a coboundary whose off-diagonal blocks are exactly
-        # (b, c) = (b, x*b + [U, s]), so f + delta(g1) is block diagonal
+        # (b, c) = (b, x*b + [U, s]), so f + delta(g1) is block diagonal;
+        # g1 = [[a_fix, b_fix], [c_fix + s, d_fix]], listed row by row
         b1, b2 = b.at(0, 0), b.at(0, 1)
         b4 = b.at(1, 1)
         p = exact_divide(_twist(b)[1], self.dwdx)
         if p is None:
             raise ValueError("internal consistency: off-diagonal divisibility failed")
-        a_fix = RingMatrix.from_rows(ring, [[zero, zero], [y * b2, b4 + xyinv * p]])
-        b_fix = RingMatrix.from_rows(ring, [[zero, zero], [xyinv * p, zero]])
-        c_fix = RingMatrix.from_rows(
-            ring, [[yinv * b1 + yinv * b4 + xyyinv * p, zero], [zero, zero]]
-        )
-        d_fix = RingMatrix.from_rows(ring, [[b1, b2], [p, zero]])
-        g1 = block2(a_fix, b_fix, c_fix + s, d_fix)
+        xyp = xyinv * p
+        g = [zero] * 4 + [
+            y * b2, b4 + xyp, xyp, zero,
+            yinv * b1 + yinv * b4 + xyyinv * p + s.at(0, 0), s.at(0, 1), b1, b2,
+            s.at(1, 0), s.at(1, 1), p, zero,
+        ]
+        g1 = RingMatrix._raw(ring, 4, 4, g)
 
         # stage two: f + delta(g1) = [[a2, 0], [0, a2]] with
         # a2 = top*Id + off*U, so only its row 0, columns 0-1 are formed;
-        # the coboundary of g3 trades off*U for x^-1*off*Id
-        q = self.q
-        row = (mat.block(0, 1, 0, 2) + q.block(0, 1, 0, 4) * g1.block(0, 4, 0, 2)
-               + g1.block(0, 1, 0, 4) * q.block(0, 4, 0, 2))
-        top, off = row.at(0, 0), row.at(0, 1)
-        c3 = RingMatrix.from_rows(ring, [[zero, off], [y * off, zero]])
-        g3 = block2(zeros2, zeros2, c3, zeros2)
-        alpha0 = top + xinv * off
+        # the coboundary of g3 = [[0, 0], [c3, 0]], c3 = [[0, off], [y*off, 0]],
+        # trades off*U for x^-1*off*Id
+        top, off = (RingPoly._raw(ring, _d_entry(dict(mat.at(0, j).packed), self.q, g1, self.q,
+                                                 0, j)) for j in (0, 1))
+        g[9] += off  # g1 + g3: c3's entries are (2, 1) and (3, 0) of g3
+        g[12] += y * off
 
         # stage three: alpha0 = alpha + c1*dW/dx + c2*dW/dy, and
         # delta(c1*dQ/dx + c2*dQ/dy) = (c1*dW/dx + c2*dW/dy)*Id
-        alpha, c1, c2 = self._fold(alpha0)
-        g4 = self.dqdx.scale(c1) + self.dqdy.scale(c2)
-        claim = Morphism(self.mf, self.mf, mat + self._identity4().scale(alpha))
-        return ReductionResult(alpha, HomotopyWitness(claim, g1 + g3 + g4))
+        alpha, c1, c2 = self._fold(top + xinv * off)
+        for i, (dx, dy) in enumerate(zip(self.dqdx.entries, self.dqdy.entries)):
+            acc = _mul_into(dict(g[i].packed), c1.packed, dx.packed, ring)
+            g[i] = RingPoly._raw(ring, _mul_into(acc, c2.packed, dy.packed, ring))
+        shifted = [e + alpha if i in (0, 5, 10, 15) else e for i, e in enumerate(mat.entries)]
+        claim = Morphism(self.mf, self.mf, RingMatrix._raw(ring, 4, 4, shifted))
+        return ReductionResult(alpha, HomotopyWitness(claim, RingMatrix._raw(ring, 4, 4, g)))
 
     # -- the exactness obstruction ----------------------------------------------
 

@@ -118,19 +118,27 @@ MUTANTS = (
      "tests/test_ringmat.py::test_block2_rejects_misaligned_blocks_and_mixed_rings"),
     # the fold's canonical exponent shifted by one: alpha leaves span{1, x, x^2}
     ("src/mf2/paperlab.py",
-     "{pack((r, 0)): c for r, c in remainder.items() if c}",
-     "{pack((r + 1, 0)): c for r, c in remainder.items() if c}",
+     "_xor_keys(alpha, (low,), coeff)",
+     "_xor_keys(alpha, (low + ux,), coeff)",
      "tests/test_reduce_properties.py::test_fold_splits_a_target_into_alpha_and_cofactors"),
     # the fold drops the dW/dy part of each telescoping step
     ("src/mf2/paperlab.py",
-     "                _mul_into(c2_terms, cof2, l, ring)\n",
+     "            _xor_keys(c2, both, coeff)\n",
      "",
      "tests/test_reduce_properties.py::test_fold_splits_a_target_into_alpha_and_cofactors"),
     # stage two of the reduction reads the diagonal entry for off
     ("src/mf2/paperlab.py",
-     "top, off = row.at(0, 0), row.at(0, 1)",
-     "top, off = row.at(0, 0), row.at(0, 0)",
+     "0, j)) for j in (0, 1))",
+     "0, j)) for j in (0, 0))",
      "tests/test_paperlab.py::test_reduce_random_round_trips"),
+    # the in-place witness check drops the g*Q_source half of d(g), so a
+    # correct reduction's witness is refused
+    ("src/mf2/mfcore.py",
+     "    for a, b in zip(g.row(i), qs.entries[j::qs.cols]):\n"
+     "        if a.packed and b.packed:\n"
+     "            _mul_into(acc, a.packed, b.packed, ring)\n",
+     "",
+     "tests/test_paperlab.py::test_reduce_witness_rejects_stage_faults"),
     # _split hands back t as the preimage s: the reduction witness must reject it
     ("src/mf2/paperlab.py",
      "        return a, b, s, t\n",

@@ -2,8 +2,8 @@
 
 Exit-code contract: 0 when every check passes, 1 when a verification fails
 (bad factorization, non-closed endomorphism, failed suite check, a
-search result failing its re-verification) or a window or a Jacobian
-quotient exceeds its size limit, 2 for usage and parse errors (malformed
+search result failing its re-verification) or a window, a Jacobian
+quotient or a reduction's cofactors exceed their size limit, 2 for usage and parse errors (malformed
 files, missing files, bad points, exceeded search budgets), 3 for an
 internal error, i.e. a bug in mf2.
 parse-check must be byte-stable: emitting a parsed canonical file reproduces
@@ -172,6 +172,29 @@ def test_malformed_and_over_long_numbers_are_parse_errors(tmp_path, capsys):
     assert (code, err) == (2, "error: line 1, col 1: extension degree is too large\n")
 
 
+def test_field_flag_reads_its_degree_as_the_mf_header_does(capsys):
+    for degree in ("9" * 5000, str(2**64)):
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobian", "--potential", "x + y", "--field", f"2^{degree}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --field: extension degree is too large\n")
+    code, out, _ = run(capsys, ["jacobian", "--potential", "x^3 + y^3", "--field", "2^02"])
+    assert (code, out) == (0, "dimension 4\nminimal polynomial of x: x^2\n")
+
+
+def test_potential_names_are_inferred_by_the_readers_rule(capsys):
+    # names start with a str.isalpha character or '_', then str.isalnum or '_'
+    for potential, names in (("\u00e9^2 + x", ("\u00e9", "x")), ("x_1*y2 + _z", ("x_1", "y2", "_z"))):
+        code, out, err = run(capsys, ["jacobian", "--potential", potential])
+        assert code == 0, err
+        explicit = run(capsys, ["jacobian", "--potential", potential, "--vars", " ".join(names)])
+        assert explicit == (0, out, "")
+    code, _, err = run(capsys, ["jacobian", "--potential", "2x"])  # the number 2, then x
+    assert (code, err) == (2, "error: line 1, col 1: bare coefficients must be 0 or 1; "
+                              "use {n} in extension fields\n")
+
+
 def test_window_above_the_limit_fails_fast(tmp_path, capsys):
     huge = tmp_path / "huge.mf"
     huge.write_text(
@@ -324,6 +347,18 @@ def test_reduce_file_and_non_closed(tmp_path, capsys):
     code, _, err = run(capsys, ["reduce", str(mat)])
     assert code == 1
     assert "closed" in err
+
+
+def test_reduce_above_the_fold_limit_fails_fast(capsys):
+    # x^(2^29)*Id folds to x^2 along 2^29 // 3 telescoping steps of three
+    # cofactor terms each: refused before any term is built
+    n = 1 << 29
+    matrix = "; ".join(", ".join(f"x^{n}" if i == j else "0" for j in range(4)) for i in range(4))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["reduce", "--matrix", matrix])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the fold's cofactors have {3 * (n // 3)} terms, above the limit of 65536\n"
 
 
 def test_evaluate_critical_and_noncritical(capsys):

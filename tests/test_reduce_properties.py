@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from mf2.cohomwin import Window, solve_exactness
 from mf2.gf2k import default_spec
 from mf2.mfcore import HomotopyWitness, Morphism
-from mf2.paperlab import Rp2Context, random_matrix
+from mf2.paperlab import MAX_FOLD_TERMS, Rp2Context, random_matrix
 from mf2.ringmat import RingMatrix, commutator
 from mf2.ringpoly import RingPoly
 
@@ -108,6 +108,26 @@ def test_fold_splits_a_target_into_alpha_and_cofactors(sample):
     assert d1.is_zero() and d2.is_zero()
 
 
+def test_fold_raises_when_x_to_the_a_plus_b_leaves_the_exponent_range():
+    ctx = CONTEXTS[1]
+    for exps in ((2**30 - 1, 1), (-2**30, -1), (2**29, 2**29)):
+        with pytest.raises(ValueError, match="exponent"):
+            ctx._fold(RingPoly(ctx.ring, {exps: 1}))
+
+
+def test_fold_refuses_more_cofactor_terms_than_its_limit():
+    """x^(3m) has m telescoping steps of three cofactor terms each."""
+    ctx = CONTEXTS[1]
+    m = MAX_FOLD_TERMS // 3
+    alpha, c1, c2 = ctx._fold(RingPoly.monomial(ctx.ring, (3 * m, 0)))
+    assert alpha == RingPoly.one(ctx.ring)
+    assert len(c1.packed) + len(c2.packed) == 3 * m
+    with pytest.raises(ValueError, match=f"{3 * m + 3} terms, above the limit of {MAX_FOLD_TERMS}"):
+        ctx._fold(RingPoly.monomial(ctx.ring, (3 * m + 3, 0)))
+    with pytest.raises(ValueError, match="above the limit"):  # stage one's chain counts too
+        ctx._fold(RingPoly.monomial(ctx.ring, (-MAX_FOLD_TERMS, MAX_FOLD_TERMS)))
+
+
 # sha256 of the printed alpha and witness g of 20 random_closed reductions,
 # recorded before exponent vectors were packed into ints; any change to the
 # term order, the witnesses or the printer changes them.
@@ -126,5 +146,31 @@ def test_reduction_witnesses_are_byte_identical():
             alpha, f = ctx.random_closed(rng)
             result = ctx.reduce_endomorphism(f)
             assert result.alpha == alpha
+            lines += [str(result.alpha), str(result.witness.g)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want, k
+
+
+# The same digest over benchmark-shaped inputs: g with span 3 and up to 5
+# terms per entry, and every third input a product f*h of two closed maps.
+# Their fold targets telescope in more than two steps of three and carry
+# negative powers of y.  Recorded before the fold ran on packed keys and
+# the witness was checked in place.
+SHAPED_DIGESTS = {
+    1: "b46f00c62e018fb964040579b4404d5f7074d6705f3d3b5cfbb5931942975b14",
+    2: "f205970804ba0b6622535146f9112fa7f88f7a3ad3ddb3b1110308b85842b0b2",
+}
+
+
+def test_benchmark_shaped_witnesses_are_byte_identical():
+    for k, want in SHAPED_DIGESTS.items():
+        ctx = CONTEXTS[k]
+        rng = random.Random(2000 + k)
+        lines = []
+        for i in range(12):
+            if i % 3 == 2:
+                f = ctx.random_closed(rng, 1, 3)[1] * ctx.random_closed(rng, 1, 3)[1]
+            else:
+                f = ctx.random_closed(rng, 3, 5)[1]
+            result = ctx.reduce_endomorphism(f)
             lines += [str(result.alpha), str(result.witness.g)]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want, k
