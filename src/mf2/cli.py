@@ -83,11 +83,15 @@ def _infer_ring(text: str, spec: FieldSpec, vars_flag: Optional[str],
             w for w in re.findall(r"[0-9]+|\w+", text) if w[0].isalpha() or w[0] == "_"))
         if not names:
             raise CliError("no variables found in the potential; pass --vars")
+    try:
+        ring = RingDescriptor(spec, names, (True,) * len(names))
+    except ValueError as exc:  # names from --vars
+        raise CliError(f"--vars: {exc}") from None
     if laurent_flag is not None:
         if len(laurent_flag) != len(names) or set(laurent_flag) - {"0", "1"}:
             raise CliError("--laurent must be a 0/1 string, one flag per variable")
         return RingDescriptor(spec, names, tuple(c == "1" for c in laurent_flag))
-    probe = parse_poly(text, RingDescriptor(spec, names, (True,) * len(names)))
+    probe = parse_poly(text, ring)
     flags = tuple(
         any(exps[i] < 0 for exps in probe.terms) for i in range(len(names))
     )
@@ -190,10 +194,12 @@ def cmd_evaluate(args) -> int:
         )
     values = []
     for token, name, laurent in zip(tokens, ring.vars, ring.laurent):
-        try:
-            value = spec.validate(int(token.strip()))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        digits = token.strip()
+        if not re.fullmatch(r"[0-9]+", digits):
+            raise CliError(f"coordinate for '{name}' must be ASCII digits 0-9, got {digits!r}")
+        value = _uint(digits, spec.order - 1)
+        if value is None:
+            raise CliError(f"value {digits.lstrip('0')} outside GF(2^{spec.k})")
         if laurent and value == 0:
             raise CliError(
                 f"coordinate for Laurent variable '{name}' must be nonzero"

@@ -128,10 +128,14 @@ class Immutable:
 
     The names in a subclass's __slots__ are its fields.  __init__ fills
     them in order; a subclass that checks or derives values does so in its
-    own __init__ and then calls super().__init__ with every field.  After
-    construction no attribute can be assigned or deleted.  Two instances
-    are equal when they have the same type and equal fields, the hash is
-    the hash of the fields, and the repr is Name(field=value, ...)."""
+    own __init__ and then calls super().__init__ with every field.  The
+    only way around __init__ is a `_raw` classmethod, which the hot paths
+    of RingPoly and RingMatrix use for values they built themselves; it
+    writes the slots through their descriptors.  After construction no
+    attribute can be assigned or deleted.  Two instances are equal when
+    they have the same type and equal fields, the hash is the hash of the
+    fields, and the repr is Name(field=value, ...).  Only RingPoly has its
+    own equality and hash, because its field of terms is a dict."""
 
     __slots__ = ()
 

@@ -31,10 +31,9 @@ import sys
 from typing import Iterable, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
-from .ringmat import (FieldMatrix, RingMatrix, _parse_matrix_span, block2,
+from .ringmat import (FieldMatrix, RingMatrix, _entry_into, _parse_matrix_span, block2,
                       matrix_partial, specialize)
-from .ringpoly import (ParseError, RingDescriptor, RingPoly, _mul_into, _parse_span, _uint,
-                       grevlex_key)
+from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, _uint, grevlex_key
 
 __all__ = [
     "MFFile",
@@ -74,12 +73,16 @@ class VerifyReport(Immutable):
 
 
 def verify_mf(q: RingMatrix, w: RingPoly) -> VerifyReport:
-    """Check Q^2 == W*Id without raising; the residual is Q^2 + W*Id."""
+    """Check Q^2 == W*Id without raising; the residual is Q^2 + W*Id, each
+    entry one accumulator of the entry kernel, seeded with W on the diagonal."""
     if not q.is_square():
         raise ValueError("factorization matrix must be square")
     if w.ring != q.ring:
         raise ValueError("ring mismatch between matrix and potential")
-    residual = q * q + RingMatrix.identity(q.ring, q.rows).scale(w)
+    ring, n, pairs = q.ring, q.rows, ((q, q),)
+    residual = RingMatrix._raw(ring, n, n, [
+        RingPoly._raw(ring, _entry_into(dict(w.packed) if i == j else {}, pairs, i, j))
+        for i in range(n) for j in range(n)])
     return VerifyReport(residual.is_zero(), residual)
 
 
@@ -174,24 +177,13 @@ class GradedMorphism(Immutable):
         return GradedMorphism(self.source, self.target, d.f)
 
 
-def _d_entry(acc: dict, qt: RingMatrix, g: RingMatrix, qs: RingMatrix, i: int, j: int) -> dict:
-    """Add entry (i, j) of d(g) = qt * g + g * qs into the packed accumulator acc."""
-    ring = g.ring
-    for a, b in zip(qt.row(i), g.entries[j::g.cols]):
-        if a.packed and b.packed:
-            _mul_into(acc, a.packed, b.packed, ring)
-    for a, b in zip(g.row(i), qs.entries[j::qs.cols]):
-        if a.packed and b.packed:
-            _mul_into(acc, a.packed, b.packed, ring)
-    return acc
-
-
 class HomotopyWitness(Immutable):
     """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f.
 
     The check runs in place, one entry at a time: the entry's accumulator
-    starts as a copy of claim.f's entry, that entry's products of d(g) are
-    added into it, and a nonempty remainder rejects g.  No d(g) is built."""
+    starts as a copy of claim.f's entry, the entry kernel adds that entry of
+    the pairs (target.q, g) and (g, source.q) into it, and a nonempty
+    remainder rejects g.  No d(g) is built."""
 
     __slots__ = ("claim", "g")
 
@@ -199,10 +191,12 @@ class HomotopyWitness(Immutable):
         source, target, f = claim.source, claim.target, claim.f
         if g.rows != target.size or g.cols != source.size:
             raise ValueError("morphism shape does not match source/target sizes")
-        f._check_ring(g.ring)
+        for m in (f, target.q):  # source.q shares target.q's ring (_check_hom)
+            m._check_ring(g.ring)
+        pairs = ((target.q, g), (g, source.q))
         for i in range(g.rows):
             for j in range(g.cols):
-                if _d_entry(dict(f.at(i, j).packed), target.q, g, source.q, i, j):
+                if _entry_into(dict(f.at(i, j).packed), pairs, i, j):
                     raise ValueError("homotopy witness does not satisfy d(g) = f")
         super().__init__(claim, g)
 
@@ -304,38 +298,33 @@ class FieldHomotopy(Immutable):
 # -- factorization search ----------------------------------------------------------
 
 
-def _fill_order(size: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """The slots, row t then column t for t = 0..size-1, each entry where it
-    first appears; completes[n], the (a, b) whose row a and column b are both
-    filled at slot n and not before."""
-    lines = [[(t, m) for m in range(size)] + [(m, t) for m in range(size)] for t in range(size)]
-    slots = list(dict.fromkeys(s for line in lines for s in line))
-    when = {s: n for n, s in enumerate(slots)}
-    last = {(a, b): max(when[s] for s in lines[a][:size] + lines[b][size:])
-            for a in range(size) for b in range(size)}
-    return slots, [[ab for ab in last if last[ab] == n] for n in range(len(slots))]
-
-
 _Pairs = tuple[tuple[int, int], ...]
 
 
 @functools.cache
 def _schedule(size: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[_Pairs, _Pairs, bool], ...], ...]]:
-    """_fill_order in flat indices, built once per size: each slot's entry
-    as a row-major index, and per slot, per (a, b) it completes, the pairs
-    (q_am, q_mb) as flat indices that hold the slot's own entry, the other
-    pairs, and whether (Q^2)_ab is on the diagonal."""
-    slots, completes = _fill_order(size)
-    flat = tuple(i * size + j for i, j in slots)
-    checks = []
-    for f, done in zip(flat, completes):
-        step = []
-        for a, b in done:
+    """The search's fill order and checks, built once per size, entries as
+    row-major indices.  The slots are row t, then column t, for t = 0..size-1,
+    each entry where it first appears.  (Q^2)_ab, the sum over m of q_am q_mb,
+    is checked at the latest slot of row a and column b, where it is final.
+    Per slot, per (a, b) filed there in row-major order: the pairs
+    (q_am, q_mb) that hold the slot's own entry, the other pairs, and
+    whether (Q^2)_ab is on the diagonal."""
+    # the entries of row t before (t, t), and of column t above it, are in
+    # the rows and columns of smaller t
+    flat = tuple(f for t in range(size)
+                 for f in (*range(t * size + t, (t + 1) * size),  # row t from (t, t) on
+                           *range((t + 1) * size + t, size * size, size)))  # column t below it
+    when = {f: n for n, f in enumerate(flat)}
+    checks: list[list] = [[] for _ in flat]
+    for a in range(size):
+        for b in range(size):
             pairs = [(a * size + m, m * size + b) for m in range(size)]
-            step.append((tuple(p for p in pairs if f in p), tuple(p for p in pairs if f not in p),
-                         a == b))
-        checks.append(tuple(step))
-    return flat, tuple(checks)
+            n = max(when[x] for pair in pairs for x in pair)
+            f = flat[n]
+            checks[n].append((tuple(p for p in pairs if f in p), tuple(p for p in pairs if f not in p),
+                              a == b))
+    return flat, tuple(map(tuple, checks))
 
 
 def _reverify(w: RingPoly, found: Sequence[RingMatrix]) -> None:
@@ -404,7 +393,7 @@ def search_factorizations(
     support in descending canonical order, field elements in serialized
     order.  Refuses to run if the assignment space exceeds 2^budget_bits.
 
-    The search backtracks over the slots of _fill_order by two rules:
+    The search backtracks over the slots of _schedule by two rules:
     - every entry of Q^2 lies in the span of products of two support
       monomials, so a W with a term outside it has no factorization;
     - (Q^2)_ab is row a of Q times column b, so it is checked against W
@@ -412,8 +401,8 @@ def search_factorizations(
     The products q_am q_mb of that check come in two parts: those without
     the slot's own entry are summed once, when the search enters the slot,
     and kept on a stack beside the slot's value iterator; those with it
-    are summed for each value.  The schedule of these checks is built once
-    per size (_schedule).  Each distinct entry value's polynomial is built
+    are summed for each value.  The slots and checks are built once per
+    size (_schedule).  Each distinct entry value's polynomial is built
     once per call and shared by the results that hold it.
 
     Every result is still re-verified, all in one pass (_reverify): each

@@ -50,6 +50,7 @@ from .ringpoly import RingDescriptor, RingPoly, _mul_into, _overflow, exact_divi
 from .ringmat import (
     FieldMatrix,
     RingMatrix,
+    _entry_into,
     block2,
     blocks_of,
     commutator,
@@ -61,7 +62,6 @@ from .mfcore import (
     HomotopyWitness,
     Morphism,
     UngradedMF,
-    _d_entry,
     jacobian_action_witness,
 )
 from .groebner import laurent_jacobian_ideal, quotient_ring
@@ -563,8 +563,9 @@ class Rp2Context(Immutable):
         # a2 = top*Id + off*U, so only its row 0, columns 0-1 are formed;
         # the coboundary of g3 = [[0, 0], [c3, 0]], c3 = [[0, off], [y*off, 0]],
         # trades off*U for x^-1*off*Id
-        top, off = (RingPoly._raw(ring, _d_entry(dict(mat.at(0, j).packed), self.q, g1, self.q,
-                                                 0, j)) for j in (0, 1))
+        pairs = ((self.q, g1), (g1, self.q))
+        top, off = (RingPoly._raw(ring, _entry_into(dict(mat.at(0, j).packed), pairs, 0, j))
+                    for j in (0, 1))
         g[9] += off  # g1 + g3: c3's entries are (2, 1) and (3, 0) of g3
         g[12] += y * off
 

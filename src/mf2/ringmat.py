@@ -5,9 +5,10 @@ the block algebra the factorization layer is built on: one slice,
 RingMatrix.block, and one assembly of a 2x2 grid, block2.  Entries are
 ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
-entry again.  A product, or a sum of products such as the commutator
-ab + ba, keeps one accumulator per output entry across every product and
-inner index and fills it with ringpoly's multiply-accumulate kernel.
+entry again.  Every entry of a product, or of a sum of products such as the
+commutator ab + ba or the differential d(g) = Q g + g Q, comes from one
+entry kernel, _entry_into: it keeps one accumulator across every product
+and inner index and fills it with ringpoly's multiply-accumulate kernel.
 FieldMatrix holds serialized field values; its product applies the left
 factor to each column of the right one.  Rank runs through Echelon, one
 elimination kernel for every GF(2^k) that packs a whole vector into one
@@ -42,9 +43,6 @@ __all__ = [
 class RingMatrix(Immutable):
     __slots__ = ("ring", "rows", "cols", "entries")
 
-    # __init__ and _raw write the slots through their descriptors: a matrix
-    # is built per product and sum, too often to go through the generic
-    # Immutable.__init__ or object.__setattr__.
     def __init__(self, ring: RingDescriptor, rows: int, cols: int, entries: Sequence[RingPoly]):
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
@@ -53,14 +51,13 @@ class RingMatrix(Immutable):
         for e in entries:
             if e.ring is not ring and e.ring != ring:
                 raise ValueError("ring mismatch in matrix entry")
-        _set_ring(self, ring)
-        _set_rows(self, rows)
-        _set_cols(self, cols)
-        _set_entries(self, tuple(entries))
+        super().__init__(ring, rows, cols, tuple(entries))
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, rows: int, cols: int, entries: list[RingPoly]) -> "RingMatrix":
-        """A matrix of entries the caller built in `ring` itself."""
+        """A matrix of entries the caller built in `ring` itself.  It writes
+        the slots through their descriptors: a matrix is built per product
+        and sum, too often for the checks of __init__."""
         m = object.__new__(cls)
         _set_ring(m, ring)
         _set_rows(m, rows)
@@ -106,20 +103,6 @@ class RingMatrix(Immutable):
             [e for i in range(r0, r1) for e in entries[i * n + c0:i * n + c1]],
         )
 
-    # Own equality and hash: the generic Immutable ones build two field
-    # tuples per call, and verification compares matrices often.
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, RingMatrix)
-            and (self.ring is other.ring or self.ring == other.ring)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows, self.cols, self.entries))
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
@@ -142,8 +125,8 @@ class RingMatrix(Immutable):
 
     @staticmethod
     def _sum_of_products(pairs: Sequence[tuple["RingMatrix", "RingMatrix"]]) -> "RingMatrix":
-        """The sum of left*right over pairs of one output shape, formed as
-        the one product [left_1 | left_2 | ...] * [right_1; right_2; ...]."""
+        """The sum of left*right over pairs of one output shape: _entry_into
+        run over every output entry."""
         first = pairs[0][0]
         ring, rows, cols = first.ring, first.rows, pairs[0][1].cols
         for left, right in pairs:
@@ -151,18 +134,9 @@ class RingMatrix(Immutable):
                 raise ValueError("dimension mismatch in matrix product")
             first._check_ring(left.ring)
             first._check_ring(right.ring)
-        lefts = [[e.packed for left, _ in pairs for e in left.row(i)] for i in range(rows)]
-        columns = [[e.packed for _, right in pairs for e in right.entries[j::cols]]
-                   for j in range(cols)]
-        out = []
-        for left in lefts:
-            for column in columns:
-                acc: dict[int, int] = {}
-                for a, b in zip(left, column):
-                    if a and b:
-                        _mul_into(acc, a, b, ring)
-                out.append(RingPoly._raw(ring, acc))
-        return RingMatrix._raw(ring, rows, cols, out)
+        entries = [RingPoly._raw(ring, _entry_into({}, pairs, i, j))
+                   for i in range(rows) for j in range(cols)]
+        return RingMatrix._raw(ring, rows, cols, entries)
 
     def scale(self, c: RingPoly) -> "RingMatrix":
         self._check_ring(c.ring)
@@ -192,6 +166,18 @@ class RingMatrix(Immutable):
 
 _set_ring, _set_rows, _set_cols, _set_entries = (
     getattr(RingMatrix, name).__set__ for name in RingMatrix.__slots__)
+
+
+def _entry_into(acc: dict, pairs: Sequence[tuple[RingMatrix, RingMatrix]], i: int, j: int) -> dict:
+    """Add entry (i, j) of the sum of left*right over pairs, row i of left
+    times column j of right, into the packed accumulator acc and return acc.
+    The caller checks that the shapes match and the rings agree."""
+    ring = pairs[0][0].ring
+    for left, right in pairs:
+        for a, b in zip(left.row(i), right.entries[j::right.cols]):
+            if a.packed and b.packed:
+                _mul_into(acc, a.packed, b.packed, ring)
+    return acc
 
 
 def commutator(a: RingMatrix, b: RingMatrix) -> RingMatrix:

@@ -33,9 +33,9 @@ accumulator per matrix entry), exact division and Groebner normal forms
 all call it, so no product builds a temporary polynomial to add.
 
 RingDescriptor and RingPoly are gf2k.Immutable values (import Immutable
-from gf2k).  RingPoly writes its two slots itself and defines its own
-equality and hash, because it is built once per product entry and its
-packed terms are a dict.
+from gf2k).  RingPoly._raw, the constructor of every product entry,
+skips the checks of __init__, and RingPoly defines its own equality and
+hash, because its packed terms are a dict.
 
 Text form; space, tab, CR and LF may stand around each atom and after '^':
 
@@ -95,7 +95,8 @@ def _overflow() -> ValueError:
 
 
 class RingDescriptor(Immutable):
-    """A (partially) Laurent polynomial ring over GF(2^k)."""
+    """A (partially) Laurent polynomial ring over GF(2^k).  Each variable
+    name is a `var` of the text form, so the reader can name it."""
 
     __slots__ = ("field", "vars", "laurent")
 
@@ -103,6 +104,11 @@ class RingDescriptor(Immutable):
         super().__init__(field, vars, laurent)
         if not self.vars:
             raise ValueError("ring needs at least one variable")
+        for name in self.vars:
+            if not ((name[:1].isalpha() or name[:1] == "_")
+                    and all(c.isalnum() or c == "_" for c in name)):
+                raise ValueError(f"variable name {name!r} is not a str.isalpha character or "
+                                 "'_' followed by str.isalnum characters or '_'")
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
         if len(self.laurent) != len(self.vars):
@@ -231,20 +237,19 @@ class RingPoly(Immutable):
 
     __slots__ = ("ring", "packed")
 
-    # __init__ and _raw write the slots through their descriptors: a
-    # polynomial is built per product entry, too often to go through the
-    # generic Immutable.__init__ or object.__setattr__.
     def __init__(self, ring: RingDescriptor, terms: dict[tuple[int, ...], int]):
         clean: dict[int, int] = {}
         for exps, coeff in terms.items():
             ring.field.validate(coeff)
             if coeff:
                 clean[ring.pack(exps)] = coeff
-        _set_ring(self, ring)
-        _set_packed(self, clean)
+        super().__init__(ring, clean)
 
     @classmethod
     def _raw(cls, ring: RingDescriptor, packed: dict[int, int]) -> "RingPoly":
+        """A polynomial of nonzero terms the caller packed in `ring` itself.
+        It writes the slots through their descriptors: a polynomial is built
+        per product entry, too often for the checks of __init__."""
         p = object.__new__(cls)
         _set_ring(p, ring)
         _set_packed(p, packed)

@@ -128,16 +128,14 @@ MUTANTS = (
      "tests/test_reduce_properties.py::test_fold_splits_a_target_into_alpha_and_cofactors"),
     # stage two of the reduction reads the diagonal entry for off
     ("src/mf2/paperlab.py",
-     "0, j)) for j in (0, 1))",
-     "0, j)) for j in (0, 0))",
+     "for j in (0, 1))",
+     "for j in (0, 0))",
      "tests/test_paperlab.py::test_reduce_random_round_trips"),
     # the in-place witness check drops the g*Q_source half of d(g), so a
     # correct reduction's witness is refused
     ("src/mf2/mfcore.py",
-     "    for a, b in zip(g.row(i), qs.entries[j::qs.cols]):\n"
-     "        if a.packed and b.packed:\n"
-     "            _mul_into(acc, a.packed, b.packed, ring)\n",
-     "",
+     "pairs = ((target.q, g), (g, source.q))",
+     "pairs = ((target.q, g),)",
      "tests/test_paperlab.py::test_reduce_witness_rejects_stage_faults"),
     # _split hands back t as the preimage s: the reduction witness must reject it
     ("src/mf2/paperlab.py",
@@ -265,11 +263,10 @@ MUTANTS = (
      "c << (k * (r * n + j))",
      "c << (k * (r * m + j))",
      f"{ECHELON}::test_point_certificate_matches_dense_echelon"),
-    # the sum-of-products kernel drops every pair after the first: zip stops
-    # at the first pair's inner index, so ab + cd becomes ab
+    # the entry kernel drops every pair after the first, so ab + cd becomes ab
     ("src/mf2/ringmat.py",
-     "for left, _ in pairs for e in left.row(i)",
-     "for left, _ in pairs[:1] for e in left.row(i)",
+     "    for left, right in pairs:\n        for a, b in zip(",
+     "    for left, right in pairs[:1]:\n        for a, b in zip(",
      "tests/test_ring_kernel_properties.py::test_sum_of_products_equals_sympy_products_summed"),
     # a failed reduction re-raises the pipeline's error without checking
     # whether its input was closed
@@ -292,14 +289,14 @@ MUTANTS = (
     # an entry of Q^2 is checked at the first slot of its row and column,
     # on factors left over from other branches
     ("src/mf2/mfcore.py",
-     "max(when[s]",
-     "min(when[s]",
+     "max(when[x]",
+     "min(when[x]",
      f"{SEARCH}::test_search_matches_brute_force"),
     # every entry of Q^2 is checked at the last slot only: no pruning is lost
     # from the results, so only the schedule test sees it
     ("src/mf2/mfcore.py",
-     "if last[ab] == n]",
-     "if n == len(slots) - 1]",
+     "n = max(when[x] for pair in pairs for x in pair)",
+     "n = len(flat) - 1",
      f"{SEARCH}::test_fill_order_checks_each_entry_of_the_square_once_when_final"),
     # a term of W outside the span is dropped instead of emptying the
     # search: leaves square to the rest of W and fail re-verification

@@ -390,6 +390,37 @@ def test_evaluate_rejects_bad_points(capsys):
     assert code == 2
 
 
+def test_evaluate_reads_each_coordinate_in_ascii_digits(capsys):
+    long = "9" * 5000
+    for point, err in (
+        ("\u0661,\u0661", "error: coordinate for 'x' must be ASCII digits 0-9, got '\u0661'\n"),
+        ("0_1,+1", "error: coordinate for 'x' must be ASCII digits 0-9, got '0_1'\n"),
+        ("1,+1", "error: coordinate for 'y' must be ASCII digits 0-9, got '+1'\n"),
+        ("1,", "error: coordinate for 'y' must be ASCII digits 0-9, got ''\n"),
+        ("1,7", "error: value 7 outside GF(2^1)\n"),
+        (f"1,00{long}", f"error: value {long} outside GF(2^1)\n"),
+        ("0,1", "error: coordinate for Laurent variable 'x' must be nonzero\n"),
+    ):
+        assert run(capsys, ["evaluate", RP2, "--point", point]) == (2, "", err), point
+    code, out, _ = run(capsys, ["evaluate", RP2, "--point", " 01,1 ", "--format", "records"])
+    assert code == 0
+    assert run(capsys, ["evaluate", RP2, "--point", "1,1", "--format", "records"]) == (0, out, "")
+
+
+def test_variable_names_are_names_the_reader_can_read_back(tmp_path, capsys):
+    mf = tmp_path / "one.mf"
+    mf.write_text("field: 2^1 modulus 11\nring: 1 y laurent:00\npotential: y^2 + 1\nsize: 1\ny + 1\n")
+    with pytest.raises(ParseError) as ei:
+        parse_mf_text(mf.read_text())
+    assert (ei.value.line, ei.value.col) == (2, 1)
+    message = "variable name '1' is not a str.isalpha character or '_' followed by " \
+              "str.isalnum characters or '_'"
+    assert run(capsys, ["jacobian", str(mf)]) == (2, "", f"error: line 2, col 1: {message}\n")
+    for names, err in (("x x", "duplicate variable names"), ("1 y", message)):
+        assert run(capsys, ["jacobian", "--potential", "x^2 + y^2", "--vars", names]) == (
+            2, "", f"error: --vars: {err}\n")
+
+
 def test_search_exact_output(capsys):
     code, out, _ = run(capsys, ["search", "--potential", "x^2 + y^2",
                                 "--size", "1", "--support", "x,y",

@@ -6,6 +6,7 @@ and from none at or above it, so reading an MF file and verifying a
 factorization load neither the command line, nor the lab, nor the window
 and Groebner machinery.  Every name in a module's __all__ exists, and
 every name a module imports is used there or listed in its __all__.
+Every value class builds through gf2k.Immutable.
 The test oracles in tests/oracles.py import no mf2 module at all.
 """
 
@@ -71,6 +72,32 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead = sorted(_imported_names(tree) - used - exported)
         assert not dead, f"mf2/{path.name} imports {dead} and never uses them"
+
+
+def test_value_classes_build_through_immutable():
+    """One immutability idiom: only Immutable and RingPoly, whose terms are
+    a dict, define __eq__ or __hash__, and a slot descriptor's __set__ is
+    called only inside a `_raw` constructor, the one way around __init__."""
+    own, stray = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name not in ("Immutable", "RingPoly"):
+                own += [f"{cls.name}.{node.name}" for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")]
+        # the names bound to descriptor setters, e.g. _set_ring = RingPoly.ring.__set__
+        setters = {target.id
+                   for node in tree.body if isinstance(node, ast.Assign)
+                   if any(isinstance(n, ast.Attribute) and n.attr == "__set__" for n in ast.walk(node.value))
+                   for t in node.targets for target in ast.walk(t) if isinstance(target, ast.Name)}
+        allowed = {id(call) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_raw"
+                   for call in ast.walk(fn)}
+        stray += [f"{path.name}:{call.lineno}" for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and id(call) not in allowed
+                  and (isinstance(call.func, ast.Name) and call.func.id in setters
+                       or isinstance(call.func, ast.Attribute) and call.func.attr == "__set__")]
+    assert not own, f"{own} define their own equality or hash"
+    assert not stray, f"slot setters called outside _raw at {stray}"
 
 
 def test_the_oracles_import_no_mf2_module():

@@ -150,6 +150,11 @@ def test_homotopy_witness_rejects_wrong_certificate():
         HomotopyWitness(claim, RingMatrix.identity(P3, 2))
     with pytest.raises(ValueError, match="morphism shape does not match"):
         HomotopyWitness(claim, RingMatrix.identity(P3, 3))
+    # a claim and a witness over GF(4) do not certify a map of GF(2) factorizations
+    p3_gf4 = RingDescriptor(default_spec(2), P3.vars, P3.laurent)
+    zero = RingMatrix.zeros(p3_gf4, 2, 2)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        HomotopyWitness(Morphism(q, q, zero), zero)
 
 
 def test_double_and_forget_shapes():

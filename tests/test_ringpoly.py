@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,19 @@ def test_each_reader_error_has_its_message_and_position(text, ring, message, lin
     with pytest.raises(ParseError) as ei:
         parse_poly(text, ring)
     assert (ei.value.message, ei.value.line, ei.value.col) == (message, line, col)
+
+
+def test_ring_variable_names_are_names_the_reader_reads():
+    # a str.isalpha character or '_', then str.isalnum characters or '_'
+    for name in ("x", "u", "u_", "_", "x_1", "y2", "\u00e9", "x\u00b2"):
+        ring = RingDescriptor(GF2, (name, "z"), (True, False))
+        assert parse_poly(f"{name}*z", ring) == RingPoly.monomial(ring, (1, 1))
+    for name in ("1", "2x", "", "x-y", "x y", "\u00b2", "x\u0301", "x^2"):
+        with pytest.raises(ValueError, match=re.escape(f"variable name {name!r} is not")):
+            RingDescriptor(GF2, (name, "z"), (False, False))
+    # the saturation's auxiliary variable is u, then u_, u__, ...: all names
+    ring = RingDescriptor(GF2, ("u", "u_"), (True, True))
+    assert quotient_ring(laurent_jacobian_ideal(parse_poly("u + u_ + u^-1*u_^-1", ring))).dimension == 3
 
 
 def test_numbers_of_any_length_are_values_or_parse_errors():

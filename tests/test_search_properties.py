@@ -34,8 +34,7 @@ from conftest import matrix_of, rows_of
 from oracles import brute_force_search, oracle_matmul
 
 from mf2.gf2k import GF2, default_spec
-from mf2.mfcore import (VerificationError, _fill_order, _reverify, _schedule,
-                        search_factorizations)
+from mf2.mfcore import VerificationError, _reverify, _schedule, search_factorizations
 from mf2.ringmat import RingMatrix
 from mf2.ringpoly import RingDescriptor, RingPoly, grevlex_key, parse_poly
 
@@ -97,19 +96,32 @@ def test_search_x2_plus_y2_over_four_monomials():
 
 @pytest.mark.parametrize("size", range(1, 7))
 def test_fill_order_checks_each_entry_of_the_square_once_when_final(size):
-    slots, completes = _fill_order(size)
+    """_schedule, built once per size: its slots in fill order, and each
+    (Q^2)_ab checked once, at the slot that fills the last entry of row a
+    and column b, with its pairs split at the slot's own entry."""
+    flat, checks = schedule = _schedule(size)
+    assert _schedule(size) is schedule
     entries = list(itertools.product(range(size), repeat=2))
     # row 0, column 0, row 1, column 1, ...: by the first line through the
     # entry, a row before a column, then along the line
-    assert slots == sorted(entries, key=lambda ab: (min(ab), ab[0] > ab[1], max(ab)))
-    assert len(completes) == len(slots)
-    listed = [ab for done in completes for ab in done]
-    assert sorted(listed) == entries
-    for n, done in enumerate(completes):
-        for a, b in done:
+    slots = sorted(entries, key=lambda ab: (min(ab), ab[0] > ab[1], max(ab)))
+    assert flat == tuple(i * size + j for i, j in slots)
+    assert len(checks) == len(slots)
+    listed = []
+    for n, (f, step) in enumerate(zip(flat, checks)):
+        done = []
+        for own, others, diagonal in step:
+            (a, _), (_, b) = divmod(own[0][0], size), divmod(own[0][1], size)
+            assert set(own) | set(others) == {(a * size + m, m * size + b) for m in range(size)}
+            assert all(f in p for p in own) and not any(f in p for p in others)
+            assert diagonal == (a == b)
             needed = {(a, m) for m in range(size)} | {(m, b) for m in range(size)}
             assert needed <= set(slots[:n + 1])
             assert not needed <= set(slots[:n])
+            done.append((a, b))
+        assert done == sorted(done)
+        listed += done
+    assert sorted(listed) == entries
 
 
 SUPPORT_XY1 = [(1, 0), (0, 1), (0, 0)]
@@ -254,18 +266,3 @@ def test_reverification_forms_each_entry_product_once(monkeypatch):
     assert len(found) == 10
     assert len(calls) == len({e for q in found for e in q.entries}) < len(found)
     assert len(pairs) == len(set(pairs))
-
-
-@pytest.mark.parametrize("size", range(1, 5))
-def test_the_schedule_is_built_once_per_size_from_the_fill_order(size):
-    flat, checks = schedule = _schedule(size)
-    assert _schedule(size) is schedule
-    slots, completes = _fill_order(size)
-    assert flat == tuple(i * size + j for i, j in slots)
-    assert len(checks) == len(completes)
-    for f, step, done in zip(flat, checks, completes):
-        assert len(step) == len(done)
-        for (own, others, diagonal), (a, b) in zip(step, done):
-            assert set(own) | set(others) == {(a * size + m, m * size + b) for m in range(size)}
-            assert all(f in p for p in own) and not any(f in p for p in others)
-            assert diagonal == (a == b)
