@@ -96,11 +96,9 @@ def test_search_x2_plus_y2_over_four_monomials():
 
 @pytest.mark.parametrize("size", range(1, 7))
 def test_fill_order_checks_each_entry_of_the_square_once_when_final(size):
-    """_schedule, built once per size: its slots in fill order, and each
-    (Q^2)_ab checked once, at the slot that fills the last entry of row a
-    and column b, with its pairs split at the slot's own entry."""
-    flat, checks = schedule = _schedule(size)
-    assert _schedule(size) is schedule
+    """_schedule's slots in fill order, and each (Q^2)_ab checked once, at
+    the slot that fills the last entry of row a and column b."""
+    flat, checks = _schedule(size)
     entries = list(itertools.product(range(size), repeat=2))
     # row 0, column 0, row 1, column 1, ...: by the first line through the
     # entry, a row before a column, then along the line
@@ -108,20 +106,29 @@ def test_fill_order_checks_each_entry_of_the_square_once_when_final(size):
     assert flat == tuple(i * size + j for i, j in slots)
     assert len(checks) == len(slots)
     listed = []
-    for n, (f, step) in enumerate(zip(flat, checks)):
-        done = []
+    for n, step in enumerate(checks):
+        done = [(own[0][0] // size, own[0][1] % size) for own, _, _ in step]
+        for a, b in done:
+            needed = {(a, m) for m in range(size)} | {(m, b) for m in range(size)}
+            assert needed <= set(slots[:n + 1])
+            assert not needed <= set(slots[:n])
+        assert done == sorted(done)
+        listed += done
+    assert sorted(listed) == entries
+
+
+@pytest.mark.parametrize("size", range(1, 5))
+def test_the_schedule_is_built_once_per_size_from_the_fill_order(size):
+    """_schedule is cached per size, and each check's pairs of flat indices
+    are split at the slot's own entry: those that hold it, then the rest."""
+    flat, checks = schedule = _schedule(size)
+    assert _schedule(size) is schedule
+    for f, step in zip(flat, checks):
         for own, others, diagonal in step:
             (a, _), (_, b) = divmod(own[0][0], size), divmod(own[0][1], size)
             assert set(own) | set(others) == {(a * size + m, m * size + b) for m in range(size)}
             assert all(f in p for p in own) and not any(f in p for p in others)
             assert diagonal == (a == b)
-            needed = {(a, m) for m in range(size)} | {(m, b) for m in range(size)}
-            assert needed <= set(slots[:n + 1])
-            assert not needed <= set(slots[:n])
-            done.append((a, b))
-        assert done == sorted(done)
-        listed += done
-    assert sorted(listed) == entries
 
 
 SUPPORT_XY1 = [(1, 0), (0, 1), (0, 0)]
