@@ -6,7 +6,8 @@ Morphisms f: (E,Q) -> (F,R) carry the differential d(f) = R f + f Q
 (commutator and anticommutator coincide in characteristic 2, so d
 squares to zero against Q^2 = R^2 = W*Id).  Every certifying object
 re-verifies its defining identity on construction: a HomotopyWitness
-that does not satisfy d(g) = f cannot exist.
+that does not satisfy d(g) = f cannot exist, and it checks d(g) on
+Kronecker-packed ints, not with the product kernel that builds most witnesses.
 
 The doubling functor D sends ungraded Q to the pair (Q, Q); the
 forgetful functor F folds a pair into the ungraded block matrix
@@ -28,12 +29,13 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable
-from .ringmat import (FieldMatrix, RingMatrix, _entry_into, _parse_matrix_span, block2,
+from .ringmat import (Echelon, FieldMatrix, RingMatrix, _entry_into, _parse_matrix_span, block2,
                       matrix_partial, specialize)
-from .ringpoly import ParseError, RingDescriptor, RingPoly, _parse_span, _uint, grevlex_key
+from .ringpoly import (ParseError, RingDescriptor, RingPoly, _box_offset, _box_pack, _parse_span,
+                       _uint, grevlex_key)
 
 __all__ = [
     "MFFile",
@@ -147,6 +149,7 @@ class Morphism(Immutable):
 
     def __init__(self, source: UngradedMF, target: UngradedMF, f: RingMatrix):
         _check_hom(source, target)
+        f._check_ring(source.ring)
         if f.rows != target.size or f.cols != source.size:
             raise ValueError("morphism shape does not match source/target sizes")
         super().__init__(source, target, f)
@@ -168,6 +171,7 @@ class GradedMorphism(Immutable):
 
     def __init__(self, source: GradedMF, target: GradedMF, g: RingMatrix):
         _check_hom(source, target)
+        g._check_ring(source.ring)
         if g.rows != 2 * target.size or g.cols != 2 * source.size:
             raise ValueError("graded morphism shape does not match total modules")
         super().__init__(source, target, g)
@@ -177,13 +181,81 @@ class GradedMorphism(Immutable):
         return GradedMorphism(self.source, self.target, d.f)
 
 
+# A witness whose box holds more monomials than this is checked by the entry kernel.
+MAX_WITNESS_BOX = 1 << 16
+
+
+def _packed_check(qt: RingMatrix, qs: RingMatrix, g: RingMatrix, f: RingMatrix) -> Optional[bool]:
+    """Whether qt*g + g*qs == f, with every polynomial packed into one int
+    over the box hull(g) + hull(qt, qs), joined with hull(f): None when the
+    box holds more than MAX_WITNESS_BOX monomials or leaves the exponent range.
+
+    g's entries are packed from the low corner of hull(g), so a term c*x^m
+    of qt or qs adds v << offset to an entry's accumulator, v the packed
+    entry of g (scaled by Echelon.scale when c != 1) and offset the box
+    offset of x^m times that corner.  The accumulator starts as the packed
+    entry of f, and a nonzero remainder rejects g.  No product kernel runs."""
+    ring = g.ring
+    g_keys = set().union(*(e.packed for e in g.entries))
+    q_keys = set().union(*(e.packed for e in (*qt.entries, *qs.entries)))
+    if not g_keys or not q_keys:  # d(g) = 0
+        return f.is_zero()
+    g_hull = ring.hull(g_keys)
+    box = [(glo + qlo, ghi + qhi) for (glo, ghi), (qlo, qhi) in zip(g_hull, ring.hull(q_keys))]
+    f_keys = set().union(*(e.packed for e in f.entries))
+    if f_keys:
+        box = [(min(lo, flo), max(hi, fhi)) for (lo, hi), (flo, fhi) in zip(box, ring.hull(f_keys))]
+    k = ring.field.k
+    strides, step = [], k
+    for lo, hi in box:
+        strides.append(step)
+        step *= hi - lo + 1
+    if step > k * MAX_WITNESS_BOX:
+        return None
+    try:  # a product may leave the exponent range; the entry kernel names it
+        low = ring.pack([lo for lo, _ in box])
+        ring.pack([hi for _, hi in box])
+    except ValueError:
+        return None
+    g_low = ring.pack([lo for lo, _ in g_hull])
+    packed = [_box_pack(e.packed, g_low, strides) for e in g.entries]
+    q_low = low - g_low + ring.one_key
+
+    def shifts(m: RingMatrix) -> list[list[tuple[int, int]]]:
+        return [[(_box_offset(key - q_low, strides), c) for key, c in e.packed.items()]
+                for e in m.entries]
+
+    left = shifts(qt)
+    right = left if qs is qt else shifts(qs)
+    scale = Echelon(ring.field).scale
+    rows, cols = g.rows, g.cols
+    for i in range(rows):
+        for j in range(cols):
+            acc = _box_pack(f.entries[i * cols + j].packed, low, strides)
+            for m in range(rows):
+                v = packed[m * cols + j]
+                for offset, c in left[i * rows + m]:
+                    acc ^= (v if c == 1 else scale(v, c)) << offset
+            for m in range(cols):
+                v = packed[i * cols + m]
+                for offset, c in right[m * cols + j]:
+                    acc ^= (v if c == 1 else scale(v, c)) << offset
+            if acc:
+                return False
+    return True
+
+
 class HomotopyWitness(Immutable):
     """Certifies that claim.f is exact: d(g) = target.q * g + g * source.q == claim.f.
 
-    The check runs in place, one entry at a time: the entry's accumulator
-    starts as a copy of claim.f's entry, the entry kernel adds that entry of
-    the pairs (target.q, g) and (g, source.q) into it, and a nonempty
-    remainder rejects g.  No d(g) is built."""
+    The check shares no code with the product kernel: each entry of g and
+    claim.f is packed into one int over the box of _packed_check, and each
+    term of target.q or source.q is one shift.  A box of more than
+    MAX_WITNESS_BOX monomials (a sparse g such as x^(2^20)), or one that
+    leaves the exponent range, is checked in place by the entry kernel
+    instead: each entry's accumulator starts as a copy of claim.f's entry,
+    the kernel adds that entry of (target.q, g) and (g, source.q), and a
+    nonempty remainder rejects g.  No d(g) is built either way."""
 
     __slots__ = ("claim", "g")
 
@@ -191,13 +263,14 @@ class HomotopyWitness(Immutable):
         source, target, f = claim.source, claim.target, claim.f
         if g.rows != target.size or g.cols != source.size:
             raise ValueError("morphism shape does not match source/target sizes")
-        for m in (f, target.q):  # source.q shares target.q's ring (_check_hom)
-            m._check_ring(g.ring)
-        pairs = ((target.q, g), (g, source.q))
-        for i in range(g.rows):
-            for j in range(g.cols):
-                if _entry_into(dict(f.at(i, j).packed), pairs, i, j):
-                    raise ValueError("homotopy witness does not satisfy d(g) = f")
+        target.q._check_ring(g.ring)  # claim.f and source.q share its ring (Morphism)
+        ok = _packed_check(target.q, source.q, g, f)
+        if ok is None:
+            pairs = ((target.q, g), (g, source.q))
+            ok = not any(_entry_into(dict(f.at(i, j).packed), pairs, i, j)
+                         for i in range(g.rows) for j in range(g.cols))
+        if not ok:
+            raise ValueError("homotopy witness does not satisfy d(g) = f")
         super().__init__(claim, g)
 
 

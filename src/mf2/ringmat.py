@@ -6,9 +6,11 @@ RingMatrix.block, and one assembly of a 2x2 grid, block2.  Entries are
 ring-checked once, at construction; a sum, product or scaling checks the
 two operands' rings once and builds its result without checking each
 entry again.  Every entry of a product, or of a sum of products such as the
-commutator ab + ba or the differential d(g) = Q g + g Q, comes from one
+commutator ab + ba or the differential d(f) = Q f + f Q, comes from one
 entry kernel, _entry_into: it keeps one accumulator across every product
 and inner index and fills it with ringpoly's multiply-accumulate kernel.
+The check of a homotopy witness, d(g) = f, shares no code with it (see
+mfcore.HomotopyWitness) unless its box is too wide to pack.
 FieldMatrix holds serialized field values; its product applies the left
 factor to each column of the right one.  Rank runs through Echelon, one
 elimination kernel for every GF(2^k) that packs a whole vector into one
@@ -147,12 +149,9 @@ class RingMatrix(Immutable):
         )
 
     def support_hull(self) -> list[tuple[int, int]]:
-        """Per-variable (min, max) exponent over all entries; (0, 0) if all zero.
-        Each distinct packed key of the entries is unpacked once."""
+        """Per-variable (min, max) exponent over all entries; (0, 0) if all zero."""
         keys = set().union(*(e.packed for e in self.entries))
-        if not keys:
-            return [(0, 0)] * self.ring.nvars
-        return [(min(column), max(column)) for column in zip(*map(self.ring.unpack, keys))]
+        return self.ring.hull(keys) if keys else [(0, 0)] * self.ring.nvars
 
     def __str__(self) -> str:
         return "; ".join(

@@ -20,7 +20,11 @@ key against the guard mask, so an exponent that leaves the range raises
 ValueError instead of wrapping into a wrong term.  The same mask tests
 divisibility: (a - b) & GUARD is 0 exactly when key b's monomial divides
 key a's.  RingDescriptor.box_keys lists the keys of a box of exponent
-bounds as sums of one term per lane.  RingPoly.packed holds the packed
+bounds as sums of one term per lane, and RingDescriptor.hull the bounds
+of a set of keys, one lane at a time.  _box_pack packs a polynomial
+inside a box into one int, k bits per monomial of the box (Kronecker
+substitution), so a product by a monomial is one shift; the check of a
+homotopy witness runs on these ints.  RingPoly.packed holds the packed
 dict; RingPoly.terms is a read-only view keyed by exponent tuples, for
 the printer, the command line and the maps between rings.
 
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .gf2k import FieldElem, FieldSpec, Immutable, embed
 
@@ -177,6 +181,15 @@ class RingDescriptor(Immutable):
             key >>= LANE_BITS
         return tuple(exps)
 
+    def hull(self, keys: Iterable[int]) -> list[tuple[int, int]]:
+        """Per-variable (min, max) exponent over a nonempty collection of
+        packed keys, read lane by lane with one mask, unpacking no key."""
+        out = []
+        for i in range(len(self.vars)):
+            lane = [key >> (LANE_BITS * i) & _LANE_MASK for key in keys]
+            out.append((min(lane) - EXP_BOUND, max(lane) - EXP_BOUND))
+        return out
+
     def polynomialized(self) -> "RingDescriptor":
         """Same variables with all Laurent flags cleared."""
         return RingDescriptor(self.field, self.vars, (False,) * self.nvars)
@@ -229,6 +242,32 @@ def _mul_into(acc: dict, a: dict, b: dict, ring: RingDescriptor) -> dict:
             else:
                 del acc[e]
     return acc
+
+
+def _box_offset(d: int, strides: Sequence[int]) -> int:
+    """Lane i of d times strides[i], summed: the offset of a key in a box,
+    for d = key - base with every lane in [0, 2^LANE_BITS)."""
+    offset = 0
+    for stride in strides:
+        offset += (d & _LANE_MASK) * stride
+        d >>= LANE_BITS
+    return offset
+
+
+def _box_pack(terms: dict[int, int], base: int, strides: Sequence[int]) -> int:
+    """Packed terms as one int, c << _box_offset(key - base, strides) summed
+    (Kronecker substitution).  With strides k, k*w_0, k*w_0*w_1, ..., w_i
+    the width of a box along variable i and base the key of its low corner,
+    each monomial of the box owns k bits, so a product by a monomial is one
+    shift.  Two variables, the common case, read their lanes inline."""
+    if len(strides) != 2:
+        return sum(c << _box_offset(key - base, strides) for key, c in terms.items())
+    sx, sy = strides
+    out = 0
+    for key, c in terms.items():
+        key -= base
+        out += c << ((key & _LANE_MASK) * sx + (key >> LANE_BITS) * sy)
+    return out
 
 
 class RingPoly(Immutable):
@@ -295,9 +334,7 @@ class RingPoly(Immutable):
 
     def support_bounds(self) -> Optional[list[tuple[int, int]]]:
         """Per-variable (min, max) exponent over all terms; None for the zero polynomial."""
-        if not self.packed:
-            return None
-        return [(min(column), max(column)) for column in zip(*map(self.ring.unpack, self.packed))]
+        return self.ring.hull(self.packed) if self.packed else None
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -131,12 +131,21 @@ MUTANTS = (
      "for j in (0, 1))",
      "for j in (0, 0))",
      "tests/test_paperlab.py::test_reduce_random_round_trips"),
-    # the in-place witness check drops the g*Q_source half of d(g), so a
+    # the packed witness check drops the g*Q_source half of d(g), so a
     # correct reduction's witness is refused
     ("src/mf2/mfcore.py",
-     "pairs = ((target.q, g), (g, source.q))",
-     "pairs = ((target.q, g),)",
+     "            for m in range(cols):\n"
+     "                v = packed[i * cols + m]\n"
+     "                for offset, c in right[m * cols + j]:\n"
+     "                    acc ^= (v if c == 1 else scale(v, c)) << offset\n",
+     "",
      "tests/test_paperlab.py::test_reduce_witness_rejects_stage_faults"),
+    # the witness box's rows are one monomial short along x, so adjacent
+    # rows overlap and packing no longer keeps the terms apart
+    ("src/mf2/mfcore.py",
+     "step *= hi - lo + 1",
+     "step *= hi - lo",
+     "tests/test_witness_properties.py::test_packed_check_accepts_d_of_g_and_rejects_one_extra_term"),
     # _split hands back t as the preimage s: the reduction witness must reject it
     ("src/mf2/paperlab.py",
      "        return a, b, s, t\n",

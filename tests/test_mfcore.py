@@ -100,6 +100,16 @@ def test_potential_mismatch_rejected():
         Morphism(an_r(1), an_r(2), RingMatrix.identity(P2, 2))
 
 
+def test_a_map_over_another_ring_is_refused_at_construction():
+    """The identity over GF(4) is no map of the GF(2) rp2 factorization."""
+    x = fixture("rp2")
+    gf4 = RingDescriptor(default_spec(2), x.ring.vars, x.ring.laurent)
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        Morphism(x, x, RingMatrix.identity(gf4, 4))
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        GradedMorphism(double(x), double(x), RingMatrix.identity(gf4, 8))
+
+
 # Every user of a hom complex Hom(X, an_r(1)) over the polynomial ring P2.
 HOM_USERS = {
     "Morphism": lambda x, y: Morphism(x, y, RingMatrix.identity(y.ring, 2)),
@@ -150,11 +160,10 @@ def test_homotopy_witness_rejects_wrong_certificate():
         HomotopyWitness(claim, RingMatrix.identity(P3, 2))
     with pytest.raises(ValueError, match="morphism shape does not match"):
         HomotopyWitness(claim, RingMatrix.identity(P3, 3))
-    # a claim and a witness over GF(4) do not certify a map of GF(2) factorizations
+    # a witness over GF(4) does not certify a map of GF(2) factorizations
     p3_gf4 = RingDescriptor(default_spec(2), P3.vars, P3.laurent)
-    zero = RingMatrix.zeros(p3_gf4, 2, 2)
     with pytest.raises(ValueError, match="ring mismatch"):
-        HomotopyWitness(Morphism(q, q, zero), zero)
+        HomotopyWitness(Morphism(q, q, RingMatrix.zeros(P3, 2, 2)), RingMatrix.zeros(p3_gf4, 2, 2))
 
 
 def test_double_and_forget_shapes():
